@@ -4,13 +4,12 @@ A harmonic-oscillator working medium couples to two harmonically modulated
 Lorentzian baths and one static Ohmic bath.  The package evaluates the
 period-averaged heat currents, power, and entropy production in the
 weak-coupling regime, classifies the operating mode (pure, hybrid, or
-wasteful), computes the exergy efficiency, maps parameter space in parallel
+wasteful), computes the exergy efficiency, maps parameter space in
 sweeps, and locates thermal-transistor operating windows.
 """
 
 __version__ = "0.1.0"
 
-from ._kernels import available_backends, get_backend, set_backend
 from .core import (ConfigError, ConsistencyError, DomainError,
                    LorentzianBath, MachineConfig, OhmicBath, TrithermError,
                    WorkingMedium, apply_params, bose_occupation,
@@ -29,7 +28,6 @@ from .transistor import (TransistorPoint, TransistorTrace, TransistorWindow,
 
 __all__ = [
     "__version__",
-    "available_backends", "get_backend", "set_backend",
     "TrithermError", "ConfigError", "DomainError", "ConsistencyError",
     "WorkingMedium", "LorentzianBath", "OhmicBath", "MachineConfig",
     "apply_params", "bose_occupation", "spectral_lorentzian", "spectral_ohmic",

@@ -1,15 +1,8 @@
-"""Hot numeric kernels: batched evaluation of the two-sideband closed forms.
+"""Hot numeric kernel: batched evaluation of the two-sideband closed forms.
 
-Two interchangeable implementations of the same element-wise arithmetic:
-
-* ``numpy``  - vectorized array expressions (always available);
-* ``numba``  - an ``@njit``-compiled loop over elements (used by default
-  when numba is importable).
-
-Select with the ``TRITHERM_KERNELS`` environment variable (``"numpy"`` or
-``"numba"``) or programmatically via :func:`set_backend`.  Within one
-backend results are bitwise reproducible and independent of batch size and
-threading; across backends they agree to the last ulp of ``expm1``.
+One vectorized numpy code path.  Results are bitwise reproducible and
+independent of batch size: every element goes through the same sequence of
+floating-point operations.
 
 Each batch call fills an ``(n, 7)`` float64 array with columns
 ``j_hot, j_cold, j_mid, power, entropy_rate, entropy_pos, entropy_neg``.
@@ -17,21 +10,7 @@ Each batch call fills an ``(n, 7)`` float64 array with columns
 
 from __future__ import annotations
 
-import math
-import os
-import warnings
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    njit = None
-    HAVE_NUMBA = False
-
-ENV_BACKEND = "TRITHERM_KERNELS"
 
 NCOLS = 7
 COL_JH, COL_JC, COL_JM, COL_P, COL_S, COL_SPOS, COL_SNEG = range(NCOLS)
@@ -39,37 +18,43 @@ COL_JH, COL_JC, COL_JM, COL_P, COL_S, COL_SPOS, COL_SNEG = range(NCOLS)
 _BOSE_CUTOFF = 1e-5
 
 
-def _bose_pos_np(x):
-    # positive arguments only (guaranteed by 0 < drive < omega0, T > 0)
+def bose_pos(x):
+    """Bose occupation ``1 / (exp(x) - 1)`` for positive ``x``.
+
+    Below 1e-5 the Laurent series ``1/x - 1/2 + x/12`` avoids cancellation.
+    The caller guarantees ``x > 0`` (``0 < drive < omega0``, ``T > 0``) and
+    silences the overflow of ``expm1`` for large arguments (the result is 0).
+    """
     return np.where(x < _BOSE_CUTOFF,
                     1.0 / x - 0.5 + x / 12.0,
                     1.0 / np.expm1(np.where(x < _BOSE_CUTOFF, 1.0, x)))
 
 
-def _thermo_numpy(w0, m, drv, th, tm, tc, wh, gh, kh, wc, gc, kc, out):
+def _bath(sp, sm, drv, pref, nbm, w0, m, t, w, g, k):
+    """Heat current and power share of one dynamically coupled bath.
+
+    The bath exchanges quanta at both sidebands ``sp = w0 + drv`` and
+    ``sm = w0 - drv``, weighted by its Lorentzian spectral density there and
+    by its Bose imbalance ``nbm`` against the static bath.
+    """
+    d = k * w * w * w0 * w0
+    jp = d * m * g * sp / ((sp * sp - w * w) ** 2 + g * g * sp * sp)
+    jm_ = d * m * g * sm / ((sm * sm - w * w) ** 2 + g * g * sm * sm)
+    dnp_ = bose_pos(sp / t) - nbm
+    dnm_ = bose_pos(sm / t) - nbm
+    j = pref * (sp * jp * dnp_ + sm * jm_ * dnm_)
+    p = -(drv * pref) * (jp * dnp_ - jm_ * dnm_)
+    return j, p
+
+
+def _thermo(w0, m, drv, th, tm, tc, wh, gh, kh, wc, gc, kc, out):
     with np.errstate(over="ignore"):
         sp = w0 + drv
         sm = w0 - drv
         pref = 1.0 / (4.0 * m * w0)
-        nbm = _bose_pos_np(w0 / tm)
-
-        # hot bath, both sidebands
-        d = kh * wh * wh * w0 * w0
-        jp = d * m * gh * sp / ((sp * sp - wh * wh) ** 2 + gh * gh * sp * sp)
-        jm_ = d * m * gh * sm / ((sm * sm - wh * wh) ** 2 + gh * gh * sm * sm)
-        dnp_ = _bose_pos_np(sp / th) - nbm
-        dnm_ = _bose_pos_np(sm / th) - nbm
-        j_hot = pref * (sp * jp * dnp_ + sm * jm_ * dnm_)
-        p_hot = -(drv * pref) * (jp * dnp_ - jm_ * dnm_)
-
-        # cold bath, same structure
-        d = kc * wc * wc * w0 * w0
-        jp = d * m * gc * sp / ((sp * sp - wc * wc) ** 2 + gc * gc * sp * sp)
-        jm_ = d * m * gc * sm / ((sm * sm - wc * wc) ** 2 + gc * gc * sm * sm)
-        dnp_ = _bose_pos_np(sp / tc) - nbm
-        dnm_ = _bose_pos_np(sm / tc) - nbm
-        j_cold = pref * (sp * jp * dnp_ + sm * jm_ * dnm_)
-        p_cold = -(drv * pref) * (jp * dnp_ - jm_ * dnm_)
+        nbm = bose_pos(w0 / tm)
+        j_hot, p_hot = _bath(sp, sm, drv, pref, nbm, w0, m, th, wh, gh, kh)
+        j_cold, p_cold = _bath(sp, sm, drv, pref, nbm, w0, m, tc, wc, gc, kc)
 
         power = p_hot + p_cold
         j_mid = -power - j_hot - j_cold
@@ -77,123 +62,20 @@ def _thermo_numpy(w0, m, drv, th, tm, tc, wh, gh, kh, wc, gc, kc, out):
         t1 = power / tm
         t2 = (j_cold / tm) * (1.0 - tm / tc)
         t3 = (j_hot / tm) * (1.0 - tm / th)
-        zero = np.zeros_like(t1)
         out[:, COL_JH] = j_hot
         out[:, COL_JC] = j_cold
         out[:, COL_JM] = j_mid
         out[:, COL_P] = power
         out[:, COL_S] = t1 + t2 + t3
-        out[:, COL_SPOS] = (np.where(t1 > 0.0, t1, zero)
-                            + np.where(t2 > 0.0, t2, zero)
-                            + np.where(t3 > 0.0, t3, zero))
-        out[:, COL_SNEG] = (np.where(t1 < 0.0, t1, zero)
-                            + np.where(t2 < 0.0, t2, zero)
-                            + np.where(t3 < 0.0, t3, zero))
+        # each balance term goes to the positive or the negative split
+        terms = (t1, t2, t3)
+        out[:, COL_SPOS] = sum(np.where(t > 0.0, t, 0.0) for t in terms)
+        out[:, COL_SNEG] = sum(np.where(t < 0.0, t, 0.0) for t in terms)
     return out
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _bose_pos_nb(x):
-        if x < _BOSE_CUTOFF:
-            return 1.0 / x - 0.5 + x / 12.0
-        return 1.0 / math.expm1(x)
-
-    @njit(cache=True, nogil=True)
-    def _thermo_numba(w0, m, drv, th, tm, tc, wh, gh, kh, wc, gc, kc, out):
-        for i in range(drv.shape[0]):
-            sp = w0[i] + drv[i]
-            sm = w0[i] - drv[i]
-            pref = 1.0 / (4.0 * m[i] * w0[i])
-            nbm = _bose_pos_nb(w0[i] / tm[i])
-
-            d = kh[i] * wh[i] * wh[i] * w0[i] * w0[i]
-            jp = d * m[i] * gh[i] * sp / ((sp * sp - wh[i] * wh[i]) ** 2 + gh[i] * gh[i] * sp * sp)
-            jm_ = d * m[i] * gh[i] * sm / ((sm * sm - wh[i] * wh[i]) ** 2 + gh[i] * gh[i] * sm * sm)
-            dnp_ = _bose_pos_nb(sp / th[i]) - nbm
-            dnm_ = _bose_pos_nb(sm / th[i]) - nbm
-            j_hot = pref * (sp * jp * dnp_ + sm * jm_ * dnm_)
-            p_hot = -(drv[i] * pref) * (jp * dnp_ - jm_ * dnm_)
-
-            d = kc[i] * wc[i] * wc[i] * w0[i] * w0[i]
-            jp = d * m[i] * gc[i] * sp / ((sp * sp - wc[i] * wc[i]) ** 2 + gc[i] * gc[i] * sp * sp)
-            jm_ = d * m[i] * gc[i] * sm / ((sm * sm - wc[i] * wc[i]) ** 2 + gc[i] * gc[i] * sm * sm)
-            dnp_ = _bose_pos_nb(sp / tc[i]) - nbm
-            dnm_ = _bose_pos_nb(sm / tc[i]) - nbm
-            j_cold = pref * (sp * jp * dnp_ + sm * jm_ * dnm_)
-            p_cold = -(drv[i] * pref) * (jp * dnp_ - jm_ * dnm_)
-
-            power = p_hot + p_cold
-            j_mid = -power - j_hot - j_cold
-
-            t1 = power / tm[i]
-            t2 = (j_cold / tm[i]) * (1.0 - tm[i] / tc[i])
-            t3 = (j_hot / tm[i]) * (1.0 - tm[i] / th[i])
-            out[i, COL_JH] = j_hot
-            out[i, COL_JC] = j_cold
-            out[i, COL_JM] = j_mid
-            out[i, COL_P] = power
-            out[i, COL_S] = t1 + t2 + t3
-            spos = 0.0
-            sneg = 0.0
-            if t1 > 0.0:
-                spos += t1
-            elif t1 < 0.0:
-                sneg += t1
-            if t2 > 0.0:
-                spos += t2
-            elif t2 < 0.0:
-                sneg += t2
-            if t3 > 0.0:
-                spos += t3
-            elif t3 < 0.0:
-                sneg += t3
-            out[i, COL_SPOS] = spos
-            out[i, COL_SNEG] = sneg
-        return out
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numpy", "numba") if HAVE_NUMBA else ("numpy",)
-
-
-def _resolve_default() -> str:
-    requested = os.environ.get(ENV_BACKEND, "").strip().lower()
-    if requested:
-        if requested not in ("numpy", "numba"):
-            warnings.warn(f"{ENV_BACKEND}={requested!r} not recognized; "
-                          f"expected 'numpy' or 'numba'", stacklevel=2)
-        elif requested == "numba" and not HAVE_NUMBA:
-            warnings.warn("numba requested but not importable; "
-                          "falling back to numpy kernels", stacklevel=2)
-        else:
-            return requested
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_active = _resolve_default()
-
-
-def get_backend() -> str:
-    """Name of the active kernel backend ('numpy' or 'numba')."""
-    return _active
-
-
-def set_backend(name: str) -> str:
-    """Select the kernel backend; returns the previously active name."""
-    global _active
-    if name not in ("numpy", "numba"):
-        raise ValueError(f"unknown backend {name!r}; expected 'numpy' or 'numba'")
-    if name == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    previous, _active = _active, name
-    return previous
-
-
 def thermo_batch(omega0, mass, drive, t_hot, t_mid, t_cold,
-                 w_hot, g_hot, k_hot, w_cold, g_cold, k_cold,
-                 backend: str | None = None) -> np.ndarray:
+                 w_hot, g_hot, k_hot, w_cold, g_cold, k_cold) -> np.ndarray:
     """Evaluate currents, power, and entropy split for a batch of machines.
 
     All twelve parameters broadcast against each other; scalars are fine.
@@ -208,9 +90,5 @@ def thermo_batch(omega0, mass, drive, t_hot, t_mid, t_cold,
     shape = arrays[0].shape
     flat = [np.ascontiguousarray(a.ravel()) for a in arrays]
     out = np.empty((flat[0].size, NCOLS))
-    name = backend or _active
-    if name == "numba":
-        _thermo_numba(*flat, out)
-    else:
-        _thermo_numpy(*flat, out)
+    _thermo(*flat, out)
     return out.reshape(shape + (NCOLS,))

@@ -11,7 +11,12 @@ fields (all frequencies and temperatures in units of omega0)::
 
 Every file-producing command writes a JSON manifest next to its output;
 re-running with ``--from-manifest`` reproduces the output byte for byte
-(the manifest pins the config snapshot, grid, seed, and kernel backend).
+(the manifest pins the config snapshot, grid, and seed).  Manifests keep
+the key order they were written with: the order of ``search.vary`` fixes
+the Latin-hypercube dimensions.
+
+``sweep --threads`` and ``TRITHERM_THREADS`` are accepted and ignored; a
+sweep runs as one batch.
 
 Exit codes: 0 success, 1 validation/parse error, 2 runtime error.
 """
@@ -28,16 +33,14 @@ import sys
 import numpy as np
 import yaml
 
-from . import __version__, _kernels
+from . import __version__
 from .core import (ConfigError, DomainError, MachineConfig, TrithermError,
                    apply_params)
 from .modes import mode_report
-from .search import LockRule, SearchSpec, VaryRange, run_search
+from .search import SearchSpec, run_search
 from .sweep import Axis, SweepSpec, run_sweep
 from .transistor import (DEFAULT_STEP, DEFAULT_THRESHOLD, transistor_trace,
-                         windows_from_arrays)
-
-ENV_THREADS = "TRITHERM_THREADS"
+                         window_mask, windows_from_arrays)
 
 
 def _load_yaml(path: str) -> dict:
@@ -83,24 +86,11 @@ def _validate(config, args) -> list[str]:
     return warnings
 
 
-def _default_threads() -> int:
-    raw = os.environ.get(ENV_THREADS, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _json_dump(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def _write_manifest(out_path: str, command: str, config: MachineConfig,
                     extra: dict, seed=None) -> str:
     manifest = {
         "artifact": "tritherm",
         "version": __version__,
-        "backend": _kernels.get_backend(),
         "command": command,
         "config": config.to_dict(),
         "seed": seed,
@@ -110,24 +100,37 @@ def _write_manifest(out_path: str, command: str, config: MachineConfig,
     }
     path = out_path + ".manifest.json"
     with open(path, "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
+        json.dump(manifest, fh, indent=1)
     return path
 
 
-def _load_manifest(path: str, command: str) -> dict:
+def _load_manifest(path: str, command: str) -> tuple[MachineConfig, dict, dict]:
+    """The config, the ``command`` section and the whole manifest."""
     with open(path) as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse manifest {path}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"manifest {path} must contain a mapping")
     if manifest.get("command") != command:
         raise ConfigError(f"manifest {path} was written by "
                           f"{manifest.get('command')!r}, not {command!r}")
-    backend = manifest.get("backend")
-    if backend and backend != _kernels.get_backend():
-        try:
-            _kernels.set_backend(backend)
-        except ValueError as exc:
-            raise ConfigError(f"manifest requires kernel backend {backend!r}: "
-                              f"{exc}") from None
-    return manifest
+    # Older manifests record the kernel backend; only numpy remains.
+    if manifest.get("backend", "numpy") != "numpy":
+        raise ConfigError(f"manifest {path}: field backend = "
+                          f"{manifest['backend']!r} is not supported; only "
+                          f"the numpy kernel exists")
+    for key in ("config", command):
+        if not isinstance(manifest.get(key), dict):
+            raise ConfigError(f"manifest {path} has no {key!r} section")
+    return MachineConfig.from_dict(manifest["config"]), manifest[command], manifest
+
+
+def _field(section: dict, key: str, where: str):
+    if key not in section:
+        raise ConfigError(f"missing field: {where}.{key}")
+    return section[key]
 
 
 DEFAULT_AXIS_COUNT = 201
@@ -167,12 +170,10 @@ def cmd_point(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.from_manifest:
-        manifest = _load_manifest(args.from_manifest, "sweep")
-        config = MachineConfig.from_dict(manifest["config"])
-        grid = manifest["sweep"]
-        axis1 = Axis(**grid["axis1"])
+        config, grid, _ = _load_manifest(args.from_manifest, "sweep")
+        axis1 = Axis(**_field(grid, "axis1", "sweep"))
         axis2 = Axis(**grid["axis2"]) if grid.get("axis2") else None
-        outputs = frozenset(grid["outputs"])
+        outputs = frozenset(_field(grid, "outputs", "sweep"))
     else:
         if not args.config or not args.axis1:
             raise ConfigError("sweep needs --config and --axis1 "
@@ -184,8 +185,7 @@ def cmd_sweep(args) -> int:
         outputs = frozenset((args.outputs or "currents,mode,exergy").split(","))
 
     spec = SweepSpec(template=config, axis1=axis1, axis2=axis2, outputs=outputs)
-    threads = args.threads or _default_threads()
-    result = run_sweep(spec, threads=threads)
+    result = run_sweep(spec)
     result.to_csv(args.out)
     if args.json:
         result.to_json(args.out + ".json")
@@ -202,11 +202,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_transistor(args) -> int:
     if args.from_manifest:
-        manifest = _load_manifest(args.from_manifest, "transistor")
-        config = MachineConfig.from_dict(manifest["config"])
-        t = manifest["transistor"]
-        omega_min, omega_max = t["omega_min"], t["omega_max"]
-        points, threshold, step = t["points"], t["threshold"], t["step"]
+        config, t, _ = _load_manifest(args.from_manifest, "transistor")
+        omega_min, omega_max, points, threshold, step = (
+            _field(t, key, "transistor") for key in
+            ("omega_min", "omega_max", "points", "threshold", "step"))
     else:
         if not args.config:
             raise ConfigError("transistor needs --config (or --from-manifest)")
@@ -219,71 +218,31 @@ def cmd_transistor(args) -> int:
     trace = transistor_trace(config, grid, step=step)
     windows = windows_from_arrays(trace.omega, trace.r, trace.g, threshold)
 
-    in_window = np.zeros(grid.shape, dtype=bool)
-    for w in windows:
-        in_window |= (grid >= w.omega_min) & (grid <= w.omega_max)
+    in_window = window_mask(grid, windows)
     with open(args.out, "w", newline="") as fh:
         fh.write("omega_drive,j_hot,j_cold,j_mid,power,r,g,in_window\n")
+        cols = (trace.omega, trace.j_hot, trace.j_cold, trace.j_mid,
+                trace.power, trace.r, trace.g)
         for k in range(grid.size):
-            fh.write(",".join([
-                repr(float(trace.omega[k])), repr(float(trace.j_hot[k])),
-                repr(float(trace.j_cold[k])), repr(float(trace.j_mid[k])),
-                repr(float(trace.power[k])), repr(float(trace.r[k])),
-                repr(float(trace.g[k])), str(int(in_window[k])),
-            ]) + "\n")
+            fh.write(",".join([*(repr(float(c[k])) for c in cols),
+                               str(int(in_window[k]))]) + "\n")
     _write_manifest(args.out, "transistor", config, {
         "transistor": {"omega_min": omega_min, "omega_max": omega_max,
                        "points": points, "threshold": threshold, "step": step},
     })
     summary = {
         "threshold": threshold,
-        "windows": [{"omega_min": w.omega_min, "omega_max": w.omega_max,
-                     "width": w.width, "min_r": w.min_r, "min_g": w.min_g,
-                     "contains_inversion": w.contains_inversion}
-                    for w in windows],
+        "windows": [{**w.to_dict(), "width": w.width} for w in windows],
     }
     print(json.dumps(summary, sort_keys=True, indent=1))
     return 0
 
 
-def _search_spec_from_dict(data: dict) -> SearchSpec:
-    if not isinstance(data, dict):
-        raise ConfigError("config must contain a 'search' mapping")
-    vary = {}
-    for name, rng in (data.get("vary") or {}).items():
-        if not isinstance(rng, dict):
-            raise ConfigError(f"search.vary.{name} must be a mapping")
-        vary[name] = VaryRange(low=float(rng["min"]), high=float(rng["max"]),
-                               scale=rng.get("scale", "linear"))
-    lock = {}
-    for name, rule in (data.get("lock") or {}).items():
-        if not isinstance(rule, dict) or "source" not in rule:
-            raise ConfigError(f"search.lock.{name} needs a 'source'")
-        lock[name] = LockRule(source=rule["source"],
-                              offset=float(rule.get("offset", 0.0)))
-    grid = data.get("omega_grid") or {}
-    return SearchSpec(
-        objective=data.get("objective", "transistor_window"),
-        vary=vary, lock=lock,
-        omega_start=float(grid.get("start", 0.02)),
-        omega_stop=float(grid.get("stop", 0.98)),
-        omega_count=int(grid.get("count", 481)),
-        threshold=float(data.get("threshold", DEFAULT_THRESHOLD)),
-        samples=int(data.get("samples", 200)),
-        refine_rounds=int(data.get("refine_rounds", 2)),
-        refine_samples=int(data.get("refine_samples", 40)),
-        pool=int(data.get("pool", 3)),
-        shrink=float(data.get("shrink", 0.25)),
-        top_k=int(data.get("top_k", 5)),
-    )
-
-
 def cmd_search(args) -> int:
     if args.from_manifest:
-        manifest = _load_manifest(args.from_manifest, "search")
-        config = MachineConfig.from_dict(manifest["config"])
-        spec = _search_spec_from_dict(manifest["search"])
-        seed = manifest["seed"]
+        config, section, manifest = _load_manifest(args.from_manifest, "search")
+        spec = SearchSpec.from_dict(section)
+        seed = _field(manifest, "seed", "manifest")
     else:
         if not args.config:
             raise ConfigError("search needs --config (or --from-manifest)")
@@ -291,7 +250,7 @@ def cmd_search(args) -> int:
         _validate(config, args)
         if "search" not in raw:
             raise ConfigError("config file has no 'search' section")
-        spec = _search_spec_from_dict(raw["search"])
+        spec = SearchSpec.from_dict(raw["search"])
         if args.threshold is not None:
             spec = dataclasses.replace(spec, threshold=args.threshold)
         if args.top_k is not None:
@@ -307,35 +266,16 @@ def cmd_search(args) -> int:
     if not candidates:
         print("warning: empty feasible space, no candidates found",
               file=sys.stderr)
-    text = _json_dump(payload)
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
         _write_manifest(args.out, "search", config, {
-            "search": _search_dict(spec),
+            "search": spec.to_dict(),
         }, seed=seed)
     else:
         print(text)
     return 0
-
-
-def _search_dict(spec: SearchSpec) -> dict:
-    return {
-        "objective": spec.objective,
-        "vary": {k: {"min": v.low, "max": v.high, "scale": v.scale}
-                 for k, v in spec.vary.items()},
-        "lock": {k: {"source": r.source, "offset": r.offset}
-                 for k, r in spec.lock.items()},
-        "omega_grid": {"start": spec.omega_start, "stop": spec.omega_stop,
-                       "count": spec.omega_count},
-        "threshold": spec.threshold,
-        "samples": spec.samples,
-        "refine_rounds": spec.refine_rounds,
-        "refine_samples": spec.refine_samples,
-        "pool": spec.pool,
-        "shrink": spec.shrink,
-        "top_k": spec.top_k,
-    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="also write <out>.json with a metadata header")
     p.add_argument("--threads", type=int,
-                   help=f"worker threads (default ${ENV_THREADS} or 1)")
+                   help="deprecated and ignored; the sweep runs as one batch")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("transistor", help="r/g trace over a drive range")

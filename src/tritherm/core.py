@@ -12,6 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
+from ._kernels import bose_pos
+
 __all__ = [
     "TrithermError",
     "ConfigError",
@@ -31,9 +35,6 @@ __all__ = [
 # Validity-warning thresholds (warnings, not errors; see MachineConfig.validate)
 KAPPA_WARN_THRESHOLD = 0.1
 WIDTH_WARN_FRACTION = 0.5
-
-# Series/exponential switch-over for the Bose function
-_BOSE_SERIES_CUTOFF = 1e-5
 
 
 class TrithermError(Exception):
@@ -247,21 +248,18 @@ class MachineConfig:
                 raise ConfigError(f"section {name} must be a mapping")
             return sec
 
-        def num(sec, secname, key, default=None):
+        def num(sec, path, default=None):
+            key = path.rpartition(".")[2]
             if key not in sec:
                 if default is not None:
                     return default
-                raise ConfigError(f"missing field: {secname}.{key}")
+                raise ConfigError(f"missing field: {path}")
             v = sec[key]
             if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ConfigError(f"field {secname}.{key} must be a number, got {v!r}")
+                raise ConfigError(f"field {path} must be a number, got {v!r}")
             return float(v)
 
-        if "drive_freq" not in data:
-            raise ConfigError("missing field: drive_freq")
-        drive = data["drive_freq"]
-        if not isinstance(drive, (int, float)) or isinstance(drive, bool):
-            raise ConfigError(f"field drive_freq must be a number, got {drive!r}")
+        drive = num(data, "drive_freq")
 
         wm_sec = section("wm", required=False)
         hot_sec = section("hot")
@@ -275,22 +273,17 @@ class MachineConfig:
                 raise ConfigError(f"{secname}.{exc}") from None
 
         wm = build(WorkingMedium, "wm",
-                   omega0=num(wm_sec, "wm", "omega0", 1.0),
-                   mass=num(wm_sec, "wm", "mass", 1.0))
-        hot = build(LorentzianBath, "hot",
-                    temperature=num(hot_sec, "hot", "temperature"),
-                    center=num(hot_sec, "hot", "center"),
-                    width=num(hot_sec, "hot", "width"),
-                    kappa=num(hot_sec, "hot", "kappa"))
-        cold = build(LorentzianBath, "cold",
-                     temperature=num(cold_sec, "cold", "temperature"),
-                     center=num(cold_sec, "cold", "center"),
-                     width=num(cold_sec, "cold", "width"),
-                     kappa=num(cold_sec, "cold", "kappa"))
+                   omega0=num(wm_sec, "wm.omega0", 1.0),
+                   mass=num(wm_sec, "wm.mass", 1.0))
+        hot, cold = (
+            build(LorentzianBath, name, **{
+                key: num(sec, f"{name}.{key}")
+                for key in ("temperature", "center", "width", "kappa")})
+            for name, sec in (("hot", hot_sec), ("cold", cold_sec)))
         mid = build(OhmicBath, "mid",
-                    temperature=num(mid_sec, "mid", "temperature"),
-                    gamma_m=num(mid_sec, "mid", "gamma_m", 0.1))
-        return cls(hot=hot, cold=cold, mid=mid, wm=wm, drive_freq=float(drive))
+                    temperature=num(mid_sec, "mid.temperature"),
+                    gamma_m=num(mid_sec, "mid.gamma_m", 0.1))
+        return cls(hot=hot, cold=cold, mid=mid, wm=wm, drive_freq=drive)
 
 
 # Dotted parameter paths accepted by overrides, sweeps, and searches.
@@ -333,7 +326,9 @@ def bose_occupation(x: float) -> float:
     Numerically stable over the full real line: for ``|x| < 1e-5`` the
     Laurent expansion ``1/x - 1/2 + x/12`` is used to avoid catastrophic
     cancellation, and negative arguments go through the reflection
-    ``n_B(-x) = -1 - n_B(x)``, which therefore holds exactly.
+    ``n_B(-x) = -1 - n_B(x)``, which therefore holds exactly.  Positive
+    arguments go through the batch kernel's Bose function, so scalar and
+    batched values agree bitwise.
 
     Parameters
     ----------
@@ -355,13 +350,8 @@ def bose_occupation(x: float) -> float:
         raise DomainError("bose_occupation diverges at x = 0")
     if x < 0.0:
         return -1.0 - bose_occupation(-x)
-    if x < _BOSE_SERIES_CUTOFF:
-        return 1.0 / x - 0.5 + x / 12.0
-    if x > 700.0:
-        # expm1 would overflow; fall back to the underflow-safe form
-        e = math.exp(-x)
-        return e / (1.0 - e)
-    return 1.0 / math.expm1(x)
+    with np.errstate(over="ignore"):
+        return float(bose_pos(np.float64(x)))
 
 
 def spectral_lorentzian(bath: LorentzianBath, wm: WorkingMedium, omega: float) -> float:

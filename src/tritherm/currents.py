@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from ._kernels import (COL_JC, COL_JH, COL_JM, COL_P, COL_S, COL_SNEG,
-                       COL_SPOS, thermo_batch)
+from ._kernels import COL_JC, COL_JH, COL_P, NCOLS, thermo_batch
 from .core import DomainError, MachineConfig
 
 __all__ = [
@@ -79,10 +77,8 @@ class ThermoArrays:
 
     @classmethod
     def from_table(cls, table: np.ndarray) -> "ThermoArrays":
-        return cls(j_hot=table[..., COL_JH], j_cold=table[..., COL_JC],
-                   j_mid=table[..., COL_JM], power=table[..., COL_P],
-                   entropy_rate=table[..., COL_S], entropy_pos=table[..., COL_SPOS],
-                   entropy_neg=table[..., COL_SNEG])
+        # fields are declared in kernel column order
+        return cls(*(table[..., c] for c in range(NCOLS)))
 
 
 def config_args(config: MachineConfig) -> tuple[float, ...]:
@@ -93,16 +89,12 @@ def config_args(config: MachineConfig) -> tuple[float, ...]:
             config.cold.center, config.cold.width, config.cold.kappa)
 
 
-def _check_drive(config: MachineConfig):
+def _evaluate_row(config: MachineConfig) -> np.ndarray:
     if not (0.0 < config.drive_freq < config.wm.omega0):
         raise DomainError(
             f"drive_freq = {config.drive_freq} outside the supported driving "
             f"range (0, omega0) = (0, {config.wm.omega0}); both sideband "
             f"frequencies must stay positive")
-
-
-def _evaluate_row(config: MachineConfig) -> np.ndarray:
-    _check_drive(config)
     return thermo_batch(*[np.array([a]) for a in config_args(config)])[0]
 
 
@@ -147,12 +139,8 @@ def evaluate_point(config: MachineConfig) -> ThermoPoint:
     balance terms are assigned to ``entropy_pos``/``entropy_neg`` by their
     individual signs).
     """
-    row = _evaluate_row(config)
-    return ThermoPoint(
-        j_hot=float(row[COL_JH]), j_cold=float(row[COL_JC]),
-        j_mid=float(row[COL_JM]), power=float(row[COL_P]),
-        entropy_rate=float(row[COL_S]), entropy_pos=float(row[COL_SPOS]),
-        entropy_neg=float(row[COL_SNEG]))
+    # ThermoPoint fields are declared in kernel column order
+    return ThermoPoint(*(float(v) for v in _evaluate_row(config)))
 
 
 def evaluate_arrays(omega0, mass, drive_freq, hot_temperature, mid_temperature,
@@ -174,8 +162,3 @@ def evaluate_arrays(omega0, mass, drive_freq, hot_temperature, mid_temperature,
                          hot_width, hot_kappa, cold_center, cold_width,
                          cold_kappa)
     return ThermoArrays.from_table(table)
-
-
-def backend() -> str:
-    """Name of the active kernel backend (see :mod:`tritherm._kernels`)."""
-    return _kernels.get_backend()

@@ -33,6 +33,7 @@ __all__ = [
     "classify_reduced",
     "classify_arrays",
     "classify_reduced_arrays",
+    "classify_config_arrays",
     "exergy_efficiency",
     "exergy_from_split",
     "mode_report",
@@ -145,11 +146,8 @@ def classify_reduced(point: ThermoPoint, lorentzian: str = "hot") -> OperatingMo
     "accelerator" for wasteful.  Only the labels in :class:`OperatingMode`
     are ever emitted.
     """
-    if lorentzian in ("hot", "h"):
-        return _classify_triple(point.j_hot, point.j_mid, point.power)
-    if lorentzian in ("cold", "c"):
-        return _classify_triple(point.j_mid, point.j_cold, point.power)
-    raise ValueError(f"lorentzian must be 'hot' or 'cold', got {lorentzian!r}")
+    a, b = _reduced_pair(point.j_hot, point.j_cold, point.j_mid, lorentzian)
+    return _classify_triple(a, b, point.power)
 
 
 def classify_arrays(j_hot, j_cold, power) -> np.ndarray:
@@ -161,13 +159,44 @@ def classify_arrays(j_hot, j_cold, power) -> np.ndarray:
 def classify_reduced_arrays(j_hot, j_cold, j_mid, power,
                             lorentzian: str = "hot") -> np.ndarray:
     """Vectorized :func:`classify_reduced`."""
+    a, b = _reduced_pair(j_hot, j_cold, j_mid, lorentzian)
+    return _classify_triple_arrays(np.asarray(a), np.asarray(b),
+                                   np.asarray(power))
+
+
+def _reduced_pair(j_hot, j_cold, j_mid, lorentzian: str):
+    # the static bath stands in for the decoupled Lorentzian one
     if lorentzian in ("hot", "h"):
-        return _classify_triple_arrays(np.asarray(j_hot), np.asarray(j_mid),
-                                       np.asarray(power))
+        return j_hot, j_mid
     if lorentzian in ("cold", "c"):
-        return _classify_triple_arrays(np.asarray(j_mid), np.asarray(j_cold),
-                                       np.asarray(power))
+        return j_mid, j_cold
     raise ValueError(f"lorentzian must be 'hot' or 'cold', got {lorentzian!r}")
+
+
+def _two_terminal_side(config: MachineConfig) -> str | None:
+    """The Lorentzian bath still coupled when exactly one coupling is off.
+
+    ``"hot"`` or ``"cold"`` selects the reduced two-terminal taxonomy;
+    None (both couplings on, or both off) the full three-sign one.
+    """
+    hot_on = config.hot.kappa > 0.0
+    cold_on = config.cold.kappa > 0.0
+    if hot_on == cold_on:
+        return None
+    return "hot" if hot_on else "cold"
+
+
+def classify_config_arrays(config: MachineConfig, j_hot, j_cold, j_mid,
+                           power) -> np.ndarray:
+    """Vectorized mode codes under the taxonomy ``config`` selects.
+
+    The reduced two-terminal taxonomy applies when exactly one Lorentzian
+    coupling is zero, as in :func:`mode_report`.
+    """
+    side = _two_terminal_side(config)
+    if side is None:
+        return classify_arrays(j_hot, j_cold, power)
+    return classify_reduced_arrays(j_hot, j_cold, j_mid, power, side)
 
 
 def exergy_efficiency(point: ThermoPoint, temps: tuple[float, float, float]) -> float:
@@ -237,14 +266,8 @@ def mode_report(config: MachineConfig) -> ModeReport:
     would be blanket-degenerate there).
     """
     point = evaluate_point(config)
-    hot_on = config.hot.kappa > 0.0
-    cold_on = config.cold.kappa > 0.0
-    if hot_on and not cold_on:
-        mode = classify_reduced(point, "hot")
-    elif cold_on and not hot_on:
-        mode = classify_reduced(point, "cold")
-    else:
-        mode = classify(point)
+    side = _two_terminal_side(config)
+    mode = classify(point) if side is None else classify_reduced(point, side)
     temps = (config.hot.temperature, config.mid.temperature,
              config.cold.temperature)
     return ModeReport(point=point, mode=mode, exergy=exergy_efficiency(point, temps))

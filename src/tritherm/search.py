@@ -21,7 +21,8 @@ from scipy.stats import qmc
 from .core import ConfigError, MachineConfig, PARAM_PATHS, apply_params
 from .modes import OperatingMode
 from .sweep import mode_sequence_along_omega
-from .transistor import DEFAULT_THRESHOLD, transistor_trace, windows_from_arrays
+from .transistor import (DEFAULT_THRESHOLD, transistor_trace, window_mask,
+                         windows_from_arrays)
 
 __all__ = ["VaryRange", "LockRule", "SearchSpec", "Candidate", "run_search"]
 
@@ -101,6 +102,79 @@ class SearchSpec:
         if self.omega_count < 3 or not (0 < self.omega_start < self.omega_stop):
             raise ConfigError("invalid omega grid")
 
+    @classmethod
+    def from_dict(cls, data: dict, path: str = "search") -> "SearchSpec":
+        """Build a spec from a config's ``search`` mapping.
+
+        Absent optional fields take the dataclass defaults.  Missing or
+        malformed fields raise :class:`ConfigError` naming their dotted path
+        below ``path``.
+        """
+        section = _mapping(data, path)
+        vary = {name: VaryRange(low=_get(rng, "min", where, float),
+                                high=_get(rng, "max", where, float),
+                                scale=rng.get("scale", "linear"))
+                for name, rng, where in _entries(section, "vary", path)}
+        lock = {name: LockRule(source=_get(rule, "source", where, str),
+                               offset=_get(rule, "offset", where, float, 0.0))
+                for name, rule, where in _entries(section, "lock", path)}
+        grid = _mapping(section.get("omega_grid") or {}, f"{path}.omega_grid")
+        options = {f"omega_{k}": _get(grid, k, f"{path}.omega_grid", kind)
+                   for k, kind in _GRID_FIELDS.items() if k in grid}
+        options.update({k: _get(section, k, path, kind)
+                        for k, kind in _SCALAR_FIELDS.items() if k in section})
+        return cls(objective=_get(section, "objective", path, str,
+                                  "transistor_window"),
+                   vary=vary, lock=lock, **options)
+
+    def to_dict(self) -> dict:
+        """Inverse of :meth:`from_dict`; keeps the ``vary`` order, which
+        fixes the Latin-hypercube dimensions."""
+        return {
+            "objective": self.objective,
+            "vary": {k: {"min": v.low, "max": v.high, "scale": v.scale}
+                     for k, v in self.vary.items()},
+            "lock": {k: {"source": r.source, "offset": r.offset}
+                     for k, r in self.lock.items()},
+            "omega_grid": {k: getattr(self, f"omega_{k}") for k in _GRID_FIELDS},
+            **{k: getattr(self, k) for k in _SCALAR_FIELDS},
+        }
+
+
+# Plain fields of a search section and their types; omega_grid.<key> maps
+# to the SearchSpec field omega_<key>.
+_GRID_FIELDS = {"start": float, "stop": float, "count": int}
+_SCALAR_FIELDS = {"threshold": float, "samples": int, "refine_rounds": int,
+                  "refine_samples": int, "pool": int, "shrink": float,
+                  "top_k": int}
+_MISSING = object()
+
+
+def _mapping(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} must be a mapping")
+    return value
+
+
+def _entries(section: dict, key: str, path: str):
+    """``(name, mapping, dotted path)`` for each entry of ``section[key]``."""
+    for name, value in _mapping(section.get(key) or {}, f"{path}.{key}").items():
+        where = f"{path}.{key}.{name}"
+        yield name, _mapping(value, where), where
+
+
+def _get(data: dict, key: str, path: str, kind, default=_MISSING):
+    """``kind(data[key])``, raising ConfigError that names ``path.key``."""
+    if key not in data:
+        if default is _MISSING:
+            raise ConfigError(f"missing field: {path}.{key}")
+        return default
+    try:
+        return kind(data[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"field {path}.{key} has an invalid value "
+                          f"{data[key]!r}") from None
+
 
 @dataclass(frozen=True)
 class Candidate:
@@ -132,18 +206,12 @@ def _score_transistor(config: MachineConfig, grid, threshold):
     width = max((w.width for w in windows), default=0.0)
     finite = np.isfinite(trace.r) & np.isfinite(trace.g)
     soft = float(np.minimum(trace.r[finite], trace.g[finite]).max()) if finite.any() else 0.0
-    in_window = np.zeros(grid.shape, dtype=bool)
-    for w in windows:
-        in_window |= (grid >= w.omega_min) & (grid <= w.omega_max)
-    gain_mask = in_window & np.isfinite(trace.g) & trace.g_reliable
+    gain_mask = window_mask(grid, windows) & np.isfinite(trace.g) & trace.g_reliable
     max_gain = float(trace.g[gain_mask].max()) if gain_mask.any() else 0.0
     detail = {
         "width": width,
         "max_gain": max_gain,
-        "windows": [{"omega_min": w.omega_min, "omega_max": w.omega_max,
-                     "min_r": w.min_r, "min_g": w.min_g,
-                     "contains_inversion": w.contains_inversion}
-                    for w in windows],
+        "windows": [w.to_dict() for w in windows],
     }
     return (width, min(soft, _SOFT_CAP)), detail
 
@@ -172,6 +240,18 @@ def _evaluate(template, spec, grid, params):
     return _score_modes(config, grid, spec.threshold)
 
 
+def _entry(template, spec, grid, u, order):
+    """``(score, (params, detail), order, u)`` of one unit-cube sample."""
+    params = _decode(spec, u)
+    score, detail = _evaluate(template, spec, grid, params)
+    return score, (params, detail), order, tuple(u)
+
+
+def _rank_key(entry):
+    # best score first, ties broken by sampling order
+    return -entry[0][0], -entry[0][1], entry[2]
+
+
 def run_search(template: MachineConfig, spec: SearchSpec, seed: int) -> list[Candidate]:
     """Run the seeded search; returns the top-k candidates, best first.
 
@@ -186,13 +266,9 @@ def run_search(template: MachineConfig, spec: SearchSpec, seed: int) -> list[Can
         raise ConfigError("search omega grid must stay below omega0")
 
     sampler = qmc.LatinHypercube(d=dim, seed=seed)
-    entries = []
-    for order, u in enumerate(sampler.random(spec.samples)):
-        params = _decode(spec, u)
-        score, detail = _evaluate(template, spec, grid, params)
-        entries.append((score, (params, detail), order, tuple(u)))
-
-    entries.sort(key=lambda e: (-e[0][0], -e[0][1], e[2]))
+    entries = [_entry(template, spec, grid, u, order)
+               for order, u in enumerate(sampler.random(spec.samples))]
+    entries.sort(key=_rank_key)
     pool = entries[:max(spec.pool, 1)]
 
     shrink = spec.shrink
@@ -207,17 +283,15 @@ def run_search(template: MachineConfig, spec: SearchSpec, seed: int) -> list[Can
             sub = qmc.LatinHypercube(d=dim, seed=sub_seed)
             sub_seed += 1
             for v in sub.random(spec.refine_samples):
-                u = lo + v * (hi - lo)
-                params = _decode(spec, u)
-                score, detail = _evaluate(template, spec, grid, params)
-                new_entries.append((score, (params, detail), counter, tuple(u)))
+                new_entries.append(_entry(template, spec, grid,
+                                          lo + v * (hi - lo), counter))
                 counter += 1
-        new_entries.sort(key=lambda e: (-e[0][0], -e[0][1], e[2]))
+        new_entries.sort(key=_rank_key)
         pool = new_entries[:max(spec.pool, 1)]
         shrink *= 0.5
 
     ranked = pool + [e for e in entries if e not in pool]
-    ranked.sort(key=lambda e: (-e[0][0], -e[0][1], e[2]))
+    ranked.sort(key=_rank_key)
     out = []
     for score, (params, detail), order, _ in ranked[:spec.top_k]:
         if not np.isfinite(score[0]):

@@ -1,29 +1,27 @@
 """Parameter sweeps: mode maps, exergy maps, and transistor traces.
 
-Grids are evaluated cell-by-cell with the batch kernels; cells whose
-parameters violate preconditions (temperature ordering, drive range,
+All valid cells of a grid are evaluated in one batch-kernel call; cells
+whose parameters violate preconditions (temperature ordering, drive range,
 positive peak frequencies) are emitted as error cells carrying NaN values
-and an error string, so maps keep their rectangular shape.  Evaluation is
-embarrassingly parallel: worker count only affects wall time, never output
-bytes, and every cell is bitwise identical to a single-point evaluation at
-the same parameters.
+and an error string, so maps keep their rectangular shape.  Every cell is
+bitwise identical to a single-point evaluation at the same parameters.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from ._kernels import COL_SNEG, COL_SPOS, NCOLS, thermo_batch
 from .core import ConfigError, MachineConfig
-from .currents import SIGN_ZERO_BAND, ThermoPoint, config_args
-from .modes import (ERROR_CODE, MODE_BY_CODE, classify_arrays,
-                    classify_reduced_arrays, exergy_from_split)
+from .currents import ThermoPoint, config_args
+from .modes import (ERROR_CODE, MODE_BY_CODE, classify_config_arrays,
+                    exergy_from_split)
+from .transistor import (DEFAULT_STEP, STEP_ABS_FLOOR, _drive_slopes, _ratio,
+                         _runs)
 
 __all__ = [
     "AXIS_PARAMS",
@@ -51,9 +49,6 @@ _ARG_INDEX = {
 AXIS_PARAMS = frozenset(_ARG_INDEX) | {"hot.center_locked"}
 
 OUTPUT_KINDS = frozenset({"currents", "mode", "exergy", "transistor"})
-
-_FD_REL_STEP = 1e-5
-_FD_ABS_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -97,15 +92,12 @@ class SweepSpec:
         unknown = set(self.outputs) - OUTPUT_KINDS
         if unknown:
             raise ConfigError(f"unknown outputs: {sorted(unknown)}")
-        if self.axis1.param == "drive_freq":
-            w0 = self.template.wm.omega0
-            if self.axis1.stop >= w0:
+        w0 = self.template.wm.omega0
+        for axis in (self.axis1, self.axis2):
+            if axis is not None and axis.param == "drive_freq" and axis.stop >= w0:
                 raise ConfigError(f"axis drive_freq must stay below omega0 = {w0}")
-        if self.axis2 is not None:
-            if self.axis2.param == "drive_freq" and self.axis2.stop >= self.template.wm.omega0:
-                raise ConfigError("axis drive_freq must stay below omega0")
-            if self.axis2.param == self.axis1.param:
-                raise ConfigError("the two axes must sweep different parameters")
+        if self.axis2 is not None and self.axis2.param == self.axis1.param:
+            raise ConfigError("the two axes must sweep different parameters")
 
 
 @dataclass(frozen=True)
@@ -129,23 +121,6 @@ def _apply_axis(cols: list[np.ndarray], param: str, values: np.ndarray,
         cols[_ARG_INDEX["cold.center"]] = values - template.detuning
     else:
         cols[_ARG_INDEX[param]] = values
-
-
-def _threaded_thermo(cols: list[np.ndarray], out: np.ndarray, threads: int):
-    n = out.shape[0]
-    if threads <= 1 or n < 2 * threads:
-        out[:] = thermo_batch(*cols)
-        return
-    bounds = np.linspace(0, n, threads + 1).astype(int)
-
-    def work(a, b):
-        out[a:b] = thermo_batch(*[c[a:b] for c in cols])
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(work, a, b)
-                   for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        for f in futures:
-            f.result()
 
 
 class SweepResult:
@@ -255,7 +230,6 @@ class SweepResult:
                     "axis2": self.spec.axis2.to_dict() if self.spec.axis2 else None,
                 },
                 "outputs": sorted(self.spec.outputs),
-                "backend": _kernels.get_backend(),
                 **(metadata or {}),
             },
             "schema": self.csv_header(),
@@ -274,11 +248,12 @@ def _json_cell(value):
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
-    """Evaluate a sweep; deterministic for any ``threads`` value.
+    """Evaluate a sweep.
 
     Cells are laid out row-major over (axis1, axis2).  Cells violating
     preconditions are marked with an error string and carry NaN values and
-    the mode label ``error`` rather than being dropped.
+    the mode label ``error`` rather than being dropped.  ``threads`` is
+    accepted for compatibility and ignored: the sweep runs as one batch.
     """
     template = spec.template
     a1 = spec.axis1.values()
@@ -298,33 +273,16 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     idx = np.flatnonzero(valid)
 
     thermo = np.full((n, NCOLS), np.nan)
-    if idx.size:
-        sub = [c[idx] for c in cols]
-        out = np.empty((idx.size, NCOLS))
-        _threaded_thermo(sub, out, max(1, int(threads)))
-        thermo[idx] = out
-
+    thermo[idx] = thermo_batch(*[c[idx] for c in cols])
     mode_codes = np.full(n, ERROR_CODE, dtype=np.int8)
-    if idx.size:
-        jh, jc, jm, p = (thermo[idx, 0], thermo[idx, 1],
-                         thermo[idx, 2], thermo[idx, 3])
-        hot_on = template.hot.kappa > 0.0
-        cold_on = template.cold.kappa > 0.0
-        if hot_on and not cold_on:
-            codes = classify_reduced_arrays(jh, jc, jm, p, "hot")
-        elif cold_on and not hot_on:
-            codes = classify_reduced_arrays(jh, jc, jm, p, "cold")
-        else:
-            codes = classify_arrays(jh, jc, p)
-        mode_codes[idx] = codes
-
+    mode_codes[idx] = classify_config_arrays(
+        template, thermo[idx, 0], thermo[idx, 1], thermo[idx, 2], thermo[idx, 3])
     phi = np.full(n, np.nan)
-    if idx.size:
-        phi[idx] = exergy_from_split(thermo[idx, COL_SPOS], thermo[idx, COL_SNEG])
+    phi[idx] = exergy_from_split(thermo[idx, COL_SPOS], thermo[idx, COL_SNEG])
 
     r = g = None
     if "transistor" in spec.outputs:
-        r, g = _transistor_columns(cols, idx, thermo, threads)
+        r, g = _transistor_columns(cols, idx, thermo)
 
     return SweepResult(spec, a1, a2, thermo, mode_codes, phi, r, g, errors)
 
@@ -347,37 +305,18 @@ def _cell_errors(cols, n) -> list:
     return errors
 
 
-def _transistor_columns(cols, idx, thermo, threads):
+def _transistor_columns(cols, idx, thermo):
     n = thermo.shape[0]
     r = np.full(n, np.nan)
     g = np.full(n, np.nan)
-    if not idx.size:
-        return r, g
     w0 = cols[0][idx]
     drv = cols[2][idx]
-    h = np.maximum(_FD_REL_STEP * drv, _FD_ABS_FLOOR * w0)
+    h = np.maximum(DEFAULT_STEP * drv, STEP_ABS_FLOOR * w0)
     ok = (drv - h > 0.0) & (drv + h < w0)
     sub_idx = idx[ok]
-    if not sub_idx.size:
-        return r, g
-    hh = h[ok]
-    out_p = np.empty((sub_idx.size, NCOLS))
-    out_m = np.empty((sub_idx.size, NCOLS))
-    for sign, out in ((1.0, out_p), (-1.0, out_m)):
-        shifted = [c[sub_idx] for c in cols]
-        shifted[2] = shifted[2] + sign * hh
-        _threaded_thermo(shifted, out, max(1, int(threads)))
-    djh = (out_p[:, 0] - out_m[:, 0]) / (2.0 * hh)
-    dp = (out_p[:, 3] - out_m[:, 3]) / (2.0 * hh)
-    jh0 = thermo[sub_idx, 0]
-    p0 = thermo[sub_idx, 3]
-    with np.errstate(divide="ignore"):
-        r_vals = np.where(np.abs(p0) < SIGN_ZERO_BAND, np.inf,
-                          np.abs(jh0 / np.where(np.abs(p0) < SIGN_ZERO_BAND, 1.0, p0)))
-        g_vals = np.where(np.abs(dp) < SIGN_ZERO_BAND, np.inf,
-                          np.abs(djh / np.where(np.abs(dp) < SIGN_ZERO_BAND, 1.0, dp)))
-    r[sub_idx] = r_vals
-    g[sub_idx] = g_vals
+    djh, dp = _drive_slopes([c[sub_idx] for c in cols], h[ok])
+    r[sub_idx] = _ratio(thermo[sub_idx, 0], thermo[sub_idx, 3])
+    g[sub_idx] = _ratio(djh, dp)
     return r, g
 
 
@@ -414,20 +353,7 @@ def mode_sequence_along_omega(config: MachineConfig, omega_grid) -> list:
     args = list(config_args(config))
     args[2] = grid
     table = thermo_batch(*args)
-    jh, jc, jm, p = table[:, 0], table[:, 1], table[:, 2], table[:, 3]
-    hot_on = config.hot.kappa > 0.0
-    cold_on = config.cold.kappa > 0.0
-    if hot_on and not cold_on:
-        codes = classify_reduced_arrays(jh, jc, jm, p, "hot")
-    elif cold_on and not hot_on:
-        codes = classify_reduced_arrays(jh, jc, jm, p, "cold")
-    else:
-        codes = classify_arrays(jh, jc, p)
-    runs = []
-    start = 0
-    for k in range(1, len(codes) + 1):
-        if k == len(codes) or codes[k] != codes[start]:
-            runs.append(((float(grid[start]), float(grid[k - 1])),
-                         MODE_BY_CODE[codes[start]]))
-            start = k
-    return runs
+    codes = classify_config_arrays(config, table[:, 0], table[:, 1],
+                                   table[:, 2], table[:, 3])
+    return [((float(grid[start]), float(grid[stop - 1])),
+             MODE_BY_CODE[codes[start]]) for start, stop in _runs(codes)]

@@ -35,6 +35,7 @@ __all__ = [
     "transistor_trace",
     "find_windows",
     "windows_from_arrays",
+    "window_mask",
 ]
 
 DEFAULT_STEP = 1e-5          # relative central-difference step in the drive
@@ -83,6 +84,11 @@ class TransistorWindow:
     def width(self) -> float:
         return self.omega_max - self.omega_min
 
+    def to_dict(self) -> dict:
+        return {"omega_min": self.omega_min, "omega_max": self.omega_max,
+                "min_r": self.min_r, "min_g": self.min_g,
+                "contains_inversion": self.contains_inversion}
+
 
 @dataclass(frozen=True)
 class TransistorTrace:
@@ -103,10 +109,13 @@ class TransistorTrace:
         return np.abs(self.dp_domega) >= GAIN_RELIABLE_BAND
 
 
-def _ratio(numerator: float, denominator: float) -> float:
-    if abs(denominator) < SIGN_ZERO_BAND:
-        return math.inf
-    return abs(numerator / denominator)
+def _ratio(numerator, denominator) -> np.ndarray:
+    """Element-wise ``|numerator / denominator|``; +inf where the
+    denominator magnitude lies inside the 1e-14 zero band."""
+    small = np.abs(denominator) < SIGN_ZERO_BAND
+    with np.errstate(divide="ignore"):
+        return np.where(small, np.inf,
+                        np.abs(numerator / np.where(small, 1.0, denominator)))
 
 
 def _central_slope(f_plus, f_minus, h):
@@ -122,20 +131,23 @@ def _trace_arrays(config: MachineConfig, omega: np.ndarray, step: float):
                           "move the drive grid away from the edges or shrink "
                           "the step")
     args = list(config_args(config))
+    args[2] = omega
+    t0 = thermo_batch(*args)
+    djh, dp = _drive_slopes(args, h)
+    return t0, djh, dp, _ratio(t0[:, 0], t0[:, 3]), _ratio(djh, dp)
+
+
+def _drive_slopes(args, h):
+    """``d j_hot/dW`` and ``d power/dW`` by central differences of step
+    ``h`` in the drive ``W = args[2]`` (twelve kernel arguments)."""
     tables = []
-    for shift in (0.0, 1.0, -1.0):
-        args[2] = omega + shift * h
-        tables.append(thermo_batch(*args))
-    t0, tp, tm = tables
-    djh = _central_slope(tp[:, 0], tm[:, 0], h)
-    dp = _central_slope(tp[:, 3], tm[:, 3], h)
-    with np.errstate(divide="ignore"):
-        r = np.where(np.abs(t0[:, 3]) < SIGN_ZERO_BAND, np.inf,
-                     np.abs(t0[:, 0] / np.where(np.abs(t0[:, 3]) < SIGN_ZERO_BAND,
-                                                1.0, t0[:, 3])))
-        g = np.where(np.abs(dp) < SIGN_ZERO_BAND, np.inf,
-                     np.abs(djh / np.where(np.abs(dp) < SIGN_ZERO_BAND, 1.0, dp)))
-    return t0, djh, dp, r, g
+    for sign in (1.0, -1.0):
+        shifted = list(args)
+        shifted[2] = args[2] + sign * h
+        tables.append(thermo_batch(*shifted))
+    tp, tm = tables
+    return (_central_slope(tp[:, 0], tm[:, 0], h),
+            _central_slope(tp[:, 3], tm[:, 3], h))
 
 
 def transistor_point(config: MachineConfig, step: float = DEFAULT_STEP) -> TransistorPoint:
@@ -178,30 +190,37 @@ def windows_from_arrays(omega, r, g,
     report minima over their finite points.  Returned windows are disjoint
     and sorted by frequency.
     """
-    omega = np.asarray(omega)
-    passing = (np.asarray(r) > threshold) & (np.asarray(g) > threshold)
+    omega, r, g = np.asarray(omega), np.asarray(r), np.asarray(g)
+    passing = (r > threshold) & (g > threshold)
     windows = []
-    i = 0
-    n = len(passing)
-    while i < n:
-        if not passing[i]:
-            i += 1
+    for start, stop in _runs(passing):
+        if not passing[start] or stop - start < 2:  # one point has no width
             continue
-        j = i
-        while j + 1 < n and passing[j + 1]:
-            j += 1
-        if j > i:  # a single passing point has no width
-            rr = np.asarray(r)[i:j + 1]
-            gg = np.asarray(g)[i:j + 1]
-            finite = np.isfinite(rr) & np.isfinite(gg)
-            has_inf = bool(~finite.all())
-            min_r = float(rr[finite].min()) if finite.any() else math.inf
-            min_g = float(gg[finite].min()) if finite.any() else math.inf
-            windows.append(TransistorWindow(
-                omega_min=float(omega[i]), omega_max=float(omega[j]),
-                min_r=min_r, min_g=min_g, contains_inversion=has_inf))
-        i = j + 1
+        rr, gg = r[start:stop], g[start:stop]
+        finite = np.isfinite(rr) & np.isfinite(gg)
+        windows.append(TransistorWindow(
+            omega_min=float(omega[start]), omega_max=float(omega[stop - 1]),
+            min_r=float(rr[finite].min()) if finite.any() else math.inf,
+            min_g=float(gg[finite].min()) if finite.any() else math.inf,
+            contains_inversion=bool(~finite.all())))
     return windows
+
+
+def _runs(values) -> list[tuple[int, int]]:
+    """``(start, stop)`` index bounds of the maximal runs of equal values."""
+    values = np.asarray(values)
+    cuts = (np.flatnonzero(values[1:] != values[:-1]) + 1).tolist()
+    bounds = [0, *cuts, values.size] if values.size else []
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def window_mask(grid, windows) -> np.ndarray:
+    """Boolean mask of the grid points lying inside any of ``windows``."""
+    grid = np.asarray(grid)
+    mask = np.zeros(grid.shape, dtype=bool)
+    for w in windows:
+        mask |= (grid >= w.omega_min) & (grid <= w.omega_max)
+    return mask
 
 
 def find_windows(config: MachineConfig, omega_grid,

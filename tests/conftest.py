@@ -61,5 +61,5 @@ def random_valid_batch(n, seed, t_lo=0.02, t_hi=1.2):
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    # trigger JIT compilation once so timed tests measure evaluation only
+    # warm the kernel once so timed tests measure evaluation only
     tt.evaluate_arrays(**random_valid_batch(4, seed=0))

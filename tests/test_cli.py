@@ -1,9 +1,12 @@
 import json
+import pathlib
 
 import pytest
 import yaml
 
 from tritherm.cli import main
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 BASE_CONFIG = {
     "drive_freq": 0.5,
@@ -256,6 +259,72 @@ class TestSearch:
         manifest = json.loads((tmp_path / "candidates.json.manifest.json").read_text())
         assert manifest["seed"] == 3
         assert manifest["search"]["objective"] == "transistor_window"
+
+    def test_manifest_rerun_is_bitwise_identical(self, tmp_path, capsys):
+        # the config lists search.vary out of alphabetical order; the
+        # manifest must keep that order, which fixes the hypercube axes
+        out = tmp_path / "search.json"
+        assert main(["search", "--config", str(CONFIGS / "transistor_search.yaml"),
+                     "--seed", "5", "--out", str(out)]) == 0
+        rerun = tmp_path / "rerun.json"
+        assert main(["search", "--from-manifest",
+                     str(tmp_path / "search.json.manifest.json"),
+                     "--out", str(rerun)]) == 0
+        assert out.read_bytes() == rerun.read_bytes()
+
+    def test_misspelled_range_key_names_path(self, tmp_path, capsys):
+        config = dict(BASE_CONFIG)
+        section = json.loads(json.dumps(SEARCH_SECTION))
+        section["vary"]["hot.temperature"] = {"low": 0.5, "max": 0.66}
+        config["search"] = section
+        path = write_config(tmp_path, config)
+        assert main(["search", "--config", path]) == 1
+        assert "search.vary.hot.temperature.min" in capsys.readouterr().err
+
+
+def _manifest_for(tmp_path, command):
+    """Run ``command`` once and return the path of its manifest."""
+    config = dict(BASE_CONFIG, search=SEARCH_SECTION)
+    path = write_config(tmp_path, config)
+    out = str(tmp_path / f"{command}.out")
+    extra = {"sweep": ["--axis1", "drive_freq:0.1:0.8:5"],
+             "transistor": ["--points", "21"],
+             "search": []}[command]
+    assert main([command, "--config", path, *extra, "--out", out]) == 0
+    return tmp_path / f"{command}.out.manifest.json"
+
+
+class TestManifestErrors:
+    @pytest.mark.parametrize("command", ["sweep", "transistor", "search"])
+    def test_missing_section_names_it(self, tmp_path, capsys, command):
+        manifest = _manifest_for(tmp_path, command)
+        data = json.loads(manifest.read_text())
+        del data[command]
+        manifest.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main([command, "--from-manifest", str(manifest),
+                     "--out", str(tmp_path / "rerun")]) == 1
+        assert f"no '{command}' section" in capsys.readouterr().err
+
+    def test_foreign_backend_is_rejected(self, tmp_path, capsys):
+        manifest = _manifest_for(tmp_path, "sweep")
+        data = json.loads(manifest.read_text())
+        data["backend"] = "numba"
+        manifest.write_text(json.dumps(data))
+        assert main(["sweep", "--from-manifest", str(manifest),
+                     "--out", str(tmp_path / "rerun.csv")]) == 1
+        assert "backend" in capsys.readouterr().err
+
+    def test_numpy_backend_still_loads(self, tmp_path):
+        manifest = _manifest_for(tmp_path, "sweep")
+        data = json.loads(manifest.read_text())
+        assert "backend" not in data
+        data["backend"] = "numpy"
+        manifest.write_text(json.dumps(data))
+        rerun = tmp_path / "rerun.csv"
+        assert main(["sweep", "--from-manifest", str(manifest),
+                     "--out", str(rerun)]) == 0
+        assert rerun.read_bytes() == (tmp_path / "sweep.out").read_bytes()
 
 
 class TestErrors:

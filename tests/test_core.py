@@ -44,6 +44,12 @@ class TestBoseOccupation:
     def test_huge_argument_underflows_gracefully(self):
         assert tt.bose_occupation(800.0) == pytest.approx(0.0, abs=1e-300)
 
+    def test_same_function_as_kernel(self):
+        from tritherm._kernels import bose_pos
+        grid = np.concatenate([np.geomspace(1e-9, 700.0, 2001), [1e-5]])
+        batch = bose_pos(grid)
+        assert [tt.bose_occupation(float(x)) for x in grid] == batch.tolist()
+
 
 class TestSpectralDensities:
     def test_lorentzian_zero_frequency(self, default_config):

@@ -154,19 +154,6 @@ class TestBatch:
                                    np.full(residual.shape, 1e-300)])
         assert np.max(np.abs(residual) / scale) <= 1e-12
 
-    @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-    def test_backends_agree(self):
-        batch = random_valid_batch(5000, seed=55)
-        args = [batch[k] for k in (
-            "omega0", "mass", "drive_freq", "hot_temperature", "mid_temperature",
-            "cold_temperature", "hot_center", "hot_width", "hot_kappa",
-            "cold_center", "cold_width", "cold_kappa")]
-        a = _kernels.thermo_batch(*args, backend="numpy")
-        b = _kernels.thermo_batch(*args, backend="numba")
-        # the two expm1 implementations differ in the last ulp, which
-        # cancellation can amplify into the low 1e-13 relative range
-        np.testing.assert_allclose(a, b, rtol=1e-11, atol=1e-17)
-
     def test_batch_matches_point_bitwise(self, default_config):
         from tritherm.currents import config_args
         args = [np.full(3, v) for v in config_args(default_config)]

@@ -51,6 +51,33 @@ class TestSpecValidation:
         assert log.decode(0.5) == pytest.approx(0.1, rel=1e-12)
 
 
+class TestSpecDict:
+    def test_round_trip_keeps_vary_order(self):
+        spec = window_spec()
+        data = spec.to_dict()
+        assert list(data["vary"]) == ["hot.temperature", "mid.temperature",
+                                      "hot.center"]
+        assert tt.SearchSpec.from_dict(data) == spec
+
+    def test_missing_range_key_names_path(self):
+        data = window_spec().to_dict()
+        data["vary"]["hot.center"] = {"low": 1.4, "max": 1.9}
+        with pytest.raises(ConfigError, match=r"search\.vary\.hot\.center\.min"):
+            tt.SearchSpec.from_dict(data)
+
+    def test_lock_needs_source(self):
+        data = window_spec().to_dict()
+        data["lock"]["cold.center"] = {"offset": 0.1}
+        with pytest.raises(ConfigError, match=r"search\.lock\.cold\.center\.source"):
+            tt.SearchSpec.from_dict(data)
+
+    def test_malformed_number_names_path(self):
+        data = window_spec().to_dict()
+        data["omega_grid"]["count"] = "many"
+        with pytest.raises(ConfigError, match=r"search\.omega_grid\.count"):
+            tt.SearchSpec.from_dict(data)
+
+
 class TestRunSearch:
     def test_single_point_space_returns_it(self):
         spec = tt.SearchSpec(

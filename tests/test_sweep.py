@@ -124,6 +124,30 @@ class TestTwoTerminalReduction:
                    OperatingMode.REFRIGERATOR_PUMP, OperatingMode.WASTEFUL}
         assert modes <= allowed
 
+    @pytest.mark.parametrize("off", ["hot", "cold"])
+    def test_sweep_point_and_sequence_taxonomies_agree(self, off):
+        # run_sweep, mode_report and mode_sequence_along_omega must all
+        # pick the reduced taxonomy of the coupling that is still on
+        config = make_config(**{"kh" if off == "hot" else "kc": 0.0})
+        spec = tt.SweepSpec(template=config,
+                            axis1=tt.Axis("drive_freq", 0.02, 0.98, 97))
+        result = tt.run_sweep(spec)
+        sweep_labels = result.mode_labels()
+        point_labels = [
+            tt.mode_report(tt.apply_params(config, {"drive_freq": w})).mode.value
+            for w in result.axis1_values]
+        assert sweep_labels == point_labels
+        runs = tt.mode_sequence_along_omega(config, result.axis1_values)
+        run_labels = []
+        for (lo, hi), mode in runs:
+            inside = (result.axis1_values >= lo) & (result.axis1_values <= hi)
+            run_labels += [mode.value] * int(inside.sum())
+        assert run_labels == sweep_labels
+        reduced = {OperatingMode.ENGINE, OperatingMode.HEAT_PUMP,
+                   OperatingMode.REFRIGERATOR_PUMP, OperatingMode.WASTEFUL}
+        assert result.mode_set() <= reduced
+        assert len(result.mode_set()) >= 2
+
     def test_hot_current_peaks_on_resonance_line(self):
         # at fixed drive, |j_hot| over the hot.center column peaks within one
         # grid cell of center = omega0 + drive.  The resonant channel is

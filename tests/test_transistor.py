@@ -5,7 +5,7 @@ import pytest
 
 import tritherm as tt
 from tritherm.core import DomainError
-from tritherm.transistor import _central_slope, _ratio
+from tritherm.transistor import _central_slope, _ratio, _runs, window_mask
 
 from conftest import make_config
 
@@ -134,6 +134,28 @@ class TestWindows:
         assert len(out) == 3
         for a, b in zip(out, out[1:]):
             assert a.omega_max < b.omega_min
+
+    def test_window_mask_and_dict(self):
+        omega = np.linspace(0.1, 1.2, 12)
+        r = np.full(12, 100.0)
+        g = np.array([1, 50, 50, 1, 1, 50, 50, 50, 1, 50, 50, 1.0])
+        out = tt.windows_from_arrays(omega, r, g)
+        mask = window_mask(omega, out)
+        assert mask.tolist() == (g > 10.0).tolist()
+        assert out[0].to_dict() == {
+            "omega_min": omega[1], "omega_max": omega[2], "min_r": 100.0,
+            "min_g": 50.0, "contains_inversion": False}
+
+    def test_runs_match_loop_reference(self):
+        rng = np.random.default_rng(4)
+        for n in (0, 1, 2, 7, 50):
+            values = rng.integers(0, 3, n)
+            expected, start = [], 0
+            for k in range(1, n + 1):
+                if k == n or values[k] != values[start]:
+                    expected.append((start, k))
+                    start = k
+            assert _runs(values) == expected
 
     def test_real_window_exists(self):
         cfg = transistor_config()
