@@ -6,6 +6,8 @@ floating-point operations.
 
 Each batch call fills an ``(n, 7)`` float64 array with columns
 ``j_hot, j_cold, j_mid, power, entropy_rate, entropy_pos, entropy_neg``.
+With ``slopes=True`` two more columns hold the exact derivatives of
+``j_hot`` and ``power`` in the drive frequency, from the same pass.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 
 NCOLS = 7
 COL_JH, COL_JC, COL_JM, COL_P, COL_S, COL_SPOS, COL_SNEG = range(NCOLS)
+COL_DJH, COL_DP = NCOLS, NCOLS + 1   # present only with slopes=True
 
 _BOSE_CUTOFF = 1e-5
 
@@ -30,31 +33,54 @@ def bose_pos(x):
                     1.0 / np.expm1(np.where(x < _BOSE_CUTOFF, 1.0, x)))
 
 
-def _bath(sp, sm, drv, pref, nbm, w0, m, t, w, g, k):
-    """Heat current and power share of one dynamically coupled bath.
+def _sideband(s, t, nbm, w, g, dmg, slopes):
+    """``L(s) = dmg s / D``, ``dn = n(s/t) - nbm`` and, with ``slopes``, the
+    derivative ``H'(s)`` of ``H = L dn`` at one sideband ``s``."""
+    n = bose_pos(s / t)
+    if not slopes:  # names no temporaries, so a plain batch stays lean
+        return dmg * s / ((s * s - w * w) ** 2 + g * g * s * s), n - nbm, None
+    q = s * s - w * w
+    den = q ** 2 + g * g * s * s
+    lor = dmg * s / den
+    dlor = lor * (-q * (3.0 * s * s + w * w) - g * g * s * s) / (s * den)
+    return lor, n - nbm, dlor * (n - nbm) - lor * (n * (n + 1.0) / t)
+
+
+def _bath(sp, sm, drv, pref, nbm, w0, m, t, w, g, k, slopes):
+    """Heat current and power share of one dynamically coupled bath, and
+    with ``slopes`` their drive derivatives (else None).
 
     The bath exchanges quanta at both sidebands ``sp = w0 + drv`` and
     ``sm = w0 - drv``, weighted by its Lorentzian spectral density there and
     by its Bose imbalance ``nbm`` against the static bath.
     """
-    d = k * w * w * w0 * w0
-    jp = d * m * g * sp / ((sp * sp - w * w) ** 2 + g * g * sp * sp)
-    jm_ = d * m * g * sm / ((sm * sm - w * w) ** 2 + g * g * sm * sm)
-    dnp_ = bose_pos(sp / t) - nbm
-    dnm_ = bose_pos(sm / t) - nbm
-    j = pref * (sp * jp * dnp_ + sm * jm_ * dnm_)
-    p = -(drv * pref) * (jp * dnp_ - jm_ * dnm_)
-    return j, p
+    dmg = k * w * w * w0 * w0 * m * g
+    lp, dnp_, dhp = _sideband(sp, t, nbm, w, g, dmg, slopes)
+    lm, dnm_, dhm = _sideband(sm, t, nbm, w, g, dmg, slopes)
+    j = pref * (sp * lp * dnp_ + sm * lm * dnm_)
+    p = -(drv * pref) * (lp * dnp_ - lm * dnm_)
+    if not slopes:
+        return j, p, None, None
+    hp, hm = lp * dnp_, lm * dnm_   # dsp/ddrv = 1, dsm/ddrv = -1
+    dj = pref * ((hp + sp * dhp) - (hm + sm * dhm))
+    dp = -pref * ((hp - hm) + drv * (dhp + dhm))
+    return j, p, dj, dp
 
 
 def _thermo(w0, m, drv, th, tm, tc, wh, gh, kh, wc, gc, kc, out):
+    slopes = out.shape[1] > NCOLS
     with np.errstate(over="ignore"):
         sp = w0 + drv
         sm = w0 - drv
         pref = 1.0 / (4.0 * m * w0)
         nbm = bose_pos(w0 / tm)
-        j_hot, p_hot = _bath(sp, sm, drv, pref, nbm, w0, m, th, wh, gh, kh)
-        j_cold, p_cold = _bath(sp, sm, drv, pref, nbm, w0, m, tc, wc, gc, kc)
+        j_hot, p_hot, dj_hot, dp_hot = _bath(
+            sp, sm, drv, pref, nbm, w0, m, th, wh, gh, kh, slopes)
+        j_cold, p_cold, _, dp_cold = _bath(
+            sp, sm, drv, pref, nbm, w0, m, tc, wc, gc, kc, slopes)
+        if slopes:
+            out[:, COL_DJH] = dj_hot
+            out[:, COL_DP] = dp_hot + dp_cold
 
         power = p_hot + p_cold
         j_mid = -power - j_hot - j_cold
@@ -75,20 +101,23 @@ def _thermo(w0, m, drv, th, tm, tc, wh, gh, kh, wc, gc, kc, out):
 
 
 def thermo_batch(omega0, mass, drive, t_hot, t_mid, t_cold,
-                 w_hot, g_hot, k_hot, w_cold, g_cold, k_cold) -> np.ndarray:
+                 w_hot, g_hot, k_hot, w_cold, g_cold, k_cold,
+                 slopes: bool = False) -> np.ndarray:
     """Evaluate currents, power, and entropy split for a batch of machines.
 
     All twelve parameters broadcast against each other; scalars are fine.
     Returns an array of shape ``broadcast_shape + (7,)`` with the columns
-    ``COL_JH .. COL_SNEG``.  Inputs must satisfy ``0 < drive < omega0`` and
-    positive temperatures; this is the caller's responsibility (the wrappers
-    in :mod:`tritherm.currents` and :mod:`tritherm.sweep` enforce it).
+    ``COL_JH .. COL_SNEG``; ``slopes`` appends ``COL_DJH`` and ``COL_DP``.
+    Inputs must satisfy ``0 < drive < omega0`` and positive temperatures;
+    this is the caller's responsibility (the wrappers in
+    :mod:`tritherm.currents` and :mod:`tritherm.sweep` enforce it).
     """
     arrays = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64) for a in (
         omega0, mass, drive, t_hot, t_mid, t_cold,
         w_hot, g_hot, k_hot, w_cold, g_cold, k_cold)))
     shape = arrays[0].shape
     flat = [np.ascontiguousarray(a.ravel()) for a in arrays]
-    out = np.empty((flat[0].size, NCOLS))
+    ncols = NCOLS + 2 if slopes else NCOLS
+    out = np.empty((flat[0].size, ncols))
     _thermo(*flat, out)
-    return out.reshape(shape + (NCOLS,))
+    return out.reshape(shape + (ncols,))

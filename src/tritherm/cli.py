@@ -27,6 +27,7 @@ import argparse
 import dataclasses
 import datetime
 import json
+import operator
 import os
 import sys
 
@@ -35,12 +36,12 @@ import yaml
 
 from . import __version__
 from .core import (ConfigError, DomainError, MachineConfig, TrithermError,
-                   apply_params)
+                   apply_params, get_field)
 from .modes import mode_report
 from .search import SearchSpec, run_search
 from .sweep import Axis, SweepSpec, run_sweep
-from .transistor import (DEFAULT_STEP, DEFAULT_THRESHOLD, transistor_trace,
-                         window_mask, windows_from_arrays)
+from .transistor import (DEFAULT_THRESHOLD, transistor_trace, window_mask,
+                         windows_from_arrays)
 
 
 def _load_yaml(path: str) -> dict:
@@ -127,12 +128,6 @@ def _load_manifest(path: str, command: str) -> tuple[MachineConfig, dict, dict]:
     return MachineConfig.from_dict(manifest["config"]), manifest[command], manifest
 
 
-def _field(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"missing field: {where}.{key}")
-    return section[key]
-
-
 DEFAULT_AXIS_COUNT = 201
 
 
@@ -171,9 +166,10 @@ def cmd_point(args) -> int:
 def cmd_sweep(args) -> int:
     if args.from_manifest:
         config, grid, _ = _load_manifest(args.from_manifest, "sweep")
-        axis1 = Axis(**_field(grid, "axis1", "sweep"))
-        axis2 = Axis(**grid["axis2"]) if grid.get("axis2") else None
-        outputs = frozenset(_field(grid, "outputs", "sweep"))
+        axis1 = Axis.from_dict(grid.get("axis1"), "sweep.axis1")
+        axis2 = (Axis.from_dict(grid["axis2"], "sweep.axis2")
+                 if grid.get("axis2") else None)
+        outputs = get_field(grid, "outputs", "sweep", frozenset)
     else:
         if not args.config or not args.axis1:
             raise ConfigError("sweep needs --config and --axis1 "
@@ -203,19 +199,22 @@ def cmd_sweep(args) -> int:
 def cmd_transistor(args) -> int:
     if args.from_manifest:
         config, t, _ = _load_manifest(args.from_manifest, "transistor")
-        omega_min, omega_max, points, threshold, step = (
-            _field(t, key, "transistor") for key in
-            ("omega_min", "omega_max", "points", "threshold", "step"))
+        # manifests written before the drive slopes became exact carry a
+        # finite-difference "step"; it is ignored
+        omega_min, omega_max, points, threshold = (
+            get_field(t, key, "transistor", kind) for key, kind in
+            (("omega_min", float), ("omega_max", float),
+             ("points", operator.index), ("threshold", float)))
     else:
         if not args.config:
             raise ConfigError("transistor needs --config (or --from-manifest)")
         config, _ = _load_config(args)
         _validate(config, args)
         omega_min, omega_max = args.omega_min, args.omega_max
-        points, threshold, step = args.points, args.threshold, args.step
+        points, threshold = args.points, args.threshold
 
     grid = np.linspace(omega_min, omega_max, points)
-    trace = transistor_trace(config, grid, step=step)
+    trace = transistor_trace(config, grid)
     windows = windows_from_arrays(trace.omega, trace.r, trace.g, threshold)
 
     in_window = window_mask(grid, windows)
@@ -228,7 +227,7 @@ def cmd_transistor(args) -> int:
                                str(int(in_window[k]))]) + "\n")
     _write_manifest(args.out, "transistor", config, {
         "transistor": {"omega_min": omega_min, "omega_max": omega_max,
-                       "points": points, "threshold": threshold, "step": step},
+                       "points": points, "threshold": threshold},
     })
     summary = {
         "threshold": threshold,
@@ -242,7 +241,7 @@ def cmd_search(args) -> int:
     if args.from_manifest:
         config, section, manifest = _load_manifest(args.from_manifest, "search")
         spec = SearchSpec.from_dict(section)
-        seed = _field(manifest, "seed", "manifest")
+        seed = get_field(manifest, "seed", "manifest", operator.index)
     else:
         if not args.config:
             raise ConfigError("search needs --config (or --from-manifest)")
@@ -319,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-max", type=float, default=0.98)
     p.add_argument("--points", type=int, default=481)
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    p.add_argument("--step", type=float, default=DEFAULT_STEP,
-                   help="relative finite-difference step")
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_transistor)
 

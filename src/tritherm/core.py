@@ -10,7 +10,7 @@ harmonic oscillator coupled to two harmonically modulated Lorentzian baths
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -65,6 +65,38 @@ def _positive(value, name, allow_zero=False):
     elif value <= 0:
         raise ConfigError(f"{name} must be > 0, got {value!r}")
     return float(value)
+
+
+def _number(value) -> float:
+    """``float(value)`` for an int or float; TypeError for anything else,
+    booleans and numeric strings included."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(value)
+    return float(value)
+
+
+def as_mapping(value, path: str) -> dict:
+    """``value`` itself; ConfigError naming ``path`` unless it is a mapping."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} must be a mapping")
+    return value
+
+
+def get_field(data: dict, key: str, path: str, kind, default=MISSING):
+    """``kind(data[key])``, raising ConfigError that names ``path.key``.
+
+    Integer fields pass ``operator.index``, which rejects strings and floats.
+    """
+    where = f"{path}.{key}" if path else key
+    if key not in data:
+        if default is MISSING:
+            raise ConfigError(f"missing field: {where}")
+        return default
+    try:
+        return kind(data[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"field {where} has an invalid value "
+                          f"{data[key]!r}") from None
 
 
 @dataclass(frozen=True)
@@ -235,55 +267,21 @@ class MachineConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "MachineConfig":
         """Build a config from a nested mapping, naming offending fields."""
-        if not isinstance(data, dict):
-            raise ConfigError(f"config must be a mapping, got {type(data).__name__}")
+        data = as_mapping(data, "config")
 
-        def section(name, required=True):
-            sec = data.get(name)
-            if sec is None:
-                if required:
-                    raise ConfigError(f"missing section: {name}")
-                return {}
-            if not isinstance(sec, dict):
-                raise ConfigError(f"section {name} must be a mapping")
-            return sec
-
-        def num(sec, path, default=None):
-            key = path.rpartition(".")[2]
-            if key not in sec:
-                if default is not None:
-                    return default
-                raise ConfigError(f"missing field: {path}")
-            v = sec[key]
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ConfigError(f"field {path} must be a number, got {v!r}")
-            return float(v)
-
-        drive = num(data, "drive_freq")
-
-        wm_sec = section("wm", required=False)
-        hot_sec = section("hot")
-        cold_sec = section("cold")
-        mid_sec = section("mid")
-
-        def build(factory, secname, **kwargs):
+        def build(factory, name):
+            sec = as_mapping(data.get(name, {}), name)
+            kwargs = {f.name: get_field(sec, f.name, name, _number, f.default)
+                      for f in fields(factory)}
             try:
                 return factory(**kwargs)
             except ConfigError as exc:
-                raise ConfigError(f"{secname}.{exc}") from None
+                raise ConfigError(f"{name}.{exc}") from None
 
-        wm = build(WorkingMedium, "wm",
-                   omega0=num(wm_sec, "wm.omega0", 1.0),
-                   mass=num(wm_sec, "wm.mass", 1.0))
-        hot, cold = (
-            build(LorentzianBath, name, **{
-                key: num(sec, f"{name}.{key}")
-                for key in ("temperature", "center", "width", "kappa")})
-            for name, sec in (("hot", hot_sec), ("cold", cold_sec)))
-        mid = build(OhmicBath, "mid",
-                    temperature=num(mid_sec, "mid.temperature"),
-                    gamma_m=num(mid_sec, "mid.gamma_m", 0.1))
-        return cls(hot=hot, cold=cold, mid=mid, wm=wm, drive_freq=drive)
+        return cls(drive_freq=get_field(data, "drive_freq", "", _number),
+                   hot=build(LorentzianBath, "hot"),
+                   cold=build(LorentzianBath, "cold"),
+                   mid=build(OhmicBath, "mid"), wm=build(WorkingMedium, "wm"))
 
 
 # Dotted parameter paths accepted by overrides, sweeps, and searches.

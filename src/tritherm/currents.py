@@ -30,6 +30,7 @@ __all__ = [
     "evaluate_point",
     "evaluate_arrays",
     "config_args",
+    "check_drive",
 ]
 
 # Currents with |value| below this band are treated as exactly zero for
@@ -89,12 +90,17 @@ def config_args(config: MachineConfig) -> tuple[float, ...]:
             config.cold.center, config.cold.width, config.cold.kappa)
 
 
-def _evaluate_row(config: MachineConfig) -> np.ndarray:
-    if not (0.0 < config.drive_freq < config.wm.omega0):
+def check_drive(drive_freq, omega0) -> None:
+    """Raise DomainError unless every drive frequency lies in (0, omega0)."""
+    drive_freq = np.asarray(drive_freq, dtype=np.float64)
+    if np.any(drive_freq <= 0.0) or np.any(drive_freq >= omega0):
         raise DomainError(
-            f"drive_freq = {config.drive_freq} outside the supported driving "
-            f"range (0, omega0) = (0, {config.wm.omega0}); both sideband "
-            f"frequencies must stay positive")
+            f"drive_freq outside the supported driving range (0, omega0) = "
+            f"(0, {omega0}); both sideband frequencies must stay positive")
+
+
+def _evaluate_row(config: MachineConfig) -> np.ndarray:
+    check_drive(config.drive_freq, config.wm.omega0)
     return thermo_batch(*[np.array([a]) for a in config_args(config)])[0]
 
 
@@ -153,10 +159,7 @@ def evaluate_arrays(omega0, mass, drive_freq, hot_temperature, mid_temperature,
     (caller's responsibility).  Returns a :class:`ThermoArrays` with one
     entry per broadcast element.
     """
-    omega0 = np.asarray(omega0, dtype=np.float64)
-    drive_freq = np.asarray(drive_freq, dtype=np.float64)
-    if np.any(drive_freq <= 0.0) or np.any(drive_freq >= omega0):
-        raise DomainError("drive_freq must lie in (0, omega0) for every element")
+    check_drive(drive_freq, omega0)
     table = thermo_batch(omega0, mass, drive_freq, hot_temperature,
                          mid_temperature, cold_temperature, hot_center,
                          hot_width, hot_kappa, cold_center, cold_width,

@@ -13,12 +13,14 @@ log scale) and can lock other parameters to sampled ones (e.g.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import qmc
 
-from .core import ConfigError, MachineConfig, PARAM_PATHS, apply_params
+from .core import (ConfigError, MachineConfig, PARAM_PATHS, apply_params,
+                   as_mapping, get_field)
 from .modes import OperatingMode
 from .sweep import mode_sequence_along_omega
 from .transistor import (DEFAULT_THRESHOLD, transistor_trace, window_mask,
@@ -110,21 +112,22 @@ class SearchSpec:
         malformed fields raise :class:`ConfigError` naming their dotted path
         below ``path``.
         """
-        section = _mapping(data, path)
-        vary = {name: VaryRange(low=_get(rng, "min", where, float),
-                                high=_get(rng, "max", where, float),
+        section = as_mapping(data, path)
+        vary = {name: VaryRange(low=get_field(rng, "min", where, float),
+                                high=get_field(rng, "max", where, float),
                                 scale=rng.get("scale", "linear"))
                 for name, rng, where in _entries(section, "vary", path)}
-        lock = {name: LockRule(source=_get(rule, "source", where, str),
-                               offset=_get(rule, "offset", where, float, 0.0))
+        lock = {name: LockRule(source=get_field(rule, "source", where, str),
+                               offset=get_field(rule, "offset", where, float,
+                                                0.0))
                 for name, rule, where in _entries(section, "lock", path)}
-        grid = _mapping(section.get("omega_grid") or {}, f"{path}.omega_grid")
-        options = {f"omega_{k}": _get(grid, k, f"{path}.omega_grid", kind)
+        grid = as_mapping(section.get("omega_grid") or {}, f"{path}.omega_grid")
+        options = {f"omega_{k}": get_field(grid, k, f"{path}.omega_grid", kind)
                    for k, kind in _GRID_FIELDS.items() if k in grid}
-        options.update({k: _get(section, k, path, kind)
+        options.update({k: get_field(section, k, path, kind)
                         for k, kind in _SCALAR_FIELDS.items() if k in section})
-        return cls(objective=_get(section, "objective", path, str,
-                                  "transistor_window"),
+        return cls(objective=get_field(section, "objective", path, str,
+                                       "transistor_window"),
                    vary=vary, lock=lock, **options)
 
     def to_dict(self) -> dict:
@@ -143,37 +146,18 @@ class SearchSpec:
 
 # Plain fields of a search section and their types; omega_grid.<key> maps
 # to the SearchSpec field omega_<key>.
-_GRID_FIELDS = {"start": float, "stop": float, "count": int}
-_SCALAR_FIELDS = {"threshold": float, "samples": int, "refine_rounds": int,
-                  "refine_samples": int, "pool": int, "shrink": float,
-                  "top_k": int}
-_MISSING = object()
-
-
-def _mapping(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path} must be a mapping")
-    return value
+_GRID_FIELDS = {"start": float, "stop": float, "count": operator.index}
+_SCALAR_FIELDS = {"threshold": float, "samples": operator.index,
+                  "refine_rounds": operator.index,
+                  "refine_samples": operator.index, "pool": operator.index,
+                  "shrink": float, "top_k": operator.index}
 
 
 def _entries(section: dict, key: str, path: str):
     """``(name, mapping, dotted path)`` for each entry of ``section[key]``."""
-    for name, value in _mapping(section.get(key) or {}, f"{path}.{key}").items():
+    for name, value in as_mapping(section.get(key) or {}, f"{path}.{key}").items():
         where = f"{path}.{key}.{name}"
-        yield name, _mapping(value, where), where
-
-
-def _get(data: dict, key: str, path: str, kind, default=_MISSING):
-    """``kind(data[key])``, raising ConfigError that names ``path.key``."""
-    if key not in data:
-        if default is _MISSING:
-            raise ConfigError(f"missing field: {path}.{key}")
-        return default
-    try:
-        return kind(data[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"field {path}.{key} has an invalid value "
-                          f"{data[key]!r}") from None
+        yield name, as_mapping(value, where), where
 
 
 @dataclass(frozen=True)
@@ -189,15 +173,11 @@ class Candidate:
 
 
 def _decode(spec: SearchSpec, u: np.ndarray) -> dict:
-    names = list(spec.vary)
-    params = {name: spec.vary[name].decode(float(ui)) for name, ui in zip(names, u)}
+    params = {name: rng.decode(float(ui))
+              for (name, rng), ui in zip(spec.vary.items(), u)}
     for target, rule in spec.lock.items():
         params[target] = params[rule.source] + rule.offset
     return params
-
-
-def _omega_grid(spec: SearchSpec) -> np.ndarray:
-    return np.linspace(spec.omega_start, spec.omega_stop, spec.omega_count)
 
 
 def _score_transistor(config: MachineConfig, grid, threshold):
@@ -253,7 +233,8 @@ def _rank_key(entry):
 
 
 def run_search(template: MachineConfig, spec: SearchSpec, seed: int) -> list[Candidate]:
-    """Run the seeded search; returns the top-k candidates, best first.
+    """Run the seeded search; returns the top-k of all evaluated candidates,
+    best first.
 
     Deterministic for a fixed (template, spec, seed): identical ranking,
     parameters, and scores on every run.  Candidates that violate the
@@ -261,21 +242,20 @@ def run_search(template: MachineConfig, spec: SearchSpec, seed: int) -> list[Can
     returned list.
     """
     dim = len(spec.vary)
-    grid = _omega_grid(spec)
+    grid = np.linspace(spec.omega_start, spec.omega_stop, spec.omega_count)
     if grid[-1] >= template.wm.omega0:
         raise ConfigError("search omega grid must stay below omega0")
 
     sampler = qmc.LatinHypercube(d=dim, seed=seed)
     entries = [_entry(template, spec, grid, u, order)
                for order, u in enumerate(sampler.random(spec.samples))]
-    entries.sort(key=_rank_key)
-    pool = entries[:max(spec.pool, 1)]
 
+    # Each round refines around the best of everything evaluated so far;
+    # the result ranks every evaluated entry.  An entry's order is its index.
     shrink = spec.shrink
-    counter = spec.samples
     sub_seed = seed + 1001
     for _ in range(spec.refine_rounds):
-        new_entries = list(pool)
+        pool = sorted(entries, key=_rank_key)[:max(spec.pool, 1)]
         for entry in pool:
             u0 = np.array(entry[3])
             lo = np.clip(u0 - shrink, 0.0, 1.0)
@@ -283,15 +263,11 @@ def run_search(template: MachineConfig, spec: SearchSpec, seed: int) -> list[Can
             sub = qmc.LatinHypercube(d=dim, seed=sub_seed)
             sub_seed += 1
             for v in sub.random(spec.refine_samples):
-                new_entries.append(_entry(template, spec, grid,
-                                          lo + v * (hi - lo), counter))
-                counter += 1
-        new_entries.sort(key=_rank_key)
-        pool = new_entries[:max(spec.pool, 1)]
+                entries.append(_entry(template, spec, grid,
+                                      lo + v * (hi - lo), len(entries)))
         shrink *= 0.5
 
-    ranked = pool + [e for e in entries if e not in pool]
-    ranked.sort(key=_rank_key)
+    ranked = sorted(entries, key=_rank_key)
     out = []
     for score, (params, detail), order, _ in ranked[:spec.top_k]:
         if not np.isfinite(score[0]):

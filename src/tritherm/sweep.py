@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._kernels import COL_SNEG, COL_SPOS, NCOLS, thermo_batch
-from .core import ConfigError, MachineConfig
+from .core import ConfigError, MachineConfig, as_mapping, get_field
 from .currents import ThermoPoint, config_args
 from .modes import (ERROR_CODE, MODE_BY_CODE, classify_config_arrays,
                     exergy_from_split)
-from .transistor import (DEFAULT_STEP, STEP_ABS_FLOOR, _drive_slopes, _ratio,
-                         _runs)
+from .transistor import _figures, _runs
 
 __all__ = [
     "AXIS_PARAMS",
@@ -77,6 +77,15 @@ class Axis:
     def to_dict(self) -> dict:
         return {"param": self.param, "start": self.start,
                 "stop": self.stop, "count": self.count}
+
+    @classmethod
+    def from_dict(cls, data, path: str) -> "Axis":
+        """Inverse of :meth:`to_dict`; ConfigError names a missing or
+        malformed field below ``path`` (e.g. ``sweep.axis1.count``)."""
+        data = as_mapping(data, path)
+        return cls(**{key: get_field(data, key, path, kind) for key, kind in (
+            ("param", str), ("start", float), ("stop", float),
+            ("count", operator.index))})
 
 
 @dataclass(frozen=True)
@@ -272,18 +281,12 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     valid = np.array([e is None for e in errors])
     idx = np.flatnonzero(valid)
 
-    thermo = np.full((n, NCOLS), np.nan)
-    thermo[idx] = thermo_batch(*[c[idx] for c in cols])
+    thermo, r, g = _thermo_columns(cols, idx, n, "transistor" in spec.outputs)
     mode_codes = np.full(n, ERROR_CODE, dtype=np.int8)
     mode_codes[idx] = classify_config_arrays(
         template, thermo[idx, 0], thermo[idx, 1], thermo[idx, 2], thermo[idx, 3])
     phi = np.full(n, np.nan)
     phi[idx] = exergy_from_split(thermo[idx, COL_SPOS], thermo[idx, COL_SNEG])
-
-    r = g = None
-    if "transistor" in spec.outputs:
-        r, g = _transistor_columns(cols, idx, thermo)
-
     return SweepResult(spec, a1, a2, thermo, mode_codes, phi, r, g, errors)
 
 
@@ -305,19 +308,18 @@ def _cell_errors(cols, n) -> list:
     return errors
 
 
-def _transistor_columns(cols, idx, thermo):
-    n = thermo.shape[0]
-    r = np.full(n, np.nan)
-    g = np.full(n, np.nan)
-    w0 = cols[0][idx]
-    drv = cols[2][idx]
-    h = np.maximum(DEFAULT_STEP * drv, STEP_ABS_FLOOR * w0)
-    ok = (drv - h > 0.0) & (drv + h < w0)
-    sub_idx = idx[ok]
-    djh, dp = _drive_slopes([c[sub_idx] for c in cols], h[ok])
-    r[sub_idx] = _ratio(thermo[sub_idx, 0], thermo[sub_idx, 3])
-    g[sub_idx] = _ratio(djh, dp)
-    return r, g
+def _thermo_columns(cols, idx, n, transistor):
+    """Kernel columns of the valid cells ``idx`` spread over all ``n`` cells
+    (NaN elsewhere); with ``transistor`` also the r and g columns, from the
+    same kernel call, else None."""
+    table = thermo_batch(*[c[idx] for c in cols], slopes=transistor)
+    thermo = np.full((n, NCOLS), np.nan)
+    thermo[idx] = table[:, :NCOLS]
+    if not transistor:
+        return thermo, None, None
+    r, g = np.full(n, np.nan), np.full(n, np.nan)
+    r[idx], g[idx] = _figures(table)
+    return thermo, r, g
 
 
 def resonance_lines(spec: SweepSpec) -> tuple[tuple[float, float], tuple[float, float]]:

@@ -7,7 +7,8 @@ figures of merit as functions of the drive frequency:
 * ``r = |j_hot / power|`` - output-to-input ratio; diverges where the power
   crosses zero while the output current keeps its sign.
 * ``g = |d j_hot / d power| = |(d j_hot/dW) / (d power/dW)|`` - differential
-  gain, evaluated by central differences in the drive frequency W.
+  gain; the kernel returns both drive derivatives in closed form, in the
+  same pass as the currents (one kernel call per evaluation).
 
 A "useful" window is a contiguous run of grid points where both exceed a
 threshold (default 10).
@@ -20,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import thermo_batch
+from ._kernels import (COL_DJH, COL_DP, COL_JC, COL_JH, COL_JM, COL_P,
+                       thermo_batch)
 from .core import DomainError, MachineConfig
-from .currents import SIGN_ZERO_BAND, config_args
+from .currents import SIGN_ZERO_BAND, check_drive, config_args
 
 __all__ = [
-    "DEFAULT_STEP",
     "DEFAULT_THRESHOLD",
     "GAIN_RELIABLE_BAND",
     "TransistorPoint",
@@ -38,8 +39,6 @@ __all__ = [
     "window_mask",
 ]
 
-DEFAULT_STEP = 1e-5          # relative central-difference step in the drive
-STEP_ABS_FLOOR = 1e-8        # absolute floor, in units of omega0
 DEFAULT_THRESHOLD = 10.0
 GAIN_RELIABLE_BAND = 1e-10   # |dP/dW| below this flags g as unreliable
 
@@ -50,8 +49,9 @@ class TransistorPoint:
 
     ``r`` and ``g`` are +inf when the respective denominator magnitude
     (|power|, |dp_domega|) lies below the 1e-14 zero band; ``g_reliable``
-    is False when |dp_domega| < 1e-10 (near a power extremum the finite
-    difference loses significance).
+    is False when |dp_domega| < 1e-10: near a power extremum the slope is
+    a difference of nearly cancelling sideband terms, so g is dominated by
+    rounding and diverges as the extremum is approached.
     """
 
     omega_drive: float
@@ -118,68 +118,39 @@ def _ratio(numerator, denominator) -> np.ndarray:
                         np.abs(numerator / np.where(small, 1.0, denominator)))
 
 
-def _central_slope(f_plus, f_minus, h):
-    """Central-difference slope; exact for affine functions."""
-    return (f_plus - f_minus) / (2.0 * h)
+def _figures(table):
+    """``r`` and ``g`` from a kernel table computed with ``slopes=True``."""
+    return (_ratio(table[:, COL_JH], table[:, COL_P]),
+            _ratio(table[:, COL_DJH], table[:, COL_DP]))
 
 
-def _trace_arrays(config: MachineConfig, omega: np.ndarray, step: float):
-    omega0 = config.wm.omega0
-    h = np.maximum(step * omega, STEP_ABS_FLOOR * omega0)
-    if np.any(omega - h <= 0.0) or np.any(omega + h >= omega0):
-        raise DomainError("finite-difference stencil leaves (0, omega0); "
-                          "move the drive grid away from the edges or shrink "
-                          "the step")
-    args = list(config_args(config))
-    args[2] = omega
-    t0 = thermo_batch(*args)
-    djh, dp = _drive_slopes(args, h)
-    return t0, djh, dp, _ratio(t0[:, 0], t0[:, 3]), _ratio(djh, dp)
-
-
-def _drive_slopes(args, h):
-    """``d j_hot/dW`` and ``d power/dW`` by central differences of step
-    ``h`` in the drive ``W = args[2]`` (twelve kernel arguments)."""
-    tables = []
-    for sign in (1.0, -1.0):
-        shifted = list(args)
-        shifted[2] = args[2] + sign * h
-        tables.append(thermo_batch(*shifted))
-    tp, tm = tables
-    return (_central_slope(tp[:, 0], tm[:, 0], h),
-            _central_slope(tp[:, 3], tm[:, 3], h))
-
-
-def transistor_point(config: MachineConfig, step: float = DEFAULT_STEP) -> TransistorPoint:
-    """Evaluate r, g and the underlying derivatives at the config's drive.
-
-    The central-difference step is ``max(step * drive, 1e-8 * omega0)``;
-    the stencil must stay inside (0, omega0).
-    """
-    if step <= 0:
-        raise DomainError("step must be positive")
-    omega = np.array([config.drive_freq])
-    t0, djh, dp, r, g = _trace_arrays(config, omega, step)
+def transistor_point(config: MachineConfig) -> TransistorPoint:
+    """Evaluate r, g and the underlying derivatives at the config's drive,
+    which must lie in (0, omega0)."""
+    trace = transistor_trace(config, [config.drive_freq])
     return TransistorPoint(
         omega_drive=config.drive_freq,
-        r=float(r[0]), g=float(g[0]),
-        djh_domega=float(djh[0]), dp_domega=float(dp[0]),
-        j_hot=float(t0[0, 0]), power=float(t0[0, 3]),
-        g_reliable=bool(abs(dp[0]) >= GAIN_RELIABLE_BAND))
+        **{k: float(getattr(trace, k)[0]) for k in
+           ("r", "g", "djh_domega", "dp_domega", "j_hot", "power")},
+        g_reliable=bool(trace.g_reliable[0]))
 
 
-def transistor_trace(config: MachineConfig, omega_grid,
-                     step: float = DEFAULT_STEP) -> TransistorTrace:
+def transistor_trace(config: MachineConfig, omega_grid) -> TransistorTrace:
     """Vectorized :func:`transistor_point` over a drive-frequency grid."""
     grid = np.asarray(omega_grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 1:
         raise DomainError("omega grid must be a 1D array")
     if np.any(np.diff(grid) <= 0):
         raise DomainError("omega grid must be strictly increasing")
-    t0, djh, dp, r, g = _trace_arrays(config, grid, step)
-    return TransistorTrace(omega=grid, j_hot=t0[:, 0], j_cold=t0[:, 1],
-                           j_mid=t0[:, 2], power=t0[:, 3], djh_domega=djh,
-                           dp_domega=dp, r=r, g=g)
+    check_drive(grid, config.wm.omega0)
+    args = list(config_args(config))
+    args[2] = grid
+    table = thermo_batch(*args, slopes=True)
+    r, g = _figures(table)
+    return TransistorTrace(omega=grid, j_hot=table[:, COL_JH],
+                           j_cold=table[:, COL_JC], j_mid=table[:, COL_JM],
+                           power=table[:, COL_P], djh_domega=table[:, COL_DJH],
+                           dp_domega=table[:, COL_DP], r=r, g=g)
 
 
 def windows_from_arrays(omega, r, g,
@@ -224,8 +195,7 @@ def window_mask(grid, windows) -> np.ndarray:
 
 
 def find_windows(config: MachineConfig, omega_grid,
-                 threshold: float = DEFAULT_THRESHOLD,
-                 step: float = DEFAULT_STEP) -> list[TransistorWindow]:
+                 threshold: float = DEFAULT_THRESHOLD) -> list[TransistorWindow]:
     """Locate useful transistor windows along a drive-frequency grid.
 
     The grid must be strictly increasing, contain at least 3 points, and
@@ -237,5 +207,5 @@ def find_windows(config: MachineConfig, omega_grid,
         raise DomainError("window search needs a grid of at least 3 points")
     if threshold <= 0:
         raise DomainError("threshold must be positive")
-    trace = transistor_trace(config, grid, step)
+    trace = transistor_trace(config, grid)
     return windows_from_arrays(trace.omega, trace.r, trace.g, threshold)

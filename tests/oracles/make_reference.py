@@ -1,7 +1,9 @@
-"""Regenerate tests/data/reference_currents.json.
+"""Regenerate tests/data/reference_currents.json and reference_slopes.json.
 
 Independent arbitrary-precision evaluation (mpmath, 60 digits) of the
-two-sideband closed forms for 25 pre-registered parameter sets.  This script
+two-sideband closed forms for 25 pre-registered parameter sets, and of the
+drive derivatives d j_hot/dW and d power/dW at the same sets by numerical
+differentiation of those closed forms (``mpmath.diff``).  This script
 is the oracle side of the dual route: it shares no code with the package and
 was written and run before the package implementation.  Each record carries
 the relative error of a plain double-precision shadow evaluation so that the
@@ -20,7 +22,9 @@ from mpmath import mp, mpf, expm1
 
 mp.dps = 60
 
-OUT = pathlib.Path(__file__).resolve().parents[1] / "data" / "reference_currents.json"
+DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
+OUT = DATA / "reference_currents.json"
+SLOPES_OUT = DATA / "reference_slopes.json"
 
 
 def nB(x):
@@ -33,8 +37,9 @@ def lor(w, wn, gn, kn, w0, M):
 
 
 def currents_mp(w0, M, W, Th, Tm, Tc, wh, gh, kh, wc, gc, kc):
-    w0, M, W, Th, Tm, Tc, wh, gh, kh, wc, gc, kc = map(
-        mpf, map(str, (w0, M, W, Th, Tm, Tc, wh, gh, kh, wc, gc, kc)))
+    w0, M, Th, Tm, Tc, wh, gh, kh, wc, gc, kc = map(
+        mpf, map(str, (w0, M, Th, Tm, Tc, wh, gh, kh, wc, gc, kc)))
+    W = W if isinstance(W, mpf) else mpf(str(W))
     nm = nB(w0 / Tm)
     pref = 1 / (4 * M * w0)
     J = {}
@@ -52,6 +57,14 @@ def currents_mp(w0, M, W, Th, Tm, Tc, wh, gh, kh, wc, gc, kc):
     t2 = (J["c"] / Tm) * (1 - Tm / Tc)
     t3 = (J["h"] / Tm) * (1 - Tm / Th)
     return J["h"], J["c"], P, jm, t1 + t2 + t3
+
+
+def slopes_mp(*params):
+    """d j_hot/dW and d power/dW by mpmath's numerical differentiation."""
+    def at(W, k):
+        return currents_mp(*params[:2], W, *params[3:])[k]
+    W = mpf(str(params[2]))
+    return mp.diff(lambda w: at(w, 0), W), mp.diff(lambda w: at(w, 2), W)
 
 
 def currents_double(w0, M, W, Th, Tm, Tc, wh, gh, kh, wc, gc, kc):
@@ -134,6 +147,19 @@ def main():
                        "(independent arbitrary-precision evaluation, 60 digits)",
         "sets": records}, indent=1))
     print(f"wrote {OUT} ({len(records)} sets, worst double rel err {worst:.2e})")
+
+    slopes = []
+    for s in SETS:
+        djh, dp = slopes_mp(*s)
+        slopes.append({"params": dict(zip(KEYS, s)),
+                       "djh_domega": mp.nstr(djh, 30),
+                       "dp_domega": mp.nstr(dp, 30)})
+    SLOPES_OUT.write_text(json.dumps({
+        "description": "drive derivatives of j_hot and power at the "
+                       "reference sets (mpmath.diff of the closed forms, "
+                       "60 digits)",
+        "sets": slopes}, indent=1))
+    print(f"wrote {SLOPES_OUT} ({len(slopes)} sets)")
 
 
 if __name__ == "__main__":

@@ -327,6 +327,35 @@ class TestManifestErrors:
         assert rerun.read_bytes() == (tmp_path / "sweep.out").read_bytes()
 
 
+    def _rerun(self, tmp_path, command, edit):
+        manifest = _manifest_for(tmp_path, command)
+        data = json.loads(manifest.read_text())
+        edit(data[command])
+        manifest.write_text(json.dumps(data))
+        return main([command, "--from-manifest", str(manifest),
+                     "--out", str(tmp_path / "rerun")])
+
+    def test_sweep_axis_with_wrong_key_names_field(self, tmp_path, capsys):
+        def rename_count(section):
+            section["axis1"]["steps"] = section["axis1"].pop("count")
+        assert self._rerun(tmp_path, "sweep", rename_count) == 1
+        assert "sweep.axis1.count" in capsys.readouterr().err
+
+    def test_transistor_points_as_string_names_field(self, tmp_path, capsys):
+        def stringify(section):
+            section["points"] = "21"
+        assert self._rerun(tmp_path, "transistor", stringify) == 1
+        assert "transistor.points" in capsys.readouterr().err
+
+    def test_transistor_step_of_older_manifests_is_ignored(self, tmp_path):
+        def add_step(section):
+            assert "step" not in section
+            section["step"] = 1e-5
+        assert self._rerun(tmp_path, "transistor", add_step) == 0
+        assert ((tmp_path / "rerun").read_bytes()
+                == (tmp_path / "transistor.out").read_bytes())
+
+
 class TestErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["point", "--config", str(tmp_path / "nope.yaml")]) == 1

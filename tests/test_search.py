@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
 import tritherm as tt
+from tritherm import search
 from tritherm.core import ConfigError
 
 from conftest import make_config
@@ -115,6 +118,22 @@ class TestRunSearch:
         assert out[0].detail["windows"]
         assert out[0].detail["max_gain"] > 10.0
         assert sorted((c.score for c in out), reverse=True) == [c.score for c in out]
+
+    def test_returns_best_of_everything_evaluated(self, monkeypatch):
+        # refined candidates that left the pool still compete for top_k
+        evaluated = []
+
+        def recording(*args):
+            evaluated.append(real_entry(*args))
+            return evaluated[-1]
+
+        real_entry = search._entry
+        monkeypatch.setattr(search, "_entry", recording)
+        spec = dataclasses.replace(window_spec(refine_rounds=2), top_k=5)
+        out = tt.run_search(transistor_template(), spec, seed=3)
+        best = sorted((e[0] for e in evaluated), reverse=True)[:spec.top_k]
+        assert len(evaluated) == 40 + 2 * 2 * 12
+        assert [(c.score, c.detail["soft_score"]) for c in out] == best
 
     def test_mode_sequence_objective(self):
         template = make_config(th=0.6, tm=0.5, tc=0.2, wh=1.5, wc=0.75,

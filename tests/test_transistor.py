@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 
 import tritherm as tt
 from tritherm.core import DomainError
-from tritherm.transistor import _central_slope, _ratio, _runs, window_mask
+from tritherm.transistor import _ratio, _runs, window_mask
 
-from conftest import make_config
+from conftest import DATA, config_from_params, make_config
 
 
 def transistor_config(drive=0.3):
@@ -23,17 +24,6 @@ class TestPointQuantities:
         assert _ratio(-5.0, 0.5) == 10.0
         assert _ratio(1.0, 0.0) == math.inf
         assert _ratio(1.0, 5e-15) == math.inf
-
-    def test_central_difference_exact_for_affine(self):
-        # slope of a*x + b recovered exactly, so the slope ratio of two
-        # affine stand-ins is their coefficient ratio (binary-exact inputs)
-        a1, b1, a2, b2 = 3.25, -1.0, 0.125, 4.0
-        x, h = 0.5, 0.25
-        s1 = _central_slope(a1 * (x + h) + b1, a1 * (x - h) + b1, h)
-        s2 = _central_slope(a2 * (x + h) + b2, a2 * (x - h) + b2, h)
-        assert s1 == a1
-        assert s2 == a2
-        assert s1 / s2 == a1 / a2
 
     def test_point_consistency_with_currents(self):
         cfg = transistor_config()
@@ -68,22 +58,36 @@ class TestPointQuantities:
         assert tp.dp_domega == pytest.approx(dp, rel=1e-4)
         assert tp.g == pytest.approx(abs(dj / dp), rel=1e-4)
 
-    def test_stencil_domain(self):
-        cfg = make_config(drive=0.5)
-        with pytest.raises(DomainError):
-            tt.transistor_point(cfg, step=1.1)
-        near_edge = tt.apply_params(cfg, {"drive_freq": 1.0 - 1e-9})
-        with pytest.raises(DomainError):
-            tt.transistor_point(near_edge)
+    def test_slopes_match_oracle(self):
+        # mpmath.diff of the closed forms at the 25 reference sets
+        with open(DATA / "reference_slopes.json") as fh:
+            sets = json.load(fh)["sets"]
+        worst = 0.0
+        for rec in sets:
+            tp = tt.transistor_point(config_from_params(rec["params"]))
+            for got, key in ((tp.djh_domega, "djh_domega"),
+                             (tp.dp_domega, "dp_domega")):
+                expected = float(rec[key])
+                if expected == 0.0:  # hot.kappa = 0: no hot current at all
+                    assert got == 0.0
+                else:
+                    worst = max(worst, abs(got - expected) / abs(expected))
+        assert worst <= 1e-12
+        assert sum(rec["params"]["hot_kappa"] == 0.0 for rec in sets) == 1
 
-    def test_step_halving_stability(self):
-        cfg = transistor_config()
-        grid = np.linspace(0.05, 0.9, 171)
-        t1 = tt.transistor_trace(cfg, grid, step=1e-5)
-        t2 = tt.transistor_trace(cfg, grid, step=0.5e-5)
-        mask = np.abs(t1.dp_domega) > 1e-10
-        rel = np.abs(t2.g[mask] - t1.g[mask]) / np.abs(t1.g[mask])
-        assert rel.max() < 0.01
+    def test_drive_domain(self):
+        cfg = make_config(drive=0.5)
+        for drive in (1.0, 1.2):
+            with pytest.raises(DomainError):
+                tt.transistor_point(tt.apply_params(cfg, {"drive_freq": drive}))
+            with pytest.raises(DomainError):
+                tt.transistor_trace(cfg, [0.5, drive])
+        with pytest.raises(DomainError):
+            tt.transistor_trace(cfg, [0.0, 0.5])
+        # exact slopes need no stencil room: the edge of (0, omega0) works
+        near_edge = tt.apply_params(cfg, {"drive_freq": 1.0 - 1e-9})
+        tp = tt.transistor_point(near_edge)
+        assert math.isfinite(tp.r) and math.isfinite(tp.g)
 
 
 class TestWindows:
