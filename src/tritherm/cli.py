@@ -39,7 +39,7 @@ from .core import (ConfigError, DomainError, MachineConfig, TrithermError,
                    apply_params, get_field)
 from .modes import mode_report
 from .search import SearchSpec, run_search
-from .sweep import Axis, SweepSpec, run_sweep
+from .sweep import Axis, SweepSpec, _float_texts, run_sweep
 from .transistor import (DEFAULT_THRESHOLD, transistor_trace, window_mask,
                          windows_from_arrays)
 
@@ -128,6 +128,13 @@ def _load_manifest(path: str, command: str) -> tuple[MachineConfig, dict, dict]:
     return MachineConfig.from_dict(manifest["config"]), manifest[command], manifest
 
 
+def _names(value) -> frozenset:
+    """A list of strings as a set; TypeError for anything else (a string too)."""
+    if isinstance(value, list) and all(isinstance(v, str) for v in value):
+        return frozenset(value)
+    raise TypeError(value)
+
+
 DEFAULT_AXIS_COUNT = 201
 
 
@@ -169,7 +176,7 @@ def cmd_sweep(args) -> int:
         axis1 = Axis.from_dict(grid.get("axis1"), "sweep.axis1")
         axis2 = (Axis.from_dict(grid["axis2"], "sweep.axis2")
                  if grid.get("axis2") else None)
-        outputs = get_field(grid, "outputs", "sweep", frozenset)
+        outputs = get_field(grid, "outputs", "sweep", _names)
     else:
         if not args.config or not args.axis1:
             raise ConfigError("sweep needs --config and --axis1 "
@@ -182,15 +189,13 @@ def cmd_sweep(args) -> int:
 
     spec = SweepSpec(template=config, axis1=axis1, axis2=axis2, outputs=outputs)
     result = run_sweep(spec)
-    result.to_csv(args.out)
-    if args.json:
-        result.to_json(args.out + ".json")
+    result._write_text(args.out, args.out + ".json" if args.json else None)
     _write_manifest(args.out, "sweep", config, {
         "sweep": {"axis1": axis1.to_dict(),
                   "axis2": axis2.to_dict() if axis2 else None,
                   "outputs": sorted(outputs)},
     })
-    n_err = sum(1 for e in result.errors if e)
+    n_err = np.count_nonzero(result.error_codes)
     print(f"sweep: {result.size} cells ({n_err} error cells) -> {args.out}",
           file=sys.stderr)
     return 0
@@ -218,13 +223,12 @@ def cmd_transistor(args) -> int:
     windows = windows_from_arrays(trace.omega, trace.r, trace.g, threshold)
 
     in_window = window_mask(grid, windows)
+    cols = [_float_texts(c)[0] for c in (trace.omega, trace.j_hot, trace.j_cold,
+                                         trace.j_mid, trace.power, trace.r, trace.g)]
+    cols.append(["1" if w else "0" for w in in_window.tolist()])
     with open(args.out, "w", newline="") as fh:
         fh.write("omega_drive,j_hot,j_cold,j_mid,power,r,g,in_window\n")
-        cols = (trace.omega, trace.j_hot, trace.j_cold, trace.j_mid,
-                trace.power, trace.r, trace.g)
-        for k in range(grid.size):
-            fh.write(",".join([*(repr(float(c[k])) for c in cols),
-                               str(int(in_window[k]))]) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cols))
     _write_manifest(args.out, "transistor", config, {
         "transistor": {"omega_min": omega_min, "omega_max": omega_max,
                        "points": points, "threshold": threshold},

@@ -54,7 +54,10 @@ class ConsistencyError(TrithermError, RuntimeError):
     hand-constructed input, e.g. a sign pattern forbidden by the second law)."""
 
 
-def _positive(value, name, allow_zero=False):
+def _positive(obj, attr, name=None, allow_zero=False):
+    """Check field ``attr`` of a frozen dataclass and store it as a float,
+    so that an int given in code serializes like one read from a file."""
+    value, name = getattr(obj, attr), name or attr
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     if math.isnan(value) or math.isinf(value):
@@ -64,7 +67,7 @@ def _positive(value, name, allow_zero=False):
             raise ConfigError(f"{name} must be >= 0, got {value!r}")
     elif value <= 0:
         raise ConfigError(f"{name} must be > 0, got {value!r}")
-    return float(value)
+    object.__setattr__(obj, attr, float(value))
 
 
 def _number(value) -> float:
@@ -116,8 +119,8 @@ class WorkingMedium:
     mass: float = 1.0
 
     def __post_init__(self):
-        _positive(self.omega0, "wm.omega0")
-        _positive(self.mass, "wm.mass")
+        _positive(self, "omega0", "wm.omega0")
+        _positive(self, "mass", "wm.mass")
 
 
 @dataclass(frozen=True)
@@ -147,10 +150,10 @@ class LorentzianBath:
     kappa: float
 
     def __post_init__(self):
-        _positive(self.temperature, "temperature")
-        _positive(self.center, "center")
-        _positive(self.width, "width")
-        _positive(self.kappa, "kappa", allow_zero=True)
+        _positive(self, "temperature")
+        _positive(self, "center")
+        _positive(self, "width")
+        _positive(self, "kappa", allow_zero=True)
 
     def amplitude(self, omega0: float = 1.0) -> float:
         """Dimensionful spectral amplitude ``kappa * center**2 * omega0**2``."""
@@ -170,8 +173,8 @@ class OhmicBath:
     gamma_m: float = 0.1
 
     def __post_init__(self):
-        _positive(self.temperature, "temperature")
-        _positive(self.gamma_m, "gamma_m")
+        _positive(self, "temperature")
+        _positive(self, "gamma_m")
 
 
 @dataclass(frozen=True)
@@ -203,7 +206,7 @@ class MachineConfig:
     wm: WorkingMedium = field(default_factory=WorkingMedium)
 
     def __post_init__(self):
-        _positive(self.drive_freq, "drive_freq")
+        _positive(self, "drive_freq")
 
     @property
     def detuning(self) -> float:

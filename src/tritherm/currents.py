@@ -93,7 +93,7 @@ def config_args(config: MachineConfig) -> tuple[float, ...]:
 def check_drive(drive_freq, omega0) -> None:
     """Raise DomainError unless every drive frequency lies in (0, omega0)."""
     drive_freq = np.asarray(drive_freq, dtype=np.float64)
-    if np.any(drive_freq <= 0.0) or np.any(drive_freq >= omega0):
+    if not np.all((drive_freq > 0.0) & (drive_freq < omega0)):
         raise DomainError(
             f"drive_freq outside the supported driving range (0, omega0) = "
             f"(0, {omega0}); both sideband frequencies must stay positive")
@@ -154,14 +154,16 @@ def evaluate_arrays(omega0, mass, drive_freq, hot_temperature, mid_temperature,
                     cold_center, cold_width, cold_kappa) -> ThermoArrays:
     """Batched :func:`evaluate_point` over broadcastable parameter arrays.
 
-    All arguments broadcast; scalars are allowed.  Every element must
-    satisfy ``0 < drive_freq < omega0`` (checked) and positive temperatures
-    (caller's responsibility).  Returns a :class:`ThermoArrays` with one
-    entry per broadcast element.
+    All arguments broadcast; scalars are allowed.  Every element must be
+    finite, positive (the couplings may be 0) and satisfy
+    ``0 < drive_freq < omega0``; DomainError names the first argument that
+    does not.  The temperature ordering is not checked.  Returns a
+    :class:`ThermoArrays` with one entry per broadcast element.
     """
+    args = dict(locals())   # the twelve arguments, in kernel order
+    for name, value in args.items():
+        value, zero_ok = np.asarray(value, dtype=np.float64), name.endswith("kappa")
+        if not np.all((value >= 0.0 if zero_ok else value > 0.0) & (value < np.inf)):
+            raise DomainError(f"{name} must be finite and {'>= 0' if zero_ok else '> 0'}")
     check_drive(drive_freq, omega0)
-    table = thermo_batch(omega0, mass, drive_freq, hot_temperature,
-                         mid_temperature, cold_temperature, hot_center,
-                         hot_width, hot_kappa, cold_center, cold_width,
-                         cold_kappa)
-    return ThermoArrays.from_table(table)
+    return ThermoArrays.from_table(thermo_batch(*args.values()))

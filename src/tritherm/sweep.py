@@ -3,13 +3,15 @@
 All valid cells of a grid are evaluated in one batch-kernel call; cells
 whose parameters violate preconditions (temperature ordering, drive range,
 positive peak frequencies) are emitted as error cells carrying NaN values
-and an error string, so maps keep their rectangular shape.  Every cell is
+and an error code, so maps keep their rectangular shape.  Every cell is
 bitwise identical to a single-point evaluation at the same parameters.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import operator
 from dataclasses import dataclass, field
@@ -49,6 +51,28 @@ _ARG_INDEX = {
 AXIS_PARAMS = frozenset(_ARG_INDEX) | {"hot.center_locked"}
 
 OUTPUT_KINDS = frozenset({"currents", "mode", "exergy", "transistor"})
+
+# Message of each error code of SweepResult.error_codes; 0 marks a valid cell.
+ERROR_MESSAGES = (None, "drive_freq outside (0, omega0)", "temperature ordering violated",
+                  "nonpositive spectral peak frequency")
+
+_MODE_LABELS = tuple(m.value for m in MODE_BY_CODE[:ERROR_CODE]) + ("error",)
+
+_CHUNK_ROWS = 8192   # rows per write of the text exports: bounded memory
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _label_table(labels) -> list[np.ndarray]:
+    """CSV fields (csv-module quoting) and JSON strings of ``labels``."""
+    buf = io.StringIO()   # a trailing empty field keeps an empty label unquoted
+    csv.writer(buf, lineterminator="\n").writerows([label, ""] for label in labels)
+    return [np.array(t, dtype=object) for t in (
+        [line[:-1] for line in buf.getvalue().splitlines()], [json.dumps(x) for x in labels])]
+
+
+_MODE_TEXT = _label_table(_MODE_LABELS)
+_ERROR_TEXT = _label_table([m or "" for m in ERROR_MESSAGES])
 
 
 @dataclass(frozen=True)
@@ -136,7 +160,7 @@ class SweepResult:
     """Columnar sweep output; row-major over (axis1, axis2)."""
 
     def __init__(self, spec, axis1_values, axis2_values, thermo, mode_codes,
-                 phi, r, g, errors):
+                 phi, r, g, error_codes):
         self.spec = spec
         self.axis1_values = axis1_values
         self.axis2_values = axis2_values
@@ -145,7 +169,12 @@ class SweepResult:
         self.phi = phi
         self.r = r
         self.g = g
-        self.errors = errors
+        self.error_codes = error_codes
+
+    @property
+    def errors(self) -> list:
+        """Error message of every cell (None if valid), from ``error_codes``."""
+        return np.array(ERROR_MESSAGES, dtype=object)[self.error_codes].tolist()
 
     @property
     def shape(self) -> tuple:
@@ -157,8 +186,7 @@ class SweepResult:
         return self.thermo.shape[0]
 
     def mode_labels(self) -> list[str]:
-        return [MODE_BY_CODE[c].value if c != ERROR_CODE else "error"
-                for c in self.mode_codes]
+        return [_MODE_LABELS[c] for c in self.mode_codes.tolist()]
 
     def mode_set(self) -> set:
         """Distinct OperatingMode labels present (error cells excluded)."""
@@ -175,15 +203,14 @@ class SweepResult:
 
     def cell(self, i: int, j: int | None = None) -> MapCell:
         k = self._flat_index(i, j)
-        err = self.errors[k]
+        err = ERROR_MESSAGES[self.error_codes[k]]
         row = self.thermo[k]
         point = None if err else ThermoPoint(*[float(v) for v in row])
-        code = self.mode_codes[k]
-        mode = "error" if code == ERROR_CODE else MODE_BY_CODE[code].value
         return MapCell(
             axis1=float(self.axis1_values[i]),
             axis2=None if self.axis2_values is None else float(self.axis2_values[j]),
-            point=point, mode=mode, phi=float(self.phi[k]),
+            point=point, mode=_MODE_LABELS[self.mode_codes[k]],
+            phi=float(self.phi[k]),
             r=None if self.r is None else float(self.r[k]),
             g=None if self.g is None else float(self.g[k]),
             error=err)
@@ -207,60 +234,68 @@ class SweepResult:
         cols.append("error")
         return cols
 
-    def csv_rows(self):
-        n2 = 1 if self.axis2_values is None else len(self.axis2_values)
-        labels = self.mode_labels()
-        for k in range(self.size):
-            i, j = divmod(k, n2)
-            row = [repr(float(self.axis1_values[i]))]
-            if self.axis2_values is not None:
-                row.append(repr(float(self.axis2_values[j])))
-            row += [repr(float(self.thermo[k, c])) for c in range(5)]
-            row.append(labels[k])
-            row.append(repr(float(self.phi[k])))
-            if self.r is not None:
-                row += [repr(float(self.r[k])), repr(float(self.g[k]))]
-            row.append(self.errors[k] or "")
-            yield row
-
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.csv_header())
-            writer.writerows(self.csv_rows())
+        self._write_text(csv_path=path)
 
     def to_json(self, path, metadata: dict | None = None) -> None:
-        payload = {
-            "metadata": {
-                "artifact": "tritherm",
-                "config": self.spec.template.to_dict(),
-                "grid": {
-                    "axis1": self.spec.axis1.to_dict(),
-                    "axis2": self.spec.axis2.to_dict() if self.spec.axis2 else None,
-                },
-                "outputs": sorted(self.spec.outputs),
-                **(metadata or {}),
-            },
-            "schema": self.csv_header(),
-            "rows": [[_json_cell(v) for v in row] for row in self.csv_rows()],
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+        self._write_text(json_path=path, metadata=metadata)
+
+    def _write_text(self, csv_path=None, json_path=None,
+                    metadata: dict | None = None) -> None:
+        """Write the CSV export, the JSON export or both, a chunk of rows at a
+        time; each float is formatted once, for both files."""
+        header = self.csv_header()
+        n2 = 1 if self.axis2_values is None else len(self.axis2_values)
+        axes = [np.array(_float_texts(a)[0], dtype=object)
+                for a in (self.axis1_values, self.axis2_values) if a is not None]
+        currents = [self.thermo[:, c] for c in range(5)]
+        figures = [self.phi] + ([self.r, self.g] if self.r is not None else [])
+        with contextlib.ExitStack() as stack:
+            out_csv = csv_path and stack.enter_context(open(csv_path, "w", newline=""))
+            out_json = json_path and stack.enter_context(open(json_path, "w"))
+            if out_csv:
+                out_csv.write(",".join(header) + "\r\n")
+            if out_json:
+                spec = self.spec
+                meta = {"artifact": "tritherm", "config": spec.template.to_dict(),
+                        "grid": {"axis1": spec.axis1.to_dict(),
+                                 "axis2": spec.axis2.to_dict() if spec.axis2 else None},
+                        "outputs": sorted(spec.outputs), **(metadata or {})}
+                out_json.write('{"metadata":' + json.dumps(
+                    meta, sort_keys=True, separators=(",", ":")) + ',"rows":[')
+            for start in range(0, self.size, _CHUNK_ROWS):
+                rows = slice(start, start + _CHUNK_ROWS)
+                k = np.arange(start, min(start + _CHUNK_ROWS, self.size))
+                # (CSV strings, JSON strings) of each column, in header order
+                cols = [(t, t) for t in (a[pick].tolist() for a, pick
+                                         in zip(axes, (k // n2, k % n2)))]
+                cols += [_float_texts(c[rows]) for c in currents]
+                cols.append([t[self.mode_codes[rows]].tolist() for t in _MODE_TEXT])
+                cols += [_float_texts(c[rows]) for c in figures]
+                cols.append([t[self.error_codes[rows]].tolist() for t in _ERROR_TEXT])
+                csv_cols, json_cols = zip(*cols)
+                if out_csv:
+                    out_csv.write("".join(",".join(r) + "\r\n" for r in zip(*csv_cols)))
+                if out_json:
+                    out_json.write(("," if start else "") + "[" + "],[".join(
+                        map(",".join, zip(*json_cols))) + "]")
+            if out_json:
+                out_json.write('],"schema":' + json.dumps(header, separators=(",", ":")) + "}")
 
 
-def _json_cell(value):
-    # csv_rows yields repr-formatted floats plus the mode/error strings
-    try:
-        return float(value)
-    except ValueError:
-        return value
+def _float_texts(values) -> tuple[list[str], list[str]]:
+    """CSV text (``repr``) and JSON text of each element of a float array."""
+    text = list(map(float.__repr__, values.tolist()))
+    if np.isfinite(values).all():
+        return text, text
+    return text, [_JSON_NONFINITE.get(t, t) for t in text]
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Evaluate a sweep.
 
     Cells are laid out row-major over (axis1, axis2).  Cells violating
-    preconditions are marked with an error string and carry NaN values and
+    preconditions are marked with an error code and carry NaN values and
     the mode label ``error`` rather than being dropped.  ``threads`` is
     accepted for compatibility and ignored: the sweep runs as one batch.
     """
@@ -277,9 +312,8 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     if a2 is not None:
         _apply_axis(cols, spec.axis2.param, np.tile(a2, n1), template)
 
-    errors = _cell_errors(cols, n)
-    valid = np.array([e is None for e in errors])
-    idx = np.flatnonzero(valid)
+    error_codes = _cell_errors(cols)
+    idx = np.flatnonzero(error_codes == 0)
 
     thermo, r, g = _thermo_columns(cols, idx, n, "transistor" in spec.outputs)
     mode_codes = np.full(n, ERROR_CODE, dtype=np.int8)
@@ -287,25 +321,20 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
         template, thermo[idx, 0], thermo[idx, 1], thermo[idx, 2], thermo[idx, 3])
     phi = np.full(n, np.nan)
     phi[idx] = exergy_from_split(thermo[idx, COL_SPOS], thermo[idx, COL_SNEG])
-    return SweepResult(spec, a1, a2, thermo, mode_codes, phi, r, g, errors)
+    return SweepResult(spec, a1, a2, thermo, mode_codes, phi, r, g,
+                       error_codes)
 
 
-def _cell_errors(cols, n) -> list:
+def _cell_errors(cols) -> np.ndarray:
+    """Code into ERROR_MESSAGES of every cell; the first failed check wins."""
     w0 = cols[0]
     drv, th, tm, tc = cols[2], cols[3], cols[4], cols[5]
     wh, wc = cols[6], cols[9]
-    errors = [None] * n
-    bad_drive = (drv <= 0.0) | (drv >= w0)
-    bad_order = ~((th > tm) & (tm > tc) & (tc > 0.0))
-    bad_center = (wh <= 0.0) | (wc <= 0.0)
-    for k in np.flatnonzero(bad_drive | bad_order | bad_center):
-        if bad_drive[k]:
-            errors[k] = "drive_freq outside (0, omega0)"
-        elif bad_order[k]:
-            errors[k] = "temperature ordering violated"
-        else:
-            errors[k] = "nonpositive spectral peak frequency"
-    return errors
+    codes = np.zeros(len(drv), dtype=np.int8)
+    codes[(wh <= 0.0) | (wc <= 0.0)] = 3
+    codes[~((th > tm) & (tm > tc) & (tc > 0.0))] = 2
+    codes[(drv <= 0.0) | (drv >= w0)] = 1
+    return codes
 
 
 def _thermo_columns(cols, idx, n, transistor):

@@ -1,10 +1,14 @@
 import json
 import pathlib
 
+import numpy as np
 import pytest
 import yaml
 
+import tritherm as tt
 from tritherm.cli import main
+from tritherm.transistor import (DEFAULT_THRESHOLD, window_mask,
+                                 windows_from_arrays)
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -192,6 +196,25 @@ class TestTransistor:
         in_window = [row.split(",")[-1] for row in lines[1:]]
         assert set(in_window) == {"0", "1"}
 
+    def test_csv_bytes_match_row_loop_reference(self, tmp_path, capsys):
+        # reference: the original writer, one repr per numpy scalar
+        config = str(CONFIGS / "transistor_search.yaml")
+        out = tmp_path / "trace.csv"
+        assert main(["transistor", "--config", config, "--out", str(out)]) == 0
+        cfg = tt.MachineConfig.from_dict(yaml.safe_load(open(config)))
+        grid = np.linspace(0.02, 0.98, 481)
+        trace = tt.transistor_trace(cfg, grid)
+        windows = windows_from_arrays(trace.omega, trace.r, trace.g,
+                                      DEFAULT_THRESHOLD)
+        in_window = window_mask(grid, windows)
+        assert in_window.any()
+        cols = (trace.omega, trace.j_hot, trace.j_cold, trace.j_mid,
+                trace.power, trace.r, trace.g)
+        want = "omega_drive,j_hot,j_cold,j_mid,power,r,g,in_window\n" + "".join(
+            ",".join([*(repr(float(c[k])) for c in cols),
+                      str(int(in_window[k]))]) + "\n" for k in range(grid.size))
+        assert out.read_bytes() == want.encode()
+
     def test_rerun_from_manifest(self, tmp_path, capsys):
         config = json.loads(json.dumps(BASE_CONFIG))
         path = write_config(tmp_path, config)
@@ -340,6 +363,14 @@ class TestManifestErrors:
             section["axis1"]["steps"] = section["axis1"].pop("count")
         assert self._rerun(tmp_path, "sweep", rename_count) == 1
         assert "sweep.axis1.count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("outputs", ["currents", ["currents", 1]],
+                             ids=["bare_string", "mixed_list"])
+    def test_sweep_outputs_not_a_list_of_names(self, tmp_path, capsys, outputs):
+        def replace(section):
+            section["outputs"] = outputs
+        assert self._rerun(tmp_path, "sweep", replace) == 1
+        assert "sweep.outputs" in capsys.readouterr().err
 
     def test_transistor_points_as_string_names_field(self, tmp_path, capsys):
         def stringify(section):

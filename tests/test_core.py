@@ -1,3 +1,4 @@
+import json
 import math
 
 import hypothesis
@@ -164,6 +165,22 @@ class TestConfig:
     def test_dict_round_trip(self, default_config):
         again = tt.MachineConfig.from_dict(default_config.to_dict())
         assert again == default_config
+
+    def test_int_fields_serialize_like_config_files(self):
+        # an int given in code is stored as the float from_dict would read
+        data = {"drive_freq": 1, "wm": {"omega0": 2, "mass": 1},
+                "hot": {"temperature": 1, "center": 3, "width": 1, "kappa": 0},
+                "cold": {"temperature": 1, "center": 1, "width": 1, "kappa": 0},
+                "mid": {"temperature": 1, "gamma_m": 1}}
+        in_code = tt.MachineConfig(
+            hot=tt.LorentzianBath(**data["hot"]),
+            cold=tt.LorentzianBath(**data["cold"]),
+            mid=tt.OhmicBath(**data["mid"]), drive_freq=1,
+            wm=tt.WorkingMedium(**data["wm"]))
+        written = json.dumps(in_code.to_dict(), sort_keys=True)
+        assert written == json.dumps(tt.MachineConfig.from_dict(data).to_dict(),
+                                     sort_keys=True)
+        assert '"temperature": 1.0' in written and '"kappa": 0.0' in written
 
     def test_apply_params_unknown_path(self, default_config):
         with pytest.raises(ConfigError, match="unknown parameter"):

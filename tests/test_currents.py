@@ -144,6 +144,24 @@ class TestBatch:
         with pytest.raises(DomainError):
             tt.evaluate_arrays(args[0], args[1], np.array([0.5, 1.0]), *args[3:])
 
+    @pytest.mark.parametrize("name, value", [
+        ("drive_freq", np.nan), ("drive_freq", np.array([0.3, np.nan])),
+        ("cold_temperature", -0.1), ("hot_temperature", 0.0),
+        ("mid_temperature", np.inf), ("hot_width", 0.0), ("cold_center", -1.0),
+        ("hot_kappa", -0.01), ("mass", np.nan), ("omega0", np.inf)])
+    def test_bad_argument_is_named(self, name, value):
+        batch = random_valid_batch(2, seed=3)
+        batch[name] = value
+        with pytest.raises(DomainError, match=name):
+            tt.evaluate_arrays(**batch)
+
+    def test_equal_temperatures_and_zero_couplings_evaluate(self):
+        batch = dict(random_valid_batch(3, seed=4), hot_kappa=0.0)
+        batch["hot_temperature"] = batch["mid_temperature"]
+        out = tt.evaluate_arrays(**batch)
+        assert np.isfinite(out.entropy_rate).all()
+        assert np.all(out.j_hot == 0.0)
+
     def test_second_law_and_first_law_random_sample(self):
         batch = random_valid_batch(20000, seed=987)
         out = tt.evaluate_arrays(**batch)

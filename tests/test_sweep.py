@@ -1,9 +1,13 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
 import tritherm as tt
 from tritherm.core import ConfigError
-from tritherm.modes import OperatingMode
+from tritherm.modes import ERROR_CODE, MODE_BY_CODE, OperatingMode
+from tritherm.sweep import _CHUNK_ROWS
 
 from conftest import make_config
 
@@ -272,3 +276,138 @@ class TestSerialization:
         assert len(payload["rows"]) == result.size
         assert payload["rows"][0][payload["schema"].index("j_hot")] == \
             result.cell(0, 0).point.j_hot
+
+
+# Reference writers: the original per-cell export, one repr per numpy
+# scalar, with JSON re-parsed from the CSV strings and written by json.dump.
+def _reference_rows(result):
+    n2 = 1 if result.axis2_values is None else len(result.axis2_values)
+    labels = [MODE_BY_CODE[c].value if c != ERROR_CODE else "error"
+              for c in result.mode_codes]
+    errors = result.errors
+    for k in range(result.size):
+        i, j = divmod(k, n2)
+        row = [repr(float(result.axis1_values[i]))]
+        if result.axis2_values is not None:
+            row.append(repr(float(result.axis2_values[j])))
+        row += [repr(float(result.thermo[k, c])) for c in range(5)]
+        row.append(labels[k])
+        row.append(repr(float(result.phi[k])))
+        if result.r is not None:
+            row += [repr(float(result.r[k])), repr(float(result.g[k]))]
+        row.append(errors[k] or "")
+        yield row
+
+
+def _reference_csv(result, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(result.csv_header())
+        writer.writerows(_reference_rows(result))
+
+
+def _json_cell(value):
+    try:
+        return float(value)
+    except ValueError:
+        return value
+
+
+def _reference_json(result, path, metadata=None):
+    spec = result.spec
+    payload = {
+        "metadata": {
+            "artifact": "tritherm",
+            "config": spec.template.to_dict(),
+            "grid": {"axis1": spec.axis1.to_dict(),
+                     "axis2": spec.axis2.to_dict() if spec.axis2 else None},
+            "outputs": sorted(spec.outputs),
+            **(metadata or {}),
+        },
+        "schema": result.csv_header(),
+        "rows": [[_json_cell(v) for v in row] for row in _reference_rows(result)],
+    }
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+
+
+def _hand_built_result():
+    # every error code, the comma-bearing drive error, and non-finite r/g
+    spec = tt.SweepSpec(template=make_config(),
+                        axis1=tt.Axis("drive_freq", 0.2, 0.4, 2),
+                        axis2=tt.Axis("hot.center", 1.2, 1.5, 3),
+                        outputs=frozenset({"mode", "transistor"}))
+    thermo = np.linspace(-1e-3, 2e-3, 6 * 7).reshape(6, 7)
+    thermo[[0, 4, 5]] = np.nan
+    nan, inf = np.nan, np.inf
+    return tt.SweepResult(
+        spec, spec.axis1.values(), spec.axis2.values(), thermo,
+        np.array([ERROR_CODE, 0, 3, 7, ERROR_CODE, ERROR_CODE], dtype=np.int8),
+        np.array([nan, 0.5, -0.0, 1.0, nan, nan]),
+        np.array([nan, inf, -inf, 1e300, nan, nan]),
+        np.array([nan, -inf, 5e-324, nan, nan, nan]),
+        np.array([1, 0, 0, 0, 2, 3], dtype=np.int8))
+
+
+def _writer_case(name):
+    cfg = make_config()
+    transistor = frozenset({"currents", "mode", "exergy", "transistor"})
+    if name == "hand_built":
+        return _hand_built_result()
+    spec = {
+        "2d_transistor": tt.SweepSpec(
+            template=cfg, axis1=tt.Axis("drive_freq", 0.02, 0.9, 23),
+            axis2=tt.Axis("hot.center", 1.0, 2.0, 19), outputs=transistor),
+        "1d_plain": tt.SweepSpec(template=cfg,
+                                 axis1=tt.Axis("drive_freq", 0.02, 0.98, 41)),
+        "error_cells": tt.SweepSpec(
+            template=cfg, axis1=tt.Axis("hot.center_locked", 0.5, 2.0, 17),
+            axis2=tt.Axis("hot.temperature", 0.1, 1.0, 13), outputs=transistor),
+        "drive_error_cells": tt.SweepSpec(
+            template=make_config(drive=1.2),
+            axis1=tt.Axis("hot.center", 1.1, 1.9, 5)),
+        "several_chunks": tt.SweepSpec(
+            template=cfg, axis1=tt.Axis("drive_freq", 0.02, 0.9, 97),
+            axis2=tt.Axis("hot.center", 1.0, 2.0, 91), outputs=transistor),
+    }[name]
+    return tt.run_sweep(spec)
+
+
+class TestWriterBytes:
+    @pytest.mark.parametrize("name", ["2d_transistor", "1d_plain", "error_cells",
+                                      "drive_error_cells", "hand_built",
+                                      "several_chunks"])
+    def test_csv_and_json_match_reference(self, tmp_path, name):
+        result = _writer_case(name)
+        if name == "several_chunks":
+            assert result.size > _CHUNK_ROWS and result.size % _CHUNK_ROWS
+        if name == "error_cells":
+            assert set(result.error_codes.tolist()) == {0, 2, 3}
+        meta = {"note": "written, once"}
+        _reference_csv(result, tmp_path / "want.csv")
+        _reference_json(result, tmp_path / "want.json", meta)
+        want_csv = (tmp_path / "want.csv").read_bytes()
+        want_json = (tmp_path / "want.json").read_bytes()
+        result.to_csv(tmp_path / "got.csv")
+        result.to_json(tmp_path / "got.json", meta)
+        assert (tmp_path / "got.csv").read_bytes() == want_csv
+        assert (tmp_path / "got.json").read_bytes() == want_json
+        # one pass writing both files, as the sweep command does
+        _reference_json(result, tmp_path / "want.json")
+        result._write_text(tmp_path / "both.csv", tmp_path / "both.json")
+        assert (tmp_path / "both.csv").read_bytes() == want_csv
+        assert (tmp_path / "both.json").read_bytes() == \
+            (tmp_path / "want.json").read_bytes()
+
+    def test_hand_built_case_covers_quoting_and_nonfinite(self, tmp_path):
+        result = _hand_built_result()
+        result.to_csv(tmp_path / "map.csv")
+        text = (tmp_path / "map.csv").read_text()
+        assert '"drive_freq outside (0, omega0)"' in text
+        assert ",inf," in text and ",-inf," in text
+        result.to_json(tmp_path / "map.json")
+        raw = (tmp_path / "map.json").read_text()
+        assert "Infinity" in raw and "NaN" in raw
+        assert result.errors == [
+            "drive_freq outside (0, omega0)", None, None, None,
+            "temperature ordering violated", "nonpositive spectral peak frequency"]
