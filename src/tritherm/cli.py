@@ -146,10 +146,10 @@ def _parse_axis(text: str) -> Axis:
         raise ConfigError(f"axis must be param:start:stop[:count], got {text!r}")
     param, start, stop, count = parts
     try:
-        return Axis(param=param, start=float(start), stop=float(stop),
-                    count=int(count))
+        start, stop, count = float(start), float(stop), int(count)
     except ValueError:
         raise ConfigError(f"malformed axis {text!r}") from None
+    return Axis(param=param, start=start, stop=stop, count=count)
 
 
 def cmd_point(args) -> int:

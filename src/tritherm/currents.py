@@ -14,6 +14,7 @@ first law holds to the last bit by construction.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "evaluate_point",
     "evaluate_arrays",
     "config_args",
+    "KERNEL_PATHS",
     "check_drive",
 ]
 
@@ -82,12 +84,17 @@ class ThermoArrays:
         return cls(*(table[..., c] for c in range(NCOLS)))
 
 
+# Dotted config paths of the twelve kernel arguments, in batch-call order.
+KERNEL_PATHS = ("wm.omega0", "wm.mass", "drive_freq",
+                "hot.temperature", "mid.temperature", "cold.temperature",
+                "hot.center", "hot.width", "hot.kappa",
+                "cold.center", "cold.width", "cold.kappa")
+_KERNEL_ARGS = operator.attrgetter(*KERNEL_PATHS)
+
+
 def config_args(config: MachineConfig) -> tuple[float, ...]:
     """The twelve kernel arguments of a config, in batch-call order."""
-    return (config.wm.omega0, config.wm.mass, config.drive_freq,
-            config.hot.temperature, config.mid.temperature, config.cold.temperature,
-            config.hot.center, config.hot.width, config.hot.kappa,
-            config.cold.center, config.cold.width, config.cold.kappa)
+    return _KERNEL_ARGS(config)
 
 
 def check_drive(drive_freq, omega0) -> None:

@@ -32,8 +32,7 @@ __all__ = [
     "classify",
     "classify_reduced",
     "classify_arrays",
-    "classify_reduced_arrays",
-    "classify_config_arrays",
+    "classify_coupled_arrays",
     "exergy_efficiency",
     "exergy_from_split",
     "mode_report",
@@ -156,14 +155,6 @@ def classify_arrays(j_hot, j_cold, power) -> np.ndarray:
                                    np.asarray(power))
 
 
-def classify_reduced_arrays(j_hot, j_cold, j_mid, power,
-                            lorentzian: str = "hot") -> np.ndarray:
-    """Vectorized :func:`classify_reduced`."""
-    a, b = _reduced_pair(j_hot, j_cold, j_mid, lorentzian)
-    return _classify_triple_arrays(np.asarray(a), np.asarray(b),
-                                   np.asarray(power))
-
-
 def _reduced_pair(j_hot, j_cold, j_mid, lorentzian: str):
     # the static bath stands in for the decoupled Lorentzian one
     if lorentzian in ("hot", "h"):
@@ -173,30 +164,16 @@ def _reduced_pair(j_hot, j_cold, j_mid, lorentzian: str):
     raise ValueError(f"lorentzian must be 'hot' or 'cold', got {lorentzian!r}")
 
 
-def _two_terminal_side(config: MachineConfig) -> str | None:
-    """The Lorentzian bath still coupled when exactly one coupling is off.
-
-    ``"hot"`` or ``"cold"`` selects the reduced two-terminal taxonomy;
-    None (both couplings on, or both off) the full three-sign one.
-    """
-    hot_on = config.hot.kappa > 0.0
-    cold_on = config.cold.kappa > 0.0
-    if hot_on == cold_on:
-        return None
-    return "hot" if hot_on else "cold"
-
-
-def classify_config_arrays(config: MachineConfig, j_hot, j_cold, j_mid,
-                           power) -> np.ndarray:
-    """Vectorized mode codes under the taxonomy ``config`` selects.
-
-    The reduced two-terminal taxonomy applies when exactly one Lorentzian
-    coupling is zero, as in :func:`mode_report`.
-    """
-    side = _two_terminal_side(config)
-    if side is None:
-        return classify_arrays(j_hot, j_cold, power)
-    return classify_reduced_arrays(j_hot, j_cold, j_mid, power, side)
+def classify_coupled_arrays(hot_kappa, cold_kappa, j_hot, j_cold, j_mid,
+                            power) -> np.ndarray:
+    """Vectorized mode codes, the taxonomy chosen per element from the
+    couplings, which broadcast against the currents (one pair per row of a
+    2D block, say): the reduced two-terminal taxonomy of
+    :func:`classify_reduced` where exactly one kappa is zero, as in
+    :func:`mode_report`, and the full three-sign one elsewhere."""
+    hot_on, cold_on = np.asarray(hot_kappa) > 0.0, np.asarray(cold_kappa) > 0.0
+    return classify_arrays(np.where(cold_on & ~hot_on, j_mid, j_hot),
+                           np.where(hot_on & ~cold_on, j_mid, j_cold), power)
 
 
 def exergy_efficiency(point: ThermoPoint, temps: tuple[float, float, float]) -> float:
@@ -266,8 +243,9 @@ def mode_report(config: MachineConfig) -> ModeReport:
     would be blanket-degenerate there).
     """
     point = evaluate_point(config)
-    side = _two_terminal_side(config)
-    mode = classify(point) if side is None else classify_reduced(point, side)
+    hot_on, cold_on = config.hot.kappa > 0.0, config.cold.kappa > 0.0
+    mode = (classify(point) if hot_on == cold_on
+            else classify_reduced(point, "hot" if hot_on else "cold"))
     temps = (config.hot.temperature, config.mid.temperature,
              config.cold.temperature)
     return ModeReport(point=point, mode=mode, exergy=exergy_efficiency(point, temps))

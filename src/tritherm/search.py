@@ -19,18 +19,26 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import qmc
 
-from .core import (ConfigError, MachineConfig, PARAM_PATHS, apply_params,
-                   as_mapping, get_field)
-from .modes import OperatingMode
-from .sweep import mode_sequence_along_omega
-from .transistor import (DEFAULT_THRESHOLD, transistor_trace, window_mask,
-                         windows_from_arrays)
+from ._kernels import COL_DP, COL_JC, COL_JH, COL_JM, COL_P, thermo_batch
+from .core import ConfigError, MachineConfig, PARAM_PATHS, as_mapping, get_field
+from .currents import KERNEL_PATHS
+from .modes import MODE_BY_CODE, OperatingMode, classify_coupled_arrays
+from .transistor import (DEFAULT_THRESHOLD, GAIN_RELIABLE_BAND, _figures, _runs,
+                         window_mask, windows_from_arrays)
 
 __all__ = ["VaryRange", "LockRule", "SearchSpec", "Candidate", "run_search"]
 
 OBJECTIVES = ("transistor_window", "mode_sequence")
 
 _SOFT_CAP = 1e9
+
+_BLOCK_POINTS = 12288   # candidates x omega points per kernel call: bounded memory
+
+# The kernel arguments, then mid.gamma_m, which must only be positive
+_ARG_PATHS = KERNEL_PATHS + ("mid.gamma_m",)
+_ZERO_OK = np.array([path.endswith(".kappa") for path in _ARG_PATHS])
+_USEFUL_CODES = np.array([i for i, m in enumerate(OperatingMode)
+                          if m is not OperatingMode.DEGENERATE])
 
 
 @dataclass(frozen=True)
@@ -88,19 +96,22 @@ class SearchSpec:
                               f"expected one of {OBJECTIVES}")
         if not self.vary:
             raise ConfigError("search needs at least one varied parameter")
-        for name in list(self.vary) + [r.source for r in self.lock.values()]:
+        for name in list(self.vary) + list(self.lock):
             if name not in PARAM_PATHS:
                 raise ConfigError(f"unknown parameter {name!r}")
         for name, rule in self.lock.items():
-            if name not in PARAM_PATHS:
-                raise ConfigError(f"unknown parameter {name!r}")
             if name in self.vary:
                 raise ConfigError(f"parameter {name!r} is both varied and locked")
             if rule.source not in self.vary:
                 raise ConfigError(f"lock source {rule.source!r} must be a varied "
                                   f"parameter")
-        if self.samples < 1:
-            raise ConfigError("samples must be >= 1")
+        for name, low in (("samples", 1), ("refine_rounds", 0),
+                          ("refine_samples", 0), ("pool", 1), ("top_k", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"search.{name} must be >= {low}")
+        for name in ("shrink", "threshold"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"search.{name} must be > 0")
         if self.omega_count < 3 or not (0 < self.omega_start < self.omega_stop):
             raise ConfigError("invalid omega grid")
 
@@ -172,64 +183,96 @@ class Candidate:
         return {"params": self.params, "score": self.score, "detail": self.detail}
 
 
-def _decode(spec: SearchSpec, u: np.ndarray) -> dict:
-    params = {name: rng.decode(float(ui))
-              for (name, rng), ui in zip(spec.vary.items(), u)}
-    for target, rule in spec.lock.items():
-        params[target] = params[rule.source] + rule.offset
-    return params
+def _columns(template: MachineConfig, spec: SearchSpec, units, grid) -> tuple:
+    """The params decoded from each unit-cube sample, their ``(C, 13)``
+    values of ``_ARG_PATHS`` over the template, and the mask of the
+    candidates that ``apply_params`` and ``MachineConfig.validate`` accept
+    and whose omega0 is above the grid."""
+    params = [{name: rng.decode(float(ui))
+               for (name, rng), ui in zip(spec.vary.items(), u)} for u in units]
+    for p in params:
+        for target, rule in spec.lock.items():
+            p[target] = p[rule.source] + rule.offset
+    base = operator.attrgetter(*_ARG_PATHS)(template)
+    cols = np.array([[p.get(path, b) for path, b in zip(_ARG_PATHS, base)]
+                     for p in params]).reshape(len(params), len(_ARG_PATHS))
+    w0, _, drive, th, tm, tc = cols[:, :6].T
+    ok = np.where(_ZERO_OK, cols >= 0.0, cols > 0.0) & np.isfinite(cols)
+    return params, cols, (ok.all(axis=1) & (th > tm) & (tm > tc)
+                          & (drive < w0) & (grid[-1] < w0))
 
 
-def _score_transistor(config: MachineConfig, grid, threshold):
-    trace = transistor_trace(config, grid)
-    windows = windows_from_arrays(trace.omega, trace.r, trace.g, threshold)
-    width = max((w.width for w in windows), default=0.0)
-    finite = np.isfinite(trace.r) & np.isfinite(trace.g)
-    soft = float(np.minimum(trace.r[finite], trace.g[finite]).max()) if finite.any() else 0.0
-    gain_mask = window_mask(grid, windows) & np.isfinite(trace.g) & trace.g_reliable
-    max_gain = float(trace.g[gain_mask].max()) if gain_mask.any() else 0.0
-    detail = {
-        "width": width,
-        "max_gain": max_gain,
-        "windows": [w.to_dict() for w in windows],
-    }
-    return (width, min(soft, _SOFT_CAP)), detail
-
-
-def _score_modes(config: MachineConfig, grid, threshold):
-    runs = mode_sequence_along_omega(config, grid)
-    labels = [mode for (_, mode) in runs if mode is not OperatingMode.DEGENERATE]
-    distinct = sorted({m.value for m in labels})
-    switches = max(len(runs) - 1, 0)
-    detail = {
-        "distinct_modes": distinct,
-        "switches": switches,
-        "runs": [[lo, hi, mode.value] for ((lo, hi), mode) in runs],
-    }
-    return (float(len(distinct)), float(min(switches, 999))), detail
-
-
-def _evaluate(template, spec, grid, params):
-    config = apply_params(template, params)
-    try:
-        config.validate()
-    except ConfigError:
-        return (-np.inf, -np.inf), {"invalid": True}
+def _table(spec: SearchSpec, grid, cols):
+    """Figures ``r``, ``g`` and the table ``(C, len(grid), 9)`` of the
+    candidates ``cols``, or their mode codes ``(C, len(grid))``."""
+    args = [c[:, None] for c in cols[:, :-1].T]   # all but mid.gamma_m
+    args[2] = grid[None, :]
     if spec.objective == "transistor_window":
-        return _score_transistor(config, grid, spec.threshold)
-    return _score_modes(config, grid, spec.threshold)
+        table = thermo_batch(*args, slopes=True)
+        return (*_figures(table), table)
+    table = thermo_batch(*args)
+    return classify_coupled_arrays(args[8], args[11], *(
+        table[..., c] for c in (COL_JH, COL_JC, COL_JM, COL_P)))
 
 
-def _entry(template, spec, grid, u, order):
-    """``(score, (params, detail), order, u)`` of one unit-cube sample."""
-    params = _decode(spec, u)
-    score, detail = _evaluate(template, spec, grid, params)
-    return score, (params, detail), order, tuple(u)
+def _scores(spec: SearchSpec, grid, cols) -> np.ndarray:
+    """``(C, 2)`` ranking scores of valid candidates: the widest window and
+    the soft score, or the distinct modes and the capped switches."""
+    if spec.objective == "mode_sequence":
+        codes = _table(spec, grid, cols)
+        distinct = (codes[..., None] == _USEFUL_CODES).any(axis=1).sum(axis=1)
+        switches = np.count_nonzero(codes[:, 1:] != codes[:, :-1], axis=1)
+        return np.stack([distinct, np.minimum(switches, 999)], axis=1)
+    r, g, _ = _table(spec, grid, cols)
+    edges = np.diff(((r > spec.threshold) & (g > spec.threshold)).astype(np.int8),
+                    axis=1, prepend=0, append=0)
+    rows, starts = np.nonzero(edges == 1)   # passing runs are [start, stop)
+    stops = np.nonzero(edges == -1)[1]
+    keep = stops - starts >= 2   # one point has no width
+    width = np.zeros(len(cols))
+    np.maximum.at(width, rows[keep], grid[stops[keep] - 1] - grid[starts[keep]])
+    soft = np.where(np.isfinite(r) & np.isfinite(g), np.minimum(r, g), 0.0)
+    return np.stack([width, np.minimum(soft.max(axis=1), _SOFT_CAP)], axis=1)
+
+
+def _details(spec: SearchSpec, grid, cols):
+    """Detail dict of each candidate of ``cols``, from one kernel call."""
+    if spec.objective == "mode_sequence":
+        for codes in _table(spec, grid, cols):
+            runs = [[float(grid[a]), float(grid[b - 1]), MODE_BY_CODE[codes[a]].value]
+                    for a, b in _runs(codes)]
+            modes = {m for *_, m in runs} - {OperatingMode.DEGENERATE.value}
+            yield {"distinct_modes": sorted(modes), "switches": len(runs) - 1,
+                   "runs": runs}
+        return
+    for r, g, row in zip(*_table(spec, grid, cols)):
+        windows = windows_from_arrays(grid, r, g, spec.threshold)
+        gains = g[window_mask(grid, windows) & np.isfinite(g)
+                  & (np.abs(row[:, COL_DP]) >= GAIN_RELIABLE_BAND)]
+        yield {"width": max((w.width for w in windows), default=0.0),
+               "max_gain": float(gains.max()) if gains.size else 0.0,
+               "windows": [w.to_dict() for w in windows]}
+
+
+def _stage(template, spec, grid, units, first: int) -> list:
+    """Entries ``(score, order, u, params)`` of the unit-cube samples
+    ``units``, with orders counted from ``first``.  Valid candidates are
+    scored in blocks of at most ``_BLOCK_POINTS`` points; invalid ones
+    score ``-inf``."""
+    params, cols, valid = _columns(template, spec, units, grid)
+    scores = np.full((len(params), 2), -np.inf)
+    valid = np.flatnonzero(valid)
+    step = max(_BLOCK_POINTS // grid.size, 1)
+    for i in range(0, valid.size, step):
+        rows = valid[i:i + step]
+        scores[rows] = _scores(spec, grid, cols[rows])
+    return [(score, first + i, u, p) for i, (score, u, p)
+            in enumerate(zip(scores.tolist(), units, params))]
 
 
 def _rank_key(entry):
     # best score first, ties broken by sampling order
-    return -entry[0][0], -entry[0][1], entry[2]
+    return -entry[0][0], -entry[0][1], entry[1]
 
 
 def run_search(template: MachineConfig, spec: SearchSpec, seed: int) -> list[Candidate]:
@@ -237,8 +280,10 @@ def run_search(template: MachineConfig, spec: SearchSpec, seed: int) -> list[Can
     best first.
 
     Deterministic for a fixed (template, spec, seed): identical ranking,
-    parameters, and scores on every run.  Candidates that violate the
-    machine's validity constraints score ``-inf`` and are dropped from the
+    parameters, and scores on every run.  Each stage (the Latin-hypercube
+    sample, each refinement round) is scored in candidate x omega blocks.
+    Candidates that violate the machine's validity constraints, or whose
+    omega0 is not above the grid, score ``-inf`` and are dropped from the
     returned list.
     """
     dim = len(spec.vary)
@@ -247,32 +292,28 @@ def run_search(template: MachineConfig, spec: SearchSpec, seed: int) -> list[Can
         raise ConfigError("search omega grid must stay below omega0")
 
     sampler = qmc.LatinHypercube(d=dim, seed=seed)
-    entries = [_entry(template, spec, grid, u, order)
-               for order, u in enumerate(sampler.random(spec.samples))]
+    entries = _stage(template, spec, grid, sampler.random(spec.samples), 0)
 
     # Each round refines around the best of everything evaluated so far;
     # the result ranks every evaluated entry.  An entry's order is its index.
     shrink = spec.shrink
     sub_seed = seed + 1001
     for _ in range(spec.refine_rounds):
-        pool = sorted(entries, key=_rank_key)[:max(spec.pool, 1)]
-        for entry in pool:
-            u0 = np.array(entry[3])
-            lo = np.clip(u0 - shrink, 0.0, 1.0)
-            hi = np.clip(u0 + shrink, 0.0, 1.0)
+        units = []
+        for entry in sorted(entries, key=_rank_key)[:spec.pool]:
+            lo = np.clip(entry[2] - shrink, 0.0, 1.0)
+            hi = np.clip(entry[2] + shrink, 0.0, 1.0)
             sub = qmc.LatinHypercube(d=dim, seed=sub_seed)
             sub_seed += 1
-            for v in sub.random(spec.refine_samples):
-                entries.append(_entry(template, spec, grid,
-                                      lo + v * (hi - lo), len(entries)))
+            units.append(lo + sub.random(spec.refine_samples) * (hi - lo))
+        entries += _stage(template, spec, grid, np.concatenate(units), len(entries))
         shrink *= 0.5
 
-    ranked = sorted(entries, key=_rank_key)
-    out = []
-    for score, (params, detail), order, _ in ranked[:spec.top_k]:
-        if not np.isfinite(score[0]):
-            continue
-        out.append(Candidate(params={k: float(v) for k, v in params.items()},
-                             score=float(score[0]),
-                             detail={**detail, "soft_score": float(score[1])}))
-    return out
+    best = [e for e in sorted(entries, key=_rank_key)[:spec.top_k]
+            if np.isfinite(e[0][0])]
+    details = _details(spec, grid, _columns(template, spec, [e[2] for e in best],
+                                            grid)[1])
+    return [Candidate(params={k: float(v) for k, v in params.items()},
+                      score=float(score[0]),
+                      detail={**detail, "soft_score": float(score[1])})
+            for (score, _, _, params), detail in zip(best, details)]

@@ -20,8 +20,8 @@ import numpy as np
 
 from ._kernels import COL_SNEG, COL_SPOS, NCOLS, thermo_batch
 from .core import ConfigError, MachineConfig, as_mapping, get_field
-from .currents import ThermoPoint, config_args
-from .modes import (ERROR_CODE, MODE_BY_CODE, classify_config_arrays,
+from .currents import KERNEL_PATHS, ThermoPoint, config_args
+from .modes import (ERROR_CODE, MODE_BY_CODE, classify_coupled_arrays,
                     exergy_from_split)
 from .transistor import _figures, _runs
 
@@ -37,14 +37,9 @@ __all__ = [
 ]
 
 # Index of each sweepable parameter in the kernel argument list
-_ARG_INDEX = {
-    "drive_freq": 2,
-    "hot.temperature": 3,
-    "mid.temperature": 4,
-    "cold.temperature": 5,
-    "hot.center": 6,
-    "cold.center": 9,
-}
+_ARG_INDEX = {path: KERNEL_PATHS.index(path) for path in (
+    "drive_freq", "hot.temperature", "mid.temperature", "cold.temperature",
+    "hot.center", "cold.center")}
 
 # hot.center_locked moves cold.center together with hot.center so the
 # detuning of the template is preserved across the axis.
@@ -90,6 +85,8 @@ class Axis:
                               f"expected one of {sorted(AXIS_PARAMS)}")
         if self.count < 2:
             raise ConfigError(f"axis {self.param}: count must be >= 2")
+        if not np.isfinite([self.start, self.stop]).all():
+            raise ConfigError(f"axis {self.param}: start and stop must be finite")
         if not (self.start < self.stop):
             raise ConfigError(f"axis {self.param}: start must be < stop")
         if self.start <= 0:
@@ -317,8 +314,9 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
 
     thermo, r, g = _thermo_columns(cols, idx, n, "transistor" in spec.outputs)
     mode_codes = np.full(n, ERROR_CODE, dtype=np.int8)
-    mode_codes[idx] = classify_config_arrays(
-        template, thermo[idx, 0], thermo[idx, 1], thermo[idx, 2], thermo[idx, 3])
+    mode_codes[idx] = classify_coupled_arrays(
+        template.hot.kappa, template.cold.kappa,
+        thermo[idx, 0], thermo[idx, 1], thermo[idx, 2], thermo[idx, 3])
     phi = np.full(n, np.nan)
     phi[idx] = exergy_from_split(thermo[idx, COL_SPOS], thermo[idx, COL_SNEG])
     return SweepResult(spec, a1, a2, thermo, mode_codes, phi, r, g,
@@ -384,7 +382,7 @@ def mode_sequence_along_omega(config: MachineConfig, omega_grid) -> list:
     args = list(config_args(config))
     args[2] = grid
     table = thermo_batch(*args)
-    codes = classify_config_arrays(config, table[:, 0], table[:, 1],
-                                   table[:, 2], table[:, 3])
+    codes = classify_coupled_arrays(config.hot.kappa, config.cold.kappa, table[:, 0],
+                                    table[:, 1], table[:, 2], table[:, 3])
     return [((float(grid[start]), float(grid[stop - 1])),
              MODE_BY_CODE[codes[start]]) for start, stop in _runs(codes)]

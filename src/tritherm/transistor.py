@@ -120,8 +120,8 @@ def _ratio(numerator, denominator) -> np.ndarray:
 
 def _figures(table):
     """``r`` and ``g`` from a kernel table computed with ``slopes=True``."""
-    return (_ratio(table[:, COL_JH], table[:, COL_P]),
-            _ratio(table[:, COL_DJH], table[:, COL_DP]))
+    return (_ratio(table[..., COL_JH], table[..., COL_P]),
+            _ratio(table[..., COL_DJH], table[..., COL_DP]))
 
 
 def transistor_point(config: MachineConfig) -> TransistorPoint:

@@ -164,6 +164,16 @@ class TestSweep:
         assert rc == 0
         assert len(out.read_text().splitlines()) == 1 + 201
 
+    def test_non_finite_axis_exits_one_naming_it(self, tmp_path, capsys):
+        path = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "x.csv"
+        rc = main(["sweep", "--config", path, "--axis1", "hot.center:1:inf:3",
+                   "--out", str(out)])
+        assert rc == 1
+        assert "axis hot.center: start and stop must be finite" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_axis_is_validation_error(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE_CONFIG)
         rc = main(["sweep", "--config", path, "--axis1", "drive_freq:0.1",
@@ -257,6 +267,17 @@ class TestSearch:
         path = write_config(tmp_path, BASE_CONFIG)
         assert main(["search", "--config", path]) == 1
         assert "search" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,value", [("refine_samples", -1), ("pool", 0),
+                                            ("top_k", 0), ("shrink", -0.5),
+                                            ("threshold", 0.0)])
+    def test_out_of_range_field_exits_one_naming_it(self, tmp_path, capsys,
+                                                     name, value):
+        config = dict(BASE_CONFIG)
+        config["search"] = {**SEARCH_SECTION, name: value}
+        path = write_config(tmp_path, config)
+        assert main(["search", "--config", path, "--seed", "1"]) == 1
+        assert f"search.{name}" in capsys.readouterr().err
 
     def test_empty_feasible_space_warns_and_exits_zero(self, tmp_path, capsys):
         config = dict(BASE_CONFIG)

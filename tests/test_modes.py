@@ -4,7 +4,8 @@ import pytest
 import tritherm as tt
 from tritherm.core import ConsistencyError
 from tritherm.currents import ThermoPoint
-from tritherm.modes import OperatingMode, classify_arrays
+from tritherm.modes import (MODE_BY_CODE, OperatingMode, classify_arrays,
+                            classify_coupled_arrays)
 
 from conftest import make_config, random_valid_batch
 
@@ -76,6 +77,22 @@ class TestReducedClassify:
         point = ThermoPoint(j_hot=0.0, j_cold=0.5, j_mid=-1.0, power=0.2,
                             entropy_rate=0.0, entropy_pos=0.0, entropy_neg=0.0)
         assert tt.classify_reduced(point, "cold") is OperatingMode.REFRIGERATOR_PUMP
+
+    def test_coupled_arrays_choose_taxonomy_per_row(self):
+        # one row per coupling pair, as in a block of search candidates
+        kappas = [(0.01, 0.01), (0.01, 0.0), (0.0, 0.01), (0.0, 0.0)]
+        grid = np.linspace(0.05, 0.95, 37)
+        configs = [[make_config(drive=w, kh=kh, kc=kc) for w in grid]
+                   for kh, kc in kappas]
+        points = [[tt.evaluate_point(c) for c in row] for row in configs]
+        kh, kc = np.array(kappas).T
+        codes = classify_coupled_arrays(
+            kh[:, None], kc[:, None],
+            *(np.array([[getattr(p, f) for p in row] for row in points])
+              for f in ("j_hot", "j_cold", "j_mid", "power")))
+        assert codes.shape == (len(kappas), grid.size)
+        assert [[MODE_BY_CODE[c] for c in row] for row in codes] == \
+            [[tt.mode_report(c).mode for c in row] for row in configs]
 
     def test_full_classify_is_degenerate_for_reduced_machine(self):
         point = tt.evaluate_point(make_config(kc=0.0))

@@ -1,10 +1,16 @@
 import dataclasses
+import json
+import math
 
+import numpy as np
 import pytest
+from scipy.stats import qmc
 
 import tritherm as tt
 from tritherm import search
-from tritherm.core import ConfigError
+from tritherm.core import ConfigError, DomainError
+from tritherm.modes import OperatingMode
+from tritherm.transistor import window_mask
 
 from conftest import make_config
 
@@ -12,6 +18,83 @@ from conftest import make_config
 def transistor_template():
     return make_config(drive=0.3, th=0.55, tm=0.2, tc=0.19,
                        wh=1.7, wc=1.7, gh=0.05, gc=0.05, kh=0.01, kc=0.01)
+
+
+def reference_score(config, spec, grid):
+    """Score and detail of one candidate, one kernel call per candidate."""
+    if spec.objective == "transistor_window":
+        trace = tt.transistor_trace(config, grid)
+        windows = tt.windows_from_arrays(trace.omega, trace.r, trace.g,
+                                         spec.threshold)
+        width = max((w.width for w in windows), default=0.0)
+        finite = np.isfinite(trace.r) & np.isfinite(trace.g)
+        soft = (float(np.minimum(trace.r[finite], trace.g[finite]).max())
+                if finite.any() else 0.0)
+        gain_mask = (window_mask(grid, windows) & np.isfinite(trace.g)
+                     & trace.g_reliable)
+        max_gain = float(trace.g[gain_mask].max()) if gain_mask.any() else 0.0
+        return (width, min(soft, search._SOFT_CAP)), {
+            "width": width, "max_gain": max_gain,
+            "windows": [w.to_dict() for w in windows]}
+    runs = tt.mode_sequence_along_omega(config, grid)
+    distinct = sorted({m.value for _, m in runs
+                       if m is not OperatingMode.DEGENERATE})
+    switches = max(len(runs) - 1, 0)
+    return (float(len(distinct)), float(min(switches, 999))), {
+        "distinct_modes": distinct, "switches": switches,
+        "runs": [[lo, hi, mode.value] for ((lo, hi), mode) in runs]}
+
+
+def reference_search(template, spec, seed, evaluated=None):
+    """The search as a loop over candidates, each evaluated on its own.
+
+    A candidate that ``apply_params``, ``validate`` or the grid checks
+    reject scores -inf.  Every evaluated entry ``(score, (params, detail),
+    order, u)`` is appended to ``evaluated``.
+    """
+    evaluated = [] if evaluated is None else evaluated
+    grid = np.linspace(spec.omega_start, spec.omega_stop, spec.omega_count)
+    if grid[-1] >= template.wm.omega0:
+        raise ConfigError("search omega grid must stay below omega0")
+
+    def evaluate(u):
+        params = {name: rng.decode(float(ui))
+                  for (name, rng), ui in zip(spec.vary.items(), u)}
+        for target, rule in spec.lock.items():
+            params[target] = params[rule.source] + rule.offset
+        try:
+            config = tt.apply_params(template, params)
+            config.validate()
+            score, detail = reference_score(config, spec, grid)
+        except (ConfigError, DomainError):
+            score, detail = (-math.inf, -math.inf), {}
+        evaluated.append((score, (params, detail), len(evaluated), tuple(u)))
+
+    def rank(entry):
+        return -entry[0][0], -entry[0][1], entry[2]
+
+    dim = len(spec.vary)
+    for u in qmc.LatinHypercube(d=dim, seed=seed).random(spec.samples):
+        evaluate(u)
+    shrink, sub_seed = spec.shrink, seed + 1001
+    for _ in range(spec.refine_rounds):
+        for entry in sorted(evaluated, key=rank)[:spec.pool]:
+            u0 = np.array(entry[3])
+            lo, hi = np.clip(u0 - shrink, 0.0, 1.0), np.clip(u0 + shrink, 0.0, 1.0)
+            sub = qmc.LatinHypercube(d=dim, seed=sub_seed)
+            sub_seed += 1
+            for v in sub.random(spec.refine_samples):
+                evaluate(lo + v * (hi - lo))
+        shrink *= 0.5
+    return [tt.Candidate(params={k: float(v) for k, v in params.items()},
+                         score=float(score[0]),
+                         detail={**detail, "soft_score": float(score[1])})
+            for score, (params, detail), _, _ in sorted(evaluated, key=rank)[:spec.top_k]
+            if np.isfinite(score[0])]
+
+
+def dumps(candidates) -> str:
+    return json.dumps([c.to_dict() for c in candidates])
 
 
 def window_spec(samples=40, refine_rounds=1, refine_samples=12):
@@ -46,6 +129,14 @@ class TestSpecValidation:
     def test_log_scale_bounds(self):
         with pytest.raises(ConfigError):
             tt.VaryRange(0.0, 1.0, scale="log")
+
+    @pytest.mark.parametrize("name,value", [
+        ("samples", 0), ("refine_rounds", -1), ("refine_samples", -1),
+        ("pool", 0), ("top_k", 0), ("shrink", 0.0), ("shrink", -0.25),
+        ("threshold", 0.0), ("threshold", -10.0), ("threshold", math.nan)])
+    def test_out_of_range_field_is_named(self, name, value):
+        with pytest.raises(ConfigError, match=rf"search\.{name} must be"):
+            dataclasses.replace(window_spec(), **{name: value})
 
     def test_range_decode(self):
         lin = tt.VaryRange(1.0, 3.0)
@@ -119,21 +210,17 @@ class TestRunSearch:
         assert out[0].detail["max_gain"] > 10.0
         assert sorted((c.score for c in out), reverse=True) == [c.score for c in out]
 
-    def test_returns_best_of_everything_evaluated(self, monkeypatch):
+    def test_returns_best_of_everything_evaluated(self):
         # refined candidates that left the pool still compete for top_k
         evaluated = []
-
-        def recording(*args):
-            evaluated.append(real_entry(*args))
-            return evaluated[-1]
-
-        real_entry = search._entry
-        monkeypatch.setattr(search, "_entry", recording)
+        template = transistor_template()
         spec = dataclasses.replace(window_spec(refine_rounds=2), top_k=5)
-        out = tt.run_search(transistor_template(), spec, seed=3)
+        out = tt.run_search(template, spec, seed=3)
+        reference = reference_search(template, spec, 3, evaluated)
         best = sorted((e[0] for e in evaluated), reverse=True)[:spec.top_k]
         assert len(evaluated) == 40 + 2 * 2 * 12
         assert [(c.score, c.detail["soft_score"]) for c in out] == best
+        assert dumps(out) == dumps(reference)
 
     def test_mode_sequence_objective(self):
         template = make_config(th=0.6, tm=0.5, tc=0.2, wh=1.5, wc=0.75,
@@ -148,3 +235,109 @@ class TestRunSearch:
         assert out[0].score >= 3
         assert out[0].detail["distinct_modes"]
         assert out[0].detail["runs"]
+
+
+def _varied(spec, **vary):
+    return dataclasses.replace(spec, vary={**spec.vary, **vary})
+
+
+# name -> (template, spec); each stage of "blocks" spans several kernel blocks
+REFERENCE_CASES = {
+    "plain": (transistor_template(), window_spec(refine_rounds=2)),
+    "log_range": (transistor_template(), _varied(
+        window_spec(refine_rounds=2),
+        **{"hot.width": tt.VaryRange(0.01, 0.2, "log"),
+           "cold.kappa": tt.VaryRange(1e-4, 0.05, "log")})),
+    "blocks": (transistor_template(), dataclasses.replace(
+        window_spec(samples=90, refine_rounds=2, refine_samples=30),
+        omega_count=481)),
+    "invalid": (transistor_template(), _varied(
+        window_spec(refine_rounds=2),
+        **{"hot.temperature": tt.VaryRange(0.15, 0.66)})),
+    "cold_kappa_0": (make_config(drive=0.3, th=0.55, tm=0.2, tc=0.19, wh=1.7,
+                                 wc=1.7, kh=0.01, kc=0.0),
+                     window_spec(refine_rounds=2)),
+    "hot_kappa_0": (make_config(drive=0.3, th=0.55, tm=0.2, tc=0.19, wh=1.7,
+                                wc=1.7, kh=0.0, kc=0.01),
+                    window_spec(refine_rounds=2)),
+}
+
+
+class TestBatchedSearch:
+    """The batched search against the per-candidate loop, byte for byte."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 5, 7])
+    @pytest.mark.parametrize("objective", search.OBJECTIVES)
+    @pytest.mark.parametrize("case", list(REFERENCE_CASES))
+    def test_matches_per_candidate_reference(self, case, objective, seed):
+        template, spec = REFERENCE_CASES[case]
+        spec = dataclasses.replace(spec, objective=objective)
+        out = tt.run_search(template, spec, seed)
+        assert out
+        assert dumps(out) == dumps(reference_search(template, spec, seed))
+
+    def test_invalid_case_has_invalid_candidates(self):
+        evaluated = []
+        template, spec = REFERENCE_CASES["invalid"]
+        reference_search(template, spec, 0, evaluated)
+        invalid = sum(not math.isfinite(e[0][0]) for e in evaluated)
+        assert 0 < invalid < len(evaluated)
+
+    def test_blocks_case_spans_several_blocks(self):
+        _, spec = REFERENCE_CASES["blocks"]
+        rows = search._BLOCK_POINTS // spec.omega_count
+        assert spec.samples > 2 * rows and spec.pool * spec.refine_samples > rows
+
+    @pytest.mark.parametrize("objective", search.OBJECTIVES)
+    def test_one_candidate_per_block(self, monkeypatch, objective):
+        template, spec = REFERENCE_CASES["invalid"]
+        spec = dataclasses.replace(spec, objective=objective)
+        monkeypatch.setattr(search, "_BLOCK_POINTS", 1)
+        assert dumps(tt.run_search(template, spec, 5)) == \
+            dumps(reference_search(template, spec, 5))
+
+    @pytest.mark.parametrize("objective", search.OBJECTIVES)
+    def test_lock_to_nonpositive_parameter_scores_minus_inf(self, objective):
+        # cold.temperature = mid.temperature - 0.205 is <= 0 for part of the box
+        template = transistor_template()
+        spec = dataclasses.replace(
+            window_spec(refine_rounds=2), objective=objective,
+            lock={"cold.center": tt.LockRule(source="hot.center"),
+                  "cold.temperature": tt.LockRule(source="mid.temperature",
+                                                  offset=-0.205)})
+        evaluated = []
+        out = tt.run_search(template, spec, 7)
+        assert dumps(out) == dumps(reference_search(template, spec, 7, evaluated))
+        assert any(e[1][0]["cold.temperature"] <= 0 for e in evaluated)
+        assert out and all(c.params["cold.temperature"] > 0 for c in out)
+
+    @pytest.mark.parametrize("objective", search.OBJECTIVES)
+    def test_omega0_below_grid_scores_minus_inf(self, objective):
+        template = transistor_template()
+        spec = _varied(dataclasses.replace(window_spec(refine_rounds=2),
+                                           objective=objective),
+                       **{"wm.omega0": tt.VaryRange(0.9, 1.2)})
+        evaluated = []
+        out = tt.run_search(template, spec, 7)
+        assert dumps(out) == dumps(reference_search(template, spec, 7, evaluated))
+        assert any(e[1][0]["wm.omega0"] <= spec.omega_stop for e in evaluated)
+        assert out and all(c.params["wm.omega0"] > spec.omega_stop for c in out)
+
+    @pytest.mark.parametrize("objective", search.OBJECTIVES)
+    def test_kernel_calls_per_block(self, monkeypatch, objective):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(np.broadcast_shapes(*(np.shape(a) for a in args)))
+            return real(*args, **kwargs)
+
+        real = search.thermo_batch
+        monkeypatch.setattr(search, "thermo_batch", counting)
+        template, spec = REFERENCE_CASES["blocks"]
+        spec = dataclasses.replace(spec, objective=objective)
+        tt.run_search(template, spec, 0)
+        rows = search._BLOCK_POINTS // spec.omega_count
+        stages = [spec.samples] + [spec.pool * spec.refine_samples] * spec.refine_rounds
+        blocks = sum(-(-n // rows) for n in stages)
+        assert len(calls) <= blocks + 1
+        assert all(n * m <= search._BLOCK_POINTS for n, m in calls)

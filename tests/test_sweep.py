@@ -105,6 +105,13 @@ class TestRunSweep:
             tt.SweepSpec(template=default_config,
                          axis1=tt.Axis("drive_freq", 0.2, 1.5, 5))
 
+    @pytest.mark.parametrize("start,stop", [(1.0, np.inf), (1.0, np.nan),
+                                            (-np.inf, 2.0), (np.nan, 2.0)])
+    def test_non_finite_axis_bound_names_axis(self, start, stop):
+        with pytest.raises(ConfigError,
+                           match="axis hot.center: start and stop must be finite"):
+            tt.Axis("hot.center", start, stop, 3)
+
 
 class TestTwoTerminalReduction:
     def test_cold_decoupled_yields_only_four_modes(self):
