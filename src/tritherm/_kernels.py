@@ -1,13 +1,23 @@
 """Hot numeric kernel: batched evaluation of the two-sideband closed forms.
 
 One vectorized numpy code path.  Results are bitwise reproducible and
-independent of batch size: every element goes through the same sequence of
-floating-point operations.
+independent of batch size and layout: every element goes through the same
+sequence of floating-point operations, whether it arrives as a scalar, in
+a flat batch or in a broadcast block such as ``(C, 1)`` against ``(1, n)``.
+The arguments are used as given, numpy broadcasting each operation, so no
+input is copied to full size and 0-d inputs stay scalars.  Squares are
+written ``x * x``: on a numpy scalar ``x ** 2`` calls ``pow``, which
+differs from the array square in the last bit on some arguments.
 
-Each batch call fills an ``(n, 7)`` float64 array with columns
-``j_hot, j_cold, j_mid, power, entropy_rate, entropy_pos, entropy_neg``.
-With ``slopes=True`` two more columns hold the exact derivatives of
-``j_hot`` and ``power`` in the drive frequency, from the same pass.
+Each call fills an array of shape ``broadcast_shape + (7,)`` whose last axis
+holds ``j_hot, j_cold, j_mid, power, entropy_rate, entropy_pos,
+entropy_neg``.  With ``slopes=True`` two more columns hold the exact
+derivatives of ``j_hot`` and ``power`` in the drive frequency, from the
+same pass.
+
+Large batches are cut into blocks of ``BLOCK_POINTS`` points by the
+callers (sweeps, searches), which keeps the temporaries of one call in
+cache.
 """
 
 from __future__ import annotations
@@ -17,6 +27,10 @@ import numpy as np
 NCOLS = 7
 COL_JH, COL_JC, COL_JM, COL_P, COL_S, COL_SPOS, COL_SNEG = range(NCOLS)
 COL_DJH, COL_DP = NCOLS, NCOLS + 1   # present only with slopes=True
+
+# Points per kernel call of a sweep or search block: a 9-column table is
+# then 1.2 MB, so a block's temporaries stay in a 2-4 MB L2 cache.
+BLOCK_POINTS = 16384
 
 _BOSE_CUTOFF = 1e-5
 
@@ -28,27 +42,35 @@ def bose_pos(x):
     The caller guarantees ``x > 0`` (``0 < drive < omega0``, ``T > 0``) and
     silences the overflow of ``expm1`` for large arguments (the result is 0).
     """
-    return np.where(x < _BOSE_CUTOFF,
-                    1.0 / x - 0.5 + x / 12.0,
-                    1.0 / np.expm1(np.where(x < _BOSE_CUTOFF, 1.0, x)))
+    if np.ndim(x) == 0:
+        return 1.0 / x - 0.5 + x / 12.0 if x < _BOSE_CUTOFF else 1.0 / np.expm1(x)
+    small = x < _BOSE_CUTOFF
+    n = 1.0 / np.expm1(np.where(small, 1.0, x))
+    if small.any():   # rare: the series only where it is used
+        xs = x[small]
+        n[small] = 1.0 / xs - 0.5 + xs / 12.0
+    return n
 
 
 def _sideband(s, t, nbm, w, g, dmg, slopes):
     """``L(s) = dmg s / D``, ``dn = n(s/t) - nbm`` and, with ``slopes``, the
     derivative ``H'(s)`` of ``H = L dn`` at one sideband ``s``."""
     n = bose_pos(s / t)
-    if not slopes:  # names no temporaries, so a plain batch stays lean
-        return dmg * s / ((s * s - w * w) ** 2 + g * g * s * s), n - nbm, None
+    dn = n - nbm
     q = s * s - w * w
-    den = q ** 2 + g * g * s * s
+    gss = g * g * s * s
+    den = q * q + gss
     lor = dmg * s / den
-    dlor = lor * (-q * (3.0 * s * s + w * w) - g * g * s * s) / (s * den)
-    return lor, n - nbm, dlor * (n - nbm) - lor * (n * (n + 1.0) / t)
+    if not slopes:
+        return lor, dn, None
+    dlor = lor * (-q * (3.0 * s * s + w * w) - gss) / (s * den)
+    return lor, dn, dlor * dn - lor * (n * (n + 1.0) / t)
 
 
-def _bath(sp, sm, drv, pref, nbm, w0, m, t, w, g, k, slopes):
+def _bath(sp, sm, drv, pref, nbm, w0, m, t, w, g, k, slopes, with_dj):
     """Heat current and power share of one dynamically coupled bath, and
-    with ``slopes`` their drive derivatives (else None).
+    with ``slopes`` the drive derivative of the power share and, if
+    ``with_dj``, of the current (each else None).
 
     The bath exchanges quanta at both sidebands ``sp = w0 + drv`` and
     ``sm = w0 - drv``, weighted by its Lorentzian spectral density there and
@@ -62,25 +84,25 @@ def _bath(sp, sm, drv, pref, nbm, w0, m, t, w, g, k, slopes):
     if not slopes:
         return j, p, None, None
     hp, hm = lp * dnp_, lm * dnm_   # dsp/ddrv = 1, dsm/ddrv = -1
-    dj = pref * ((hp + sp * dhp) - (hm + sm * dhm))
+    dj = pref * ((hp + sp * dhp) - (hm + sm * dhm)) if with_dj else None
     dp = -pref * ((hp - hm) + drv * (dhp + dhm))
     return j, p, dj, dp
 
 
 def _thermo(w0, m, drv, th, tm, tc, wh, gh, kh, wc, gc, kc, out):
-    slopes = out.shape[1] > NCOLS
+    slopes = out.shape[-1] > NCOLS
     with np.errstate(over="ignore"):
         sp = w0 + drv
         sm = w0 - drv
         pref = 1.0 / (4.0 * m * w0)
         nbm = bose_pos(w0 / tm)
         j_hot, p_hot, dj_hot, dp_hot = _bath(
-            sp, sm, drv, pref, nbm, w0, m, th, wh, gh, kh, slopes)
+            sp, sm, drv, pref, nbm, w0, m, th, wh, gh, kh, slopes, True)
         j_cold, p_cold, _, dp_cold = _bath(
-            sp, sm, drv, pref, nbm, w0, m, tc, wc, gc, kc, slopes)
+            sp, sm, drv, pref, nbm, w0, m, tc, wc, gc, kc, slopes, False)
         if slopes:
-            out[:, COL_DJH] = dj_hot
-            out[:, COL_DP] = dp_hot + dp_cold
+            out[..., COL_DJH] = dj_hot
+            out[..., COL_DP] = dp_hot + dp_cold
 
         power = p_hot + p_cold
         j_mid = -power - j_hot - j_cold
@@ -88,15 +110,15 @@ def _thermo(w0, m, drv, th, tm, tc, wh, gh, kh, wc, gc, kc, out):
         t1 = power / tm
         t2 = (j_cold / tm) * (1.0 - tm / tc)
         t3 = (j_hot / tm) * (1.0 - tm / th)
-        out[:, COL_JH] = j_hot
-        out[:, COL_JC] = j_cold
-        out[:, COL_JM] = j_mid
-        out[:, COL_P] = power
-        out[:, COL_S] = t1 + t2 + t3
+        out[..., COL_JH] = j_hot
+        out[..., COL_JC] = j_cold
+        out[..., COL_JM] = j_mid
+        out[..., COL_P] = power
+        out[..., COL_S] = t1 + t2 + t3
         # each balance term goes to the positive or the negative split
         terms = (t1, t2, t3)
-        out[:, COL_SPOS] = sum(np.where(t > 0.0, t, 0.0) for t in terms)
-        out[:, COL_SNEG] = sum(np.where(t < 0.0, t, 0.0) for t in terms)
+        out[..., COL_SPOS] = sum(np.where(t > 0.0, t, 0.0) for t in terms)
+        out[..., COL_SNEG] = sum(np.where(t < 0.0, t, 0.0) for t in terms)
     return out
 
 
@@ -105,19 +127,17 @@ def thermo_batch(omega0, mass, drive, t_hot, t_mid, t_cold,
                  slopes: bool = False) -> np.ndarray:
     """Evaluate currents, power, and entropy split for a batch of machines.
 
-    All twelve parameters broadcast against each other; scalars are fine.
-    Returns an array of shape ``broadcast_shape + (7,)`` with the columns
-    ``COL_JH .. COL_SNEG``; ``slopes`` appends ``COL_DJH`` and ``COL_DP``.
-    Inputs must satisfy ``0 < drive < omega0`` and positive temperatures;
-    this is the caller's responsibility (the wrappers in
-    :mod:`tritherm.currents` and :mod:`tritherm.sweep` enforce it).
+    All twelve parameters broadcast against each other; scalars are fine
+    and are never expanded.  Returns an array of shape
+    ``broadcast_shape + (7,)`` with the columns ``COL_JH .. COL_SNEG``;
+    ``slopes`` appends ``COL_DJH`` and ``COL_DP``.  Inputs must satisfy
+    ``0 < drive < omega0`` and positive temperatures; this is the caller's
+    responsibility (the wrappers in :mod:`tritherm.currents` and
+    :mod:`tritherm.sweep` enforce it).
     """
-    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64) for a in (
+    args = [np.asarray(a, dtype=np.float64)[()] for a in (
         omega0, mass, drive, t_hot, t_mid, t_cold,
-        w_hot, g_hot, k_hot, w_cold, g_cold, k_cold)))
-    shape = arrays[0].shape
-    flat = [np.ascontiguousarray(a.ravel()) for a in arrays]
+        w_hot, g_hot, k_hot, w_cold, g_cold, k_cold)]
     ncols = NCOLS + 2 if slopes else NCOLS
-    out = np.empty((flat[0].size, ncols))
-    _thermo(*flat, out)
-    return out.reshape(shape + (ncols,))
+    out = np.empty(np.broadcast_shapes(*{a.shape for a in args}) + (ncols,))
+    return _thermo(*args, out)

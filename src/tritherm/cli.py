@@ -16,7 +16,7 @@ the key order they were written with: the order of ``search.vary`` fixes
 the Latin-hypercube dimensions.
 
 ``sweep --threads`` and ``TRITHERM_THREADS`` are accepted and ignored; a
-sweep runs as one batch.
+sweep runs in blocks of ``_kernels.BLOCK_POINTS`` points in one thread.
 
 Exit codes: 0 success, 1 validation/parse error, 2 runtime error.
 """
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="also write <out>.json with a metadata header")
     p.add_argument("--threads", type=int,
-                   help="deprecated and ignored; the sweep runs as one batch")
+                   help="deprecated and ignored; the sweep runs in one thread")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("transistor", help="r/g trace over a drive range")

@@ -106,9 +106,10 @@ def check_drive(drive_freq, omega0) -> None:
             f"(0, {omega0}); both sideband frequencies must stay positive")
 
 
-def _evaluate_row(config: MachineConfig) -> np.ndarray:
+def _evaluate_row(config: MachineConfig, slopes: bool = False) -> np.ndarray:
+    """The kernel row of one config, computed on scalars."""
     check_drive(config.drive_freq, config.wm.omega0)
-    return thermo_batch(*[np.array([a]) for a in config_args(config)])[0]
+    return thermo_batch(*map(np.float64, config_args(config)), slopes=slopes)
 
 
 def heat_current(config: MachineConfig, which: str = "hot") -> float:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import qmc
 
+from . import _kernels
 from ._kernels import COL_DP, COL_JC, COL_JH, COL_JM, COL_P, thermo_batch
 from .core import ConfigError, MachineConfig, PARAM_PATHS, as_mapping, get_field
 from .currents import KERNEL_PATHS
@@ -31,8 +32,6 @@ __all__ = ["VaryRange", "LockRule", "SearchSpec", "Candidate", "run_search"]
 OBJECTIVES = ("transistor_window", "mode_sequence")
 
 _SOFT_CAP = 1e9
-
-_BLOCK_POINTS = 12288   # candidates x omega points per kernel call: bounded memory
 
 # The kernel arguments, then mid.gamma_m, which must only be positive
 _ARG_PATHS = KERNEL_PATHS + ("mid.gamma_m",)
@@ -257,12 +256,12 @@ def _details(spec: SearchSpec, grid, cols):
 def _stage(template, spec, grid, units, first: int) -> list:
     """Entries ``(score, order, u, params)`` of the unit-cube samples
     ``units``, with orders counted from ``first``.  Valid candidates are
-    scored in blocks of at most ``_BLOCK_POINTS`` points; invalid ones
-    score ``-inf``."""
+    scored in blocks of at most ``_kernels.BLOCK_POINTS`` points; invalid
+    ones score ``-inf``."""
     params, cols, valid = _columns(template, spec, units, grid)
     scores = np.full((len(params), 2), -np.inf)
     valid = np.flatnonzero(valid)
-    step = max(_BLOCK_POINTS // grid.size, 1)
+    step = max(_kernels.BLOCK_POINTS // grid.size, 1)
     for i in range(0, valid.size, step):
         rows = valid[i:i + step]
         scores[rows] = _scores(spec, grid, cols[rows])
@@ -288,7 +287,9 @@ def run_search(template: MachineConfig, spec: SearchSpec, seed: int) -> list[Can
     """
     dim = len(spec.vary)
     grid = np.linspace(spec.omega_start, spec.omega_stop, spec.omega_count)
-    if grid[-1] >= template.wm.omega0:
+    # a varied or locked omega0 is checked against the grid per candidate
+    fixed_w0 = "wm.omega0" not in spec.vary and "wm.omega0" not in spec.lock
+    if fixed_w0 and grid[-1] >= template.wm.omega0:
         raise ConfigError("search omega grid must stay below omega0")
 
     sampler = qmc.LatinHypercube(d=dim, seed=seed)

@@ -1,10 +1,11 @@
 """Parameter sweeps: mode maps, exergy maps, and transistor traces.
 
-All valid cells of a grid are evaluated in one batch-kernel call; cells
-whose parameters violate preconditions (temperature ordering, drive range,
-positive peak frequencies) are emitted as error cells carrying NaN values
-and an error code, so maps keep their rectangular shape.  Every cell is
-bitwise identical to a single-point evaluation at the same parameters.
+The valid cells of a grid are evaluated in blocks of
+``_kernels.BLOCK_POINTS`` batch-kernel points; cells whose parameters
+violate preconditions (temperature ordering, drive range, positive peak
+frequencies) are emitted as error cells carrying NaN values and an error
+code, so maps keep their rectangular shape.  Every cell is bitwise
+identical to a single-point evaluation at the same parameters.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import COL_SNEG, COL_SPOS, NCOLS, thermo_batch
+from . import _kernels
+from ._kernels import (COL_JC, COL_JH, COL_JM, COL_P, COL_SNEG, COL_SPOS, NCOLS,
+                       thermo_batch)
 from .core import ConfigError, MachineConfig, as_mapping, get_field
 from .currents import KERNEL_PATHS, ThermoPoint, config_args
 from .modes import (ERROR_CODE, MODE_BY_CODE, classify_coupled_arrays,
@@ -293,8 +296,10 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
 
     Cells are laid out row-major over (axis1, axis2).  Cells violating
     preconditions are marked with an error code and carry NaN values and
-    the mode label ``error`` rather than being dropped.  ``threads`` is
-    accepted for compatibility and ignored: the sweep runs as one batch.
+    the mode label ``error`` rather than being dropped.  The valid cells
+    are evaluated in blocks of ``BLOCK_POINTS``, each written straight into
+    the result arrays.  ``threads`` is accepted for compatibility and
+    ignored.
     """
     template = spec.template
     a1 = spec.axis1.values()
@@ -303,50 +308,50 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     n2 = 1 if a2 is None else len(a2)
     n = n1 * n2
 
-    base = config_args(template)
-    cols = [np.full(n, v) for v in base]
+    # template values stay scalars; only the swept columns are arrays
+    cols = [np.float64(v) for v in config_args(template)]
     _apply_axis(cols, spec.axis1.param, np.repeat(a1, n2), template)
     if a2 is not None:
         _apply_axis(cols, spec.axis2.param, np.tile(a2, n1), template)
+    swept = [i for i, c in enumerate(cols) if np.ndim(c)]
 
-    error_codes = _cell_errors(cols)
-    idx = np.flatnonzero(error_codes == 0)
-
-    thermo, r, g = _thermo_columns(cols, idx, n, "transistor" in spec.outputs)
+    error_codes = _cell_errors(cols, n)
+    valid = np.flatnonzero(error_codes == 0)
+    transistor = "transistor" in spec.outputs
+    thermo = np.full((n, NCOLS), np.nan)
     mode_codes = np.full(n, ERROR_CODE, dtype=np.int8)
-    mode_codes[idx] = classify_coupled_arrays(
-        template.hot.kappa, template.cold.kappa,
-        thermo[idx, 0], thermo[idx, 1], thermo[idx, 2], thermo[idx, 3])
     phi = np.full(n, np.nan)
-    phi[idx] = exergy_from_split(thermo[idx, COL_SPOS], thermo[idx, COL_SNEG])
+    r, g = (np.full(n, np.nan), np.full(n, np.nan)) if transistor else (None, None)
+    for start in range(0, valid.size, _kernels.BLOCK_POINTS):
+        rows = valid[start:start + _kernels.BLOCK_POINTS]
+        if rows[-1] - rows[0] + 1 == rows.size:   # a run of cells: views, no scatter
+            rows = slice(rows[0], rows[-1] + 1)
+        args = list(cols)
+        for i in swept:
+            args[i] = cols[i][rows]
+        table = thermo_batch(*args, slopes=transistor)
+        thermo[rows] = table[:, :NCOLS]
+        mode_codes[rows] = classify_coupled_arrays(
+            template.hot.kappa, template.cold.kappa,
+            *(table[:, c] for c in (COL_JH, COL_JC, COL_JM, COL_P)))
+        phi[rows] = exergy_from_split(table[:, COL_SPOS], table[:, COL_SNEG])
+        if transistor:
+            r[rows], g[rows] = _figures(table)
     return SweepResult(spec, a1, a2, thermo, mode_codes, phi, r, g,
                        error_codes)
 
 
-def _cell_errors(cols) -> np.ndarray:
-    """Code into ERROR_MESSAGES of every cell; the first failed check wins."""
-    w0 = cols[0]
-    drv, th, tm, tc = cols[2], cols[3], cols[4], cols[5]
-    wh, wc = cols[6], cols[9]
-    codes = np.zeros(len(drv), dtype=np.int8)
-    codes[(wh <= 0.0) | (wc <= 0.0)] = 3
-    codes[~((th > tm) & (tm > tc) & (tc > 0.0))] = 2
-    codes[(drv <= 0.0) | (drv >= w0)] = 1
+def _cell_errors(cols, n: int) -> np.ndarray:
+    """Code into ERROR_MESSAGES of each of the ``n`` cells, from columns
+    that are arrays or scalars; the first failed check wins."""
+    w0, _, drv, th, tm, tc, wh, _, _, wc = cols[:10]
+    codes = np.zeros(n, dtype=np.int8)
+    # np.logical_not, not ~: on a Python bool ~True is -2, an index
+    for code, bad in ((3, (wh <= 0.0) | (wc <= 0.0)),
+                      (2, np.logical_not((th > tm) & (tm > tc) & (tc > 0.0))),
+                      (1, (drv <= 0.0) | (drv >= w0))):
+        codes[np.broadcast_to(bad, n)] = code
     return codes
-
-
-def _thermo_columns(cols, idx, n, transistor):
-    """Kernel columns of the valid cells ``idx`` spread over all ``n`` cells
-    (NaN elsewhere); with ``transistor`` also the r and g columns, from the
-    same kernel call, else None."""
-    table = thermo_batch(*[c[idx] for c in cols], slopes=transistor)
-    thermo = np.full((n, NCOLS), np.nan)
-    thermo[idx] = table[:, :NCOLS]
-    if not transistor:
-        return thermo, None, None
-    r, g = np.full(n, np.nan), np.full(n, np.nan)
-    r[idx], g[idx] = _figures(table)
-    return thermo, r, g
 
 
 def resonance_lines(spec: SweepSpec) -> tuple[tuple[float, float], tuple[float, float]]:

@@ -24,7 +24,7 @@ import numpy as np
 from ._kernels import (COL_DJH, COL_DP, COL_JC, COL_JH, COL_JM, COL_P,
                        thermo_batch)
 from .core import DomainError, MachineConfig
-from .currents import SIGN_ZERO_BAND, check_drive, config_args
+from .currents import SIGN_ZERO_BAND, _evaluate_row, check_drive, config_args
 
 __all__ = [
     "DEFAULT_THRESHOLD",
@@ -127,12 +127,13 @@ def _figures(table):
 def transistor_point(config: MachineConfig) -> TransistorPoint:
     """Evaluate r, g and the underlying derivatives at the config's drive,
     which must lie in (0, omega0)."""
-    trace = transistor_trace(config, [config.drive_freq])
+    row = _evaluate_row(config, slopes=True)
+    r, g = _figures(row)
     return TransistorPoint(
-        omega_drive=config.drive_freq,
-        **{k: float(getattr(trace, k)[0]) for k in
-           ("r", "g", "djh_domega", "dp_domega", "j_hot", "power")},
-        g_reliable=bool(trace.g_reliable[0]))
+        omega_drive=config.drive_freq, r=float(r), g=float(g),
+        djh_domega=float(row[COL_DJH]), dp_domega=float(row[COL_DP]),
+        j_hot=float(row[COL_JH]), power=float(row[COL_P]),
+        g_reliable=bool(abs(row[COL_DP]) >= GAIN_RELIABLE_BAND))
 
 
 def transistor_trace(config: MachineConfig, omega_grid) -> TransistorTrace:

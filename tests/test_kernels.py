@@ -1,0 +1,144 @@
+"""The kernel gives the same bits whatever the layout of its arguments:
+0-d scalars, a flat batch, a ``(C, 1)`` x ``(1, n)`` block, or template
+scalars against one swept column; and the scalar API equals its batch row."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import tritherm as tt
+from tritherm import _kernels
+from tritherm._kernels import COL_DJH, COL_DP, COL_JH, COL_P
+from tritherm.modes import MODE_BY_CODE, classify_coupled_arrays
+from tritherm.transistor import GAIN_RELIABLE_BAND, _figures
+
+from conftest import config_from_params, make_config, random_valid_batch
+
+ARG_NAMES = ("omega0", "mass", "drive_freq", "hot_temperature", "mid_temperature",
+             "cold_temperature", "hot_center", "hot_width", "hot_kappa",
+             "cold_center", "cold_width", "cold_kappa")
+DRIVE = ARG_NAMES.index("drive_freq")
+
+
+def block_args(candidates: dict, drives) -> list:
+    """``(C, 1)`` columns of the candidates against a ``(1, n)`` drive row."""
+    args = [np.asarray(candidates[name])[:, None] for name in ARG_NAMES]
+    args[DRIVE] = np.asarray(drives)[None, :]
+    return args
+
+
+def flat_table(args, slopes) -> np.ndarray:
+    """The kernel on contiguous full-size copies of broadcast ``args``."""
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    flat = [np.ascontiguousarray(np.broadcast_to(a, shape)).ravel() for a in args]
+    return _kernels.thermo_batch(*flat, slopes=slopes).reshape(shape + (-1,))
+
+
+def bits(*values) -> bytes:
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_layouts_agree(candidates: dict, drives, slopes, cells=200, seed=0):
+    args = block_args(candidates, drives)
+    want = flat_table(args, slopes)
+    assert_bitwise(_kernels.thermo_batch(*args, slopes=slopes), want)
+    # the sweep layout: template scalars against one swept column
+    row = [np.float64(a[0, 0]) for a in args]
+    row[DRIVE] = np.asarray(drives)
+    assert_bitwise(_kernels.thermo_batch(*row, slopes=slopes), want[0])
+    rng = np.random.default_rng(seed)
+    for i, j in zip(rng.integers(0, want.shape[0], cells),
+                    rng.integers(0, want.shape[1], cells)):
+        point = [a[min(i, a.shape[0] - 1), min(j, a.shape[1] - 1)] for a in args]
+        for scalar in (np.float64, float, np.array):
+            scalars = list(map(scalar, point))
+            assert_bitwise(_kernels.thermo_batch(*scalars, slopes=slopes),
+                           want[i, j])
+
+
+@pytest.mark.parametrize("slopes", [False, True])
+class TestLayouts:
+    def test_seeded_batch(self, slopes):
+        # 250 candidates x 401 drives: 100250 points
+        candidates = random_valid_batch(250, seed=2024)
+        drives = np.random.default_rng(5).uniform(0.01, 0.99, 401)
+        assert_layouts_agree(candidates, drives, slopes)
+
+    def test_oracle_sets(self, reference_sets, slopes):
+        params = [rec["params"] for rec in reference_sets]
+        assert len(params) == 25
+        args = [np.array([p[name] for p in params]) for name in ARG_NAMES]
+        want = _kernels.thermo_batch(*args, slopes=slopes)
+        for k, p in enumerate(params):
+            scalars = [np.float64(p[name]) for name in ARG_NAMES]
+            assert_bitwise(_kernels.thermo_batch(*scalars, slopes=slopes), want[k])
+
+    def test_high_temperature_series_branch(self, slopes):
+        # rows alternate between Bose arguments below and above the 1e-5
+        # series cutoff, so one block takes both branches
+        candidates = random_valid_batch(40, seed=77)
+        hot = np.arange(40) % 2 == 0
+        for name, t in (("hot_temperature", 4e5), ("mid_temperature", 3e5),
+                        ("cold_temperature", 1e5)):
+            candidates[name] = np.where(hot, t, candidates[name])
+        drives = np.linspace(0.02, 0.98, 97)
+        x = (1.0 + drives) / candidates["hot_temperature"][:, None]
+        assert (x < _kernels._BOSE_CUTOFF).any() and (x > _kernels._BOSE_CUTOFF).any()
+        assert_layouts_agree(candidates, drives, slopes, cells=100)
+
+
+class TestSquares:
+    def test_scalar_square_differs_from_product_but_kernel_does_not(self):
+        # ``np.float64(q) ** 2`` calls pow, which misses the correctly rounded
+        # ``q * q`` on some arguments; the kernel squares by multiplying
+        rng = np.random.default_rng(12)
+        s, w = rng.uniform(0.02, 2.5, (2, 20000))
+        q = s * s - w * w
+        assert_bitwise(q ** 2, q * q)   # the array square is the product
+        hit = [k for k in range(q.size) if np.float64(q[k]) ** 2 != q[k] * q[k]]
+        assert hit
+        k = hit[0]
+        args = (0.3, 0.1, w[k], 0.05, 2e-4)   # t, nbm, w, g, dmg
+        scalar = _kernels._sideband(np.float64(s[k]), *map(np.float64, args), True)
+        array = _kernels._sideband(s[k:k + 1], *(np.array([a]) for a in args), True)
+        for got, want in zip(scalar, array):
+            assert np.float64(got).tobytes() == want.tobytes()
+
+
+class TestScalarApi:
+    def test_point_report_and_transistor_equal_batch_row(self):
+        n = 5000
+        batch = random_valid_batch(n, seed=31337)
+        batch["hot_kappa"][::7] = 0.0    # reduced taxonomies too
+        batch["cold_kappa"][3::11] = 0.0
+        args = [batch[name] for name in ARG_NAMES]
+        table = _kernels.thermo_batch(*args, slopes=True)
+        codes = classify_coupled_arrays(batch["hot_kappa"], batch["cold_kappa"],
+                                        *(table[:, c] for c in range(4)))
+        r, g = _figures(table)
+        for k in range(n):
+            cfg = config_from_params({name: float(batch[name][k]) for name in ARG_NAMES})
+            row = table[k]
+            point = tt.evaluate_point(cfg)
+            assert bits(*dataclasses.astuple(point)) == row[:_kernels.NCOLS].tobytes()
+            report = tt.mode_report(cfg)
+            assert report.point == point and report.mode is MODE_BY_CODE[codes[k]]
+            temps = (cfg.hot.temperature, cfg.mid.temperature, cfg.cold.temperature)
+            assert bits(report.exergy) == bits(tt.exergy_efficiency(point, temps))
+            tp = tt.transistor_point(cfg)
+            assert bits(tp.r, tp.g, tp.djh_domega, tp.dp_domega, tp.j_hot, tp.power) \
+                == bits(r[k], g[k], *row[[COL_DJH, COL_DP, COL_JH, COL_P]])
+            assert tp.g_reliable == (abs(row[COL_DP]) >= GAIN_RELIABLE_BAND)
+
+    def test_transistor_point_equals_trace_row(self):
+        cfg = make_config(drive=0.37)
+        tp = tt.transistor_point(cfg)
+        trace = tt.transistor_trace(cfg, [0.37])
+        assert bits(tp.r, tp.g, tp.djh_domega, tp.dp_domega) == bits(
+            trace.r[0], trace.g[0], trace.djh_domega[0], trace.dp_domega[0])

@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import qmc
 
 import tritherm as tt
-from tritherm import search
+from tritherm import _kernels, search
 from tritherm.core import ConfigError, DomainError
 from tritherm.modes import OperatingMode
 from tritherm.transistor import window_mask
@@ -54,7 +55,8 @@ def reference_search(template, spec, seed, evaluated=None):
     """
     evaluated = [] if evaluated is None else evaluated
     grid = np.linspace(spec.omega_start, spec.omega_stop, spec.omega_count)
-    if grid[-1] >= template.wm.omega0:
+    # a varied or locked omega0 meets the grid in each candidate's checks
+    if "wm.omega0" not in {**spec.vary, **spec.lock} and grid[-1] >= template.wm.omega0:
         raise ConfigError("search omega grid must stay below omega0")
 
     def evaluate(u):
@@ -285,14 +287,14 @@ class TestBatchedSearch:
 
     def test_blocks_case_spans_several_blocks(self):
         _, spec = REFERENCE_CASES["blocks"]
-        rows = search._BLOCK_POINTS // spec.omega_count
+        rows = _kernels.BLOCK_POINTS // spec.omega_count
         assert spec.samples > 2 * rows and spec.pool * spec.refine_samples > rows
 
     @pytest.mark.parametrize("objective", search.OBJECTIVES)
     def test_one_candidate_per_block(self, monkeypatch, objective):
         template, spec = REFERENCE_CASES["invalid"]
         spec = dataclasses.replace(spec, objective=objective)
-        monkeypatch.setattr(search, "_BLOCK_POINTS", 1)
+        monkeypatch.setattr(_kernels, "BLOCK_POINTS", 1)
         assert dumps(tt.run_search(template, spec, 5)) == \
             dumps(reference_search(template, spec, 5))
 
@@ -324,6 +326,47 @@ class TestBatchedSearch:
         assert out and all(c.params["wm.omega0"] > spec.omega_stop for c in out)
 
     @pytest.mark.parametrize("objective", search.OBJECTIVES)
+    @pytest.mark.parametrize("how", ["vary", "lock"])
+    def test_omega0_above_grid_only_in_candidates_searches(self, how, objective):
+        # the template's omega0 lies below the grid end, every candidate's above
+        template = tt.apply_params(transistor_template(), {"wm.omega0": 0.9})
+        spec = dataclasses.replace(window_spec(refine_rounds=2), objective=objective)
+        if how == "vary":
+            spec = _varied(spec, **{"wm.omega0": tt.VaryRange(1.2, 1.5)})
+        else:   # hot.center ranges over [1.4, 1.9]
+            spec = dataclasses.replace(spec, lock={
+                **spec.lock, "wm.omega0": tt.LockRule(source="hot.center", offset=-0.2)})
+        out = tt.run_search(template, spec, 7)
+        assert out and all(1.2 <= c.params["wm.omega0"] <= 1.7 for c in out)
+        assert dumps(out) == dumps(reference_search(template, spec, 7))
+
+    def test_fixed_omega0_below_grid_raises(self):
+        template = tt.apply_params(transistor_template(), {"wm.omega0": 0.9})
+        with pytest.raises(ConfigError, match="grid must stay below omega0"):
+            tt.run_search(template, window_spec(), 7)
+
+    @pytest.mark.parametrize("objective", search.OBJECTIVES)
+    def test_block_memory_is_bounded(self, objective):
+        # one block of C x omega points peaks below four kernel tables; a
+        # copy of the twelve inputs to full size adds 12/7 or 12/9 of one
+        spec = dataclasses.replace(window_spec(), objective=objective,
+                                   omega_count=481)
+        grid = np.linspace(spec.omega_start, spec.omega_stop, spec.omega_count)
+        units = np.random.default_rng(0).random(
+            (_kernels.BLOCK_POINTS // grid.size, len(spec.vary)))
+        _, cols, valid = search._columns(transistor_template(), spec, units, grid)
+        assert valid.all()
+        search._scores(spec, grid, cols)
+        tracemalloc.start()
+        try:
+            search._scores(spec, grid, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ncols = _kernels.NCOLS + 2 if objective == "transistor_window" else _kernels.NCOLS
+        assert peak <= 4 * _kernels.BLOCK_POINTS * ncols * 8
+
+    @pytest.mark.parametrize("objective", search.OBJECTIVES)
     def test_kernel_calls_per_block(self, monkeypatch, objective):
         calls = []
 
@@ -336,8 +379,8 @@ class TestBatchedSearch:
         template, spec = REFERENCE_CASES["blocks"]
         spec = dataclasses.replace(spec, objective=objective)
         tt.run_search(template, spec, 0)
-        rows = search._BLOCK_POINTS // spec.omega_count
+        rows = _kernels.BLOCK_POINTS // spec.omega_count
         stages = [spec.samples] + [spec.pool * spec.refine_samples] * spec.refine_rounds
         blocks = sum(-(-n // rows) for n in stages)
         assert len(calls) <= blocks + 1
-        assert all(n * m <= search._BLOCK_POINTS for n, m in calls)
+        assert all(n * m <= _kernels.BLOCK_POINTS for n, m in calls)

@@ -1,13 +1,16 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import tritherm as tt
+from tritherm import _kernels
 from tritherm.core import ConfigError
+from tritherm.currents import config_args
 from tritherm.modes import ERROR_CODE, MODE_BY_CODE, OperatingMode
-from tritherm.sweep import _CHUNK_ROWS
+from tritherm.sweep import _CHUNK_ROWS, _cell_errors
 
 from conftest import make_config
 
@@ -111,6 +114,88 @@ class TestRunSweep:
         with pytest.raises(ConfigError,
                            match="axis hot.center: start and stop must be finite"):
             tt.Axis("hot.center", start, stop, 3)
+
+def _outputs(transistor: bool) -> frozenset:
+    extra = {"transistor"} if transistor else set()
+    return frozenset({"currents", "mode", "exergy"} | extra)
+
+
+def _arrays(result):
+    return [a for a in (result.thermo, result.mode_codes, result.phi, result.r,
+                        result.g, result.error_codes) if a is not None]
+
+
+# mid x cold temperature: each row ends in cells with tc >= tm, so the
+# valid cells come in runs broken by error cells
+_BLOCK_CASES = {
+    "temperatures": (make_config(), tt.Axis("mid.temperature", 0.22, 0.7, 11),
+                     tt.Axis("cold.temperature", 0.05, 0.6, 13)),
+    "locked": (make_config(), tt.Axis("hot.center_locked", 0.9, 2.1, 9),
+               tt.Axis("mid.temperature", 0.3, 0.9, 8)),
+}
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("transistor", [False, True])
+    @pytest.mark.parametrize("case", list(_BLOCK_CASES))
+    def test_blocked_sweep_equals_one_call(self, monkeypatch, case, transistor):
+        template, axis1, axis2 = _BLOCK_CASES[case]
+        spec = tt.SweepSpec(template=template, axis1=axis1, axis2=axis2,
+                            outputs=_outputs(transistor))
+        monkeypatch.setattr(_kernels, "BLOCK_POINTS", 10**9)
+        whole = tt.run_sweep(spec)
+        monkeypatch.setattr(_kernels, "BLOCK_POINTS", 7)
+        blocked = tt.run_sweep(spec)
+        valid = np.flatnonzero(blocked.error_codes == 0)
+        gaps = np.diff(valid)[6::7]   # between the last cell of a block and the next
+        assert (gaps > 1).any() and (gaps == 1).any()
+        for got, want in zip(_arrays(blocked), _arrays(whole), strict=True):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("transistor", [False, True])
+    def test_block_memory_is_bounded(self, transistor):
+        # one block of cells: beside its results, the peak stays below four
+        # kernel tables; copying the twelve inputs to full size, as columns
+        # or as kernel arguments, adds 12/7 or 12/9 of a table each time
+        spec = tt.SweepSpec(template=make_config(),
+                            axis1=tt.Axis("drive_freq", 0.02, 0.9, 16),
+                            axis2=tt.Axis("hot.center", 1.0, 2.0,
+                                          _kernels.BLOCK_POINTS // 16),
+                            outputs=_outputs(transistor))
+        tt.run_sweep(spec)
+        tracemalloc.start()
+        try:
+            result = tt.run_sweep(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ncols = _kernels.NCOLS + 2 if transistor else _kernels.NCOLS
+        kept = sum(a.nbytes for a in _arrays(result))
+        assert peak - kept <= 4 * _kernels.BLOCK_POINTS * ncols * 8
+
+
+class TestCellErrors:
+    """Template values reach the validity checks as scalars."""
+
+    def test_valid_drive_sweep_has_no_error_cells(self, default_config):
+        result = tt.run_sweep(tt.SweepSpec(template=default_config,
+                                           axis1=tt.Axis("drive_freq", 0.1, 0.9, 5)))
+        assert not result.error_codes.any()
+
+    def test_hot_temperature_crossing_mid_flags_the_crossing_cells(self, default_config):
+        axis = tt.Axis("hot.temperature", 0.1, 1.0, 10)
+        result = tt.run_sweep(tt.SweepSpec(template=default_config, axis1=axis))
+        below = axis.values() <= default_config.mid.temperature
+        assert 0 < below.sum() < axis.count
+        assert np.array_equal(result.error_codes, np.where(below, 2, 0))
+
+    @pytest.mark.parametrize("scalar", [float, np.float64])
+    def test_scalar_columns(self, default_config, scalar):
+        cols = [scalar(v) for v in config_args(default_config)]
+        assert not _cell_errors(cols, 4).any()
+        cols[4] = scalar(0.9)   # mid above hot
+        assert np.array_equal(_cell_errors(cols, 4), np.full(4, 2))
 
 
 class TestTwoTerminalReduction:
