@@ -15,12 +15,11 @@ from .core import (ConfigError, ConsistencyError, DomainError,
                    WorkingMedium, apply_params, bose_occupation,
                    spectral_lorentzian, spectral_ohmic)
 from .currents import (SIGN_ZERO_BAND, ThermoArrays, ThermoPoint,
-                       evaluate_arrays, evaluate_point, heat_current,
-                       total_power)
+                       evaluate_arrays, evaluate_point)
 from .modes import (HYBRID_MODES, ModeReport, OperatingMode, classify,
                     classify_reduced, exergy_efficiency, mode_report)
 from .search import Candidate, LockRule, SearchSpec, VaryRange, run_search
-from .sweep import (Axis, MapCell, SweepResult, SweepSpec,
+from .sweep import (Axis, SweepResult, SweepSpec,
                     mode_sequence_along_omega, resonance_lines, run_sweep)
 from .transistor import (TransistorPoint, TransistorTrace, TransistorWindow,
                          find_windows, transistor_point, transistor_trace,
@@ -32,12 +31,12 @@ __all__ = [
     "WorkingMedium", "LorentzianBath", "OhmicBath", "MachineConfig",
     "apply_params", "bose_occupation", "spectral_lorentzian", "spectral_ohmic",
     "SIGN_ZERO_BAND", "ThermoPoint", "ThermoArrays",
-    "heat_current", "total_power", "evaluate_point", "evaluate_arrays",
+    "evaluate_point", "evaluate_arrays",
     "OperatingMode", "HYBRID_MODES", "ModeReport",
     "classify", "classify_reduced", "exergy_efficiency", "mode_report",
     "TransistorPoint", "TransistorWindow", "TransistorTrace",
     "transistor_point", "transistor_trace", "find_windows", "windows_from_arrays",
-    "Axis", "SweepSpec", "MapCell", "SweepResult",
+    "Axis", "SweepSpec", "SweepResult",
     "run_sweep", "resonance_lines", "mode_sequence_along_omega",
     "VaryRange", "LockRule", "SearchSpec", "Candidate", "run_search",
 ]

@@ -105,21 +105,29 @@ def _thermo(w0, m, drv, th, tm, tc, wh, gh, kh, wc, gc, kc, out):
             out[..., COL_DP] = dp_hot + dp_cold
 
         power = p_hot + p_cold
-        j_mid = -power - j_hot - j_cold
-
-        t1 = power / tm
-        t2 = (j_cold / tm) * (1.0 - tm / tc)
-        t3 = (j_hot / tm) * (1.0 - tm / th)
         out[..., COL_JH] = j_hot
         out[..., COL_JC] = j_cold
-        out[..., COL_JM] = j_mid
+        out[..., COL_JM] = -power - j_hot - j_cold
         out[..., COL_P] = power
-        out[..., COL_S] = t1 + t2 + t3
-        # each balance term goes to the positive or the negative split
-        terms = (t1, t2, t3)
-        out[..., COL_SPOS] = sum(np.where(t > 0.0, t, 0.0) for t in terms)
-        out[..., COL_SNEG] = sum(np.where(t < 0.0, t, 0.0) for t in terms)
+        out[..., COL_S], out[..., COL_SPOS], out[..., COL_SNEG] = entropy_split(
+            power, j_hot, j_cold, th, tm, tc)
     return out
+
+
+def entropy_split(power, j_hot, j_cold, t_hot, t_mid, t_cold):
+    """Entropy production rate, the sum of the three balance terms
+    ``power/Tm``, ``(J_c/Tm)(1 - Tm/Tc)`` and ``(J_h/Tm)(1 - Tm/Th)``, and
+    its split into the positive and the negative terms.
+
+    Works on floats and arrays alike.  A term of the other sign enters a
+    split as a signed zero, which the leading ``0.0 +`` makes ``+0.0``.
+    """
+    t1 = power / t_mid
+    t2 = (j_cold / t_mid) * (1.0 - t_mid / t_cold)
+    t3 = (j_hot / t_mid) * (1.0 - t_mid / t_hot)
+    return (t1 + t2 + t3,
+            0.0 + t1 * (t1 > 0.0) + t2 * (t2 > 0.0) + t3 * (t3 > 0.0),
+            0.0 + t1 * (t1 < 0.0) + t2 * (t2 < 0.0) + t3 * (t3 < 0.0))
 
 
 def thermo_batch(omega0, mass, drive, t_hot, t_mid, t_cold,

@@ -19,20 +19,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import COL_JC, COL_JH, COL_P, NCOLS, thermo_batch
+from ._kernels import NCOLS, thermo_batch
 from .core import DomainError, MachineConfig
 
 __all__ = [
     "SIGN_ZERO_BAND",
     "ThermoPoint",
     "ThermoArrays",
-    "heat_current",
-    "total_power",
     "evaluate_point",
     "evaluate_arrays",
     "config_args",
     "KERNEL_PATHS",
     "check_drive",
+    "VALIDITY_MESSAGES",
+    "validity_codes",
 ]
 
 # Currents with |value| below this band are treated as exactly zero for
@@ -106,42 +106,38 @@ def check_drive(drive_freq, omega0) -> None:
             f"(0, {omega0}); both sideband frequencies must stay positive")
 
 
+# Message of each code of validity_codes; 0 marks a valid point.  Where
+# several checks fail, the one listed first wins.
+VALIDITY_MESSAGES = (None, "drive_freq outside (0, omega0)", "temperature ordering violated",
+                     "nonpositive spectral peak frequency",
+                     "nonfinite or nonpositive parameter")
+
+
+def validity_codes(args, shape) -> np.ndarray:
+    """Code into VALIDITY_MESSAGES of each point of the twelve kernel
+    arguments ``args`` (arrays or scalars in ``KERNEL_PATHS`` order, which
+    broadcast to ``shape``)."""
+    codes = np.zeros(shape, dtype=np.int8)
+
+    def mark(code, bad):   # a later mark overwrites an earlier one
+        if np.any(bad):
+            codes[np.broadcast_to(bad, shape)] = code
+
+    # np.logical_not, not ~: on a Python bool ~True is -2, an index
+    for path, a in zip(KERNEL_PATHS, args):
+        mark(4, np.logical_not((a >= 0.0 if path.endswith(".kappa") else a > 0.0)
+                               & (a < np.inf)))
+    w0, _, drv, th, tm, tc, wh, _, _, wc = args[:10]
+    mark(3, (wh <= 0.0) | (wc <= 0.0))
+    mark(2, np.logical_not((th > tm) & (tm > tc) & (tc > 0.0)))
+    mark(1, (drv <= 0.0) | (drv >= w0))
+    return codes
+
+
 def _evaluate_row(config: MachineConfig, slopes: bool = False) -> np.ndarray:
     """The kernel row of one config, computed on scalars."""
     check_drive(config.drive_freq, config.wm.omega0)
     return thermo_batch(*map(np.float64, config_args(config)), slopes=slopes)
-
-
-def heat_current(config: MachineConfig, which: str = "hot") -> float:
-    """Period-averaged heat current from one dynamically coupled bath.
-
-    Parameters
-    ----------
-    config : MachineConfig
-    which : {"hot", "h", "cold", "c"}
-        Bath selector.
-
-    Returns
-    -------
-    float
-        Heat current in units of ``omega0**2``; positive when heat flows
-        from the bath toward the working medium.
-    """
-    row = _evaluate_row(config)
-    if which in ("hot", "h"):
-        return float(row[COL_JH])
-    if which in ("cold", "c"):
-        return float(row[COL_JC])
-    raise ValueError(f"bath selector must be 'hot' or 'cold', got {which!r}")
-
-
-def total_power(config: MachineConfig) -> float:
-    """Period-averaged total power absorbed through the driven couplings.
-
-    Positive when work is performed on the working medium; vanishes
-    linearly as ``drive_freq -> 0``.
-    """
-    return float(_evaluate_row(config)[COL_P])
 
 
 def evaluate_point(config: MachineConfig) -> ThermoPoint:

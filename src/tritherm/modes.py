@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import entropy_split
 from .core import ConsistencyError, MachineConfig
 from .currents import SIGN_ZERO_BAND, ThermoPoint, evaluate_point
 
@@ -81,45 +82,47 @@ MODE_BY_CODE = tuple(OperatingMode) + ("error",)
 ERROR_CODE = len(OperatingMode)
 _CODE_OF = {mode: i for i, mode in enumerate(OperatingMode)}
 
-# 27-entry lookup over (sh+1)*9 + (sc+1)*3 + (sp+1); -1 marks the forbidden octant
+# 27-entry lookup over 9 a + 3 b + c, each sign index 0 (below the zero
+# band), 1 (inside) or 2 (above); -1 marks the forbidden octant
 _LUT = np.full(27, _CODE_OF[OperatingMode.DEGENERATE], dtype=np.int8)
 for _signs, _mode in _OCTANTS.items():
     _LUT[(_signs[0] + 1) * 9 + (_signs[1] + 1) * 3 + (_signs[2] + 1)] = _CODE_OF[_mode]
 _LUT[(_FORBIDDEN[0] + 1) * 9 + (_FORBIDDEN[1] + 1) * 3 + (_FORBIDDEN[2] + 1)] = -1
 
 
-def _sign(value: float) -> int:
-    if abs(value) < SIGN_ZERO_BAND:
-        return 0
-    return 1 if value > 0.0 else -1
+def _sign_index(values):
+    return np.add(np.greater(values, -SIGN_ZERO_BAND),
+                  np.greater_equal(values, SIGN_ZERO_BAND), dtype=np.intp)
 
 
-def _sign_codes(values: np.ndarray) -> np.ndarray:
-    return np.where(np.abs(values) < SIGN_ZERO_BAND, 0,
-                    np.where(values > 0.0, 1, -1)).astype(np.int64)
+def classify_coupled_arrays(hot_kappa, cold_kappa, j_hot, j_cold, j_mid,
+                            power) -> np.ndarray:
+    """Vectorized mode codes into MODE_BY_CODE, the taxonomy chosen per
+    element from the couplings, which broadcast against the currents (one
+    pair per row of a 2D block, say): the reduced two-terminal taxonomy of
+    :func:`classify_reduced` where exactly one kappa is zero, as in
+    :func:`mode_report`, and the full three-sign one elsewhere.
 
-
-def _classify_triple(a: float, b: float, c: float) -> OperatingMode:
-    signs = (_sign(a), _sign(b), _sign(c))
-    if 0 in signs:
-        return OperatingMode.DEGENERATE
-    if signs == _FORBIDDEN:
+    Values within the 1e-14 zero band are sign-indeterminate and yield
+    ``DEGENERATE``; the entropically forbidden octant raises
+    :class:`ConsistencyError`.
+    """
+    hot_on, cold_on = np.greater(hot_kappa, 0.0), np.greater(cold_kappa, 0.0)
+    # the static bath stands in for a decoupled Lorentzian one
+    a = np.where(cold_on > hot_on, j_mid, j_hot)[()]
+    b = np.where(hot_on > cold_on, j_mid, j_cold)[()]
+    codes = _LUT[_sign_index(a) * 9 + _sign_index(b) * 3 + _sign_index(power)]
+    if (codes < 0).any():
         raise ConsistencyError(
-            f"sign pattern (j_hot<0, j_cold>0, power<0) violates the second "
-            f"law and can never come out of evaluate_point; got {signs} from "
-            f"({a}, {b}, {c})")
-    return _OCTANTS[signs]
-
-
-def _classify_triple_arrays(a, b, c) -> np.ndarray:
-    idx = (_sign_codes(a) + 1) * 9 + (_sign_codes(b) + 1) * 3 + (_sign_codes(c) + 1)
-    codes = _LUT[idx]
-    if np.any(codes < 0):
-        n = int(np.sum(codes < 0))
-        raise ConsistencyError(
-            f"{n} point(s) fall in the entropically forbidden octant "
-            f"(j_hot<0, j_cold>0, power<0)")
+            f"{np.count_nonzero(codes < 0)} point(s) fall in the entropically "
+            f"forbidden octant (j_hot<0, j_cold>0, power<0)")
     return codes
+
+
+def classify_arrays(j_hot, j_cold, power) -> np.ndarray:
+    """Vectorized :func:`classify`; returns int8 codes into MODE_BY_CODE."""
+    # with both couplings on, j_mid is never read
+    return classify_coupled_arrays(1.0, 1.0, j_hot, j_cold, 0.0, power)
 
 
 def classify(point: ThermoPoint) -> OperatingMode:
@@ -129,7 +132,12 @@ def classify(point: ThermoPoint) -> OperatingMode:
     ``DEGENERATE``.  The entropically forbidden octant raises
     :class:`ConsistencyError`.
     """
-    return _classify_triple(point.j_hot, point.j_cold, point.power)
+    return MODE_BY_CODE[classify_arrays(point.j_hot, point.j_cold, point.power)]
+
+
+# kappa pair that selects the reduced taxonomy of each Lorentzian side
+_REDUCED_KAPPAS = {"hot": (1.0, 0.0), "h": (1.0, 0.0),
+                   "cold": (0.0, 1.0), "c": (0.0, 1.0)}
 
 
 def classify_reduced(point: ThermoPoint, lorentzian: str = "hot") -> OperatingMode:
@@ -145,81 +153,49 @@ def classify_reduced(point: ThermoPoint, lorentzian: str = "hot") -> OperatingMo
     "accelerator" for wasteful.  Only the labels in :class:`OperatingMode`
     are ever emitted.
     """
-    a, b = _reduced_pair(point.j_hot, point.j_cold, point.j_mid, lorentzian)
-    return _classify_triple(a, b, point.power)
-
-
-def classify_arrays(j_hot, j_cold, power) -> np.ndarray:
-    """Vectorized :func:`classify`; returns int8 codes into MODE_BY_CODE."""
-    return _classify_triple_arrays(np.asarray(j_hot), np.asarray(j_cold),
-                                   np.asarray(power))
-
-
-def _reduced_pair(j_hot, j_cold, j_mid, lorentzian: str):
-    # the static bath stands in for the decoupled Lorentzian one
-    if lorentzian in ("hot", "h"):
-        return j_hot, j_mid
-    if lorentzian in ("cold", "c"):
-        return j_mid, j_cold
-    raise ValueError(f"lorentzian must be 'hot' or 'cold', got {lorentzian!r}")
-
-
-def classify_coupled_arrays(hot_kappa, cold_kappa, j_hot, j_cold, j_mid,
-                            power) -> np.ndarray:
-    """Vectorized mode codes, the taxonomy chosen per element from the
-    couplings, which broadcast against the currents (one pair per row of a
-    2D block, say): the reduced two-terminal taxonomy of
-    :func:`classify_reduced` where exactly one kappa is zero, as in
-    :func:`mode_report`, and the full three-sign one elsewhere."""
-    hot_on, cold_on = np.asarray(hot_kappa) > 0.0, np.asarray(cold_kappa) > 0.0
-    return classify_arrays(np.where(cold_on & ~hot_on, j_mid, j_hot),
-                           np.where(hot_on & ~cold_on, j_mid, j_cold), power)
-
-
-def exergy_efficiency(point: ThermoPoint, temps: tuple[float, float, float]) -> float:
-    """Exergy (second-law) efficiency from the entropy-balance step form.
-
-    ``temps`` is ``(t_hot, t_mid, t_cold)``.  The three balance terms are
-    split by sign into resource (positive) and useful (negative)
-    contributions and the efficiency is ``-negative / positive``, which the
-    second law bounds to [0, 1].  Zero when nothing useful happens
-    (wasteful operation); rounding excursions within 1e-12 are clamped,
-    anything larger raises :class:`ConsistencyError`.
-    """
-    t_hot, t_mid, t_cold = temps
-    terms = (point.power,
-             point.j_cold * (1.0 - t_mid / t_cold),
-             point.j_hot * (1.0 - t_mid / t_hot))
-    negative = sum(t for t in terms if t < 0.0)
-    positive = sum(t for t in terms if t > 0.0)
-    if positive == 0.0:
-        if negative < 0.0:
-            raise ConsistencyError(
-                "entropy split has negative contributions but no positive "
-                "ones; the entropy production rate would be negative")
-        return 0.0
-    phi = -negative / positive
-    if phi > 1.0:
-        if phi > 1.0 + PHI_CLAMP_BAND:
-            raise ConsistencyError(
-                f"exergy efficiency {phi} exceeds 1 beyond rounding; the "
-                f"underlying point violates the second law")
-        phi = 1.0
-    return phi
+    if lorentzian not in _REDUCED_KAPPAS:
+        raise ValueError(f"lorentzian must be 'hot' or 'cold', got {lorentzian!r}")
+    return MODE_BY_CODE[classify_coupled_arrays(
+        *_REDUCED_KAPPAS[lorentzian], point.j_hot, point.j_cold, point.j_mid,
+        point.power)]
 
 
 def exergy_from_split(entropy_pos, entropy_neg) -> np.ndarray:
-    """Vectorized efficiency from stored entropy splits.
+    """Exergy (second-law) efficiency ``-entropy_neg / entropy_pos`` from
+    the positive and negative splits of the entropy balance.
 
-    Rounding excursions above 1 within 1e-12 are clamped; larger values are
-    passed through untouched so that invalid inputs remain visible.
+    The second law bounds it to [0, 1].  It is ``+0.0`` where no task is
+    useful; rounding excursions within 1e-12 above 1 are clamped to 1.
+    Anything beyond that band, or negative terms without positive ones
+    (a negative entropy production rate), raises
+    :class:`ConsistencyError`.
     """
-    entropy_pos = np.asarray(entropy_pos, dtype=np.float64)
-    entropy_neg = np.asarray(entropy_neg, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi = np.where(entropy_pos > 0.0, -entropy_neg / np.where(
-            entropy_pos > 0.0, entropy_pos, 1.0), 0.0)
-    return np.where((phi > 1.0) & (phi <= 1.0 + PHI_CLAMP_BAND), 1.0, phi)
+    pos = np.asarray(entropy_pos, dtype=np.float64)
+    neg = np.asarray(entropy_neg, dtype=np.float64)
+    resource = pos > 0.0
+    if ((neg < 0.0) > resource).any():
+        raise ConsistencyError(
+            "entropy split has negative contributions but no positive "
+            "ones; the entropy production rate would be negative")
+    # no resource term means no useful one (checked above): dividing by inf
+    # gives 0, and 0.0 - x keeps every nonzero x but turns -0.0 into +0.0
+    phi = 0.0 - neg / np.where(resource, pos, np.inf)
+    over = phi > 1.0
+    if over.any():
+        if (phi > 1.0 + PHI_CLAMP_BAND).any():
+            raise ConsistencyError(
+                f"exergy efficiency {phi.max()} exceeds 1 beyond rounding; "
+                f"the underlying point violates the second law")
+        phi = np.where(over, 1.0, phi)
+    return phi
+
+
+def exergy_efficiency(point: ThermoPoint, temps: tuple[float, float, float]) -> float:
+    """Exergy efficiency of a point at ``temps = (t_hot, t_mid, t_cold)``:
+    :func:`exergy_from_split` of the entropy split the kernel would store
+    for its currents."""
+    _, pos, neg = entropy_split(point.power, point.j_hot, point.j_cold, *temps)
+    return float(exergy_from_split(pos, neg))
 
 
 @dataclass(frozen=True)
@@ -236,16 +212,16 @@ class ModeReport:
 
 
 def mode_report(config: MachineConfig) -> ModeReport:
-    """Evaluate and classify one operating point.
+    """Evaluate and classify one operating point: its kernel row, classified
+    and reduced to ``phi`` exactly as a sweep cell at the same parameters.
 
     When exactly one Lorentzian coupling is zero the reduced two-terminal
     taxonomy is applied automatically (the full three-sign classification
     would be blanket-degenerate there).
     """
     point = evaluate_point(config)
-    hot_on, cold_on = config.hot.kappa > 0.0, config.cold.kappa > 0.0
-    mode = (classify(point) if hot_on == cold_on
-            else classify_reduced(point, "hot" if hot_on else "cold"))
-    temps = (config.hot.temperature, config.mid.temperature,
-             config.cold.temperature)
-    return ModeReport(point=point, mode=mode, exergy=exergy_efficiency(point, temps))
+    code = classify_coupled_arrays(config.hot.kappa, config.cold.kappa,
+                                   point.j_hot, point.j_cold, point.j_mid,
+                                   point.power)
+    phi = exergy_from_split(point.entropy_pos, point.entropy_neg)
+    return ModeReport(point=point, mode=MODE_BY_CODE[code], exergy=float(phi))

@@ -22,7 +22,7 @@ from scipy.stats import qmc
 from . import _kernels
 from ._kernels import COL_DP, COL_JC, COL_JH, COL_JM, COL_P, thermo_batch
 from .core import ConfigError, MachineConfig, PARAM_PATHS, as_mapping, get_field
-from .currents import KERNEL_PATHS
+from .currents import KERNEL_PATHS, validity_codes
 from .modes import MODE_BY_CODE, OperatingMode, classify_coupled_arrays
 from .transistor import (DEFAULT_THRESHOLD, GAIN_RELIABLE_BAND, _figures, _runs,
                          window_mask, windows_from_arrays)
@@ -35,7 +35,6 @@ _SOFT_CAP = 1e9
 
 # The kernel arguments, then mid.gamma_m, which must only be positive
 _ARG_PATHS = KERNEL_PATHS + ("mid.gamma_m",)
-_ZERO_OK = np.array([path.endswith(".kappa") for path in _ARG_PATHS])
 _USEFUL_CODES = np.array([i for i, m in enumerate(OperatingMode)
                           if m is not OperatingMode.DEGENERATE])
 
@@ -195,10 +194,10 @@ def _columns(template: MachineConfig, spec: SearchSpec, units, grid) -> tuple:
     base = operator.attrgetter(*_ARG_PATHS)(template)
     cols = np.array([[p.get(path, b) for path, b in zip(_ARG_PATHS, base)]
                      for p in params]).reshape(len(params), len(_ARG_PATHS))
-    w0, _, drive, th, tm, tc = cols[:, :6].T
-    ok = np.where(_ZERO_OK, cols >= 0.0, cols > 0.0) & np.isfinite(cols)
-    return params, cols, (ok.all(axis=1) & (th > tm) & (tm > tc)
-                          & (drive < w0) & (grid[-1] < w0))
+    gamma_m = cols[:, -1]
+    return params, cols, ((validity_codes(cols[:, :-1].T, len(params)) == 0)
+                          & (gamma_m > 0.0) & (gamma_m < np.inf)
+                          & (grid[-1] < cols[:, 0]))
 
 
 def _table(spec: SearchSpec, grid, cols):

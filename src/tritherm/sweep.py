@@ -23,7 +23,7 @@ from . import _kernels
 from ._kernels import (COL_JC, COL_JH, COL_JM, COL_P, COL_SNEG, COL_SPOS, NCOLS,
                        thermo_batch)
 from .core import ConfigError, MachineConfig, as_mapping, get_field
-from .currents import KERNEL_PATHS, ThermoPoint, config_args
+from .currents import KERNEL_PATHS, VALIDITY_MESSAGES, config_args, validity_codes
 from .modes import (ERROR_CODE, MODE_BY_CODE, classify_coupled_arrays,
                     exergy_from_split)
 from .transistor import _figures, _runs
@@ -32,7 +32,6 @@ __all__ = [
     "AXIS_PARAMS",
     "Axis",
     "SweepSpec",
-    "MapCell",
     "SweepResult",
     "run_sweep",
     "resonance_lines",
@@ -51,8 +50,7 @@ AXIS_PARAMS = frozenset(_ARG_INDEX) | {"hot.center_locked"}
 OUTPUT_KINDS = frozenset({"currents", "mode", "exergy", "transistor"})
 
 # Message of each error code of SweepResult.error_codes; 0 marks a valid cell.
-ERROR_MESSAGES = (None, "drive_freq outside (0, omega0)", "temperature ordering violated",
-                  "nonpositive spectral peak frequency")
+ERROR_MESSAGES = VALIDITY_MESSAGES
 
 _MODE_LABELS = tuple(m.value for m in MODE_BY_CODE[:ERROR_CODE]) + ("error",)
 
@@ -133,20 +131,6 @@ class SweepSpec:
             raise ConfigError("the two axes must sweep different parameters")
 
 
-@dataclass(frozen=True)
-class MapCell:
-    """One sweep cell; ``point`` is None for error cells."""
-
-    axis1: float
-    axis2: float | None
-    point: ThermoPoint | None
-    mode: str
-    phi: float
-    r: float | None = None
-    g: float | None = None
-    error: str | None = None
-
-
 def _apply_axis(cols: list[np.ndarray], param: str, values: np.ndarray,
                 template: MachineConfig):
     if param == "hot.center_locked":
@@ -191,38 +175,6 @@ class SweepResult:
     def mode_set(self) -> set:
         """Distinct OperatingMode labels present (error cells excluded)."""
         return {MODE_BY_CODE[c] for c in np.unique(self.mode_codes) if c != ERROR_CODE}
-
-    def _flat_index(self, i: int, j: int | None) -> int:
-        if self.axis2_values is None:
-            if j is not None:
-                raise IndexError("1D sweep has no second index")
-            return i
-        if j is None:
-            raise IndexError("2D sweep requires two indices")
-        return i * len(self.axis2_values) + j
-
-    def cell(self, i: int, j: int | None = None) -> MapCell:
-        k = self._flat_index(i, j)
-        err = ERROR_MESSAGES[self.error_codes[k]]
-        row = self.thermo[k]
-        point = None if err else ThermoPoint(*[float(v) for v in row])
-        return MapCell(
-            axis1=float(self.axis1_values[i]),
-            axis2=None if self.axis2_values is None else float(self.axis2_values[j]),
-            point=point, mode=_MODE_LABELS[self.mode_codes[k]],
-            phi=float(self.phi[k]),
-            r=None if self.r is None else float(self.r[k]),
-            g=None if self.g is None else float(self.g[k]),
-            error=err)
-
-    def iter_cells(self):
-        if self.axis2_values is None:
-            for i in range(len(self.axis1_values)):
-                yield self.cell(i)
-        else:
-            for i in range(len(self.axis1_values)):
-                for j in range(len(self.axis2_values)):
-                    yield self.cell(i, j)
 
     def csv_header(self) -> list[str]:
         cols = ["axis1"]
@@ -315,7 +267,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
         _apply_axis(cols, spec.axis2.param, np.tile(a2, n1), template)
     swept = [i for i, c in enumerate(cols) if np.ndim(c)]
 
-    error_codes = _cell_errors(cols, n)
+    error_codes = validity_codes(cols, n)
     valid = np.flatnonzero(error_codes == 0)
     transistor = "transistor" in spec.outputs
     thermo = np.full((n, NCOLS), np.nan)
@@ -339,19 +291,6 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
             r[rows], g[rows] = _figures(table)
     return SweepResult(spec, a1, a2, thermo, mode_codes, phi, r, g,
                        error_codes)
-
-
-def _cell_errors(cols, n: int) -> np.ndarray:
-    """Code into ERROR_MESSAGES of each of the ``n`` cells, from columns
-    that are arrays or scalars; the first failed check wins."""
-    w0, _, drv, th, tm, tc, wh, _, _, wc = cols[:10]
-    codes = np.zeros(n, dtype=np.int8)
-    # np.logical_not, not ~: on a Python bool ~True is -2, an index
-    for code, bad in ((3, (wh <= 0.0) | (wc <= 0.0)),
-                      (2, np.logical_not((th > tm) & (tm > tc) & (tc > 0.0))),
-                      (1, (drv <= 0.0) | (drv >= w0))):
-        codes[np.broadcast_to(bad, n)] = code
-    return codes
 
 
 def resonance_lines(spec: SweepSpec) -> tuple[tuple[float, float], tuple[float, float]]:

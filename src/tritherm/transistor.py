@@ -160,8 +160,11 @@ def windows_from_arrays(omega, r, g,
 
     +inf values pass the threshold; windows containing them are flagged and
     report minima over their finite points.  Returned windows are disjoint
-    and sorted by frequency.
+    and sorted by frequency.  A threshold that is not > 0 (NaN included)
+    raises DomainError.
     """
+    if not threshold > 0:
+        raise DomainError(f"threshold must be > 0, got {threshold}")
     omega, r, g = np.asarray(omega), np.asarray(r), np.asarray(g)
     passing = (r > threshold) & (g > threshold)
     windows = []
@@ -206,7 +209,5 @@ def find_windows(config: MachineConfig, omega_grid,
     grid = np.asarray(omega_grid, dtype=np.float64)
     if grid.size < 3:
         raise DomainError("window search needs a grid of at least 3 points")
-    if threshold <= 0:
-        raise DomainError("threshold must be positive")
     trace = transistor_trace(config, grid)
     return windows_from_arrays(trace.omega, trace.r, trace.g, threshold)

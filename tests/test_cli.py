@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -225,6 +228,17 @@ class TestTransistor:
                       str(int(in_window[k]))]) + "\n" for k in range(grid.size))
         assert out.read_bytes() == want.encode()
 
+    @pytest.mark.parametrize("threshold", ["nan", "-1", "0"])
+    def test_nonpositive_threshold_exits_one_naming_it(self, tmp_path, capsys,
+                                                       threshold):
+        path = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "trace.csv"
+        assert main(["transistor", "--config", path, "--points", "21",
+                     "--threshold", threshold, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "threshold" in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_rerun_from_manifest(self, tmp_path, capsys):
         config = json.loads(json.dumps(BASE_CONFIG))
         path = write_config(tmp_path, config)
@@ -399,6 +413,12 @@ class TestManifestErrors:
         assert self._rerun(tmp_path, "transistor", stringify) == 1
         assert "transistor.points" in capsys.readouterr().err
 
+    def test_transistor_nan_threshold_names_field(self, tmp_path, capsys):
+        def set_nan(section):
+            section["threshold"] = float("nan")   # json writes NaN
+        assert self._rerun(tmp_path, "transistor", set_nan) == 1
+        assert "threshold" in capsys.readouterr().err
+
     def test_transistor_step_of_older_manifests_is_ignored(self, tmp_path):
         def add_step(section):
             assert "step" not in section
@@ -418,3 +438,28 @@ class TestErrors:
         path = write_config(tmp_path, bad)
         assert main(["point", "--config", path]) == 1
         assert "drive_freq" in capsys.readouterr().err
+
+
+class TestEntryPoint:
+    """``python -m tritherm`` in a fresh interpreter, as a shell runs it."""
+
+    SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+    def _run(self, *argv, cwd):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(self.SRC), env.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, "-m", "tritherm", *argv], cwd=cwd,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    def test_point_exits_zero(self, tmp_path):
+        proc = self._run("point", "--config", str(CONFIGS / "default.yaml"),
+                         cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["mode"] == "engine"
+
+    def test_nan_threshold_exits_one(self, tmp_path):
+        proc = self._run("transistor", "--config", str(CONFIGS / "default.yaml"),
+                         "--threshold", "nan", "--out", "trace.csv", cwd=tmp_path)
+        assert proc.returncode == 1
+        assert "threshold" in proc.stderr

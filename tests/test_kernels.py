@@ -9,8 +9,8 @@ import pytest
 
 import tritherm as tt
 from tritherm import _kernels
-from tritherm._kernels import COL_DJH, COL_DP, COL_JH, COL_P
-from tritherm.modes import MODE_BY_CODE, classify_coupled_arrays
+from tritherm._kernels import COL_DJH, COL_DP, COL_JH, COL_P, COL_SNEG, COL_SPOS
+from tritherm.modes import MODE_BY_CODE, classify_coupled_arrays, exergy_from_split
 from tritherm.transistor import GAIN_RELIABLE_BAND, _figures
 
 from conftest import config_from_params, make_config, random_valid_batch
@@ -111,6 +111,22 @@ class TestSquares:
             assert np.float64(got).tobytes() == want.tobytes()
 
 
+class TestEntropySplit:
+    def test_equals_the_where_form_bitwise(self):
+        # kappa = 0 rows give -0.0 balance terms, which must split as +0.0
+        batch = random_valid_batch(20000, seed=41)
+        batch["hot_kappa"][::7] = 0.0
+        batch["cold_kappa"][3::11] = 0.0
+        table = _kernels.thermo_batch(*(batch[name] for name in ARG_NAMES))
+        tm = batch["mid_temperature"]
+        terms = (table[:, COL_P] / tm,
+                 (table[:, 1] / tm) * (1.0 - tm / batch["cold_temperature"]),
+                 (table[:, COL_JH] / tm) * (1.0 - tm / batch["hot_temperature"]))
+        assert any((np.signbit(t) & (t == 0.0)).any() for t in terms)
+        assert_bitwise(table[:, COL_SPOS], sum(np.where(t > 0.0, t, 0.0) for t in terms))
+        assert_bitwise(table[:, COL_SNEG], sum(np.where(t < 0.0, t, 0.0) for t in terms))
+
+
 class TestScalarApi:
     def test_point_report_and_transistor_equal_batch_row(self):
         n = 5000
@@ -122,6 +138,7 @@ class TestScalarApi:
         codes = classify_coupled_arrays(batch["hot_kappa"], batch["cold_kappa"],
                                         *(table[:, c] for c in range(4)))
         r, g = _figures(table)
+        phi = exergy_from_split(table[:, COL_SPOS], table[:, COL_SNEG])
         for k in range(n):
             cfg = config_from_params({name: float(batch[name][k]) for name in ARG_NAMES})
             row = table[k]
@@ -129,8 +146,10 @@ class TestScalarApi:
             assert bits(*dataclasses.astuple(point)) == row[:_kernels.NCOLS].tobytes()
             report = tt.mode_report(cfg)
             assert report.point == point and report.mode is MODE_BY_CODE[codes[k]]
+            # the sign of a zero phi included
+            assert bits(report.exergy) == bits(phi[k])
             temps = (cfg.hot.temperature, cfg.mid.temperature, cfg.cold.temperature)
-            assert bits(report.exergy) == bits(tt.exergy_efficiency(point, temps))
+            assert bits(tt.exergy_efficiency(point, temps)) == bits(phi[k])
             tp = tt.transistor_point(cfg)
             assert bits(tp.r, tp.g, tp.djh_domega, tp.dp_domega, tp.j_hot, tp.power) \
                 == bits(r[k], g[k], *row[[COL_DJH, COL_DP, COL_JH, COL_P]])

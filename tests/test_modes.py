@@ -5,7 +5,7 @@ import tritherm as tt
 from tritherm.core import ConsistencyError
 from tritherm.currents import ThermoPoint
 from tritherm.modes import (MODE_BY_CODE, OperatingMode, classify_arrays,
-                            classify_coupled_arrays)
+                            classify_coupled_arrays, exergy_from_split)
 
 from conftest import make_config, random_valid_batch
 
@@ -94,6 +94,10 @@ class TestReducedClassify:
         assert [[MODE_BY_CODE[c] for c in row] for row in codes] == \
             [[tt.mode_report(c).mode for c in row] for row in configs]
 
+    def test_unknown_side_raises(self, default_config):
+        with pytest.raises(ValueError, match="lorentzian"):
+            tt.classify_reduced(tt.evaluate_point(default_config), "middle")
+
     def test_full_classify_is_degenerate_for_reduced_machine(self):
         point = tt.evaluate_point(make_config(kc=0.0))
         assert tt.classify(point) is OperatingMode.DEGENERATE
@@ -134,10 +138,31 @@ class TestExergy:
         with pytest.raises(ConsistencyError):
             tt.exergy_efficiency(point, (0.8, 0.5, 0.2))
 
+    def test_split_clamps_rounding_above_one(self):
+        phi = exergy_from_split([1.0, 1.0, 2.0], [-1.0 - 5e-13, -0.5, -1.0])
+        assert phi.tolist() == [1.0, 0.5, 0.5]
+
+    @pytest.mark.parametrize("pos, neg", [
+        (1.0, -1.0 - 1e-11), (np.array([1.0, 1.0]), np.array([-0.5, -3.0]))])
+    def test_split_beyond_clamp_band_raises(self, pos, neg):
+        with pytest.raises(ConsistencyError, match="exceeds 1"):
+            exergy_from_split(pos, neg)
+
+    @pytest.mark.parametrize("pos", [0.0, -0.0])
+    def test_split_without_resource_raises(self, pos):
+        with pytest.raises(ConsistencyError, match="negative"):
+            exergy_from_split(pos, -1e-3)
+        with pytest.raises(ConsistencyError):
+            exergy_from_split(np.array([1.0, pos]), np.array([-0.5, -1e-3]))
+
+    def test_no_useful_task_is_positive_zero(self):
+        phi = exergy_from_split([1e-3, 0.0, 0.0], [0.0, 0.0, -0.0])
+        assert phi.tolist() == [0.0, 0.0, 0.0]
+        assert not np.signbit(phi).any()
+
     def test_bounds_on_random_sample(self):
         batch = random_valid_batch(50000, seed=77)
         out = tt.evaluate_arrays(**batch)
-        from tritherm.modes import exergy_from_split
         phi = exergy_from_split(out.entropy_pos, out.entropy_neg)
         assert phi.min() >= 0.0
         assert phi.max() <= 1.0

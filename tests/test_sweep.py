@@ -8,9 +8,9 @@ import pytest
 import tritherm as tt
 from tritherm import _kernels
 from tritherm.core import ConfigError
-from tritherm.currents import config_args
+from tritherm.currents import ThermoPoint, config_args, validity_codes
 from tritherm.modes import ERROR_CODE, MODE_BY_CODE, OperatingMode
-from tritherm.sweep import _CHUNK_ROWS, _cell_errors
+from tritherm.sweep import _CHUNK_ROWS
 
 from conftest import make_config
 
@@ -26,20 +26,22 @@ def small_spec(config, outputs=("currents", "mode", "exergy")):
 class TestRunSweep:
     def test_cells_match_point_evaluation_bitwise(self, default_config):
         result = tt.run_sweep(small_spec(default_config))
+        assert result.axis1_values.tolist() == [0.2, 0.4]
+        assert result.axis2_values.tolist() == [1.2, 1.5]
         for i, drive in enumerate((0.2, 0.4)):
             for j, wh in enumerate((1.2, 1.5)):
                 cfg = tt.apply_params(default_config,
                                       {"drive_freq": drive, "hot.center": wh})
                 point = tt.evaluate_point(cfg)
-                cell = result.cell(i, j)
-                assert cell.point == point
-                assert cell.axis1 == drive and cell.axis2 == wh
+                assert ThermoPoint(*map(float, result.thermo[2 * i + j])) == point
 
     def test_row_major_order(self, default_config):
         result = tt.run_sweep(small_spec(default_config))
-        cells = list(result.iter_cells())
-        assert [(c.axis1, c.axis2) for c in cells] == [
-            (0.2, 1.2), (0.2, 1.5), (0.4, 1.2), (0.4, 1.5)]
+        want = [tt.evaluate_point(tt.apply_params(
+            default_config, {"drive_freq": d, "hot.center": wh})).j_hot
+            for d, wh in ((0.2, 1.2), (0.2, 1.5), (0.4, 1.2), (0.4, 1.5))]
+        assert len(set(want)) == 4
+        assert result.thermo[:, 0].tolist() == want
 
     def test_thread_count_does_not_change_output(self, default_config):
         spec = tt.SweepSpec(template=default_config,
@@ -86,7 +88,7 @@ class TestRunSweep:
         for i, wh in enumerate(spec.axis1.values()):
             cfg = tt.apply_params(default_config, {
                 "hot.center": float(wh), "cold.center": float(wh) - delta})
-            assert result.cell(i).point == tt.evaluate_point(cfg)
+            assert ThermoPoint(*map(float, result.thermo[i])) == tt.evaluate_point(cfg)
 
     def test_transistor_output_columns(self, default_config):
         result = tt.run_sweep(small_spec(default_config,
@@ -94,8 +96,8 @@ class TestRunSweep:
         assert result.r is not None and result.g is not None
         tp = tt.transistor_point(tt.apply_params(
             default_config, {"drive_freq": 0.2, "hot.center": 1.2}))
-        assert result.cell(0, 0).r == tp.r
-        assert result.cell(0, 0).g == tp.g
+        assert result.r[0] == tp.r
+        assert result.g[0] == tp.g
 
     def test_axis_validation(self, default_config):
         with pytest.raises(ConfigError):
@@ -193,9 +195,20 @@ class TestCellErrors:
     @pytest.mark.parametrize("scalar", [float, np.float64])
     def test_scalar_columns(self, default_config, scalar):
         cols = [scalar(v) for v in config_args(default_config)]
-        assert not _cell_errors(cols, 4).any()
+        assert not validity_codes(cols, 4).any()
         cols[4] = scalar(0.9)   # mid above hot
-        assert np.array_equal(_cell_errors(cols, 4), np.full(4, 2))
+        assert np.array_equal(validity_codes(cols, 4), np.full(4, 2))
+
+    def test_validity_precedence(self, default_config):
+        # drive range, then ordering, then peak frequency, then any
+        # nonfinite or nonpositive parameter
+        cols = list(config_args(default_config))
+        cols[2] = np.array([0.5, 1.5, 1.5, 0.5, 0.5, 0.5])           # drive
+        cols[4] = np.array([0.5, 0.5, 0.9, 0.9, 0.5, 0.5])           # mid temperature
+        cols[6] = np.array([1.5, 1.5, -1.0, -1.0, -1.0, 1.5])        # hot center
+        cols[7] = np.array([0.05, np.nan, np.nan, np.nan, np.nan, np.nan])  # hot width
+        assert validity_codes(cols, 6).tolist() == [0, 1, 1, 2, 3, 4]
+        assert tt.sweep.ERROR_MESSAGES[4] == "nonfinite or nonpositive parameter"
 
 
 class TestTwoTerminalReduction:
@@ -367,7 +380,7 @@ class TestSerialization:
         assert payload["metadata"]["grid"]["axis1"]["param"] == "drive_freq"
         assert len(payload["rows"]) == result.size
         assert payload["rows"][0][payload["schema"].index("j_hot")] == \
-            result.cell(0, 0).point.j_hot
+            result.thermo[0, 0]
 
 
 # Reference writers: the original per-cell export, one repr per numpy

@@ -171,6 +171,15 @@ class TestWindows:
         for w in windows:
             assert w.min_r > 10.0 and w.min_g > 10.0
 
+    @pytest.mark.parametrize("threshold", [float("nan"), -1.0, 0.0])
+    def test_threshold_must_be_positive(self, threshold):
+        grid = np.linspace(0.02, 0.98, 11)
+        with pytest.raises(DomainError, match="threshold"):
+            tt.find_windows(transistor_config(), grid, threshold=threshold)
+        with pytest.raises(DomainError, match="threshold"):
+            tt.windows_from_arrays(grid, np.full(11, 20.0), np.full(11, 20.0),
+                                   threshold)
+
     def test_grid_validation(self):
         cfg = transistor_config()
         with pytest.raises(DomainError):
