@@ -17,7 +17,9 @@ same pass.
 
 Large batches are cut into blocks of ``BLOCK_POINTS`` points by the
 callers (sweeps, searches), which keeps the temporaries of one call in
-cache.
+cache.  Sweeps pass axis vectors, an axis1 column against an axis2 row,
+not expanded columns, so a term of one axis is computed once per row or
+column of a tile.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ the key order they were written with: the order of ``search.vary`` fixes
 the Latin-hypercube dimensions.
 
 ``sweep --threads`` and ``TRITHERM_THREADS`` are accepted and ignored; a
-sweep runs in blocks of ``_kernels.BLOCK_POINTS`` points in one thread.
+sweep runs in tiles of at most ``_kernels.BLOCK_POINTS`` cells in one
+thread.
 
 Exit codes: 0 success, 1 validation/parse error, 2 runtime error.
 """
@@ -27,7 +28,6 @@ import argparse
 import dataclasses
 import datetime
 import json
-import operator
 import os
 import sys
 
@@ -36,7 +36,7 @@ import yaml
 
 from . import __version__
 from .core import (ConfigError, DomainError, MachineConfig, TrithermError,
-                   apply_params, get_field)
+                   apply_params, construct, get_field, integer, number)
 from .modes import mode_report
 from .search import SearchSpec, run_search
 from .sweep import Axis, SweepSpec, _float_texts, run_sweep
@@ -174,8 +174,9 @@ def cmd_sweep(args) -> int:
     if args.from_manifest:
         config, grid, _ = _load_manifest(args.from_manifest, "sweep")
         axis1 = Axis.from_dict(grid.get("axis1"), "sweep.axis1")
+        # a 1D sweep records its second axis as null
         axis2 = (Axis.from_dict(grid["axis2"], "sweep.axis2")
-                 if grid.get("axis2") else None)
+                 if grid.get("axis2") is not None else None)
         outputs = get_field(grid, "outputs", "sweep", _names)
     else:
         if not args.config or not args.axis1:
@@ -187,7 +188,8 @@ def cmd_sweep(args) -> int:
         axis2 = _parse_axis(args.axis2) if args.axis2 else None
         outputs = frozenset((args.outputs or "currents,mode,exergy").split(","))
 
-    spec = SweepSpec(template=config, axis1=axis1, axis2=axis2, outputs=outputs)
+    spec = construct(SweepSpec, "sweep", template=config, axis1=axis1, axis2=axis2,
+                     outputs=outputs)
     result = run_sweep(spec)
     result._write_text(args.out, args.out + ".json" if args.json else None)
     _write_manifest(args.out, "sweep", config, {
@@ -206,17 +208,26 @@ def cmd_transistor(args) -> int:
         config, t, _ = _load_manifest(args.from_manifest, "transistor")
         # manifests written before the drive slopes became exact carry a
         # finite-difference "step"; it is ignored
-        omega_min, omega_max, points, threshold = (
-            get_field(t, key, "transistor", kind) for key, kind in
-            (("omega_min", float), ("omega_max", float),
-             ("points", operator.index), ("threshold", float)))
     else:
         if not args.config:
             raise ConfigError("transistor needs --config (or --from-manifest)")
         config, _ = _load_config(args)
         _validate(config, args)
-        omega_min, omega_max = args.omega_min, args.omega_max
-        points, threshold = args.points, args.threshold
+        t = {"omega_min": args.omega_min, "omega_max": args.omega_max,
+             "points": args.points, "threshold": args.threshold}
+    omega_min, omega_max, points, threshold = (
+        get_field(t, key, "transistor", kind) for key, kind in
+        (("omega_min", number), ("omega_max", number), ("points", integer),
+         ("threshold", number)))
+    for key, bad, why in (
+            ("omega_min", not omega_min > 0.0, "must be > 0"),
+            ("omega_max", not omega_max > omega_min, "must be > omega_min"),
+            ("omega_max", not omega_max < config.wm.omega0,
+             f"must be < omega0 = {config.wm.omega0}"),
+            ("points", points < 1, "must be >= 1"),
+            ("threshold", not threshold > 0.0, "must be > 0")):
+        if bad:
+            raise ConfigError(f"transistor.{key} {why}, got {t[key]!r}")
 
     grid = np.linspace(omega_min, omega_max, points)
     trace = transistor_trace(config, grid)
@@ -245,7 +256,7 @@ def cmd_search(args) -> int:
     if args.from_manifest:
         config, section, manifest = _load_manifest(args.from_manifest, "search")
         spec = SearchSpec.from_dict(section)
-        seed = get_field(manifest, "seed", "manifest", operator.index)
+        seed = get_field(manifest, "seed", "manifest", integer)
     else:
         if not args.config:
             raise ConfigError("search needs --config (or --from-manifest)")

@@ -42,7 +42,15 @@ class TrithermError(Exception):
 
 
 class ConfigError(TrithermError, ValueError):
-    """Invalid configuration value or structure."""
+    """Invalid configuration value or structure.
+
+    ``key``, where given, is the field at fault of the object that raised
+    the error; :func:`construct` then names it by its dotted path.
+    """
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 class DomainError(TrithermError, ValueError):
@@ -54,28 +62,43 @@ class ConsistencyError(TrithermError, RuntimeError):
     hand-constructed input, e.g. a sign pattern forbidden by the second law)."""
 
 
-def _positive(obj, attr, name=None, allow_zero=False):
+def _positive(obj, attr, allow_zero=False):
     """Check field ``attr`` of a frozen dataclass and store it as a float,
     so that an int given in code serializes like one read from a file."""
-    value, name = getattr(obj, attr), name or attr
+    value = getattr(obj, attr)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
+        raise ConfigError(f"{attr} must be a number, got {value!r}", attr)
     if math.isnan(value) or math.isinf(value):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
+        raise ConfigError(f"{attr} must be finite, got {value!r}", attr)
     if allow_zero:
         if value < 0:
-            raise ConfigError(f"{name} must be >= 0, got {value!r}")
+            raise ConfigError(f"{attr} must be >= 0, got {value!r}", attr)
     elif value <= 0:
-        raise ConfigError(f"{name} must be > 0, got {value!r}")
+        raise ConfigError(f"{attr} must be > 0, got {value!r}", attr)
     object.__setattr__(obj, attr, float(value))
 
 
-def _number(value) -> float:
+def number(value) -> float:
     """``float(value)`` for an int or float; TypeError for anything else,
     booleans and numeric strings included."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(value)
     return float(value)
+
+
+def integer(value) -> int:
+    """``value`` if it is an int; TypeError for anything else, booleans,
+    floats and numeric strings included."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(value)
+    return value
+
+
+def string(value) -> str:
+    """``value`` if it is a str; TypeError for anything else."""
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return value
 
 
 def as_mapping(value, path: str) -> dict:
@@ -85,10 +108,22 @@ def as_mapping(value, path: str) -> dict:
     return value
 
 
+def construct(factory, path: str, **kwargs):
+    """``factory(**kwargs)``; a ConfigError that names its ``key`` is
+    re-raised naming the dotted field ``path.key``."""
+    try:
+        return factory(**kwargs)
+    except ConfigError as exc:
+        if exc.key is None:
+            raise
+        raise ConfigError(f"field {path}.{exc.key}: {exc}") from None
+
+
 def get_field(data: dict, key: str, path: str, kind, default=MISSING):
     """``kind(data[key])``, raising ConfigError that names ``path.key``.
 
-    Integer fields pass ``operator.index``, which rejects strings and floats.
+    ``kind`` is one of :func:`number`, :func:`integer` and :func:`string`,
+    or any callable raising TypeError or ValueError on a malformed value.
     """
     where = f"{path}.{key}" if path else key
     if key not in data:
@@ -119,8 +154,8 @@ class WorkingMedium:
     mass: float = 1.0
 
     def __post_init__(self):
-        _positive(self, "omega0", "wm.omega0")
-        _positive(self, "mass", "wm.mass")
+        _positive(self, "omega0")
+        _positive(self, "mass")
 
 
 @dataclass(frozen=True)
@@ -269,19 +304,24 @@ class MachineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MachineConfig":
-        """Build a config from a nested mapping, naming offending fields."""
+        """Build a config from a nested mapping, naming offending fields.
+
+        The sections ``wm``, ``hot``, ``cold`` and ``mid`` accept their own
+        fields only, so a misspelled key is an error rather than a default;
+        the top level stays open for sections such as ``search``."""
         data = as_mapping(data, "config")
 
         def build(factory, name):
             sec = as_mapping(data.get(name, {}), name)
-            kwargs = {f.name: get_field(sec, f.name, name, _number, f.default)
-                      for f in fields(factory)}
-            try:
-                return factory(**kwargs)
-            except ConfigError as exc:
-                raise ConfigError(f"{name}.{exc}") from None
+            known = factory.__dataclass_fields__
+            if not sec.keys() <= known.keys():
+                key = next(k for k in sec if k not in known)
+                raise ConfigError(f"unknown field: {name}.{key}")
+            return construct(factory, name, **{
+                f.name: get_field(sec, f.name, name, number, f.default)
+                for f in fields(factory)})
 
-        return cls(drive_freq=get_field(data, "drive_freq", "", _number),
+        return cls(drive_freq=get_field(data, "drive_freq", "", number),
                    hot=build(LorentzianBath, "hot"),
                    cold=build(LorentzianBath, "cold"),
                    mid=build(OhmicBath, "mid"), wm=build(WorkingMedium, "wm"))

@@ -21,7 +21,8 @@ from scipy.stats import qmc
 
 from . import _kernels
 from ._kernels import COL_DP, COL_JC, COL_JH, COL_JM, COL_P, thermo_batch
-from .core import ConfigError, MachineConfig, PARAM_PATHS, as_mapping, get_field
+from .core import (ConfigError, MachineConfig, PARAM_PATHS, as_mapping, construct,
+                   get_field, integer, number, string)
 from .currents import KERNEL_PATHS, validity_codes
 from .modes import MODE_BY_CODE, OperatingMode, classify_coupled_arrays
 from .transistor import (DEFAULT_THRESHOLD, GAIN_RELIABLE_BAND, _figures, _runs,
@@ -49,11 +50,12 @@ class VaryRange:
 
     def __post_init__(self):
         if self.scale not in ("linear", "log"):
-            raise ConfigError(f"scale must be 'linear' or 'log', got {self.scale!r}")
+            raise ConfigError(f"scale must be 'linear' or 'log', got {self.scale!r}",
+                              "scale")
         if not (self.low <= self.high):
-            raise ConfigError("range low must be <= high")
+            raise ConfigError("range low must be <= high", "max")
         if self.scale == "log" and self.low <= 0:
-            raise ConfigError("log-scaled range requires positive bounds")
+            raise ConfigError("log-scaled range requires positive bounds", "min")
 
     def decode(self, u: float) -> float:
         if self.scale == "log":
@@ -90,19 +92,25 @@ class SearchSpec:
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
-            raise ConfigError(f"unknown objective {self.objective!r}; "
+            raise ConfigError(f"unknown search.objective {self.objective!r}; "
                               f"expected one of {OBJECTIVES}")
         if not self.vary:
-            raise ConfigError("search needs at least one varied parameter")
+            raise ConfigError("search.vary needs at least one varied parameter")
         for name in list(self.vary) + list(self.lock):
             if name not in PARAM_PATHS:
                 raise ConfigError(f"unknown parameter {name!r}")
+        for name, rng in self.vary.items():
+            # every parameter is positive; a coupling may be 0
+            zero_ok = name.endswith(".kappa")
+            if not (rng.low >= 0.0 if zero_ok else rng.low > 0.0):
+                raise ConfigError(f"search.vary.{name}.min must be "
+                                  f"{'>= 0' if zero_ok else '> 0'}, got {rng.low}")
         for name, rule in self.lock.items():
             if name in self.vary:
                 raise ConfigError(f"parameter {name!r} is both varied and locked")
             if rule.source not in self.vary:
-                raise ConfigError(f"lock source {rule.source!r} must be a varied "
-                                  f"parameter")
+                raise ConfigError(f"search.lock.{name}.source {rule.source!r} must "
+                                  f"be a varied parameter")
         for name, low in (("samples", 1), ("refine_rounds", 0),
                           ("refine_samples", 0), ("pool", 1), ("top_k", 1)):
             if getattr(self, name) < low:
@@ -110,8 +118,12 @@ class SearchSpec:
         for name in ("shrink", "threshold"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"search.{name} must be > 0")
-        if self.omega_count < 3 or not (0 < self.omega_start < self.omega_stop):
-            raise ConfigError("invalid omega grid")
+        for key, bad, why in (("count", self.omega_count < 3, "must be >= 3"),
+                              ("start", not self.omega_start > 0, "must be > 0"),
+                              ("stop", not self.omega_stop > self.omega_start,
+                               "must be > search.omega_grid.start")):
+            if bad:
+                raise ConfigError(f"search.omega_grid.{key} {why}")
 
     @classmethod
     def from_dict(cls, data: dict, path: str = "search") -> "SearchSpec":
@@ -122,12 +134,13 @@ class SearchSpec:
         below ``path``.
         """
         section = as_mapping(data, path)
-        vary = {name: VaryRange(low=get_field(rng, "min", where, float),
-                                high=get_field(rng, "max", where, float),
-                                scale=rng.get("scale", "linear"))
+        vary = {name: construct(VaryRange, where,
+                                low=get_field(rng, "min", where, number),
+                                high=get_field(rng, "max", where, number),
+                                scale=get_field(rng, "scale", where, string, "linear"))
                 for name, rng, where in _entries(section, "vary", path)}
-        lock = {name: LockRule(source=get_field(rule, "source", where, str),
-                               offset=get_field(rule, "offset", where, float,
+        lock = {name: LockRule(source=get_field(rule, "source", where, string),
+                               offset=get_field(rule, "offset", where, number,
                                                 0.0))
                 for name, rule, where in _entries(section, "lock", path)}
         grid = as_mapping(section.get("omega_grid") or {}, f"{path}.omega_grid")
@@ -135,7 +148,7 @@ class SearchSpec:
                    for k, kind in _GRID_FIELDS.items() if k in grid}
         options.update({k: get_field(section, k, path, kind)
                         for k, kind in _SCALAR_FIELDS.items() if k in section})
-        return cls(objective=get_field(section, "objective", path, str,
+        return cls(objective=get_field(section, "objective", path, string,
                                        "transistor_window"),
                    vary=vary, lock=lock, **options)
 
@@ -155,11 +168,10 @@ class SearchSpec:
 
 # Plain fields of a search section and their types; omega_grid.<key> maps
 # to the SearchSpec field omega_<key>.
-_GRID_FIELDS = {"start": float, "stop": float, "count": operator.index}
-_SCALAR_FIELDS = {"threshold": float, "samples": operator.index,
-                  "refine_rounds": operator.index,
-                  "refine_samples": operator.index, "pool": operator.index,
-                  "shrink": float, "top_k": operator.index}
+_GRID_FIELDS = {"start": number, "stop": number, "count": integer}
+_SCALAR_FIELDS = {"threshold": number, "samples": integer, "refine_rounds": integer,
+                  "refine_samples": integer, "pool": integer, "shrink": number,
+                  "top_k": integer}
 
 
 def _entries(section: dict, key: str, path: str):
@@ -282,8 +294,10 @@ def run_search(template: MachineConfig, spec: SearchSpec, seed: int) -> list[Can
     sample, each refinement round) is scored in candidate x omega blocks.
     Candidates that violate the machine's validity constraints, or whose
     omega0 is not above the grid, score ``-inf`` and are dropped from the
-    returned list.
+    returned list.  The seed must be a non-negative integer.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     dim = len(spec.vary)
     grid = np.linspace(spec.omega_start, spec.omega_stop, spec.omega_count)
     # a varied or locked omega0 is checked against the grid per candidate

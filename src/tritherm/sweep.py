@@ -1,11 +1,16 @@
 """Parameter sweeps: mode maps, exergy maps, and transistor traces.
 
-The valid cells of a grid are evaluated in blocks of
-``_kernels.BLOCK_POINTS`` batch-kernel points; cells whose parameters
-violate preconditions (temperature ordering, drive range, positive peak
+A grid is evaluated in rectangular axis1 x axis2 tiles of at most
+``_kernels.BLOCK_POINTS`` cells.  The kernel receives the axis values as
+broadcast vectors, an axis1 column against an axis2 row, with the template
+values as scalars, so a term that depends on one axis only (the cold bath
+and the sidebands along a drive x hot-center map, say) is computed once
+per row or column of a tile.  Cells whose parameters violate
+preconditions (temperature ordering, drive range, positive peak
 frequencies) are emitted as error cells carrying NaN values and an error
-code, so maps keep their rectangular shape.  Every cell is bitwise
-identical to a single-point evaluation at the same parameters.
+code, so maps keep their rectangular shape; the kernel never sees them.
+Every cell is bitwise identical to a single-point evaluation at the same
+parameters.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import contextlib
 import csv
 import io
 import json
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +26,8 @@ import numpy as np
 from . import _kernels
 from ._kernels import (COL_JC, COL_JH, COL_JM, COL_P, COL_SNEG, COL_SPOS, NCOLS,
                        thermo_batch)
-from .core import ConfigError, MachineConfig, as_mapping, get_field
+from .core import (ConfigError, MachineConfig, as_mapping, construct, get_field,
+                   integer, number, string)
 from .currents import KERNEL_PATHS, VALIDITY_MESSAGES, config_args, validity_codes
 from .modes import (ERROR_CODE, MODE_BY_CODE, classify_coupled_arrays,
                     exergy_from_split)
@@ -54,6 +59,8 @@ ERROR_MESSAGES = VALIDITY_MESSAGES
 
 _MODE_LABELS = tuple(m.value for m in MODE_BY_CODE[:ERROR_CODE]) + ("error",)
 
+_MAX_COUNT = np.iinfo(np.intp).max
+
 _CHUNK_ROWS = 8192   # rows per write of the text exports: bounded memory
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -83,15 +90,17 @@ class Axis:
     def __post_init__(self):
         if self.param not in AXIS_PARAMS:
             raise ConfigError(f"unknown sweep parameter {self.param!r}; "
-                              f"expected one of {sorted(AXIS_PARAMS)}")
-        if self.count < 2:
-            raise ConfigError(f"axis {self.param}: count must be >= 2")
-        if not np.isfinite([self.start, self.stop]).all():
-            raise ConfigError(f"axis {self.param}: start and stop must be finite")
-        if not (self.start < self.stop):
-            raise ConfigError(f"axis {self.param}: start must be < stop")
-        if self.start <= 0:
-            raise ConfigError(f"axis {self.param}: values must be positive")
+                              f"expected one of {sorted(AXIS_PARAMS)}", "param")
+        for key, bad, why in (
+                ("count", self.count < 2, "count must be >= 2"),
+                # np.linspace could not size a larger array
+                ("count", self.count > _MAX_COUNT, f"count must be <= {_MAX_COUNT}"),
+                ("start", not np.isfinite(self.start), "start and stop must be finite"),
+                ("stop", not np.isfinite(self.stop), "start and stop must be finite"),
+                ("stop", not self.start < self.stop, "start must be < stop"),
+                ("start", self.start <= 0, "values must be positive")):
+            if bad:
+                raise ConfigError(f"axis {self.param}: {why}", key)
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
@@ -105,9 +114,10 @@ class Axis:
         """Inverse of :meth:`to_dict`; ConfigError names a missing or
         malformed field below ``path`` (e.g. ``sweep.axis1.count``)."""
         data = as_mapping(data, path)
-        return cls(**{key: get_field(data, key, path, kind) for key, kind in (
-            ("param", str), ("start", float), ("stop", float),
-            ("count", operator.index))})
+        values = {key: get_field(data, key, path, kind) for key, kind in (
+            ("param", string), ("start", number), ("stop", number),
+            ("count", integer))}
+        return construct(cls, path, **values)
 
 
 @dataclass(frozen=True)
@@ -122,13 +132,15 @@ class SweepSpec:
     def __post_init__(self):
         unknown = set(self.outputs) - OUTPUT_KINDS
         if unknown:
-            raise ConfigError(f"unknown outputs: {sorted(unknown)}")
+            raise ConfigError(f"unknown outputs: {sorted(unknown)}", "outputs")
         w0 = self.template.wm.omega0
-        for axis in (self.axis1, self.axis2):
+        for name, axis in (("axis1", self.axis1), ("axis2", self.axis2)):
             if axis is not None and axis.param == "drive_freq" and axis.stop >= w0:
-                raise ConfigError(f"axis drive_freq must stay below omega0 = {w0}")
+                raise ConfigError(f"axis drive_freq must stay below omega0 = {w0}",
+                                  f"{name}.stop")
         if self.axis2 is not None and self.axis2.param == self.axis1.param:
-            raise ConfigError("the two axes must sweep different parameters")
+            raise ConfigError("the two axes must sweep different parameters",
+                              "axis2.param")
 
 
 def _apply_axis(cols: list[np.ndarray], param: str, values: np.ndarray,
@@ -248,10 +260,13 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
 
     Cells are laid out row-major over (axis1, axis2).  Cells violating
     preconditions are marked with an error code and carry NaN values and
-    the mode label ``error`` rather than being dropped.  The valid cells
-    are evaluated in blocks of ``BLOCK_POINTS``, each written straight into
-    the result arrays.  ``threads`` is accepted for compatibility and
-    ignored.
+    the mode label ``error`` rather than being dropped.  The kernel sees the
+    axes as broadcast vectors, axis1 as a column and axis2 as a row, and
+    the grid is evaluated in tiles of at most ``BLOCK_POINTS`` cells, each
+    written straight into the result arrays: terms that depend on one axis
+    only are computed once per row or column of a tile.  A tile with error
+    cells passes only its valid ones to the kernel; an all-error tile is
+    skipped.  ``threads`` is accepted for compatibility and ignored.
     """
     template = spec.template
     a1 = spec.axis1.values()
@@ -260,37 +275,63 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     n2 = 1 if a2 is None else len(a2)
     n = n1 * n2
 
-    # template values stay scalars; only the swept columns are arrays
-    cols = [np.float64(v) for v in config_args(template)]
-    _apply_axis(cols, spec.axis1.param, np.repeat(a1, n2), template)
+    # template values stay scalars; axis1 varies along rows, axis2 along columns
+    args = [np.float64(v) for v in config_args(template)]
+    _apply_axis(args, spec.axis1.param, a1[:, None], template)
     if a2 is not None:
-        _apply_axis(cols, spec.axis2.param, np.tile(a2, n1), template)
-    swept = [i for i, c in enumerate(cols) if np.ndim(c)]
+        _apply_axis(args, spec.axis2.param, a2[None, :], template)
 
-    error_codes = validity_codes(cols, n)
-    valid = np.flatnonzero(error_codes == 0)
+    codes = validity_codes(args, (n1, n2))
     transistor = "transistor" in spec.outputs
     thermo = np.full((n, NCOLS), np.nan)
     mode_codes = np.full(n, ERROR_CODE, dtype=np.int8)
     phi = np.full(n, np.nan)
     r, g = (np.full(n, np.nan), np.full(n, np.nan)) if transistor else (None, None)
-    for start in range(0, valid.size, _kernels.BLOCK_POINTS):
-        rows = valid[start:start + _kernels.BLOCK_POINTS]
-        if rows[-1] - rows[0] + 1 == rows.size:   # a run of cells: views, no scatter
-            rows = slice(rows[0], rows[-1] + 1)
-        args = list(cols)
-        for i in swept:
-            args[i] = cols[i][rows]
-        table = thermo_batch(*args, slopes=transistor)
-        thermo[rows] = table[:, :NCOLS]
-        mode_codes[rows] = classify_coupled_arrays(
-            template.hot.kappa, template.cold.kappa,
-            *(table[:, c] for c in (COL_JH, COL_JC, COL_JM, COL_P)))
-        phi[rows] = exergy_from_split(table[:, COL_SPOS], table[:, COL_SNEG])
-        if transistor:
-            r[rows], g[rows] = _figures(table)
+    # (n1, n2) views of the row-major results
+    grids = [a.reshape(n1, n2, *a.shape[1:]) for a in (thermo, mode_codes, phi, r, g)
+             if a is not None]
+    cols = min(n2, _kernels.BLOCK_POINTS)
+    rows = max(1, _kernels.BLOCK_POINTS // cols)
+    for i in range(0, n1, rows):
+        for j in range(0, n2, cols):
+            tile = (slice(i, i + rows), slice(j, j + cols))
+            ok = codes[tile] == 0
+            if ok.all():
+                mask = ()
+            elif ok.any():
+                mask = (ok,)   # gather the valid cells only
+            else:
+                continue
+            _run_tile([_tile(a, tile, mask) for a in args], template, transistor,
+                      [grid[tile] for grid in grids], mask)
     return SweepResult(spec, a1, a2, thermo, mode_codes, phi, r, g,
-                       error_codes)
+                       codes.reshape(n))
+
+
+def _run_tile(args, template, transistor, grids, mask):
+    """Evaluate one tile and write its cells (those of ``mask``, if given)
+    into the ``grids`` views of thermo, mode codes, phi and, with
+    ``transistor``, r and g.  A tile's temporaries are freed on return,
+    before the next tile's kernel call."""
+    table = thermo_batch(*args, slopes=transistor)
+    values = [table[..., :NCOLS],
+              classify_coupled_arrays(
+                  template.hot.kappa, template.cold.kappa,
+                  *(table[..., c] for c in (COL_JH, COL_JC, COL_JM, COL_P))),
+              exergy_from_split(table[..., COL_SPOS], table[..., COL_SNEG]),
+              *(_figures(table) if transistor else ())]
+    for grid, v in zip(grids, values, strict=True):
+        grid[mask] = v
+
+
+def _tile(arg, tile, mask):
+    """The part over ``tile`` of a kernel argument: a scalar, an axis1
+    column or an axis2 row.  With a ``mask``, ``(ok,)``, the values of the
+    valid cells of the tile, gathered flat."""
+    if np.ndim(arg) == 0:
+        return arg
+    part = arg[tile[0]] if arg.shape[1] == 1 else arg[:, tile[1]]
+    return np.broadcast_to(part, mask[0].shape)[mask] if mask else part
 
 
 def resonance_lines(spec: SweepSpec) -> tuple[tuple[float, float], tuple[float, float]]:

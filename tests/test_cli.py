@@ -428,7 +428,173 @@ class TestManifestErrors:
                 == (tmp_path / "transistor.out").read_bytes())
 
 
+def _walk(node, path=()):
+    """``(path, value)`` of every entry below a manifest mapping."""
+    for key, value in node.items():
+        yield path + (key,), value
+        if isinstance(value, dict):
+            yield from _walk(value, path + (key,))
+
+
+def _named(path) -> str:
+    """How an error names the field at ``path``: config fields by their
+    path inside the config, as a YAML file spells them."""
+    return ".".join(path[1:] if path[0] == "config" else path)
+
+
+# Fields whose removal leaves a valid manifest: defaults and optional parts.
+_OPTIONAL = {("sweep", "axis2"), ("config", "wm"), ("config", "mid", "gamma_m"),
+             *(("search", k) for k in ("objective", "lock", "omega_grid", "threshold",
+                                       "samples", "refine_rounds", "refine_samples",
+                                       "pool", "shrink", "top_k"))}
+
+
+def _required(path) -> bool:
+    """Whether dropping the field at ``path`` leaves a malformed manifest."""
+    if path[:2] in _OPTIONAL or path[:3] in _OPTIONAL:
+        return False
+    if path[:2] in {("search", "vary"), ("search", "lock")} and len(path) > 2:
+        # entries may come and go; inside one, min, max and source are required
+        return len(path) == 4 and path[3] in {"min", "max", "source"}
+    return True
+
+
+def _mutations(manifest, command):
+    """``(path, label, value)`` of every malformed edit of a manifest: a
+    section replaced by a list or a string; a field replaced by a string,
+    null, a bool or a negative number; a required field dropped."""
+    entries = list(_walk({command: manifest[command], "config": manifest["config"]}))
+    if command == "search":
+        entries.append((("seed",), manifest["seed"]))
+    for path, value in entries:
+        if isinstance(value, dict):
+            yield from ((path, label, v) for label, v in (("list", [1]), ("str", "x")))
+        else:
+            kinds = [("str", "x"), ("null", None), ("bool", True)]
+            if path[-1] != "offset":   # a lock offset may be negative
+                kinds.append(("negative", -1))
+            yield from ((path, label, v) for label, v in kinds)
+        if _required(path):
+            yield path, "drop", KeyError
+
+
+class TestMalformedManifests:
+    """Every malformed manifest exits 1 naming its field, without a traceback."""
+
+    EXTRA = {"sweep": ["--axis1", "drive_freq:0.1:0.8:5",
+                       "--axis2", "hot.center:1.2:1.6:3"],
+             "transistor": ["--points", "21"],
+             "search": []}
+
+    def _written(self, tmp_path, command) -> dict:
+        path = write_config(tmp_path, dict(BASE_CONFIG, search=SEARCH_SECTION))
+        out = str(tmp_path / "run.out")
+        assert main([command, "--config", path, *self.EXTRA[command], "--out", out]) == 0
+        return json.loads(pathlib.Path(out + ".manifest.json").read_text())
+
+    @pytest.mark.parametrize("command", ["sweep", "transistor", "search"])
+    def test_each_mutation_names_its_field(self, tmp_path, capsys, command):
+        written = self._written(tmp_path, command)
+        edited = tmp_path / "edited.json"
+        failures, count = [], 0
+        for field, label, value in _mutations(written, command):
+            data = json.loads(json.dumps(written))
+            node = data
+            for key in field[:-1]:
+                node = node[key]
+            if value is KeyError:
+                del node[field[-1]]
+            else:
+                node[field[-1]] = value
+            edited.write_text(json.dumps(data))
+            capsys.readouterr()
+            code = main([command, "--from-manifest", str(edited),
+                         "--out", str(tmp_path / "rerun")])
+            err = capsys.readouterr().err
+            count += 1
+            if code != 1 or _named(field) not in err or "Traceback" in err:
+                failures.append(f"{'.'.join(field)} {label}: exit {code}, {err.strip()!r}")
+        assert count > 40
+        assert not failures, "\n".join(failures)
+
+    @pytest.mark.parametrize("key,value,named", [
+        ("axis1", {"param": "drive_freq", "start": 0.1, "stop": 1.5, "count": 5},
+         "sweep.axis1.stop"),
+        ("axis2", {"param": "drive_freq", "start": 0.1, "stop": 0.5, "count": 3},
+         "sweep.axis2.param"),
+        ("axis2", False, "sweep.axis2"),
+        ("outputs", ["currents", "flux"], "sweep.outputs")],
+        ids=["drive_beyond_omega0", "same_param_twice", "axis2_false", "unknown_output"])
+    def test_sweep_spec_errors_name_their_field(self, tmp_path, capsys, key, value, named):
+        data = self._written(tmp_path, "sweep")
+        data["sweep"][key] = value
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["sweep", "--from-manifest", str(edited),
+                     "--out", str(tmp_path / "rerun")]) == 1
+        assert named in capsys.readouterr().err
+
+
+class TestUnknownConfigFields:
+    @pytest.mark.parametrize("section,key", [("wm", "omga0"), ("mid", "gama_m"),
+                                             ("hot", "centre"), ("cold", "kapa")])
+    def test_yaml_typo_names_field(self, tmp_path, capsys, section, key):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config[section][key] = 2.0
+        assert main(["point", "--config", write_config(tmp_path, config)]) == 1
+        assert f"unknown field: {section}.{key}" in capsys.readouterr().err
+
+    def test_top_level_stays_open(self, tmp_path):
+        config = dict(BASE_CONFIG, search=SEARCH_SECTION, notes="a comment")
+        assert main(["point", "--config", write_config(tmp_path, config)]) == 0
+
+    def test_manifest_config_typo_names_field(self, tmp_path, capsys):
+        manifest = _manifest_for(tmp_path, "sweep")
+        data = json.loads(manifest.read_text())
+        data["config"]["wm"]["omga0"] = 2.0
+        manifest.write_text(json.dumps(data))
+        assert main(["sweep", "--from-manifest", str(manifest),
+                     "--out", str(tmp_path / "rerun.csv")]) == 1
+        assert "unknown field: wm.omga0" in capsys.readouterr().err
+
+
 class TestErrors:
+    @pytest.mark.parametrize("points", ["-1", "0"])
+    def test_transistor_points_below_one_names_field(self, tmp_path, capsys, points):
+        path = write_config(tmp_path, BASE_CONFIG)
+        assert main(["transistor", "--config", path, "--points", points,
+                     "--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "transistor.points must be >= 1" in err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_manifest_transistor_points_below_one_names_field(self, tmp_path, capsys):
+        manifest = _manifest_for(tmp_path, "transistor")
+        data = json.loads(manifest.read_text())
+        data["transistor"]["points"] = -1
+        manifest.write_text(json.dumps(data))
+        assert main(["transistor", "--from-manifest", str(manifest),
+                     "--out", str(tmp_path / "rerun")]) == 1
+        assert "transistor.points must be >= 1" in capsys.readouterr().err
+
+    def test_axis_count_beyond_intp_names_count(self, tmp_path, capsys):
+        # rejected before np.linspace is asked to size the array
+        path = write_config(tmp_path, BASE_CONFIG)
+        assert main(["sweep", "--config", path, "--axis1",
+                     "drive_freq:0.1:0.5:" + "1" + "0" * 30,
+                     "--out", str(tmp_path / "s.csv")]) == 1
+        assert "axis drive_freq: count must be <=" in capsys.readouterr().err
+
+    def test_manifest_axis_count_beyond_intp_names_field(self, tmp_path, capsys):
+        manifest = _manifest_for(tmp_path, "sweep")
+        data = json.loads(manifest.read_text())
+        data["sweep"]["axis1"]["count"] = 10**30
+        manifest.write_text(json.dumps(data))
+        assert main(["sweep", "--from-manifest", str(manifest),
+                     "--out", str(tmp_path / "rerun.csv")]) == 1
+        assert "sweep.axis1.count" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["point", "--config", str(tmp_path / "nope.yaml")]) == 1
         assert "not found" in capsys.readouterr().err

@@ -182,6 +182,23 @@ class TestConfig:
                                      sort_keys=True)
         assert '"temperature": 1.0' in written and '"kappa": 0.0' in written
 
+    @pytest.mark.parametrize("section", ["wm", "hot", "cold", "mid"])
+    def test_unknown_section_field_is_named(self, default_config, section):
+        data = default_config.to_dict()
+        data[section]["typo"] = 1.0
+        with pytest.raises(ConfigError, match=rf"^unknown field: {section}\.typo$"):
+            tt.MachineConfig.from_dict(data)
+
+    def test_top_level_keys_stay_open(self, default_config):
+        data = dict(default_config.to_dict(), search={"objective": "mode_sequence"})
+        assert tt.MachineConfig.from_dict(data) == default_config
+
+    def test_working_medium_error_names_field_once(self, default_config):
+        data = default_config.to_dict()
+        data["wm"]["omega0"] = -1.0
+        with pytest.raises(ConfigError, match=r"^field wm\.omega0: omega0 must be > 0"):
+            tt.MachineConfig.from_dict(data)
+
     def test_apply_params_unknown_path(self, default_config):
         with pytest.raises(ConfigError, match="unknown parameter"):
             tt.apply_params(default_config, {"hot.flux": 1.0})

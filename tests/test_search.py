@@ -140,6 +140,16 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match=rf"search\.{name} must be"):
             dataclasses.replace(window_spec(), **{name: value})
 
+    @pytest.mark.parametrize("name,low", [("hot.temperature", 0.0),
+                                          ("hot.center", -0.5), ("hot.kappa", -1e-3)])
+    def test_range_below_the_parameter_domain_is_named(self, name, low):
+        with pytest.raises(ConfigError, match=rf"search\.vary\.{name}\.min must be"):
+            _varied(window_spec(), **{name: tt.VaryRange(low, 1.0)})
+
+    def test_coupling_range_may_start_at_zero(self):
+        spec = _varied(window_spec(), **{"hot.kappa": tt.VaryRange(0.0, 0.02)})
+        assert spec.vary["hot.kappa"].low == 0.0
+
     def test_range_decode(self):
         lin = tt.VaryRange(1.0, 3.0)
         assert lin.decode(0.5) == 2.0

@@ -8,9 +8,12 @@ import pytest
 import tritherm as tt
 from tritherm import _kernels
 from tritherm.core import ConfigError
-from tritherm.currents import ThermoPoint, config_args, validity_codes
-from tritherm.modes import ERROR_CODE, MODE_BY_CODE, OperatingMode
+from tritherm._kernels import thermo_batch
+from tritherm.currents import KERNEL_PATHS, ThermoPoint, config_args, validity_codes
+from tritherm.modes import (ERROR_CODE, MODE_BY_CODE, OperatingMode,
+                            classify_coupled_arrays, exergy_from_split)
 from tritherm.sweep import _CHUNK_ROWS
+from tritherm.transistor import _figures
 
 from conftest import make_config
 
@@ -136,6 +139,74 @@ _BLOCK_CASES = {
                tt.Axis("mid.temperature", 0.3, 0.9, 8)),
 }
 
+# The tile cases: a 1D sweep whose lower cells break the temperature
+# ordering, a drive x hot-center map, a locked axis and a temperature map
+# with error cells
+_TILE_CASES = {
+    "one_axis": (make_config(), tt.Axis("hot.temperature", 0.1, 1.0, 37), None),
+    "drive_x_center": (make_config(), tt.Axis("drive_freq", 0.02, 0.9, 23),
+                       tt.Axis("hot.center", 1.0, 2.0, 19)),
+    **_BLOCK_CASES,
+}
+
+
+def _tile_kinds(codes, n2, block):
+    """Kind ("valid", "mixed" or "error") of each tile of ``block`` points."""
+    grid = codes.reshape(-1, n2)
+    cols = min(n2, block)
+    rows = max(1, block // cols)
+    kinds = []
+    for i in range(0, grid.shape[0], rows):
+        for j in range(0, n2, cols):
+            ok = grid[i:i + rows, j:j + cols] == 0
+            kinds.append("valid" if ok.all() else "mixed" if ok.any() else "error")
+    return kinds
+
+
+def _one_call(spec):
+    """The arrays of ``run_sweep`` from one kernel call on the valid cells of
+    full-size swept columns, classified and scored in one pass each."""
+    template = spec.template
+    a1 = spec.axis1.values()
+    a2 = spec.axis2.values() if spec.axis2 is not None else None
+    n2 = 1 if a2 is None else len(a2)
+    n = len(a1) * n2
+    cols = [np.float64(v) for v in config_args(template)]
+    axes = [(spec.axis1.param, np.repeat(a1, n2))]
+    if a2 is not None:
+        axes.append((spec.axis2.param, np.tile(a2, len(a1))))
+    for param, values in axes:
+        if param == "hot.center_locked":
+            cols[KERNEL_PATHS.index("hot.center")] = values
+            cols[KERNEL_PATHS.index("cold.center")] = values - template.detuning
+        else:
+            cols[KERNEL_PATHS.index(param)] = values
+    codes = validity_codes(cols, n)
+    ok = codes == 0
+    table = thermo_batch(*(c[ok] if np.ndim(c) else c for c in cols),
+                         slopes="transistor" in spec.outputs)
+    thermo = np.full((n, _kernels.NCOLS), np.nan)
+    thermo[ok] = table[:, :_kernels.NCOLS]
+    modes = np.full(n, ERROR_CODE, dtype=np.int8)
+    modes[ok] = classify_coupled_arrays(template.hot.kappa, template.cold.kappa,
+                                        *(table[:, c] for c in range(4)))
+    phi = np.full(n, np.nan)
+    phi[ok] = exergy_from_split(table[:, _kernels.COL_SPOS], table[:, _kernels.COL_SNEG])
+    out = [thermo, modes, phi]
+    if "transistor" in spec.outputs:
+        for figure in _figures(table):
+            column = np.full(n, np.nan)
+            column[ok] = figure
+            out.append(column)
+    return out + [codes]
+
+
+def _block_sizes(n1, n2):
+    """BLOCK_POINTS above the grid, below one row (columns are split) and
+    between the two (several rows per tile, the last tile short)."""
+    return {"above": n1 * n2 + 1, "below_row": max(1, n2 // 2 - 1),
+            "between": 2 * n2 + 1}
+
 
 class TestBlocks:
     @pytest.mark.parametrize("transistor", [False, True])
@@ -148,12 +219,50 @@ class TestBlocks:
         whole = tt.run_sweep(spec)
         monkeypatch.setattr(_kernels, "BLOCK_POINTS", 7)
         blocked = tt.run_sweep(spec)
-        valid = np.flatnonzero(blocked.error_codes == 0)
-        gaps = np.diff(valid)[6::7]   # between the last cell of a block and the next
-        assert (gaps > 1).any() and (gaps == 1).any()
+        # tiles of 7 cells: some mix valid and error cells, and not all
+        # tiles are of one kind
+        kinds = set(_tile_kinds(blocked.error_codes, axis2.count, 7))
+        assert "mixed" in kinds and len(kinds) >= 2
         for got, want in zip(_arrays(blocked), _arrays(whole), strict=True):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("transistor", [False, True])
+    @pytest.mark.parametrize("block", ["above", "below_row", "between"])
+    @pytest.mark.parametrize("case", list(_TILE_CASES))
+    def test_tiles_equal_one_flat_call(self, monkeypatch, case, block, transistor):
+        template, axis1, axis2 = _TILE_CASES[case]
+        spec = tt.SweepSpec(template=template, axis1=axis1, axis2=axis2,
+                            outputs=_outputs(transistor))
+        n2 = 1 if axis2 is None else axis2.count
+        monkeypatch.setattr(_kernels, "BLOCK_POINTS",
+                            _block_sizes(axis1.count, n2)[block])
+        result = tt.run_sweep(spec)
+        for got, want in zip(_arrays(result), _one_call(spec), strict=True):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_all_error_tile_makes_no_kernel_call(self, monkeypatch):
+        template, axis1, axis2 = _BLOCK_CASES["temperatures"]
+        spec = tt.SweepSpec(template=template, axis1=axis1, axis2=axis2)
+        monkeypatch.setattr(_kernels, "BLOCK_POINTS", 7)
+        seen = []
+
+        def counting(*args, **kwargs):
+            table = thermo_batch(*args, **kwargs)
+            seen.append(table.shape[:-1])
+            return table
+
+        monkeypatch.setattr(tt.sweep, "thermo_batch", counting)
+        result = tt.run_sweep(spec)
+        kinds = _tile_kinds(result.error_codes, axis2.count, 7)
+        assert {"valid", "mixed", "error"} <= set(kinds)
+        assert len(seen) == len(kinds) - kinds.count("error")
+        # full tiles keep their 2D shape, mixed ones pass their valid cells
+        assert sorted(len(shape) for shape in seen) == sorted(
+            2 if k == "valid" else 1 for k in kinds if k != "error")
+        assert sum(int(np.prod(shape)) for shape in seen) == np.count_nonzero(
+            result.error_codes == 0)
 
     @pytest.mark.parametrize("transistor", [False, True])
     def test_block_memory_is_bounded(self, transistor):
@@ -165,16 +274,34 @@ class TestBlocks:
                             axis2=tt.Axis("hot.center", 1.0, 2.0,
                                           _kernels.BLOCK_POINTS // 16),
                             outputs=_outputs(transistor))
-        tt.run_sweep(spec)
-        tracemalloc.start()
-        try:
-            result = tt.run_sweep(spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        extra = _extra_memory(spec)
         ncols = _kernels.NCOLS + 2 if transistor else _kernels.NCOLS
-        kept = sum(a.nbytes for a in _arrays(result))
-        assert peak - kept <= 4 * _kernels.BLOCK_POINTS * ncols * 8
+        assert extra <= 4 * _kernels.BLOCK_POINTS * ncols * 8
+
+    def test_memory_beside_results_does_not_grow_with_tiles(self):
+        # one tile against sixteen: a full-size swept column or an index of
+        # the valid cells would add 2-4 MB on the larger grid
+        def spec(rows):
+            return tt.SweepSpec(template=make_config(),
+                                axis1=tt.Axis("drive_freq", 0.02, 0.9, rows),
+                                axis2=tt.Axis("hot.center", 1.0, 2.0,
+                                              _kernels.BLOCK_POINTS // 16),
+                                outputs=_outputs(True))
+        one, many = _extra_memory(spec(16)), _extra_memory(spec(16 * 16))
+        table = _kernels.BLOCK_POINTS * (_kernels.NCOLS + 2) * 8
+        assert many - one <= table
+
+
+def _extra_memory(spec) -> int:
+    """Peak traced memory of ``run_sweep(spec)`` beyond its result arrays."""
+    tt.run_sweep(spec)
+    tracemalloc.start()
+    try:
+        result = tt.run_sweep(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(a.nbytes for a in _arrays(result))
 
 
 class TestCellErrors:
