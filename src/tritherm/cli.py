@@ -35,7 +35,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .core import (ConfigError, DomainError, MachineConfig, TrithermError,
+from .core import (MAX_COUNT, ConfigError, DomainError, MachineConfig, TrithermError,
                    apply_params, construct, get_field, integer, number)
 from .modes import mode_report
 from .search import SearchSpec, run_search
@@ -44,14 +44,24 @@ from .transistor import (DEFAULT_THRESHOLD, transistor_trace, window_mask,
                          windows_from_arrays)
 
 
-def _load_yaml(path: str) -> dict:
+def _parse(path: str, kind: str, parse):
+    """``parse`` of the text of the ``kind`` file ``path``; ConfigError naming
+    the file if it is missing, not UTF-8 or malformed."""
     try:
-        with open(path) as fh:
-            data = yaml.safe_load(fh)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from None
+        raise ConfigError(f"{kind} file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{kind} file {path} is not UTF-8 text: {exc}") from None
+    try:
+        return parse(text)
+    except (ValueError, yaml.YAMLError) as exc:
+        raise ConfigError(f"cannot parse {kind} {path}: {exc}") from None
+
+
+def _load_yaml(path: str) -> dict:
+    data = _parse(path, "config", yaml.safe_load)
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must contain a mapping")
     return data
@@ -71,20 +81,15 @@ def _parse_overrides(pairs) -> dict:
     return out
 
 
-def _load_config(args) -> tuple[MachineConfig, dict]:
+def _load_config(args) -> tuple[MachineConfig, dict, list[str]]:
+    """The ``--set`` config, its raw YAML and its warnings (printed to stderr)."""
     raw = _load_yaml(args.config)
-    config = MachineConfig.from_dict(raw)
-    overrides = _parse_overrides(getattr(args, "set", None))
-    if overrides:
-        config = apply_params(config, overrides)
-    return config, raw
-
-
-def _validate(config, args) -> list[str]:
+    config = apply_params(MachineConfig.from_dict(raw),
+                          _parse_overrides(getattr(args, "set", None)))
     warnings = config.validate(relax=getattr(args, "relax_validation", False))
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    return warnings
+    return config, raw, warnings
 
 
 def _write_manifest(out_path: str, command: str, config: MachineConfig,
@@ -107,11 +112,7 @@ def _write_manifest(out_path: str, command: str, config: MachineConfig,
 
 def _load_manifest(path: str, command: str) -> tuple[MachineConfig, dict, dict]:
     """The config, the ``command`` section and the whole manifest."""
-    with open(path) as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse manifest {path}: {exc}") from None
+    manifest = _parse(path, "manifest", json.loads)
     if not isinstance(manifest, dict):
         raise ConfigError(f"manifest {path} must contain a mapping")
     if manifest.get("command") != command:
@@ -153,8 +154,7 @@ def _parse_axis(text: str) -> Axis:
 
 
 def cmd_point(args) -> int:
-    config, _ = _load_config(args)
-    warnings = _validate(config, args)
+    config, _, warnings = _load_config(args)
     report = mode_report(config)
     payload = {
         "config": config.to_dict(),
@@ -182,8 +182,7 @@ def cmd_sweep(args) -> int:
         if not args.config or not args.axis1:
             raise ConfigError("sweep needs --config and --axis1 "
                               "(or --from-manifest)")
-        config, _ = _load_config(args)
-        _validate(config, args)
+        config, _, _ = _load_config(args)
         axis1 = _parse_axis(args.axis1)
         axis2 = _parse_axis(args.axis2) if args.axis2 else None
         outputs = frozenset((args.outputs or "currents,mode,exergy").split(","))
@@ -211,8 +210,7 @@ def cmd_transistor(args) -> int:
     else:
         if not args.config:
             raise ConfigError("transistor needs --config (or --from-manifest)")
-        config, _ = _load_config(args)
-        _validate(config, args)
+        config, _, _ = _load_config(args)
         t = {"omega_min": args.omega_min, "omega_max": args.omega_max,
              "points": args.points, "threshold": args.threshold}
     omega_min, omega_max, points, threshold = (
@@ -225,6 +223,7 @@ def cmd_transistor(args) -> int:
             ("omega_max", not omega_max < config.wm.omega0,
              f"must be < omega0 = {config.wm.omega0}"),
             ("points", points < 1, "must be >= 1"),
+            ("points", points > MAX_COUNT, f"must be <= {MAX_COUNT}"),
             ("threshold", not threshold > 0.0, "must be > 0")):
         if bad:
             raise ConfigError(f"transistor.{key} {why}, got {t[key]!r}")
@@ -260,8 +259,7 @@ def cmd_search(args) -> int:
     else:
         if not args.config:
             raise ConfigError("search needs --config (or --from-manifest)")
-        config, raw = _load_config(args)
-        _validate(config, args)
+        config, raw, _ = _load_config(args)
         if "search" not in raw:
             raise ConfigError("config file has no 'search' section")
         spec = SearchSpec.from_dict(raw["search"])

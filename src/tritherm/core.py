@@ -32,6 +32,11 @@ __all__ = [
     "apply_params",
 ]
 
+# Largest count of grid points, samples or cells: numpy can size a float64
+# array of MAX_COUNT rows of 16 columns, which covers every array built
+# from one count (np.linspace, the Latin hypercube, the kernel tables).
+MAX_COUNT = np.iinfo(np.intp).max // 128
+
 # Validity-warning thresholds (warnings, not errors; see MachineConfig.validate)
 KAPPA_WARN_THRESHOLD = 0.1
 WIDTH_WARN_FRACTION = 0.5

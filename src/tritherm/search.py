@@ -3,7 +3,9 @@
 The strategy is Latin-hypercube sampling over a bounded box followed by
 local refinement around the best candidates (the objectives are cheap,
 smooth, and low-dimensional).  Everything is driven by one integer seed, so
-repeated runs are bit-for-bit reproducible.
+repeated runs are bit-for-bit reproducible.  Each stage is scored in
+candidate x omega kernel blocks; the detail of each returned candidate is
+built by the public trace functions, so its score can be read off it.
 
 A search varies a set of dotted config parameters over ranges (linear or
 log scale) and can lock other parameters to sampled ones (e.g.
@@ -20,12 +22,13 @@ import numpy as np
 from scipy.stats import qmc
 
 from . import _kernels
-from ._kernels import COL_DP, COL_JC, COL_JH, COL_JM, COL_P, thermo_batch
-from .core import (ConfigError, MachineConfig, PARAM_PATHS, as_mapping, construct,
-                   get_field, integer, number, string)
+from ._kernels import COL_JC, COL_JH, COL_JM, COL_P, thermo_batch
+from .core import (MAX_COUNT, ConfigError, MachineConfig, PARAM_PATHS, apply_params,
+                   as_mapping, construct, get_field, integer, number, string)
 from .currents import KERNEL_PATHS, validity_codes
-from .modes import MODE_BY_CODE, OperatingMode, classify_coupled_arrays
-from .transistor import (DEFAULT_THRESHOLD, GAIN_RELIABLE_BAND, _figures, _runs,
+from .modes import OperatingMode, classify_coupled_arrays
+from .sweep import mode_sequence_along_omega
+from .transistor import (DEFAULT_THRESHOLD, _figures, _window_runs, transistor_trace,
                          window_mask, windows_from_arrays)
 
 __all__ = ["VaryRange", "LockRule", "SearchSpec", "Candidate", "run_search"]
@@ -49,6 +52,9 @@ class VaryRange:
     scale: str = "linear"
 
     def __post_init__(self):
+        for key, value in (("min", self.low), ("max", self.high)):
+            if not np.isfinite(value):
+                raise ConfigError(f"range {key} must be finite, got {value}", key)
         if self.scale not in ("linear", "log"):
             raise ConfigError(f"scale must be 'linear' or 'log', got {self.scale!r}",
                               "scale")
@@ -70,6 +76,10 @@ class LockRule:
 
     source: str
     offset: float = 0.0
+
+    def __post_init__(self):
+        if not np.isfinite(self.offset):
+            raise ConfigError(f"lock offset must be finite, got {self.offset}", "offset")
 
 
 @dataclass(frozen=True)
@@ -111,19 +121,19 @@ class SearchSpec:
             if rule.source not in self.vary:
                 raise ConfigError(f"search.lock.{name}.source {rule.source!r} must "
                                   f"be a varied parameter")
-        for name, low in (("samples", 1), ("refine_rounds", 0),
-                          ("refine_samples", 0), ("pool", 1), ("top_k", 1)):
-            if getattr(self, name) < low:
-                raise ConfigError(f"search.{name} must be >= {low}")
-        for name in ("shrink", "threshold"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"search.{name} must be > 0")
-        for key, bad, why in (("count", self.omega_count < 3, "must be >= 3"),
-                              ("start", not self.omega_start > 0, "must be > 0"),
-                              ("stop", not self.omega_stop > self.omega_start,
-                               "must be > search.omega_grid.start")):
-            if bad:
-                raise ConfigError(f"search.omega_grid.{key} {why}")
+        for name, low, value in (("omega_grid.count", 3, self.omega_count),
+                                 ("samples", 1, self.samples),
+                                 ("refine_rounds", 0, self.refine_rounds),
+                                 ("refine_samples", 0, self.refine_samples),
+                                 ("pool", 1, self.pool), ("top_k", 1, self.top_k)):
+            if not low <= value <= MAX_COUNT:
+                raise ConfigError(f"search.{name} must be >= {low} and <= {MAX_COUNT}")
+        for name, low, value in (("shrink", 0, self.shrink),
+                                 ("threshold", 0, self.threshold),
+                                 ("omega_grid.start", 0, self.omega_start),
+                                 ("omega_grid.stop", self.omega_start, self.omega_stop)):
+            if not low < value < np.inf:
+                raise ConfigError(f"search.{name} must be finite and > {low}")
 
     @classmethod
     def from_dict(cls, data: dict, path: str = "search") -> "SearchSpec":
@@ -139,9 +149,9 @@ class SearchSpec:
                                 high=get_field(rng, "max", where, number),
                                 scale=get_field(rng, "scale", where, string, "linear"))
                 for name, rng, where in _entries(section, "vary", path)}
-        lock = {name: LockRule(source=get_field(rule, "source", where, string),
-                               offset=get_field(rule, "offset", where, number,
-                                                0.0))
+        lock = {name: construct(LockRule, where,
+                                source=get_field(rule, "source", where, string),
+                                offset=get_field(rule, "offset", where, number, 0.0))
                 for name, rule, where in _entries(section, "lock", path)}
         grid = as_mapping(section.get("omega_grid") or {}, f"{path}.omega_grid")
         options = {f"omega_{k}": get_field(grid, k, f"{path}.omega_grid", kind)
@@ -212,56 +222,40 @@ def _columns(template: MachineConfig, spec: SearchSpec, units, grid) -> tuple:
                           & (grid[-1] < cols[:, 0]))
 
 
-def _table(spec: SearchSpec, grid, cols):
-    """Figures ``r``, ``g`` and the table ``(C, len(grid), 9)`` of the
-    candidates ``cols``, or their mode codes ``(C, len(grid))``."""
-    args = [c[:, None] for c in cols[:, :-1].T]   # all but mid.gamma_m
-    args[2] = grid[None, :]
-    if spec.objective == "transistor_window":
-        table = thermo_batch(*args, slopes=True)
-        return (*_figures(table), table)
-    table = thermo_batch(*args)
-    return classify_coupled_arrays(args[8], args[11], *(
-        table[..., c] for c in (COL_JH, COL_JC, COL_JM, COL_P)))
-
-
 def _scores(spec: SearchSpec, grid, cols) -> np.ndarray:
     """``(C, 2)`` ranking scores of valid candidates: the widest window and
     the soft score, or the distinct modes and the capped switches."""
-    if spec.objective == "mode_sequence":
-        codes = _table(spec, grid, cols)
+    args = [c[:, None] for c in cols[:, :-1].T]   # (C, 1); all but mid.gamma_m
+    window = spec.objective == "transistor_window"
+    table = thermo_batch(*args[:2], grid[None, :], *args[3:], slopes=window)
+    if not window:
+        codes = classify_coupled_arrays(args[8], args[11], *(
+            table[..., c] for c in (COL_JH, COL_JC, COL_JM, COL_P)))
         distinct = (codes[..., None] == _USEFUL_CODES).any(axis=1).sum(axis=1)
         switches = np.count_nonzero(codes[:, 1:] != codes[:, :-1], axis=1)
         return np.stack([distinct, np.minimum(switches, 999)], axis=1)
-    r, g, _ = _table(spec, grid, cols)
-    edges = np.diff(((r > spec.threshold) & (g > spec.threshold)).astype(np.int8),
-                    axis=1, prepend=0, append=0)
-    rows, starts = np.nonzero(edges == 1)   # passing runs are [start, stop)
-    stops = np.nonzero(edges == -1)[1]
-    keep = stops - starts >= 2   # one point has no width
+    r, g = _figures(table)
+    rows, starts, stops = _window_runs(r, g, spec.threshold)
     width = np.zeros(len(cols))
-    np.maximum.at(width, rows[keep], grid[stops[keep] - 1] - grid[starts[keep]])
+    np.maximum.at(width, rows, grid[stops - 1] - grid[starts])
     soft = np.where(np.isfinite(r) & np.isfinite(g), np.minimum(r, g), 0.0)
     return np.stack([width, np.minimum(soft.max(axis=1), _SOFT_CAP)], axis=1)
 
 
-def _details(spec: SearchSpec, grid, cols):
-    """Detail dict of each candidate of ``cols``, from one kernel call."""
+def _detail(config: MachineConfig, spec: SearchSpec, grid) -> dict:
+    """Detail dict of one candidate config, from the public trace functions."""
     if spec.objective == "mode_sequence":
-        for codes in _table(spec, grid, cols):
-            runs = [[float(grid[a]), float(grid[b - 1]), MODE_BY_CODE[codes[a]].value]
-                    for a, b in _runs(codes)]
-            modes = {m for *_, m in runs} - {OperatingMode.DEGENERATE.value}
-            yield {"distinct_modes": sorted(modes), "switches": len(runs) - 1,
-                   "runs": runs}
-        return
-    for r, g, row in zip(*_table(spec, grid, cols)):
-        windows = windows_from_arrays(grid, r, g, spec.threshold)
-        gains = g[window_mask(grid, windows) & np.isfinite(g)
-                  & (np.abs(row[:, COL_DP]) >= GAIN_RELIABLE_BAND)]
-        yield {"width": max((w.width for w in windows), default=0.0),
-               "max_gain": float(gains.max()) if gains.size else 0.0,
-               "windows": [w.to_dict() for w in windows]}
+        runs = mode_sequence_along_omega(config, grid)
+        modes = {m.value for _, m in runs} - {OperatingMode.DEGENERATE.value}
+        return {"distinct_modes": sorted(modes), "switches": len(runs) - 1,
+                "runs": [[lo, hi, m.value] for (lo, hi), m in runs]}
+    trace = transistor_trace(config, grid)
+    windows = windows_from_arrays(grid, trace.r, trace.g, spec.threshold)
+    gains = trace.g[window_mask(grid, windows) & np.isfinite(trace.g)
+                    & trace.g_reliable]
+    return {"width": max((w.width for w in windows), default=0.0),
+            "max_gain": float(gains.max()) if gains.size else 0.0,
+            "windows": [w.to_dict() for w in windows]}
 
 
 def _stage(template, spec, grid, units, first: int) -> list:
@@ -325,9 +319,8 @@ def run_search(template: MachineConfig, spec: SearchSpec, seed: int) -> list[Can
 
     best = [e for e in sorted(entries, key=_rank_key)[:spec.top_k]
             if np.isfinite(e[0][0])]
-    details = _details(spec, grid, _columns(template, spec, [e[2] for e in best],
-                                            grid)[1])
     return [Candidate(params={k: float(v) for k, v in params.items()},
                       score=float(score[0]),
-                      detail={**detail, "soft_score": float(score[1])})
-            for (score, _, _, params), detail in zip(best, details)]
+                      detail={**_detail(apply_params(template, params), spec, grid),
+                              "soft_score": float(score[1])})
+            for score, _, _, params in best]

@@ -10,7 +10,8 @@ preconditions (temperature ordering, drive range, positive peak
 frequencies) are emitted as error cells carrying NaN values and an error
 code, so maps keep their rectangular shape; the kernel never sees them.
 Every cell is bitwise identical to a single-point evaluation at the same
-parameters.
+parameters.  :func:`mode_sequence_along_omega` traces one machine along the
+drive; it checks its grid and calls the kernel as ``transistor_trace`` does.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ import numpy as np
 from . import _kernels
 from ._kernels import (COL_JC, COL_JH, COL_JM, COL_P, COL_SNEG, COL_SPOS, NCOLS,
                        thermo_batch)
-from .core import (ConfigError, MachineConfig, as_mapping, construct, get_field,
-                   integer, number, string)
-from .currents import KERNEL_PATHS, VALIDITY_MESSAGES, config_args, validity_codes
+from .core import (MAX_COUNT, ConfigError, MachineConfig, as_mapping, construct,
+                   get_field, integer, number, string)
+from .currents import (KERNEL_PATHS, VALIDITY_MESSAGES, _drive_table, config_args,
+                       validity_codes)
 from .modes import (ERROR_CODE, MODE_BY_CODE, classify_coupled_arrays,
                     exergy_from_split)
 from .transistor import _figures, _runs
@@ -58,8 +60,6 @@ OUTPUT_KINDS = frozenset({"currents", "mode", "exergy", "transistor"})
 ERROR_MESSAGES = VALIDITY_MESSAGES
 
 _MODE_LABELS = tuple(m.value for m in MODE_BY_CODE[:ERROR_CODE]) + ("error",)
-
-_MAX_COUNT = np.iinfo(np.intp).max
 
 _CHUNK_ROWS = 8192   # rows per write of the text exports: bounded memory
 
@@ -93,8 +93,7 @@ class Axis:
                               f"expected one of {sorted(AXIS_PARAMS)}", "param")
         for key, bad, why in (
                 ("count", self.count < 2, "count must be >= 2"),
-                # np.linspace could not size a larger array
-                ("count", self.count > _MAX_COUNT, f"count must be <= {_MAX_COUNT}"),
+                ("count", self.count > MAX_COUNT, f"count must be <= {MAX_COUNT}"),
                 ("start", not np.isfinite(self.start), "start and stop must be finite"),
                 ("stop", not np.isfinite(self.stop), "start and stop must be finite"),
                 ("stop", not self.start < self.stop, "start must be < stop"),
@@ -141,6 +140,8 @@ class SweepSpec:
         if self.axis2 is not None and self.axis2.param == self.axis1.param:
             raise ConfigError("the two axes must sweep different parameters",
                               "axis2.param")
+        if self.axis2 is not None and self.axis1.count * self.axis2.count > MAX_COUNT:
+            raise ConfigError(f"the grid must have <= {MAX_COUNT} cells", "axis2.count")
 
 
 def _apply_axis(cols: list[np.ndarray], param: str, values: np.ndarray,
@@ -354,20 +355,13 @@ def mode_sequence_along_omega(config: MachineConfig, omega_grid) -> list:
     """Run-length-encoded mode labels along a drive-frequency sweep.
 
     Returns ``[((omega_start, omega_end), OperatingMode), ...]`` with
-    consecutive equal labels merged.  The grid must be strictly increasing
-    and stay inside (0, omega0).
+    consecutive equal labels merged.  The grid must be 1D, non-empty,
+    strictly increasing and inside (0, omega0); DomainError otherwise, as
+    for :func:`tritherm.transistor.transistor_trace`.
     """
-    grid = np.asarray(omega_grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.size < 1:
-        raise ConfigError("omega grid must be a 1D array")
-    if np.any(np.diff(grid) <= 0):
-        raise ConfigError("omega grid must be strictly increasing")
-    if grid[0] <= 0.0 or grid[-1] >= config.wm.omega0:
-        raise ConfigError("omega grid must lie inside (0, omega0)")
-    args = list(config_args(config))
-    args[2] = grid
-    table = thermo_batch(*args)
-    codes = classify_coupled_arrays(config.hot.kappa, config.cold.kappa, table[:, 0],
-                                    table[:, 1], table[:, 2], table[:, 3])
-    return [((float(grid[start]), float(grid[stop - 1])),
-             MODE_BY_CODE[codes[start]]) for start, stop in _runs(codes)]
+    grid, table = _drive_table(config, omega_grid)
+    codes = classify_coupled_arrays(config.hot.kappa, config.cold.kappa, *(
+        table[:, c] for c in (COL_JH, COL_JC, COL_JM, COL_P)))
+    _, starts, stops = _runs(codes)
+    return [((float(grid[start]), float(grid[stop - 1])), MODE_BY_CODE[codes[start]])
+            for start, stop in zip(starts.tolist(), stops.tolist())]

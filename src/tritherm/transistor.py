@@ -8,23 +8,23 @@ figures of merit as functions of the drive frequency:
   crosses zero while the output current keeps its sign.
 * ``g = |d j_hot / d power| = |(d j_hot/dW) / (d power/dW)|`` - differential
   gain; the kernel returns both drive derivatives in closed form, in the
-  same pass as the currents (one kernel call per evaluation).
+  same pass as the currents (one kernel call per evaluation, through
+  :func:`tritherm.currents._drive_table`, which also checks a grid).
 
-A "useful" window is a contiguous run of grid points where both exceed a
-threshold (default 10).
+A "useful" window is a run of >= 2 grid points where both exceed a
+threshold (default 10): one rule, shared with the search's scores.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._kernels import (COL_DJH, COL_DP, COL_JC, COL_JH, COL_JM, COL_P,
-                       thermo_batch)
+from ._kernels import COL_DJH, COL_DP, COL_JC, COL_JH, COL_JM, COL_P
 from .core import DomainError, MachineConfig
-from .currents import SIGN_ZERO_BAND, _evaluate_row, check_drive, config_args
+from .currents import SIGN_ZERO_BAND, _drive_table
 
 __all__ = [
     "DEFAULT_THRESHOLD",
@@ -85,9 +85,7 @@ class TransistorWindow:
         return self.omega_max - self.omega_min
 
     def to_dict(self) -> dict:
-        return {"omega_min": self.omega_min, "omega_max": self.omega_max,
-                "min_r": self.min_r, "min_g": self.min_g,
-                "contains_inversion": self.contains_inversion}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -127,7 +125,7 @@ def _figures(table):
 def transistor_point(config: MachineConfig) -> TransistorPoint:
     """Evaluate r, g and the underlying derivatives at the config's drive,
     which must lie in (0, omega0)."""
-    row = _evaluate_row(config, slopes=True)
+    _, row = _drive_table(config, slopes=True)
     r, g = _figures(row)
     return TransistorPoint(
         omega_drive=config.drive_freq, r=float(r), g=float(g),
@@ -137,16 +135,9 @@ def transistor_point(config: MachineConfig) -> TransistorPoint:
 
 
 def transistor_trace(config: MachineConfig, omega_grid) -> TransistorTrace:
-    """Vectorized :func:`transistor_point` over a drive-frequency grid."""
-    grid = np.asarray(omega_grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.size < 1:
-        raise DomainError("omega grid must be a 1D array")
-    if np.any(np.diff(grid) <= 0):
-        raise DomainError("omega grid must be strictly increasing")
-    check_drive(grid, config.wm.omega0)
-    args = list(config_args(config))
-    args[2] = grid
-    table = thermo_batch(*args, slopes=True)
+    """Vectorized :func:`transistor_point` over a drive-frequency grid: 1D,
+    non-empty, strictly increasing and inside (0, omega0)."""
+    grid, table = _drive_table(config, omega_grid, slopes=True)
     r, g = _figures(table)
     return TransistorTrace(omega=grid, j_hot=table[:, COL_JH],
                            j_cold=table[:, COL_JC], j_mid=table[:, COL_JM],
@@ -166,11 +157,9 @@ def windows_from_arrays(omega, r, g,
     if not threshold > 0:
         raise DomainError(f"threshold must be > 0, got {threshold}")
     omega, r, g = np.asarray(omega), np.asarray(r), np.asarray(g)
-    passing = (r > threshold) & (g > threshold)
     windows = []
-    for start, stop in _runs(passing):
-        if not passing[start] or stop - start < 2:  # one point has no width
-            continue
+    _, starts, stops = _window_runs(r, g, threshold)
+    for start, stop in zip(starts.tolist(), stops.tolist()):
         rr, gg = r[start:stop], g[start:stop]
         finite = np.isfinite(rr) & np.isfinite(gg)
         windows.append(TransistorWindow(
@@ -181,12 +170,25 @@ def windows_from_arrays(omega, r, g,
     return windows
 
 
-def _runs(values) -> list[tuple[int, int]]:
-    """``(start, stop)`` index bounds of the maximal runs of equal values."""
-    values = np.asarray(values)
-    cuts = (np.flatnonzero(values[1:] != values[:-1]) + 1).tolist()
-    bounds = [0, *cuts, values.size] if values.size else []
-    return list(zip(bounds[:-1], bounds[1:]))
+def _runs(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, start and stop indices of the maximal runs ``[start, stop)`` of
+    equal values along the last axis of a 1D (one row) or 2D array, in
+    row-major order."""
+    values = np.atleast_2d(values)
+    cut = np.ones(values.shape[:-1] + (values.shape[-1] + 1,), dtype=bool)
+    cut[:, 1:-1] = values[:, 1:] != values[:, :-1]
+    rows, starts = np.nonzero(cut[:, :-1])
+    return rows, starts, np.nonzero(cut[:, 1:])[1] + 1
+
+
+def _window_runs(r, g, threshold):
+    """Row, start and stop of the windows along the last axis of ``r`` and
+    ``g``: the runs of >= 2 points where both exceed ``threshold`` (one
+    point has no width)."""
+    passing = np.atleast_2d((r > threshold) & (g > threshold))
+    rows, starts, stops = _runs(passing)
+    keep = passing[rows, starts] & (stops - starts >= 2)
+    return rows[keep], starts[keep], stops[keep]
 
 
 def window_mask(grid, windows) -> np.ndarray:
@@ -206,8 +208,7 @@ def find_windows(config: MachineConfig, omega_grid,
     stay inside (0, omega0); the threshold (default 10) applies to both
     r and g.  An empty list means no window.
     """
-    grid = np.asarray(omega_grid, dtype=np.float64)
-    if grid.size < 3:
+    if np.size(omega_grid) < 3:
         raise DomainError("window search needs a grid of at least 3 points")
-    trace = transistor_trace(config, grid)
+    trace = transistor_trace(config, omega_grid)
     return windows_from_arrays(trace.omega, trace.r, trace.g, threshold)

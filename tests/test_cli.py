@@ -1,4 +1,7 @@
+import copy
+import datetime
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -10,6 +13,7 @@ import yaml
 
 import tritherm as tt
 from tritherm.cli import main
+from tritherm.core import MAX_COUNT
 from tritherm.transistor import (DEFAULT_THRESHOLD, window_mask,
                                  windows_from_arrays)
 
@@ -459,23 +463,40 @@ def _required(path) -> bool:
     return True
 
 
-def _mutations(manifest, command):
-    """``(path, label, value)`` of every malformed edit of a manifest: a
-    section replaced by a list or a string; a field replaced by a string,
-    null, a bool or a negative number; a required field dropped."""
-    entries = list(_walk({command: manifest[command], "config": manifest["config"]}))
-    if command == "search":
-        entries.append((("seed",), manifest["seed"]))
-    for path, value in entries:
+# Values only a YAML file produces where a number belongs
+_YAML_ONLY = [("nan", math.nan), ("inf", math.inf),
+              ("date", datetime.date(2024, 1, 1)), ("list", [1.0])]
+
+
+def _mutations(sections, extra=()):
+    """``(path, label, value)`` of every malformed edit of the mapping
+    ``sections``: a section replaced by a list or a string; a field replaced
+    by a string, null, a bool, a negative number or one of ``extra``; a
+    required field dropped."""
+    for path, value in _walk(sections):
         if isinstance(value, dict):
             yield from ((path, label, v) for label, v in (("list", [1]), ("str", "x")))
         else:
-            kinds = [("str", "x"), ("null", None), ("bool", True)]
+            kinds = [("str", "x"), ("null", None), ("bool", True), *extra]
             if path[-1] != "offset":   # a lock offset may be negative
                 kinds.append(("negative", -1))
             yield from ((path, label, v) for label, v in kinds)
         if _required(path):
             yield path, "drop", KeyError
+
+
+def _edited(data, path, value):
+    """A copy of ``data`` with the field at ``path`` set to ``value``, or
+    dropped if ``value`` is KeyError."""
+    data = copy.deepcopy(data)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    if value is KeyError:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return data
 
 
 class TestMalformedManifests:
@@ -497,16 +518,11 @@ class TestMalformedManifests:
         written = self._written(tmp_path, command)
         edited = tmp_path / "edited.json"
         failures, count = [], 0
-        for field, label, value in _mutations(written, command):
-            data = json.loads(json.dumps(written))
-            node = data
-            for key in field[:-1]:
-                node = node[key]
-            if value is KeyError:
-                del node[field[-1]]
-            else:
-                node[field[-1]] = value
-            edited.write_text(json.dumps(data))
+        sections = {command: written[command], "config": written["config"]}
+        if command == "search":
+            sections["seed"] = written["seed"]
+        for field, label, value in _mutations(sections):
+            edited.write_text(json.dumps(_edited(written, field, value)))
             capsys.readouterr()
             code = main([command, "--from-manifest", str(edited),
                          "--out", str(tmp_path / "rerun")])
@@ -534,6 +550,36 @@ class TestMalformedManifests:
         assert main(["sweep", "--from-manifest", str(edited),
                      "--out", str(tmp_path / "rerun")]) == 1
         assert named in capsys.readouterr().err
+
+
+class TestMalformedConfigs:
+    """Every malformed YAML config exits 1 naming its dotted field, without a
+    traceback: the machine fields through ``point``, the search section
+    through ``search``; the values include those only YAML produces."""
+
+    @pytest.mark.parametrize("command,section", [("point", "config"),
+                                                 ("search", "search")])
+    def test_each_mutation_names_its_field(self, tmp_path, capsys, command, section):
+        base = {"config": BASE_CONFIG, "search": SEARCH_SECTION}
+        failures, count = [], 0
+        for field, label, value in _mutations({section: base[section]}, _YAML_ONLY):
+            data = _edited(base, field, value)
+            if section == "config":
+                config = data.get("config", {})
+            else:   # dropping the whole section leaves a config without it
+                config = dict(BASE_CONFIG, **{k: data[k] for k in data if k == "search"})
+            path = write_config(tmp_path, config)
+            capsys.readouterr()
+            try:
+                code = main([command, "--config", path])
+            except Exception as exc:   # a traceback: recorded, not raised
+                code = f"{type(exc).__name__}: {exc}"
+            err = capsys.readouterr().err
+            count += 1
+            if code != 1 or _named(field) not in err or "Traceback" in err:
+                failures.append(f"{'.'.join(field)} {label}: exit {code}, {err.strip()!r}")
+        assert count > 100
+        assert not failures, "\n".join(failures)
 
 
 class TestUnknownConfigFields:
@@ -594,6 +640,70 @@ class TestErrors:
         assert main(["sweep", "--from-manifest", str(manifest),
                      "--out", str(tmp_path / "rerun.csv")]) == 1
         assert "sweep.axis1.count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [10**30, np.iinfo(np.intp).max],
+                             ids=["1e30", "intp_max"])
+    @pytest.mark.parametrize("field", ["omega_grid.count", "samples", "refine_samples"])
+    def test_search_count_numpy_cannot_size_names_field(self, tmp_path, capsys,
+                                                        field, count):
+        section = json.loads(json.dumps(SEARCH_SECTION))
+        if field == "omega_grid.count":
+            section["omega_grid"]["count"] = int(count)
+        else:
+            section[field] = int(count)
+        path = write_config(tmp_path, dict(BASE_CONFIG, search=section))
+        assert main(["search", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert f"search.{field} must be >=" in err and "Traceback" not in err
+
+    def test_axis_count_at_intp_max_names_count(self, tmp_path, capsys):
+        # np.linspace fails at the intp bound itself; MAX_COUNT lies below it
+        path = write_config(tmp_path, BASE_CONFIG)
+        assert main(["sweep", "--config", path, "--axis1",
+                     f"drive_freq:0.1:0.5:{np.iinfo(np.intp).max}",
+                     "--out", str(tmp_path / "s.csv")]) == 1
+        assert "axis drive_freq: count must be <=" in capsys.readouterr().err
+
+    def test_grid_cells_beyond_bound_name_axis2(self, tmp_path, capsys):
+        # each axis is under the bound, their product is not
+        path = write_config(tmp_path, BASE_CONFIG)
+        count = int(np.sqrt(float(MAX_COUNT))) * 2
+        assert main(["sweep", "--config", path,
+                     "--axis1", f"drive_freq:0.1:0.5:{count}",
+                     "--axis2", f"hot.center:1.0:2.0:{count}",
+                     "--out", str(tmp_path / "s.csv")]) == 1
+        assert "field sweep.axis2.count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [10**30, np.iinfo(np.intp).max],
+                             ids=["1e30", "intp_max"])
+    def test_transistor_points_numpy_cannot_size_names_field(self, tmp_path, capsys,
+                                                             count):
+        path = write_config(tmp_path, BASE_CONFIG)
+        assert main(["transistor", "--config", path, "--points", str(count),
+                     "--out", str(tmp_path / "t.csv")]) == 1
+        assert "transistor.points must be <=" in capsys.readouterr().err
+
+    def test_config_not_utf8_names_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"drive_freq: 0.5\n# \xff\n")
+        assert main(["point", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"config file {path} is not UTF-8" in err and "Traceback" not in err
+
+    def test_manifest_not_utf8_names_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"command": "\xff"}')
+        assert main(["sweep", "--from-manifest", str(path),
+                     "--out", str(tmp_path / "s.csv")]) == 1
+        assert f"manifest file {path} is not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "transistor", "search"])
+    def test_missing_manifest_exits_1_naming_file(self, tmp_path, capsys, command):
+        # as a missing --config does, not exit 2 with a bare OSError
+        path = tmp_path / "missing.json"
+        assert main([command, "--from-manifest", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert f"manifest file not found: {path}" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["point", "--config", str(tmp_path / "nope.yaml")]) == 1

@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
+import yaml
 from scipy.stats import qmc
 
 import tritherm as tt
@@ -394,3 +396,30 @@ class TestBatchedSearch:
         blocks = sum(-(-n // rows) for n in stages)
         assert len(calls) <= blocks + 1
         assert all(n * m <= _kernels.BLOCK_POINTS for n, m in calls)
+
+
+class TestScoreMatchesDetail:
+    """The batched scores of each returned candidate against its detail,
+    which the public trace functions build."""
+
+    CONFIG = pathlib.Path(__file__).resolve().parents[1] / "configs" / "transistor_search.yaml"
+
+    @pytest.mark.parametrize("cold_kappa", [None, 0.0], ids=["coupled", "cold_kappa_0"])
+    @pytest.mark.parametrize("seed", [0, 5, 7])
+    @pytest.mark.parametrize("objective", search.OBJECTIVES)
+    def test_score_is_read_off_the_detail(self, objective, seed, cold_kappa):
+        raw = yaml.safe_load(self.CONFIG.read_text())
+        template = tt.MachineConfig.from_dict(raw)
+        if cold_kappa is not None:
+            template = tt.apply_params(template, {"cold.kappa": cold_kappa})
+        spec = dataclasses.replace(tt.SearchSpec.from_dict(raw["search"]),
+                                   objective=objective)
+        out = tt.run_search(template, spec, seed)
+        assert out
+        for candidate in out:
+            detail = candidate.detail
+            if objective == "transistor_window":
+                assert candidate.score == detail["width"]
+            else:
+                assert candidate.score == len(detail["distinct_modes"])
+                assert detail["soft_score"] == min(detail["switches"], 999)

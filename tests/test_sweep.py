@@ -7,7 +7,7 @@ import pytest
 
 import tritherm as tt
 from tritherm import _kernels
-from tritherm.core import ConfigError
+from tritherm.core import ConfigError, DomainError
 from tritherm._kernels import thermo_batch
 from tritherm.currents import KERNEL_PATHS, ThermoPoint, config_args, validity_codes
 from tritherm.modes import (ERROR_CODE, MODE_BY_CODE, OperatingMode,
@@ -474,9 +474,9 @@ class TestModeSequence:
             assert r2[0] > r1[1]
 
     def test_grid_validation(self, default_config):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             tt.mode_sequence_along_omega(default_config, np.array([0.3, 0.2]))
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             tt.mode_sequence_along_omega(default_config, np.array([0.5, 1.1]))
 
 

@@ -6,7 +6,7 @@ import pytest
 
 import tritherm as tt
 from tritherm.core import DomainError
-from tritherm.transistor import _ratio, _runs, window_mask
+from tritherm.transistor import _ratio, _runs, _window_runs, window_mask
 
 from conftest import DATA, config_from_params, make_config
 
@@ -150,16 +150,46 @@ class TestWindows:
             "omega_min": omega[1], "omega_max": omega[2], "min_r": 100.0,
             "min_g": 50.0, "contains_inversion": False}
 
-    def test_runs_match_loop_reference(self):
-        rng = np.random.default_rng(4)
-        for n in (0, 1, 2, 7, 50):
-            values = rng.integers(0, 3, n)
-            expected, start = [], 0
+    @staticmethod
+    def loop_runs(values):
+        """``(row, start, stop)`` of every run of equal values, row by row."""
+        expected = []
+        for row, line in enumerate(np.atleast_2d(values).tolist()):
+            n, start = len(line), 0
             for k in range(1, n + 1):
-                if k == n or values[k] != values[start]:
-                    expected.append((start, k))
+                if k == n or line[k] != line[start]:
+                    expected.append((row, start, k))
                     start = k
-            assert _runs(values) == expected
+        return expected
+
+    @staticmethod
+    def cases(rng):
+        """Seeded 1D and 2D arrays: random, empty, all equal, single points,
+        and runs at both edges."""
+        for shape in ((0,), (1,), (2,), (7,), (50,), (0, 4), (3, 0), (4, 1), (6, 50)):
+            yield rng.integers(0, 3, shape)
+            yield np.zeros(shape, dtype=int)
+            yield np.arange(math.prod(shape)).reshape(shape)
+        yield np.array([1, 1, 0, 0, 0, 1, 1])
+        yield np.array([[1, 1, 0, 1], [0, 1, 1, 1], [2, 2, 2, 2]])
+
+    def test_runs_match_loop_reference(self):
+        for values in self.cases(np.random.default_rng(4)):
+            got = list(zip(*(a.tolist() for a in _runs(values))))
+            assert got == self.loop_runs(values), values
+
+    def test_window_runs_match_loop_reference(self):
+        # one rule, runs of >= 2 points with r and g above the threshold,
+        # along the last axis of 1D and 2D input
+        rng = np.random.default_rng(5)
+        for shape in [v.shape for v in self.cases(rng)]:
+            r = rng.choice([1.0, 10.0, 20.0, np.inf], shape)
+            g = rng.choice([5.0, 30.0, np.inf], shape)
+            passing = np.atleast_2d((r > 10.0) & (g > 10.0))
+            expected = [(row, a, b) for row, a, b in self.loop_runs(passing)
+                        if passing[row, a] and b - a >= 2]
+            got = list(zip(*(a.tolist() for a in _window_runs(r, g, 10.0))))
+            assert got == expected
 
     def test_real_window_exists(self):
         cfg = transistor_config()
