@@ -46,12 +46,15 @@ from .transistor import (DEFAULT_THRESHOLD, transistor_trace, window_mask,
 
 def _parse(path: str, kind: str, parse):
     """``parse`` of the text of the ``kind`` file ``path``; ConfigError naming
-    the file if it is missing, not UTF-8 or malformed."""
+    the file if it is missing, unreadable, not UTF-8 or malformed."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"{kind} file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read {kind} file {path}: "
+                          f"{exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{kind} file {path} is not UTF-8 text: {exc}") from None
     try:

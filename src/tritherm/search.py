@@ -19,7 +19,6 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import _kernels
 from ._kernels import COL_JC, COL_JH, COL_JM, COL_P, thermo_batch
@@ -134,6 +133,15 @@ class SearchSpec:
                                  ("omega_grid.stop", self.omega_start, self.omega_stop)):
             if not low < value < np.inf:
                 raise ConfigError(f"search.{name} must be finite and > {low}")
+        if np.any(np.diff(self.grid) <= 0):
+            raise ConfigError("search.omega_grid must be strictly increasing: "
+                              f"start {self.omega_start} and stop {self.omega_stop} "
+                              f"are too close for {self.omega_count} points")
+
+    @property
+    def grid(self) -> np.ndarray:
+        """The omega grid every candidate is traced along."""
+        return np.linspace(self.omega_start, self.omega_stop, self.omega_count)
 
     @classmethod
     def from_dict(cls, data: dict, path: str = "search") -> "SearchSpec":
@@ -274,6 +282,18 @@ def _stage(template, spec, grid, units, first: int) -> list:
             in enumerate(zip(scores.tolist(), units, params))]
 
 
+def _latin_hypercube(d: int, n: int, seed: int) -> np.ndarray:
+    """``n`` points of a scrambled ``d``-dimensional Latin hypercube in the
+    unit cube: SciPy's ``qmc.LatinHypercube(d=d, seed=seed).random(n)``
+    (strength 1, scrambled), draw for draw, without importing SciPy."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(size=(n, d))
+    perms = np.tile(np.arange(1, n + 1), (d, 1))
+    for row in perms:
+        rng.shuffle(row)
+    return (perms.T - u) / n
+
+
 def _rank_key(entry):
     # best score first, ties broken by sampling order
     return -entry[0][0], -entry[0][1], entry[1]
@@ -288,19 +308,22 @@ def run_search(template: MachineConfig, spec: SearchSpec, seed: int) -> list[Can
     sample, each refinement round) is scored in candidate x omega blocks.
     Candidates that violate the machine's validity constraints, or whose
     omega0 is not above the grid, score ``-inf`` and are dropped from the
-    returned list.  The seed must be a non-negative integer.
+    returned list.  The seed must be a non-negative integer.  The
+    Latin-hypercube sampler reproduces SciPy's
+    ``qmc.LatinHypercube(d, seed=...)`` stream bit for bit (the sample takes
+    ``seed``, the refinements ``seed + 1001`` onwards), so results do not
+    depend on whether SciPy is installed.
     """
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     dim = len(spec.vary)
-    grid = np.linspace(spec.omega_start, spec.omega_stop, spec.omega_count)
+    grid = spec.grid
     # a varied or locked omega0 is checked against the grid per candidate
     fixed_w0 = "wm.omega0" not in spec.vary and "wm.omega0" not in spec.lock
     if fixed_w0 and grid[-1] >= template.wm.omega0:
         raise ConfigError("search omega grid must stay below omega0")
 
-    sampler = qmc.LatinHypercube(d=dim, seed=seed)
-    entries = _stage(template, spec, grid, sampler.random(spec.samples), 0)
+    entries = _stage(template, spec, grid, _latin_hypercube(dim, spec.samples, seed), 0)
 
     # Each round refines around the best of everything evaluated so far;
     # the result ranks every evaluated entry.  An entry's order is its index.
@@ -311,9 +334,9 @@ def run_search(template: MachineConfig, spec: SearchSpec, seed: int) -> list[Can
         for entry in sorted(entries, key=_rank_key)[:spec.pool]:
             lo = np.clip(entry[2] - shrink, 0.0, 1.0)
             hi = np.clip(entry[2] + shrink, 0.0, 1.0)
-            sub = qmc.LatinHypercube(d=dim, seed=sub_seed)
+            units.append(lo + _latin_hypercube(dim, spec.refine_samples, sub_seed)
+                         * (hi - lo))
             sub_seed += 1
-            units.append(lo + sub.random(spec.refine_samples) * (hi - lo))
         entries += _stage(template, spec, grid, np.concatenate(units), len(entries))
         shrink *= 0.5
 

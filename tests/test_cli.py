@@ -705,6 +705,30 @@ class TestErrors:
                      "--out", str(tmp_path / "out")]) == 1
         assert f"manifest file not found: {path}" in capsys.readouterr().err
 
+    def test_config_that_is_a_directory_names_file(self, tmp_path, capsys):
+        # exit 1 naming the role, not exit 2 with a bare OSError
+        assert main(["point", "--config", str(tmp_path)]) == 1
+        assert f"cannot read config file {tmp_path}" in capsys.readouterr().err
+
+    def test_manifest_that_is_a_directory_names_file(self, tmp_path, capsys):
+        assert main(["sweep", "--from-manifest", str(tmp_path),
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        assert f"cannot read manifest file {tmp_path}" in capsys.readouterr().err
+
+    def test_search_grid_not_increasing_exits_before_any_kernel_call(
+            self, tmp_path, capsys, monkeypatch):
+        # np.linspace repeats values when start and stop are this close
+        calls = []
+        real = tt.search.thermo_batch
+        monkeypatch.setattr(tt.search, "thermo_batch",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        section = json.loads(json.dumps(SEARCH_SECTION))
+        section["omega_grid"] = {"start": 0.5, "stop": 0.5000000000000010, "count": 481}
+        path = write_config(tmp_path, dict(BASE_CONFIG, search=section))
+        assert main(["search", "--config", path, "--seed", "7"]) == 1
+        assert "search.omega_grid must be strictly increasing" in capsys.readouterr().err
+        assert calls == []
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["point", "--config", str(tmp_path / "nope.yaml")]) == 1
         assert "not found" in capsys.readouterr().err

@@ -1,7 +1,11 @@
 import dataclasses
+import hashlib
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -157,6 +161,12 @@ class TestSpecValidation:
         assert lin.decode(0.5) == 2.0
         log = tt.VaryRange(0.01, 1.0, scale="log")
         assert log.decode(0.5) == pytest.approx(0.1, rel=1e-12)
+
+    def test_grid_that_does_not_increase_is_named(self):
+        # np.linspace repeats values when start and stop are this close
+        with pytest.raises(ConfigError, match=r"search\.omega_grid must be strictly"):
+            dataclasses.replace(window_spec(), omega_start=0.5,
+                                omega_stop=0.5000000000000010, omega_count=481)
 
 
 class TestSpecDict:
@@ -423,3 +433,53 @@ class TestScoreMatchesDetail:
             else:
                 assert candidate.score == len(detail["distinct_modes"])
                 assert detail["soft_score"] == min(detail["switches"], 999)
+
+
+class TestLatinHypercube:
+    """The numpy sampler against SciPy's ``qmc.LatinHypercube``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 1001, 1008, 123456, 2**31, 2**40])
+    @pytest.mark.parametrize("n", [0, 1, 7, 40, 200])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_equals_scipy_bitwise(self, d, n, seed):
+        ours = search._latin_hypercube(d, n, seed)
+        theirs = qmc.LatinHypercube(d=d, seed=seed).random(n)
+        assert ours.shape == theirs.shape == (n, d)
+        assert ours.tobytes() == theirs.tobytes()
+
+    # sha256 of SciPy 1.17.1's output: pins the stream independently of the
+    # installed SciPy, which may change its algorithm
+    GOLDEN = {
+        (3, 200, 7): "f0c2ee4d751bc5168e22886eac875e0e09a2d49042784d19f44fd5945fdc8f24",
+        (3, 40, 1008): "70ffa4410dc8a857f2c84ee028a7eafc6d6d1c6cbe2428082e9c59ef2baafc8f",
+        (5, 7, 2**40): "a780aab62a07e207f357ec6bd76b2c6e03db8bb84b9e4f38ca219bd49ac1263e",
+        (1, 1, 0): "d14270ec0f68bd70d750ba10bff60e1ffbfa2ffc27626a413ca049a64d6be1c0",
+    }
+
+    @pytest.mark.parametrize("d, n, seed", list(GOLDEN))
+    def test_golden_stream(self, d, n, seed):
+        units = search._latin_hypercube(d, n, seed)
+        assert hashlib.sha256(units.tobytes()).hexdigest() == self.GOLDEN[d, n, seed]
+
+    def test_startup_and_search_load_no_scipy(self):
+        # SciPy's import was most of the start-up time; keep it out
+        root = pathlib.Path(__file__).resolve().parents[1]
+        code = f"""
+import dataclasses, sys
+import yaml
+import tritherm as tt
+import tritherm.cli
+raw = yaml.safe_load(open({str(root / "configs" / "transistor_search.yaml")!r}))
+template = tt.MachineConfig.from_dict(raw)
+for objective in tt.search.OBJECTIVES:
+    spec = dataclasses.replace(tt.SearchSpec.from_dict(raw["search"]),
+                               objective=objective, omega_count=61, samples=8,
+                               refine_samples=4)
+    assert tt.run_search(template, spec, 7)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
