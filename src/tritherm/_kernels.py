@@ -5,9 +5,13 @@ independent of batch size and layout: every element goes through the same
 sequence of floating-point operations, whether it arrives as a scalar, in
 a flat batch or in a broadcast block such as ``(C, 1)`` against ``(1, n)``.
 The arguments are used as given, numpy broadcasting each operation, so no
-input is copied to full size and 0-d inputs stay scalars.  Squares are
-written ``x * x``: on a numpy scalar ``x ** 2`` calls ``pow``, which
-differs from the array square in the last bit on some arguments.
+input is copied to full size.  A one-point call, every argument 0-d, runs
+on Python floats: their ``+ - * /`` and comparisons are the same IEEE-754
+binary64 operations that numpy performs, and the Bose function takes
+numpy's ``expm1`` there too, so the bits equal the array path's without
+the per-operation overhead of numpy scalars.  Squares are written
+``x * x``: on a scalar ``x ** 2`` calls ``pow``, which differs from the
+array square in the last bit on some arguments.
 
 Each call fills an array of shape ``broadcast_shape + (7,)`` whose last axis
 holds ``j_hot, j_cold, j_mid, power, entropy_rate, entropy_pos,
@@ -44,8 +48,9 @@ def bose_pos(x):
     The caller guarantees ``x > 0`` (``0 < drive < omega0``, ``T > 0``) and
     silences the overflow of ``expm1`` for large arguments (the result is 0).
     """
-    if np.ndim(x) == 0:
-        return 1.0 / x - 0.5 + x / 12.0 if x < _BOSE_CUTOFF else 1.0 / np.expm1(x)
+    if isinstance(x, float) or np.ndim(x) == 0:
+        # numpy's expm1, not math's: a point gets the array's last bit
+        return 1.0 / x - 0.5 + x / 12.0 if x < _BOSE_CUTOFF else 1.0 / float(np.expm1(x))
     small = x < _BOSE_CUTOFF
     n = 1.0 / np.expm1(np.where(small, 1.0, x))
     if small.any():   # rare: the series only where it is used
@@ -138,16 +143,27 @@ def thermo_batch(omega0, mass, drive, t_hot, t_mid, t_cold,
     """Evaluate currents, power, and entropy split for a batch of machines.
 
     All twelve parameters broadcast against each other; scalars are fine
-    and are never expanded.  Returns an array of shape
-    ``broadcast_shape + (7,)`` with the columns ``COL_JH .. COL_SNEG``;
-    ``slopes`` appends ``COL_DJH`` and ``COL_DP``.  Inputs must satisfy
-    ``0 < drive < omega0`` and positive temperatures; this is the caller's
-    responsibility (the wrappers in :mod:`tritherm.currents` and
-    :mod:`tritherm.sweep` enforce it).
+    and are never expanded, and 0-d ones enter as Python floats.  Where
+    numpy warns, floats raise (a division by an exact zero) or stay
+    silent (a NaN from ``inf / inf``), so such a call is rerun on numpy
+    scalars, which give the array path's values and warnings.  Returns an
+    array of shape ``broadcast_shape + (7,)`` with the columns
+    ``COL_JH .. COL_SNEG``; ``slopes`` appends ``COL_DJH`` and ``COL_DP``.
+    Inputs must satisfy ``0 < drive < omega0`` and positive temperatures;
+    this is the caller's responsibility (the wrappers in
+    :mod:`tritherm.currents` and :mod:`tritherm.sweep` enforce it).
     """
-    args = [np.asarray(a, dtype=np.float64)[()] for a in (
+    args = [a if type(a) is float else np.asarray(a, dtype=np.float64) for a in (
         omega0, mass, drive, t_hot, t_mid, t_cold,
         w_hot, g_hot, k_hot, w_cold, g_cold, k_cold)]
-    ncols = NCOLS + 2 if slopes else NCOLS
-    out = np.empty(np.broadcast_shapes(*{a.shape for a in args}) + (ncols,))
-    return _thermo(*args, out)
+    shapes = {a.shape for a in args if type(a) is not float}
+    shape = np.broadcast_shapes(*shapes) if shapes - {()} else ()
+    args = [a if type(a) is float or a.ndim else float(a) for a in args]
+    out = np.empty(shape + (NCOLS + 2 if slopes else NCOLS,))
+    try:
+        _thermo(*args, out)
+        if shape or not np.isnan(out).any():
+            return out
+    except ZeroDivisionError:
+        pass
+    return _thermo(*(np.float64(a) if type(a) is float else a for a in args), out)

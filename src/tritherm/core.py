@@ -113,6 +113,14 @@ def as_mapping(value, path: str) -> dict:
     return value
 
 
+def check_fields(section: dict, known, path: str) -> None:
+    """ConfigError naming the first key of ``section`` not in ``known``, so
+    that a misspelled key is an error rather than a default."""
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"unknown field: {path}.{key}")
+
+
 def construct(factory, path: str, **kwargs):
     """``factory(**kwargs)``; a ConfigError that names its ``key`` is
     re-raised naming the dotted field ``path.key``."""
@@ -318,10 +326,7 @@ class MachineConfig:
 
         def build(factory, name):
             sec = as_mapping(data.get(name, {}), name)
-            known = factory.__dataclass_fields__
-            if not sec.keys() <= known.keys():
-                key = next(k for k in sec if k not in known)
-                raise ConfigError(f"unknown field: {name}.{key}")
+            check_fields(sec, factory.__dataclass_fields__, name)
             return construct(factory, name, **{
                 f.name: get_field(sec, f.name, name, number, f.default)
                 for f in fields(factory)})

@@ -138,11 +138,15 @@ def _drive_table(config: MachineConfig, grid=None, slopes: bool = False):
     """The drives and kernel table of ``config`` along ``grid``, a 1D,
     non-empty, strictly increasing grid, or at its own drive if ``grid`` is
     None.  DomainError unless every drive lies in (0, omega0)."""
-    drive = np.asarray(config.drive_freq if grid is None else grid, dtype=np.float64)
-    if grid is not None and (drive.ndim != 1 or drive.size < 1
-                             or np.any(np.diff(drive) <= 0)):
-        raise DomainError("omega grid must be a non-empty, strictly increasing 1D array")
-    check_drive(drive, config.wm.omega0)
+    if grid is None:
+        drive = config.drive_freq
+        if not 0.0 < drive < config.wm.omega0:   # NaN fails too
+            check_drive(drive, config.wm.omega0)
+    else:
+        drive = np.asarray(grid, dtype=np.float64)
+        if drive.ndim != 1 or drive.size < 1 or np.any(np.diff(drive) <= 0):
+            raise DomainError("omega grid must be a non-empty, strictly increasing 1D array")
+        check_drive(drive, config.wm.omega0)
     args = list(config_args(config))
     args[2] = drive
     return drive, thermo_batch(*args, slopes=slopes)
@@ -158,7 +162,7 @@ def evaluate_point(config: MachineConfig) -> ThermoPoint:
     individual signs).
     """
     # ThermoPoint fields are declared in kernel column order
-    return ThermoPoint(*(float(v) for v in _drive_table(config)[1]))
+    return ThermoPoint(*_drive_table(config)[1].tolist())
 
 
 def evaluate_arrays(omega0, mass, drive_freq, hot_temperature, mid_temperature,

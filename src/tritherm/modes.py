@@ -107,7 +107,7 @@ def classify_coupled_arrays(hot_kappa, cold_kappa, j_hot, j_cold, j_mid,
     ``DEGENERATE``; the entropically forbidden octant raises
     :class:`ConsistencyError`.
     """
-    hot_on, cold_on = np.greater(hot_kappa, 0.0), np.greater(cold_kappa, 0.0)
+    hot_on, cold_on = hot_kappa > 0.0, cold_kappa > 0.0
     # the static bath stands in for a decoupled Lorentzian one
     a = np.where(cold_on > hot_on, j_mid, j_hot)[()]
     b = np.where(hot_on > cold_on, j_mid, j_cold)[()]

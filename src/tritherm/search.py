@@ -23,7 +23,8 @@ import numpy as np
 from . import _kernels
 from ._kernels import COL_JC, COL_JH, COL_JM, COL_P, thermo_batch
 from .core import (MAX_COUNT, ConfigError, MachineConfig, PARAM_PATHS, apply_params,
-                   as_mapping, construct, get_field, integer, number, string)
+                   as_mapping, check_fields, construct, get_field, integer, number,
+                   string)
 from .currents import KERNEL_PATHS, validity_codes
 from .modes import OperatingMode, classify_coupled_arrays
 from .sweep import mode_sequence_along_omega
@@ -147,9 +148,9 @@ class SearchSpec:
     def from_dict(cls, data: dict, path: str = "search") -> "SearchSpec":
         """Build a spec from a config's ``search`` mapping.
 
-        Absent optional fields take the dataclass defaults.  Missing or
-        malformed fields raise :class:`ConfigError` naming their dotted path
-        below ``path``.
+        Absent optional fields take the dataclass defaults.  Missing,
+        malformed or unknown fields raise :class:`ConfigError` naming their
+        dotted path below ``path``.
         """
         section = as_mapping(data, path)
         vary = {name: construct(VaryRange, where,
@@ -166,6 +167,12 @@ class SearchSpec:
                    for k, kind in _GRID_FIELDS.items() if k in grid}
         options.update({k: get_field(section, k, path, kind)
                         for k, kind in _SCALAR_FIELDS.items() if k in section})
+        # after the known fields, so that a missing one is named first
+        for key, known in (("vary", _VARY_FIELDS), ("lock", _LOCK_FIELDS)):
+            for _, entry, where in _entries(section, key, path):
+                check_fields(entry, known, where)
+        check_fields(grid, _GRID_FIELDS, f"{path}.omega_grid")
+        check_fields(section, _SECTION_FIELDS, path)
         return cls(objective=get_field(section, "objective", path, string,
                                        "transistor_window"),
                    vary=vary, lock=lock, **options)
@@ -184,12 +191,16 @@ class SearchSpec:
         }
 
 
-# Plain fields of a search section and their types; omega_grid.<key> maps
-# to the SearchSpec field omega_<key>.
+# Fields of a search section, with the types of the plain ones, and of its
+# vary and lock entries; omega_grid.<key> maps to the SearchSpec field
+# omega_<key>.  Any other key is an error.
 _GRID_FIELDS = {"start": number, "stop": number, "count": integer}
 _SCALAR_FIELDS = {"threshold": number, "samples": integer, "refine_rounds": integer,
                   "refine_samples": integer, "pool": integer, "shrink": number,
                   "top_k": integer}
+_SECTION_FIELDS = ("objective", "vary", "lock", "omega_grid", *_SCALAR_FIELDS)
+_VARY_FIELDS = ("min", "max", "scale")
+_LOCK_FIELDS = ("source", "offset")
 
 
 def _entries(section: dict, key: str, path: str):

@@ -111,9 +111,7 @@ def _ratio(numerator, denominator) -> np.ndarray:
     """Element-wise ``|numerator / denominator|``; +inf where the
     denominator magnitude lies inside the 1e-14 zero band."""
     small = np.abs(denominator) < SIGN_ZERO_BAND
-    with np.errstate(divide="ignore"):
-        return np.where(small, np.inf,
-                        np.abs(numerator / np.where(small, 1.0, denominator)))
+    return np.where(small, np.inf, np.abs(numerator / np.where(small, 1.0, denominator)))
 
 
 def _figures(table):
@@ -127,11 +125,12 @@ def transistor_point(config: MachineConfig) -> TransistorPoint:
     which must lie in (0, omega0)."""
     _, row = _drive_table(config, slopes=True)
     r, g = _figures(row)
+    row = row.tolist()
     return TransistorPoint(
         omega_drive=config.drive_freq, r=float(r), g=float(g),
-        djh_domega=float(row[COL_DJH]), dp_domega=float(row[COL_DP]),
-        j_hot=float(row[COL_JH]), power=float(row[COL_P]),
-        g_reliable=bool(abs(row[COL_DP]) >= GAIN_RELIABLE_BAND))
+        djh_domega=row[COL_DJH], dp_domega=row[COL_DP],
+        j_hot=row[COL_JH], power=row[COL_P],
+        g_reliable=abs(row[COL_DP]) >= GAIN_RELIABLE_BAND)
 
 
 def transistor_trace(config: MachineConfig, omega_grid) -> TransistorTrace:

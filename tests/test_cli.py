@@ -595,6 +595,32 @@ class TestUnknownConfigFields:
         config = dict(BASE_CONFIG, search=SEARCH_SECTION, notes="a comment")
         assert main(["point", "--config", write_config(tmp_path, config)]) == 0
 
+    @pytest.mark.parametrize("where", [("refine_round",), ("vary", "hot.center", "scal"),
+                                       ("lock", "cold.center", "ofset"),
+                                       ("omega_grid", "cnt")])
+    @pytest.mark.parametrize("source", ["config", "manifest"])
+    def test_search_typo_names_field(self, tmp_path, capsys, source, where):
+        config = json.loads(json.dumps(dict(BASE_CONFIG, search=SEARCH_SECTION)))
+        if source == "config":
+            section, data = config["search"], config
+        else:
+            manifest = _manifest_for(tmp_path, "search")
+            data = json.loads(manifest.read_text())
+            section = data["search"]
+        for key in where[:-1]:
+            section = section[key]
+        section[where[-1]] = 1
+        if source == "config":
+            argv = ["search", "--config", write_config(tmp_path, data)]
+        else:
+            manifest.write_text(json.dumps(data))
+            argv = ["search", "--from-manifest", str(manifest)]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "rerun.json")]) == 1
+        err = capsys.readouterr().err
+        assert f"unknown field: search.{'.'.join(where)}" in err
+        assert "Traceback" not in err
+
     def test_manifest_config_typo_names_field(self, tmp_path, capsys):
         manifest = _manifest_for(tmp_path, "sweep")
         data = json.loads(manifest.read_text())

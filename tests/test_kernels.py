@@ -76,8 +76,12 @@ class TestLayouts:
         args = [np.array([p[name] for p in params]) for name in ARG_NAMES]
         want = _kernels.thermo_batch(*args, slopes=slopes)
         for k, p in enumerate(params):
-            scalars = [np.float64(p[name]) for name in ARG_NAMES]
-            assert_bitwise(_kernels.thermo_batch(*scalars, slopes=slopes), want[k])
+            # a one-point call runs on Python floats whatever it is given
+            for scalar in (float, np.float64, np.array):
+                scalars = [scalar(p[name]) for name in ARG_NAMES]
+                assert_bitwise(_kernels.thermo_batch(*scalars, slopes=slopes), want[k])
+            ones = [np.array([p[name]]) for name in ARG_NAMES]
+            assert_bitwise(_kernels.thermo_batch(*ones, slopes=slopes), want[k:k + 1])
 
     def test_high_temperature_series_branch(self, slopes):
         # rows alternate between Bose arguments below and above the 1e-5
@@ -91,6 +95,48 @@ class TestLayouts:
         x = (1.0 + drives) / candidates["hot_temperature"][:, None]
         assert (x < _kernels._BOSE_CUTOFF).any() and (x > _kernels._BOSE_CUTOFF).any()
         assert_layouts_agree(candidates, drives, slopes, cells=100)
+
+
+class TestOnePoint:
+    def test_bose_point_equals_array(self):
+        # across the series cutoff and into the overflow of expm1
+        grid = np.geomspace(1e-8, 1e3, 3001)
+        assert grid.min() < _kernels._BOSE_CUTOFF < grid.max()
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.expm1(grid)).any()
+            batch = _kernels.bose_pos(grid)
+            for scalar in (float, np.float64, np.array):
+                points = [_kernels.bose_pos(scalar(x)) for x in grid.tolist()]
+                assert bits(*points) == batch.tobytes()
+
+    EXTREME = {
+        # a drive of 5e-301 rounds the Bose argument w0 / Tm to an exact zero
+        "zero_division": (1e-300, 1.0, 5e-301, 1e30, 1e20, 1e10,
+                          1.5, 0.05, 0.01, 0.75, 0.05, 0.01),
+        # a hot peak center and width of 1e200 give inf / inf
+        "invalid": (1.0, 1.0, 0.5, 0.8, 0.5, 0.2, 1e200, 1e200, 0.01, 0.75, 0.05, 0.01),
+    }
+
+    @pytest.mark.parametrize("slopes", [False, True])
+    @pytest.mark.parametrize("case", EXTREME)
+    def test_extreme_point_reruns_on_numpy_scalars(self, case, slopes):
+        args = self.EXTREME[case]
+        out = np.empty(_kernels.NCOLS + 2 if slopes else _kernels.NCOLS)
+        # on Python floats the case raises, or gives NaN without a warning
+        if case == "zero_division":
+            with pytest.raises(ZeroDivisionError):
+                _kernels._thermo(*args, out)
+        else:
+            assert np.isnan(_kernels._thermo(*args, out)).any()
+        with pytest.warns(RuntimeWarning) as point_warnings:
+            got = _kernels.thermo_batch(*args, slopes=slopes)
+        with pytest.warns(RuntimeWarning) as batch_warnings:
+            want = _kernels.thermo_batch(*(np.array([a]) for a in args), slopes=slopes)
+        assert np.isnan(got).any()
+        assert_bitwise(got, want[0])
+        # the same warnings as the batch, from numpy scalars
+        assert ({str(w.message).replace("scalar ", "") for w in point_warnings}
+                == {str(w.message) for w in batch_warnings})
 
 
 class TestSquares:

@@ -10,10 +10,11 @@ import numpy as np
 
 import tritherm as tt
 from tritherm import _kernels
-from tritherm._kernels import COL_JC, COL_JH, COL_JM, COL_P, COL_SNEG, COL_SPOS
+from tritherm._kernels import (COL_DJH, COL_DP, COL_JC, COL_JH, COL_JM, COL_P, COL_SNEG,
+                               COL_SPOS)
 from tritherm.currents import config_args
 from tritherm.modes import MODE_BY_CODE, classify_coupled_arrays, exergy_from_split
-from tritherm.transistor import _figures
+from tritherm.transistor import GAIN_RELIABLE_BAND, _figures
 
 from conftest import random_valid_batch
 
@@ -60,11 +61,17 @@ def test_scalar_api_equals_batch_row(cfgs):
     phi = exergy_from_split(table[:, COL_SPOS], table[:, COL_SNEG])
     r, g = _figures(table)
     for k, cfg in enumerate(cfgs):
+        # ThermoPoint fields are declared in kernel column order
+        assert bits(*tt.evaluate_point(cfg).to_dict().values()) == bits(*table[k, :7])
         report = tt.mode_report(cfg)
+        assert bits(*report.point.to_dict().values()) == bits(*table[k, :7])
         assert report.mode is MODE_BY_CODE[codes[k]]
         assert bits(report.exergy) == bits(phi[k])
         tp = tt.transistor_point(cfg)
         assert bits(tp.r, tp.g) == bits(r[k], g[k])
+        assert (bits(tp.djh_domega, tp.dp_domega, tp.j_hot, tp.power)
+                == bits(*table[k, [COL_DJH, COL_DP, COL_JH, COL_P]]))
+        assert tp.g_reliable is bool(abs(table[k, COL_DP]) >= GAIN_RELIABLE_BAND)
 
 
 @SETTINGS

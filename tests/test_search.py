@@ -195,6 +195,22 @@ class TestSpecDict:
         with pytest.raises(ConfigError, match=r"search\.omega_grid\.count"):
             tt.SearchSpec.from_dict(data)
 
+    # misspellings that once fell back to a default or were dropped silently
+    @pytest.mark.parametrize("where,value", [
+        (("refine_round",), 0), (("topk",), 1),
+        (("vary", "hot.center", "scal"), "log"),
+        (("lock", "cold.center", "ofset"), 0.1),
+        (("omega_grid", "cnt"), 11)])
+    def test_unknown_field_is_named(self, where, value):
+        data = window_spec().to_dict()
+        section = data
+        for key in where[:-1]:
+            section = section[key]
+        section[where[-1]] = value
+        field = ".".join(("search",) + where)
+        with pytest.raises(ConfigError, match=f"^unknown field: {field}$"):
+            tt.SearchSpec.from_dict(data)
+
 
 class TestRunSearch:
     def test_single_point_space_returns_it(self):
