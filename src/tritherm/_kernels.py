@@ -13,11 +13,14 @@ the per-operation overhead of numpy scalars.  Squares are written
 ``x * x``: on a scalar ``x ** 2`` calls ``pow``, which differs from the
 array square in the last bit on some arguments.
 
-Each call fills an array of shape ``broadcast_shape + (7,)`` whose last axis
-holds ``j_hot, j_cold, j_mid, power, entropy_rate, entropy_pos,
+Each call returns a table of shape ``broadcast_shape + (7,)`` whose last
+axis holds ``j_hot, j_cold, j_mid, power, entropy_rate, entropy_pos,
 entropy_neg``.  With ``slopes=True`` two more columns hold the exact
 derivatives of ``j_hot`` and ``power`` in the drive frequency, from the
-same pass.
+same pass.  The table is stored one contiguous array per quantity and
+returned as a ``broadcast_shape + (ncols,)`` view, so each column
+``table[..., c]`` is written and read without a stride; a one-point
+table is the plain 1-D ``(ncols,)`` array.
 
 Large batches are cut into blocks of ``BLOCK_POINTS`` points by the
 callers (sweeps, searches), which keeps the temporaries of one call in
@@ -87,17 +90,20 @@ def _bath(sp, sm, drv, pref, nbm, w0, m, t, w, g, k, slopes, with_dj):
     lp, dnp_, dhp = _sideband(sp, t, nbm, w, g, dmg, slopes)
     lm, dnm_, dhm = _sideband(sm, t, nbm, w, g, dmg, slopes)
     j = pref * (sp * lp * dnp_ + sm * lm * dnm_)
-    p = -(drv * pref) * (lp * dnp_ - lm * dnm_)
+    hp, hm = lp * dnp_, lm * dnm_   # H at each sideband
+    p = -(drv * pref) * (hp - hm)
     if not slopes:
         return j, p, None, None
-    hp, hm = lp * dnp_, lm * dnm_   # dsp/ddrv = 1, dsm/ddrv = -1
+    # dsp/ddrv = 1, dsm/ddrv = -1
     dj = pref * ((hp + sp * dhp) - (hm + sm * dhm)) if with_dj else None
     dp = -pref * ((hp - hm) + drv * (dhp + dhm))
     return j, p, dj, dp
 
 
 def _thermo(w0, m, drv, th, tm, tc, wh, gh, kh, wc, gc, kc, out):
-    slopes = out.shape[-1] > NCOLS
+    """Fill ``out``, of shape ``(ncols,) + broadcast_shape``: one contiguous
+    array per quantity."""
+    slopes = out.shape[0] > NCOLS
     with np.errstate(over="ignore"):
         sp = w0 + drv
         sm = w0 - drv
@@ -108,15 +114,15 @@ def _thermo(w0, m, drv, th, tm, tc, wh, gh, kh, wc, gc, kc, out):
         j_cold, p_cold, _, dp_cold = _bath(
             sp, sm, drv, pref, nbm, w0, m, tc, wc, gc, kc, slopes, False)
         if slopes:
-            out[..., COL_DJH] = dj_hot
-            out[..., COL_DP] = dp_hot + dp_cold
+            out[COL_DJH] = dj_hot
+            out[COL_DP] = dp_hot + dp_cold
 
         power = p_hot + p_cold
-        out[..., COL_JH] = j_hot
-        out[..., COL_JC] = j_cold
-        out[..., COL_JM] = -power - j_hot - j_cold
-        out[..., COL_P] = power
-        out[..., COL_S], out[..., COL_SPOS], out[..., COL_SNEG] = entropy_split(
+        out[COL_JH] = j_hot
+        out[COL_JC] = j_cold
+        out[COL_JM] = -power - j_hot - j_cold
+        out[COL_P] = power
+        out[COL_S], out[COL_SPOS], out[COL_SNEG] = entropy_split(
             power, j_hot, j_cold, th, tm, tc)
     return out
 
@@ -146,9 +152,12 @@ def thermo_batch(omega0, mass, drive, t_hot, t_mid, t_cold,
     and are never expanded, and 0-d ones enter as Python floats.  Where
     numpy warns, floats raise (a division by an exact zero) or stay
     silent (a NaN from ``inf / inf``), so such a call is rerun on numpy
-    scalars, which give the array path's values and warnings.  Returns an
-    array of shape ``broadcast_shape + (7,)`` with the columns
+    scalars, which give the array path's values and warnings.  Returns a
+    table of shape ``broadcast_shape + (7,)`` with the columns
     ``COL_JH .. COL_SNEG``; ``slopes`` appends ``COL_DJH`` and ``COL_DP``.
+    It is stored one contiguous column per quantity and returned as a
+    ``broadcast_shape + (ncols,)`` view, so ``table[..., c]`` is
+    contiguous; a one-point call returns the 1-D ``(ncols,)`` array.
     Inputs must satisfy ``0 < drive < omega0`` and positive temperatures;
     this is the caller's responsibility (the wrappers in
     :mod:`tritherm.currents` and :mod:`tritherm.sweep` enforce it).
@@ -159,11 +168,13 @@ def thermo_batch(omega0, mass, drive, t_hot, t_mid, t_cold,
     shapes = {a.shape for a in args if type(a) is not float}
     shape = np.broadcast_shapes(*shapes) if shapes - {()} else ()
     args = [a if type(a) is float or a.ndim else float(a) for a in args]
-    out = np.empty(shape + (NCOLS + 2 if slopes else NCOLS,))
+    out = np.empty((NCOLS + 2 if slopes else NCOLS,) + shape)
     try:
         _thermo(*args, out)
-        if shape or not np.isnan(out).any():
-            return out
+        rerun = not shape and np.isnan(out).any()
     except ZeroDivisionError:
-        pass
-    return _thermo(*(np.float64(a) if type(a) is float else a for a in args), out)
+        rerun = True
+    if rerun:
+        _thermo(*(np.float64(a) if type(a) is float else a for a in args), out)
+    # a point's table is 1-D already; a moveaxis would cost it microseconds
+    return np.moveaxis(out, 0, -1) if shape else out

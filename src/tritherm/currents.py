@@ -14,6 +14,7 @@ first law holds to the last bit by construction.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -107,10 +108,11 @@ def check_drive(drive_freq, omega0) -> None:
 
 
 # Message of each code of validity_codes; 0 marks a valid point.  Where
-# several checks fail, the one listed first wins.
+# several checks fail, the one listed first wins.  The last code is set
+# after the kernel, by a sweep, on a valid point whose values are not finite.
 VALIDITY_MESSAGES = (None, "drive_freq outside (0, omega0)", "temperature ordering violated",
                      "nonpositive spectral peak frequency",
-                     "nonfinite or nonpositive parameter")
+                     "nonfinite or nonpositive parameter", "nonfinite kernel result")
 
 
 def validity_codes(args, shape) -> np.ndarray:
@@ -159,10 +161,21 @@ def evaluate_point(config: MachineConfig) -> ThermoPoint:
     closed forms, the mid-bath current from energy balance, and the entropy
     production rate together with its positive/negative split (the three
     balance terms are assigned to ``entropy_pos``/``entropy_neg`` by their
-    individual signs).
+    individual signs).  DomainError if a value comes out NaN.
     """
     # ThermoPoint fields are declared in kernel column order
-    return ThermoPoint(*_drive_table(config)[1].tolist())
+    return ThermoPoint(*_point_values(_drive_table(config)[1]))
+
+
+def _point_values(row: np.ndarray) -> list[float]:
+    """A one-point kernel row as Python floats.  DomainError if it holds a
+    NaN: the closed forms can over- or underflow at a config that
+    ``MachineConfig.validate`` passes (an omega0 of 1e-300, say)."""
+    values = row.tolist()
+    if any(map(math.isnan, values)):
+        raise DomainError("the closed forms give NaN at this operating point; "
+                          "its parameters over- or underflow double precision")
+    return values
 
 
 def evaluate_arrays(omega0, mass, drive_freq, hot_temperature, mid_temperature,

@@ -9,9 +9,11 @@ per row or column of a tile.  Cells whose parameters violate
 preconditions (temperature ordering, drive range, positive peak
 frequencies) are emitted as error cells carrying NaN values and an error
 code, so maps keep their rectangular shape; the kernel never sees them.
-Every cell is bitwise identical to a single-point evaluation at the same
-parameters.  :func:`mode_sequence_along_omega` traces one machine along the
-drive; it checks its grid and calls the kernel as ``transistor_trace`` does.
+A valid cell whose kernel values come out nonfinite becomes an error cell
+too, with its own code.  Every cell is bitwise identical to a single-point
+evaluation at the same parameters.  :func:`mode_sequence_along_omega`
+traces one machine along the drive; it checks its grid and calls the
+kernel as ``transistor_trace`` does.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from ._kernels import (COL_JC, COL_JH, COL_JM, COL_P, COL_SNEG, COL_SPOS, NCOLS,
-                       thermo_batch)
+from ._kernels import (COL_JC, COL_JH, COL_JM, COL_P, COL_S, COL_SNEG, COL_SPOS,
+                       NCOLS, thermo_batch)
 from .core import (MAX_COUNT, ConfigError, MachineConfig, as_mapping, construct,
                    get_field, integer, number, string)
 from .currents import (KERNEL_PATHS, VALIDITY_MESSAGES, _drive_table, config_args,
@@ -58,6 +60,8 @@ OUTPUT_KINDS = frozenset({"currents", "mode", "exergy", "transistor"})
 
 # Message of each error code of SweepResult.error_codes; 0 marks a valid cell.
 ERROR_MESSAGES = VALIDITY_MESSAGES
+# a cell that passes the validity checks but whose kernel values are not finite
+_NONFINITE_CODE = len(ERROR_MESSAGES) - 1
 
 _MODE_LABELS = tuple(m.value for m in MODE_BY_CODE[:ERROR_CODE]) + ("error",)
 
@@ -261,13 +265,17 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
 
     Cells are laid out row-major over (axis1, axis2).  Cells violating
     preconditions are marked with an error code and carry NaN values and
-    the mode label ``error`` rather than being dropped.  The kernel sees the
-    axes as broadcast vectors, axis1 as a column and axis2 as a row, and
-    the grid is evaluated in tiles of at most ``BLOCK_POINTS`` cells, each
-    written straight into the result arrays: terms that depend on one axis
-    only are computed once per row or column of a tile.  A tile with error
-    cells passes only its valid ones to the kernel; an all-error tile is
-    skipped.  ``threads`` is accepted for compatibility and ignored.
+    the mode label ``error`` rather than being dropped; so are cells whose
+    kernel values are not finite (``j_mid`` or ``entropy_rate``).  The
+    kernel sees the axes as broadcast vectors, axis1 as a column and axis2
+    as a row, and the grid is evaluated in tiles of at most
+    ``BLOCK_POINTS`` cells, each written straight into the result arrays:
+    terms that depend on one axis only are computed once per row or column
+    of a tile.  A tile with error cells passes only its valid ones to the
+    kernel; an all-error tile is skipped.  Every cell is written once: the
+    tiles write the valid cells, and the error cells get their NaN values
+    and mode code after the last tile.  ``threads`` is accepted for
+    compatibility and ignored.
     """
     template = spec.template
     a1 = spec.axis1.values()
@@ -284,10 +292,10 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
 
     codes = validity_codes(args, (n1, n2))
     transistor = "transistor" in spec.outputs
-    thermo = np.full((n, NCOLS), np.nan)
-    mode_codes = np.full(n, ERROR_CODE, dtype=np.int8)
-    phi = np.full(n, np.nan)
-    r, g = (np.full(n, np.nan), np.full(n, np.nan)) if transistor else (None, None)
+    thermo = np.empty((n, NCOLS))
+    mode_codes = np.empty(n, dtype=np.int8)
+    phi = np.empty(n)
+    r, g = (np.empty(n), np.empty(n)) if transistor else (None, None)
     # (n1, n2) views of the row-major results
     grids = [a.reshape(n1, n2, *a.shape[1:]) for a in (thermo, mode_codes, phi, r, g)
              if a is not None]
@@ -304,17 +312,33 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
             else:
                 continue
             _run_tile([_tile(a, tile, mask) for a in args], template, transistor,
-                      [grid[tile] for grid in grids], mask)
-    return SweepResult(spec, a1, a2, thermo, mode_codes, phi, r, g,
-                       codes.reshape(n))
+                      [grid[tile] for grid in grids], codes[tile], mask)
+    codes = codes.reshape(n)
+    if codes.any():
+        bad = codes != 0
+        for a in (thermo, phi, r, g):
+            if a is not None:
+                a[bad] = np.nan
+        mode_codes[bad] = ERROR_CODE
+    return SweepResult(spec, a1, a2, thermo, mode_codes, phi, r, g, codes)
 
 
-def _run_tile(args, template, transistor, grids, mask):
+def _run_tile(args, template, transistor, grids, codes, mask):
     """Evaluate one tile and write its cells (those of ``mask``, if given)
     into the ``grids`` views of thermo, mode codes, phi and, with
-    ``transistor``, r and g.  A tile's temporaries are freed on return,
+    ``transistor``, r and g.  A cell whose ``j_mid`` or ``entropy_rate`` is
+    not finite (any nonfinite current or power reaches both sums) gets the
+    nonfinite code in the tile's ``codes`` and NaN values, which classify
+    and score without raising.  A tile's temporaries are freed on return,
     before the next tile's kernel call."""
     table = thermo_batch(*args, slopes=transistor)
+    finite = np.isfinite(table[..., COL_JM]) & np.isfinite(table[..., COL_S])
+    if not finite.all():
+        bad = ~finite
+        table[bad] = np.nan
+        cells = codes[mask]   # a view of the tile without a mask, else a copy
+        cells[bad] = _NONFINITE_CODE
+        codes[mask] = cells
     values = [table[..., :NCOLS],
               classify_coupled_arrays(
                   template.hot.kappa, template.cold.kappa,

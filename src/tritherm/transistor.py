@@ -24,7 +24,7 @@ import numpy as np
 
 from ._kernels import COL_DJH, COL_DP, COL_JC, COL_JH, COL_JM, COL_P
 from .core import DomainError, MachineConfig
-from .currents import SIGN_ZERO_BAND, _drive_table
+from .currents import SIGN_ZERO_BAND, _drive_table, _point_values
 
 __all__ = [
     "DEFAULT_THRESHOLD",
@@ -122,10 +122,11 @@ def _figures(table):
 
 def transistor_point(config: MachineConfig) -> TransistorPoint:
     """Evaluate r, g and the underlying derivatives at the config's drive,
-    which must lie in (0, omega0)."""
-    _, row = _drive_table(config, slopes=True)
-    r, g = _figures(row)
-    row = row.tolist()
+    which must lie in (0, omega0).  DomainError if a kernel value comes
+    out NaN."""
+    _, table = _drive_table(config, slopes=True)
+    row = _point_values(table)
+    r, g = _figures(table)
     return TransistorPoint(
         omega_drive=config.drive_freq, r=float(r), g=float(g),
         djh_domega=row[COL_DJH], dp_domega=row[COL_DP],

@@ -6,10 +6,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+import yaml
 
 import tritherm as tt
 from tritherm import _kernels
 from tritherm._kernels import COL_DJH, COL_DP, COL_JH, COL_P, COL_SNEG, COL_SPOS
+from tritherm.cli import main
+from tritherm.core import DomainError
 from tritherm.modes import MODE_BY_CODE, classify_coupled_arrays, exergy_from_split
 from tritherm.transistor import GAIN_RELIABLE_BAND, _figures
 
@@ -96,6 +99,31 @@ class TestLayouts:
         assert (x < _kernels._BOSE_CUTOFF).any() and (x > _kernels._BOSE_CUTOFF).any()
         assert_layouts_agree(candidates, drives, slopes, cells=100)
 
+    def test_columns_are_contiguous(self, slopes):
+        # the table is stored one array per quantity: each column of the
+        # returned (..., ncols) view is contiguous, in every layout
+        candidates = random_valid_batch(6, seed=3)
+        drives = np.linspace(0.05, 0.95, 11)
+        block = block_args(candidates, drives)
+        flat = [np.ascontiguousarray(np.broadcast_to(a, (6, 11))).ravel() for a in block]
+        # a sweep tile: template scalars against an axis1 column and an axis2 row
+        tile = [np.float64(a[0, 0]) for a in block]
+        tile[DRIVE] = drives[:, None]
+        tile[ARG_NAMES.index("hot_center")] = np.linspace(1.0, 2.0, 7)[None, :]
+        ncols = _kernels.NCOLS + 2 if slopes else _kernels.NCOLS
+        for args, shape in ((flat, (66,)), (block, (6, 11)), (tile, (11, 7))):
+            table = _kernels.thermo_batch(*args, slopes=slopes)
+            assert table.shape == shape + (ncols,)
+            for c in range(ncols):
+                assert table[..., c].flags.c_contiguous
+
+    def test_one_point_table_is_1d(self, slopes):
+        batch = random_valid_batch(1, seed=3)
+        table = _kernels.thermo_batch(*(float(batch[name][0]) for name in ARG_NAMES),
+                                      slopes=slopes)
+        assert table.shape == (_kernels.NCOLS + 2 if slopes else _kernels.NCOLS,)
+        assert table.flags.c_contiguous
+
 
 class TestOnePoint:
     def test_bose_point_equals_array(self):
@@ -137,6 +165,23 @@ class TestOnePoint:
         # the same warnings as the batch, from numpy scalars
         assert ({str(w.message).replace("scalar ", "") for w in point_warnings}
                 == {str(w.message) for w in batch_warnings})
+
+    @pytest.mark.parametrize("case", EXTREME)
+    def test_extreme_point_entry_points_raise(self, case, tmp_path, capsys):
+        # validate() passes both configs with warnings only; the kernel row
+        # holds NaN, so each one-point entry point refuses it
+        cfg = config_from_params(dict(zip(ARG_NAMES, self.EXTREME[case])))
+        assert cfg.validate()
+        for entry in (tt.evaluate_point, tt.mode_report, tt.transistor_point):
+            with pytest.warns(RuntimeWarning), pytest.raises(DomainError, match="NaN"):
+                entry(cfg)
+        path = tmp_path / "extreme.yaml"
+        path.write_text(yaml.safe_dump(cfg.to_dict()))
+        with pytest.warns(RuntimeWarning):
+            assert main(["point", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: the closed forms give NaN" in captured.err
 
 
 class TestSquares:

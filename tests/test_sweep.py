@@ -1,9 +1,11 @@
 import csv
 import json
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
+import yaml
 
 import tritherm as tt
 from tritherm import _kernels
@@ -16,6 +18,8 @@ from tritherm.sweep import _CHUNK_ROWS
 from tritherm.transistor import _figures
 
 from conftest import make_config
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def small_spec(config, outputs=("currents", "mode", "exergy")):
@@ -336,6 +340,56 @@ class TestCellErrors:
         cols[7] = np.array([0.05, np.nan, np.nan, np.nan, np.nan, np.nan])  # hot width
         assert validity_codes(cols, 6).tolist() == [0, 1, 1, 2, 3, 4]
         assert tt.sweep.ERROR_MESSAGES[4] == "nonfinite or nonpositive parameter"
+
+
+class TestNonfiniteCells:
+    """Valid parameters whose kernel values overflow to NaN: a hot peak
+    center (and so its Lorentzian) near 1e200 gives inf / inf."""
+
+    CENTERS = tt.Axis("hot.center", 1.0, 1e200, 5)
+    TRANSISTOR = frozenset({"currents", "mode", "exergy", "transistor"})
+
+    def _run(self, axis2):
+        template = tt.MachineConfig.from_dict(
+            yaml.safe_load((CONFIGS / "default.yaml").read_text()))
+        spec = tt.SweepSpec(template=template, axis1=self.CENTERS, axis2=axis2,
+                            outputs=self.TRANSISTOR)
+        with pytest.warns(RuntimeWarning):
+            return template, tt.run_sweep(spec)
+
+    def test_nonfinite_cells_are_error_cells(self):
+        template, result = self._run(tt.Axis("drive_freq", 0.1, 0.9, 3))
+        nonfinite = np.repeat(self.CENTERS.values() > 1.0, 3)
+        assert nonfinite.sum() == 12
+        assert np.array_equal(result.error_codes, np.where(nonfinite, 5, 0))
+        assert tt.sweep.ERROR_MESSAGES[5] == "nonfinite kernel result"
+        assert {e for e, bad in zip(result.errors, nonfinite) if bad} == {
+            "nonfinite kernel result"}
+        labels = np.array(result.mode_labels())
+        assert set(labels[nonfinite]) == {"error"}
+        assert np.isnan(result.thermo[nonfinite]).all()
+        for column in (result.phi, result.r, result.g):
+            assert np.isnan(column[nonfinite]).all()
+        # the hot.center = 1.0 row is the one-point evaluation
+        for k, drive in enumerate(result.axis2_values.tolist()):
+            cfg = tt.apply_params(template, {"hot.center": 1.0, "drive_freq": drive})
+            assert ThermoPoint(*result.thermo[k].tolist()) == tt.evaluate_point(cfg)
+            assert result.r[k] == tt.transistor_point(cfg).r
+
+    def test_tiles_with_error_cells_equal_one_tile(self, monkeypatch):
+        # hot.temperature 0.3 breaks the ordering, so in tiles of 2 cells,
+        # (i, 0:2), the kernel gets the gathered valid cells of a row, one
+        # of them nonfinite below the first row
+        axis2 = tt.Axis("hot.temperature", 0.3, 1.0, 3)
+        monkeypatch.setattr(_kernels, "BLOCK_POINTS", 10**9)
+        _, whole = self._run(axis2)
+        monkeypatch.setattr(_kernels, "BLOCK_POINTS", 2)
+        _, blocked = self._run(axis2)
+        codes = blocked.error_codes.reshape(5, 3)
+        assert (codes[:, 0] == 2).all() and (codes[1:, 1:] == 5).all()
+        assert not codes[0, 1:].any()
+        for got, want in zip(_arrays(blocked), _arrays(whole), strict=True):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestTwoTerminalReduction:
