@@ -26,10 +26,20 @@ Large batches are cut into blocks of ``BLOCK_POINTS`` points by the
 callers (sweeps, searches), which keeps the temporaries of one call in
 cache.  Sweeps pass axis vectors, an axis1 column against an axis2 row,
 not expanded columns, so a term of one axis is computed once per row or
-column of a tile.
+column of a tile.  :func:`map_blocks` runs the blocks of one sweep or
+search stage on the calling thread plus one helper thread per further
+CPU the process may use: numpy releases the GIL inside each operation,
+so the blocks' arithmetic overlaps.  Each block writes only its own
+results, so the outputs do not depend on the number of threads.
 """
 
 from __future__ import annotations
+
+import contextvars
+import itertools
+import math
+import os
+import threading
 
 import numpy as np
 
@@ -40,6 +50,12 @@ COL_DJH, COL_DP = NCOLS, NCOLS + 1   # present only with slopes=True
 # Points per kernel call of a sweep or search block: a 9-column table is
 # then 1.2 MB, so a block's temporaries stay in a 2-4 MB L2 cache.
 BLOCK_POINTS = 16384
+
+# Threads of one map_blocks call: the CPUs this process may use, at most 4.
+# The cap bounds memory, not speed: each running block holds about 3.5 MB
+# of kernel temporaries.
+_WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 
 _BOSE_CUTOFF = 1e-5
 
@@ -171,10 +187,60 @@ def thermo_batch(omega0, mass, drive, t_hot, t_mid, t_cold,
     out = np.empty((NCOLS + 2 if slopes else NCOLS,) + shape)
     try:
         _thermo(*args, out)
-        rerun = not shape and np.isnan(out).any()
+        rerun = not shape and any(map(math.isnan, out.tolist()))
     except ZeroDivisionError:
         rerun = True
     if rerun:
         _thermo(*(np.float64(a) if type(a) is float else a for a in args), out)
     # a point's table is 1-D already; a moveaxis would cost it microseconds
     return np.moveaxis(out, 0, -1) if shape else out
+
+
+def map_blocks(fn, items) -> list:
+    """``[fn(x) for x in items]`` for a sequence ``items``, computed by the
+    calling thread and, with several items, one helper thread per further
+    CPU of the process.
+
+    The thread count is the number of CPUs in the process's affinity mask
+    when tritherm is imported (``taskset`` limits it), capped by the number
+    of items and by 4; nothing above 2 CPUs has been measured.  Every
+    thread takes the next index from one shared counter until none is left,
+    so items start in order.  Each helper runs in a copy of the caller's
+    :mod:`contextvars` context, where numpy keeps its ``errstate``.  Once an
+    item raises, no later item starts; when every thread has stopped, the
+    exception of the lowest failing index is raised, the one a serial loop
+    would raise.  With one thread no helper is started.
+    """
+    workers = min(_WORKERS, len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    results = [None] * len(items)
+    errors = {}
+    stop = [len(items)]   # no item at or past this index starts
+    lock = threading.Lock()
+    indices = itertools.count()
+
+    def drain():
+        for i in indices:
+            if i >= stop[0]:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:   # re-raised by the caller below
+                with lock:
+                    errors[i] = exc
+                    stop[0] = min(stop[0], i)
+                return
+
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(drain,))
+               for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        drain()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results

@@ -15,9 +15,11 @@ re-running with ``--from-manifest`` reproduces the output byte for byte
 the key order they were written with: the order of ``search.vary`` fixes
 the Latin-hypercube dimensions.
 
-``sweep --threads`` and ``TRITHERM_THREADS`` are accepted and ignored; a
-sweep runs in tiles of at most ``_kernels.BLOCK_POINTS`` cells in one
-thread.
+A sweep runs in tiles of at most ``_kernels.BLOCK_POINTS`` cells, and a
+search stage in blocks of as many points; the tiles or blocks run on the
+calling thread plus one helper thread per further CPU the process may use
+(at most four threads; ``taskset`` limits them).  There is no thread
+option, and the outputs do not depend on the thread count.
 
 Exit codes: 0 success, 1 validation/parse error, 2 runtime error.
 """
@@ -324,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--json", action="store_true",
                    help="also write <out>.json with a metadata header")
-    p.add_argument("--threads", type=int,
-                   help="deprecated and ignored; the sweep runs in one thread")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("transistor", help="r/g trace over a drive range")

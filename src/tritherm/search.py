@@ -4,8 +4,11 @@ The strategy is Latin-hypercube sampling over a bounded box followed by
 local refinement around the best candidates (the objectives are cheap,
 smooth, and low-dimensional).  Everything is driven by one integer seed, so
 repeated runs are bit-for-bit reproducible.  Each stage is scored in
-candidate x omega kernel blocks; the detail of each returned candidate is
-built by the public trace functions, so its score can be read off it.
+candidate x omega kernel blocks, which run on the calling thread plus one
+helper thread per further CPU (:func:`tritherm._kernels.map_blocks`); each
+block scores its own candidates, so the result does not depend on the
+thread count.  The detail of each returned candidate is built by the
+public trace functions, so its score can be read off it.
 
 A search varies a set of dotted config parameters over ranges (linear or
 log scale) and can lock other parameters to sampled ones (e.g.
@@ -280,15 +283,17 @@ def _detail(config: MachineConfig, spec: SearchSpec, grid) -> dict:
 def _stage(template, spec, grid, units, first: int) -> list:
     """Entries ``(score, order, u, params)`` of the unit-cube samples
     ``units``, with orders counted from ``first``.  Valid candidates are
-    scored in blocks of at most ``_kernels.BLOCK_POINTS`` points; invalid
-    ones score ``-inf``."""
+    scored in blocks of at most ``_kernels.BLOCK_POINTS`` points, on the
+    calling thread and its helpers (``_kernels.map_blocks``); invalid ones
+    score ``-inf``."""
     params, cols, valid = _columns(template, spec, units, grid)
     scores = np.full((len(params), 2), -np.inf)
     valid = np.flatnonzero(valid)
     step = max(_kernels.BLOCK_POINTS // grid.size, 1)
-    for i in range(0, valid.size, step):
-        rows = valid[i:i + step]
-        scores[rows] = _scores(spec, grid, cols[rows])
+    blocks = [valid[i:i + step] for i in range(0, valid.size, step)]
+    for rows, block in zip(blocks, _kernels.map_blocks(
+            lambda rows: _scores(spec, grid, cols[rows]), blocks)):
+        scores[rows] = block
     return [(score, first + i, u, p) for i, (score, u, p)
             in enumerate(zip(scores.tolist(), units, params))]
 

@@ -10,10 +10,13 @@ preconditions (temperature ordering, drive range, positive peak
 frequencies) are emitted as error cells carrying NaN values and an error
 code, so maps keep their rectangular shape; the kernel never sees them.
 A valid cell whose kernel values come out nonfinite becomes an error cell
-too, with its own code.  Every cell is bitwise identical to a single-point
-evaluation at the same parameters.  :func:`mode_sequence_along_omega`
-traces one machine along the drive; it checks its grid and calls the
-kernel as ``transistor_trace`` does.
+too, with its own code.  The tiles run on the calling thread plus one
+helper thread per further CPU (:func:`tritherm._kernels.map_blocks`); each
+writes only its own cells.  Every cell is bitwise identical to a
+single-point evaluation at the same parameters, whatever the thread
+count.  :func:`mode_sequence_along_omega` traces one machine along the
+drive; it checks its grid and calls the kernel as ``transistor_trace``
+does.
 """
 
 from __future__ import annotations
@@ -260,7 +263,7 @@ def _float_texts(values) -> tuple[list[str], list[str]]:
     return text, [_JSON_NONFINITE.get(t, t) for t in text]
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
+def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate a sweep.
 
     Cells are laid out row-major over (axis1, axis2).  Cells violating
@@ -274,8 +277,10 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     of a tile.  A tile with error cells passes only its valid ones to the
     kernel; an all-error tile is skipped.  Every cell is written once: the
     tiles write the valid cells, and the error cells get their NaN values
-    and mode code after the last tile.  ``threads`` is accepted for
-    compatibility and ignored.
+    and mode code after the last tile.  The tiles run through
+    :func:`tritherm._kernels.map_blocks`, on the calling thread and one
+    helper per further CPU; each tile gathers its own arguments and writes
+    only its own cells, so the result does not depend on the thread count.
     """
     template = spec.template
     a1 = spec.axis1.values()
@@ -301,18 +306,20 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
              if a is not None]
     cols = min(n2, _kernels.BLOCK_POINTS)
     rows = max(1, _kernels.BLOCK_POINTS // cols)
-    for i in range(0, n1, rows):
-        for j in range(0, n2, cols):
-            tile = (slice(i, i + rows), slice(j, j + cols))
-            ok = codes[tile] == 0
-            if ok.all():
-                mask = ()
-            elif ok.any():
-                mask = (ok,)   # gather the valid cells only
-            else:
-                continue
-            _run_tile([_tile(a, tile, mask) for a in args], template, transistor,
-                      [grid[tile] for grid in grids], codes[tile], mask)
+
+    def run(tile):
+        ok = codes[tile] == 0
+        if ok.all():
+            mask = ()
+        elif ok.any():
+            mask = (ok,)   # gather the valid cells only
+        else:
+            return
+        _run_tile([_tile(a, tile, mask) for a in args], template, transistor,
+                  [grid[tile] for grid in grids], codes[tile], mask)
+
+    _kernels.map_blocks(run, [(slice(i, i + rows), slice(j, j + cols))
+                              for i in range(0, n1, rows) for j in range(0, n2, cols)])
     codes = codes.reshape(n)
     if codes.any():
         bad = codes != 0

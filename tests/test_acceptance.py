@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import tritherm as tt
+from tritherm import _kernels
 from tritherm.cli import main as cli_main
 from tritherm.modes import (HYBRID_MODES, OperatingMode, classify_arrays,
                             exergy_from_split)
@@ -128,7 +129,7 @@ def test_criterion_5_exergy_bounds(random_sample):
     spec = tt.SweepSpec(template=template,
                         axis1=tt.Axis("drive_freq", 0.05, 0.9, 69),
                         axis2=tt.Axis("hot.center", 1.0, 2.0, 41))
-    result = tt.run_sweep(spec, threads=2)
+    result = tt.run_sweep(spec)
     eng = result.mode_codes == ENGINE
     jh = result.thermo[:, 0]
     power = result.thermo[:, 3]
@@ -149,7 +150,7 @@ def test_criterion_6_resonance_ridge():
     spec = tt.SweepSpec(template=template,
                         axis1=tt.Axis("drive_freq", 0.02, 0.80, 201),
                         axis2=tt.Axis("hot.center", 1.0, 2.0, 201))
-    result = tt.run_sweep(spec, threads=4)
+    result = tt.run_sweep(spec)
     n1, n2 = result.shape
     phi = result.phi.reshape(n1, n2)
     codes = result.mode_codes.reshape(n1, n2)
@@ -185,7 +186,7 @@ def test_criterion_7_mode_richness(rich_map_template):
     spec = tt.SweepSpec(template=rich_map_template,
                         axis1=tt.Axis("drive_freq", 0.02, 0.95, 201),
                         axis2=tt.Axis("hot.center_locked", 0.80, 2.0, 201))
-    result = tt.run_sweep(spec, threads=4)
+    result = tt.run_sweep(spec)
     modes = result.mode_set() - {OperatingMode.DEGENERATE}
     hybrids = modes & HYBRID_MODES
 
@@ -213,7 +214,7 @@ def test_criterion_8_two_terminal_restriction(rich_map_template):
                          ("hot off", {"hot.kappa": 0.0})):
         template = tt.apply_params(rich_map_template, params)
         result = tt.run_sweep(tt.SweepSpec(template=template, axis1=axis1,
-                                           axis2=axis2), threads=4)
+                                           axis2=axis2))
         found[name] = result.mode_set()
     ok = all(modes <= allowed for modes in found.values())
     assert report(8, "two-terminal maps contain only four modes", ok,
@@ -277,15 +278,19 @@ def test_criterion_11_determinism(tmp_path):
     sweep_args = ["sweep", "--config", str(cfg_path),
                   "--axis1", "drive_freq:0.05:0.9:41",
                   "--axis2", "hot.center:1.0:2.0:23", "--json"]
-    out1, out4, rerun = (tmp_path / n for n in ("t1.csv", "t4.csv", "rr.csv"))
-    assert cli_main(sweep_args + ["--out", str(out1), "--threads", "1"]) == 0
-    assert cli_main(sweep_args + ["--out", str(out4), "--threads", "7"]) == 0
-    threads_same = (out1.read_bytes() == out4.read_bytes()
+    out1, out3, rerun = (tmp_path / n for n in ("t1.csv", "t3.csv", "rr.csv"))
+    with pytest.MonkeyPatch.context() as mp:
+        # tiles of 4 x 23 cells, so three threads share the 11 tiles
+        mp.setattr(_kernels, "BLOCK_POINTS", 100)
+        for workers, out in ((1, out1), (3, out3)):
+            mp.setattr(_kernels, "_WORKERS", workers)
+            assert cli_main(sweep_args + ["--out", str(out)]) == 0
+    threads_same = (out1.read_bytes() == out3.read_bytes()
                     and (tmp_path / "t1.csv.json").read_bytes()
-                    == (tmp_path / "t4.csv.json").read_bytes())
+                    == (tmp_path / "t3.csv.json").read_bytes())
 
     assert cli_main(["sweep", "--from-manifest", str(tmp_path / "t1.csv.manifest.json"),
-                     "--out", str(rerun), "--json", "--threads", "3"]) == 0
+                     "--out", str(rerun), "--json"]) == 0
     rerun_same = (out1.read_bytes() == rerun.read_bytes()
                   and (tmp_path / "t1.csv.json").read_bytes()
                   == (tmp_path / "rr.csv.json").read_bytes())

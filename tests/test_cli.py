@@ -140,17 +140,10 @@ class TestSweep:
         assert manifest["command"] == "sweep"
         assert manifest["sweep"]["axis1"]["param"] == "drive_freq"
 
-    def test_thread_count_is_invisible_in_output(self, tmp_path):
-        a = self.run_sweep(tmp_path, "a.csv", ("--threads", "1"))
-        b = self.run_sweep(tmp_path, "b.csv", ("--threads", "7"))
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_env_var_sets_default_thread_count(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TRITHERM_THREADS", "5")
-        a = self.run_sweep(tmp_path, "env.csv")
-        monkeypatch.setenv("TRITHERM_THREADS", "not-a-number")
-        b = self.run_sweep(tmp_path, "env2.csv")  # falls back to 1
-        assert a.read_bytes() == b.read_bytes()
+    def test_threads_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            self.run_sweep(tmp_path, "a.csv", ("--threads", "1"))
+        assert exc.value.code == 2
 
     def test_manifest_rerun_is_bitwise_identical(self, tmp_path):
         out = self.run_sweep(tmp_path, "map.csv", ("--json",))

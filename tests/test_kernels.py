@@ -3,6 +3,9 @@
 scalars against one swept column; and the scalar API equals its batch row."""
 
 import dataclasses
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -252,3 +255,102 @@ class TestScalarApi:
         trace = tt.transistor_trace(cfg, [0.37])
         assert bits(tp.r, tp.g, tp.djh_domega, tp.dp_domega) == bits(
             trace.r[0], trace.g[0], trace.djh_domega[0], trace.dp_domega[0])
+
+
+class TestMapBlocks:
+    """``map_blocks(fn, items)`` is ``[fn(x) for x in items]`` for every
+    thread count."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_come_back_in_item_order(self, monkeypatch, workers):
+        monkeypatch.setattr(_kernels, "_WORKERS", workers)
+        threads = set()
+
+        def fn(x):
+            threads.add(threading.get_ident())
+            time.sleep(0.002 * (x % 3))   # uneven items finish out of order
+            return x * x
+
+        assert _kernels.map_blocks(fn, range(20)) == [x * x for x in range(20)]
+        assert len(threads) == workers
+        assert threading.get_ident() in threads   # the caller works too
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_lowest_failing_item_raises_and_nothing_starts_after(
+            self, monkeypatch, workers):
+        monkeypatch.setattr(_kernels, "_WORKERS", workers)
+        started = []
+
+        def fn(x):
+            started.append(x)
+            if x in (2, 5):
+                raise ValueError(x)
+            time.sleep(0.02)
+            return x
+
+        with pytest.raises(ValueError) as exc:
+            _kernels.map_blocks(fn, range(12))
+        assert exc.value.args == (2,)
+        # items start in order, so 0 and 1 ran; once item 2 has failed each
+        # thread starts at most the item it already holds
+        assert {0, 1, 2} <= set(started) and max(started) <= 2 + workers
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_lowest_failing_item_wins_over_an_earlier_failure(self, monkeypatch, workers):
+        # item 2 fails at once while item 1 is still running, then item 1 fails
+        monkeypatch.setattr(_kernels, "_WORKERS", workers)
+
+        def fn(x):
+            if x == 1:
+                time.sleep(0.05)
+            if x in (1, 2):
+                raise ValueError(x)
+
+        with pytest.raises(ValueError) as exc:
+            _kernels.map_blocks(fn, range(6))
+        assert exc.value.args == (1,)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_helpers_keep_the_callers_errstate(self, monkeypatch, workers):
+        monkeypatch.setattr(_kernels, "_WORKERS", workers)
+        raised = {}
+
+        def fn(x):
+            time.sleep(0.01)   # every thread gets an item
+            try:
+                np.divide(np.ones(1), 0.0)
+            except FloatingPointError:
+                raised[threading.get_ident()] = True
+            else:
+                raised[threading.get_ident()] = False
+
+        with np.errstate(divide="raise"):
+            _kernels.map_blocks(fn, range(4 * workers))
+        assert len(raised) == workers and all(raised.values())
+
+    def test_each_item_runs_once_under_fast_switching(self, monkeypatch):
+        # more threads than this host has CPUs, switching every microsecond:
+        # a lost update of the shared counter would run an item twice or
+        # not at all
+        monkeypatch.setattr(_kernels, "_WORKERS", 4)
+        runs = [0] * 5000
+        out = []
+
+        def fn(x):
+            runs[x] += 1
+            return -x
+
+        def call():
+            out.append(_kernels.map_blocks(fn, range(len(runs))))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(target=call)
+            caller.start()
+            caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert runs == [1] * len(runs)
+        assert out == [[-x for x in range(len(runs))]]

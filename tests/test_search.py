@@ -328,6 +328,17 @@ class TestBatchedSearch:
         rows = _kernels.BLOCK_POINTS // spec.omega_count
         assert spec.samples > 2 * rows and spec.pool * spec.refine_samples > rows
 
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("objective", search.OBJECTIVES)
+    def test_worker_count_does_not_change_result(self, monkeypatch, objective, seed):
+        template, spec = REFERENCE_CASES["blocks"]
+        spec = dataclasses.replace(spec, objective=objective)
+        outs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_kernels, "_WORKERS", workers)
+            outs.append(dumps(tt.run_search(template, spec, seed)))
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
     @pytest.mark.parametrize("objective", search.OBJECTIVES)
     def test_one_candidate_per_block(self, monkeypatch, objective):
         template, spec = REFERENCE_CASES["invalid"]

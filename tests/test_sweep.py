@@ -50,16 +50,6 @@ class TestRunSweep:
         assert len(set(want)) == 4
         assert result.thermo[:, 0].tolist() == want
 
-    def test_thread_count_does_not_change_output(self, default_config):
-        spec = tt.SweepSpec(template=default_config,
-                            axis1=tt.Axis("drive_freq", 0.05, 0.9, 41),
-                            axis2=tt.Axis("hot.center", 1.0, 2.0, 23))
-        r1 = tt.run_sweep(spec, threads=1)
-        r4 = tt.run_sweep(spec, threads=4)
-        assert np.array_equal(r1.thermo, r4.thermo)
-        assert np.array_equal(r1.mode_codes, r4.mode_codes)
-        assert np.array_equal(r1.phi, r4.phi)
-
     def test_error_cells_keep_rectangular_shape(self, default_config):
         # sweeping the mid temperature across the hot temperature violates
         # the ordering in the upper part of the axis
@@ -282,18 +272,44 @@ class TestBlocks:
         ncols = _kernels.NCOLS + 2 if transistor else _kernels.NCOLS
         assert extra <= 4 * _kernels.BLOCK_POINTS * ncols * 8
 
-    def test_memory_beside_results_does_not_grow_with_tiles(self):
+    def test_memory_beside_results_does_not_grow_with_tiles(self, monkeypatch):
         # one tile against sixteen: a full-size swept column or an index of
-        # the valid cells would add 2-4 MB on the larger grid
+        # the valid cells would add 2-4 MB on the larger grid; two threads
+        # hold the temporaries of two tiles at once, and no more
         def spec(rows):
             return tt.SweepSpec(template=make_config(),
                                 axis1=tt.Axis("drive_freq", 0.02, 0.9, rows),
                                 axis2=tt.Axis("hot.center", 1.0, 2.0,
                                               _kernels.BLOCK_POINTS // 16),
                                 outputs=_outputs(True))
-        one, many = _extra_memory(spec(16)), _extra_memory(spec(16 * 16))
         table = _kernels.BLOCK_POINTS * (_kernels.NCOLS + 2) * 8
-        assert many - one <= table
+        for workers in (1, 2):
+            monkeypatch.setattr(_kernels, "_WORKERS", workers)
+            one, many = _extra_memory(spec(16)), _extra_memory(spec(16 * 16))
+            assert many - workers * one <= table
+
+    @pytest.mark.parametrize("transistor", [False, True])
+    def test_worker_count_does_not_change_output(self, monkeypatch, transistor):
+        template, axis1, axis2 = _BLOCK_CASES["temperatures"]
+        spec = tt.SweepSpec(template=template, axis1=axis1, axis2=axis2,
+                            outputs=_outputs(transistor))
+        monkeypatch.setattr(_kernels, "BLOCK_POINTS", 7)
+        result = _same_for_worker_counts(monkeypatch, lambda: tt.run_sweep(spec))
+        kinds = set(_tile_kinds(result.error_codes, axis2.count, 7))
+        assert kinds == {"valid", "mixed", "error"}
+
+
+def _same_for_worker_counts(monkeypatch, run):
+    """``run()``'s sweep result with ``_WORKERS`` 1, after checking that 2
+    and 3 threads give the same arrays bit for bit."""
+    results = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(_kernels, "_WORKERS", workers)
+        results.append(run())
+    for result in results[1:]:
+        for got, want in zip(_arrays(result), _arrays(results[0]), strict=True):
+            assert got.tobytes() == want.tobytes()
+    return results[0]
 
 
 def _extra_memory(spec) -> int:
@@ -390,6 +406,13 @@ class TestNonfiniteCells:
         assert not codes[0, 1:].any()
         for got, want in zip(_arrays(blocked), _arrays(whole), strict=True):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("axis2", [tt.Axis("drive_freq", 0.1, 0.9, 3),
+                                       tt.Axis("hot.temperature", 0.3, 1.0, 3)])
+    def test_worker_count_does_not_change_output(self, monkeypatch, axis2):
+        monkeypatch.setattr(_kernels, "BLOCK_POINTS", 2)
+        result = _same_for_worker_counts(monkeypatch, lambda: self._run(axis2)[1])
+        assert (result.error_codes == 5).any()
 
 
 class TestTwoTerminalReduction:
