@@ -35,7 +35,6 @@ results, so the outputs do not depend on the number of threads.
 
 from __future__ import annotations
 
-import contextvars
 import itertools
 import math
 import os
@@ -53,7 +52,8 @@ BLOCK_POINTS = 16384
 
 # Threads of one map_blocks call: the CPUs this process may use, at most 4.
 # The cap bounds memory, not speed: each running block holds about 3.5 MB
-# of kernel temporaries.
+# of kernel temporaries.  Only 2 threads have been measured; the cap is
+# unverified, and a cgroup CPU quota is not read.
 _WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 
@@ -205,15 +205,14 @@ def map_blocks(fn, items) -> list:
     when tritherm is imported (``taskset`` limits it), capped by the number
     of items and by 4; nothing above 2 CPUs has been measured.  Every
     thread takes the next index from one shared counter until none is left,
-    so items start in order.  Each helper runs in a copy of the caller's
-    :mod:`contextvars` context, where numpy keeps its ``errstate``.  Once an
-    item raises, no later item starts; when every thread has stopped, the
-    exception of the lowest failing index is raised, the one a serial loop
-    would raise.  With one thread no helper is started.
+    so items start in order.  Each helper runs under the caller's numpy
+    ``errstate``, set explicitly: numpy 2 keeps it in a context variable and
+    numpy 1 per thread, and a new thread starts with the default in both.
+    Once an item raises, no later item starts; when every thread has
+    stopped, the exception of the lowest failing index is raised, the one a
+    serial loop would raise.  With one thread no helper is started.
     """
     workers = min(_WORKERS, len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
     results = [None] * len(items)
     errors = {}
     stop = [len(items)]   # no item at or past this index starts
@@ -232,8 +231,13 @@ def map_blocks(fn, items) -> list:
                     stop[0] = min(stop[0], i)
                 return
 
-    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(drain,))
-               for _ in range(workers - 1)]
+    err, call = np.geterr(), np.geterrcall()
+
+    def drain_as_caller():
+        with np.errstate(call=call, **err):
+            drain()
+
+    helpers = [threading.Thread(target=drain_as_caller) for _ in range(workers - 1)]
     for helper in helpers:
         helper.start()
     try:

@@ -17,9 +17,11 @@ the Latin-hypercube dimensions.
 
 A sweep runs in tiles of at most ``_kernels.BLOCK_POINTS`` cells, and a
 search stage in blocks of as many points; the tiles or blocks run on the
-calling thread plus one helper thread per further CPU the process may use
-(at most four threads; ``taskset`` limits them).  There is no thread
-option, and the outputs do not depend on the thread count.
+calling thread plus one helper thread per further CPU in the process's
+affinity mask (at most four threads; only two have been measured, so the
+cap is unverified; ``taskset`` limits them, a cgroup CPU quota does not).
+There is no thread option, and the outputs do not depend on the thread
+count.
 
 Exit codes: 0 success, 1 validation/parse error, 2 runtime error.
 """

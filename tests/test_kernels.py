@@ -311,22 +311,22 @@ class TestMapBlocks:
         assert exc.value.args == (1,)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_helpers_keep_the_callers_errstate(self, monkeypatch, workers):
+    @pytest.mark.parametrize("divide", ["raise", "call"])
+    def test_helpers_keep_the_callers_errstate(self, monkeypatch, workers, divide):
         monkeypatch.setattr(_kernels, "_WORKERS", workers)
-        raised = {}
+        signalled = []   # one thread id per division by zero that numpy reported
 
         def fn(x):
             time.sleep(0.01)   # every thread gets an item
             try:
                 np.divide(np.ones(1), 0.0)
             except FloatingPointError:
-                raised[threading.get_ident()] = True
-            else:
-                raised[threading.get_ident()] = False
+                signalled.append(threading.get_ident())
 
-        with np.errstate(divide="raise"):
+        with np.errstate(divide=divide,
+                         call=lambda kind, flag: signalled.append(threading.get_ident())):
             _kernels.map_blocks(fn, range(4 * workers))
-        assert len(raised) == workers and all(raised.values())
+        assert len(signalled) == 4 * workers and len(set(signalled)) == workers
 
     def test_each_item_runs_once_under_fast_switching(self, monkeypatch):
         # more threads than this host has CPUs, switching every microsecond:
