@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .core import (ConfigError, ConsistencyError, DomainError,
                    LorentzianBath, MachineConfig, OhmicBath, TrithermError,
                    WorkingMedium, apply_params, bose_occupation,
-                   spectral_lorentzian, spectral_ohmic)
+                   spectral_lorentzian)
 from .currents import (SIGN_ZERO_BAND, ThermoArrays, ThermoPoint,
                        evaluate_arrays, evaluate_point)
 from .modes import (HYBRID_MODES, ModeReport, OperatingMode, classify,
@@ -29,7 +29,7 @@ __all__ = [
     "__version__",
     "TrithermError", "ConfigError", "DomainError", "ConsistencyError",
     "WorkingMedium", "LorentzianBath", "OhmicBath", "MachineConfig",
-    "apply_params", "bose_occupation", "spectral_lorentzian", "spectral_ohmic",
+    "apply_params", "bose_occupation", "spectral_lorentzian",
     "SIGN_ZERO_BAND", "ThermoPoint", "ThermoArrays",
     "evaluate_point", "evaluate_arrays",
     "OperatingMode", "HYBRID_MODES", "ModeReport",

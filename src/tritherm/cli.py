@@ -9,11 +9,16 @@ fields (all frequencies and temperatures in units of omega0)::
     cold: {temperature: 0.2, center: 0.75, width: 0.05, kappa: 0.01}
     mid:  {temperature: 0.5, gamma_m: 0.1}
 
-Every file-producing command writes a JSON manifest next to its output;
-re-running with ``--from-manifest`` reproduces the output byte for byte
-(the manifest pins the config snapshot, grid, and seed).  Manifests keep
-the key order they were written with: the order of ``search.vary`` fixes
-the Latin-hypercube dimensions.
+Every command turns its flags into a manifest, the dict that
+``--from-manifest`` reads, then parses and runs that dict only.  Every
+file-producing command (``point --out`` too) writes the manifest next to
+its output, and ``--from-manifest`` reruns it byte for byte.  An unknown
+manifest key (``unknown field: sweep.axis3``) exits 1, and so does a flag
+that chooses the run given beside ``--from-manifest`` (only ``--out`` and
+``--json`` may be).  A manifest's config is validated with equal
+temperatures allowed, since it does not record ``--relax-validation``.
+Manifests keep their key order: that of ``search.vary`` fixes the
+Latin-hypercube dimensions.
 
 A sweep runs in tiles of at most ``_kernels.BLOCK_POINTS`` cells, and a
 search stage in blocks of as many points; the tiles or blocks run on the
@@ -29,7 +34,6 @@ Exit codes: 0 success, 1 validation/parse error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
 import json
 import os
@@ -40,7 +44,8 @@ import yaml
 
 from . import __version__
 from .core import (MAX_COUNT, ConfigError, DomainError, MachineConfig, TrithermError,
-                   apply_params, construct, get_field, integer, number)
+                   apply_params, as_mapping, check_fields, construct, get_field,
+                   integer, number)
 from .modes import mode_report
 from .search import SearchSpec, run_search
 from .sweep import Axis, SweepSpec, _float_texts, run_sweep
@@ -67,13 +72,6 @@ def _parse(path: str, kind: str, parse):
         raise ConfigError(f"cannot parse {kind} {path}: {exc}") from None
 
 
-def _load_yaml(path: str) -> dict:
-    data = _parse(path, "config", yaml.safe_load)
-    if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must contain a mapping")
-    return data
-
-
 def _parse_overrides(pairs) -> dict:
     out = {}
     for pair in pairs or ():
@@ -88,52 +86,79 @@ def _parse_overrides(pairs) -> dict:
     return out
 
 
-def _load_config(args) -> tuple[MachineConfig, dict, list[str]]:
-    """The ``--set`` config, its raw YAML and its warnings (printed to stderr)."""
-    raw = _load_yaml(args.config)
-    config = apply_params(MachineConfig.from_dict(raw),
-                          _parse_overrides(getattr(args, "set", None)))
-    warnings = config.validate(relax=getattr(args, "relax_validation", False))
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    return config, raw, warnings
+# Top-level fields of a manifest besides the section of its command
+_MANIFEST_FIELDS = ("artifact", "version", "command", "config", "seed", "outputs",
+                    "timestamp")
 
 
-def _write_manifest(out_path: str, command: str, config: MachineConfig,
-                    extra: dict, seed=None) -> str:
-    manifest = {
-        "artifact": "tritherm",
-        "version": __version__,
-        "command": command,
-        "config": config.to_dict(),
-        "seed": seed,
-        "outputs": [os.path.basename(out_path)],
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        **extra,
-    }
-    path = out_path + ".manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=1)
-    return path
-
-
-def _load_manifest(path: str, command: str) -> tuple[MachineConfig, dict, dict]:
-    """The config, the ``command`` section and the whole manifest."""
+def _load_manifest(path: str, command: str) -> dict:
+    """The manifest of a ``command`` run; ConfigError unless it has a
+    ``config`` and a ``command`` section and no other unknown field."""
     manifest = _parse(path, "manifest", json.loads)
     if not isinstance(manifest, dict):
         raise ConfigError(f"manifest {path} must contain a mapping")
     if manifest.get("command") != command:
         raise ConfigError(f"manifest {path} was written by "
                           f"{manifest.get('command')!r}, not {command!r}")
-    # Older manifests record the kernel backend; only numpy remains.
-    if manifest.get("backend", "numpy") != "numpy":
-        raise ConfigError(f"manifest {path}: field backend = "
-                          f"{manifest['backend']!r} is not supported; only "
-                          f"the numpy kernel exists")
     for key in ("config", command):
         if not isinstance(manifest.get(key), dict):
             raise ConfigError(f"manifest {path} has no {key!r} section")
-    return MachineConfig.from_dict(manifest["config"]), manifest[command], manifest
+    check_fields(manifest, (*_MANIFEST_FIELDS, command), "manifest")
+    return manifest
+
+
+# Flags that choose what a run computes.  A manifest fixes all of them, so
+# each is an error beside --from-manifest; --out and --json are not.
+_RUN_FLAGS = ("config", "set", "axis1", "axis2", "outputs", "omega_min", "omega_max",
+              "points", "threshold", "seed", "top_k")
+
+
+def _run(args, command: str, from_flags, run) -> int:
+    """The one run path of every command: the manifest from
+    ``--from-manifest``, or the ``--config`` file with ``--set`` applied and
+    the entries ``from_flags(args, raw)`` makes of the flags and raw YAML;
+    its config validated; ``run(config, manifest, warnings)``, which parses
+    the command's section and returns the section it ran, the seed and a
+    writer of the output (taking ``args``); then a file output's manifest."""
+    if args.from_manifest:
+        given = [flag for flag in _RUN_FLAGS if getattr(args, flag, None) is not None]
+        if given:
+            raise ConfigError(f"--{given[0].replace('_', '-')} cannot be given with "
+                              f"--from-manifest: the manifest fixes the run")
+        manifest = _load_manifest(args.from_manifest, command)
+    elif args.config:
+        raw = _parse(args.config, "config", yaml.safe_load)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config file {args.config} must contain a mapping")
+        config = apply_params(MachineConfig.from_dict(raw), _parse_overrides(args.set))
+        manifest = {"config": config.to_dict(), **from_flags(args, raw)}
+    else:
+        raise ConfigError(f"{command} needs --config (or --from-manifest)")
+    config = MachineConfig.from_dict(manifest["config"])
+    warnings = config.validate(relax=args.relax_validation or bool(args.from_manifest))
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    section, seed, write = run(config, manifest, warnings)
+    write(args)
+    if args.out:
+        with open(args.out + ".manifest.json", "w") as fh:
+            json.dump({"artifact": "tritherm", "version": __version__,
+                       "command": command, "config": config.to_dict(), "seed": seed,
+                       "outputs": [os.path.basename(args.out)],
+                       "timestamp": datetime.datetime.now(datetime.timezone.utc)
+                       .isoformat(), command: section}, fh, indent=1)
+    return 0
+
+
+def _emit(text: str):
+    """A writer of ``text`` to ``--out``, or to stdout without it."""
+    def write(args):
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+    return write
 
 
 def _names(value) -> frozenset:
@@ -146,7 +171,7 @@ def _names(value) -> frozenset:
 DEFAULT_AXIS_COUNT = 201
 
 
-def _parse_axis(text: str) -> Axis:
+def _parse_axis(text: str) -> dict:
     parts = text.split(":")
     if len(parts) == 3:
         parts.append(str(DEFAULT_AXIS_COUNT))
@@ -154,76 +179,65 @@ def _parse_axis(text: str) -> Axis:
         raise ConfigError(f"axis must be param:start:stop[:count], got {text!r}")
     param, start, stop, count = parts
     try:
-        start, stop, count = float(start), float(stop), int(count)
+        return {"param": param, "start": float(start), "stop": float(stop),
+                "count": int(count)}
     except ValueError:
         raise ConfigError(f"malformed axis {text!r}") from None
-    return Axis(param=param, start=start, stop=stop, count=count)
 
 
-def cmd_point(args) -> int:
-    config, _, warnings = _load_config(args)
-    report = mode_report(config)
-    payload = {
-        "config": config.to_dict(),
-        **report.to_dict(),
-        "warnings": warnings,
-    }
-    text = json.dumps(payload, sort_keys=True, indent=1)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return 0
+def cmd_point(config, manifest, warnings):
+    check_fields(manifest["point"], (), "point")
+    payload = {"config": config.to_dict(), **mode_report(config).to_dict(),
+               "warnings": warnings}
+    return {}, None, _emit(json.dumps(payload, sort_keys=True, indent=1))
 
 
-def cmd_sweep(args) -> int:
-    if args.from_manifest:
-        config, grid, _ = _load_manifest(args.from_manifest, "sweep")
-        axis1 = Axis.from_dict(grid.get("axis1"), "sweep.axis1")
-        # a 1D sweep records its second axis as null
-        axis2 = (Axis.from_dict(grid["axis2"], "sweep.axis2")
-                 if grid.get("axis2") is not None else None)
-        outputs = get_field(grid, "outputs", "sweep", _names)
-    else:
-        if not args.config or not args.axis1:
-            raise ConfigError("sweep needs --config and --axis1 "
-                              "(or --from-manifest)")
-        config, _, _ = _load_config(args)
-        axis1 = _parse_axis(args.axis1)
-        axis2 = _parse_axis(args.axis2) if args.axis2 else None
-        outputs = frozenset((args.outputs or "currents,mode,exergy").split(","))
+def _sweep_from_flags(args, raw) -> dict:
+    if not args.axis1:
+        raise ConfigError("sweep needs --axis1 (or --from-manifest)")
+    return {"sweep": {"axis1": _parse_axis(args.axis1),
+                      "axis2": _parse_axis(args.axis2) if args.axis2 else None,
+                      "outputs": (args.outputs or "currents,mode,exergy").split(",")}}
 
+
+def cmd_sweep(config, manifest, warnings):
+    grid = manifest["sweep"]
+    axis1 = Axis.from_dict(grid.get("axis1"), "sweep.axis1")
+    # a 1D sweep records its second axis as null
+    axis2 = (Axis.from_dict(grid["axis2"], "sweep.axis2")
+             if grid.get("axis2") is not None else None)
+    outputs = get_field(grid, "outputs", "sweep", _names)
+    check_fields(grid, ("axis1", "axis2", "outputs"), "sweep")
     spec = construct(SweepSpec, "sweep", template=config, axis1=axis1, axis2=axis2,
                      outputs=outputs)
     result = run_sweep(spec)
-    result._write_text(args.out, args.out + ".json" if args.json else None)
-    _write_manifest(args.out, "sweep", config, {
-        "sweep": {"axis1": axis1.to_dict(),
-                  "axis2": axis2.to_dict() if axis2 else None,
-                  "outputs": sorted(outputs)},
-    })
-    n_err = np.count_nonzero(result.error_codes)
-    print(f"sweep: {result.size} cells ({n_err} error cells) -> {args.out}",
-          file=sys.stderr)
-    return 0
+
+    def write(args):
+        result._write_text(args.out, args.out + ".json" if args.json else None)
+        n_err = np.count_nonzero(result.error_codes)
+        print(f"sweep: {result.size} cells ({n_err} error cells) -> {args.out}",
+              file=sys.stderr)
+    return {"axis1": axis1.to_dict(), "axis2": axis2.to_dict() if axis2 else None,
+            "outputs": sorted(outputs)}, None, write
 
 
-def cmd_transistor(args) -> int:
-    if args.from_manifest:
-        config, t, _ = _load_manifest(args.from_manifest, "transistor")
-        # manifests written before the drive slopes became exact carry a
-        # finite-difference "step"; it is ignored
-    else:
-        if not args.config:
-            raise ConfigError("transistor needs --config (or --from-manifest)")
-        config, _, _ = _load_config(args)
-        t = {"omega_min": args.omega_min, "omega_max": args.omega_max,
-             "points": args.points, "threshold": args.threshold}
+# The transistor flags' defaults, filled in when the flags become a section
+_TRANSISTOR_DEFAULTS = {"omega_min": 0.02, "omega_max": 0.98, "points": 481,
+                        "threshold": DEFAULT_THRESHOLD}
+
+
+def _transistor_from_flags(args, raw) -> dict:
+    return {"transistor": {
+        key: default if getattr(args, key) is None else getattr(args, key)
+        for key, default in _TRANSISTOR_DEFAULTS.items()}}
+
+
+def cmd_transistor(config, manifest, warnings):
+    t = manifest["transistor"]
     omega_min, omega_max, points, threshold = (
-        get_field(t, key, "transistor", kind) for key, kind in
-        (("omega_min", number), ("omega_max", number), ("points", integer),
-         ("threshold", number)))
+        get_field(t, key, "transistor", integer if key == "points" else number)
+        for key in _TRANSISTOR_DEFAULTS)
+    check_fields(t, _TRANSISTOR_DEFAULTS, "transistor")
     for key, bad, why in (
             ("omega_min", not omega_min > 0.0, "must be > 0"),
             ("omega_max", not omega_max > omega_min, "must be > omega_min"),
@@ -238,63 +252,42 @@ def cmd_transistor(args) -> int:
     grid = np.linspace(omega_min, omega_max, points)
     trace = transistor_trace(config, grid)
     windows = windows_from_arrays(trace.omega, trace.r, trace.g, threshold)
-
-    in_window = window_mask(grid, windows)
     cols = [_float_texts(c)[0] for c in (trace.omega, trace.j_hot, trace.j_cold,
                                          trace.j_mid, trace.power, trace.r, trace.g)]
-    cols.append(["1" if w else "0" for w in in_window.tolist()])
-    with open(args.out, "w", newline="") as fh:
-        fh.write("omega_drive,j_hot,j_cold,j_mid,power,r,g,in_window\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cols))
-    _write_manifest(args.out, "transistor", config, {
-        "transistor": {"omega_min": omega_min, "omega_max": omega_max,
-                       "points": points, "threshold": threshold},
-    })
-    summary = {
-        "threshold": threshold,
-        "windows": [{**w.to_dict(), "width": w.width} for w in windows],
-    }
-    print(json.dumps(summary, sort_keys=True, indent=1))
-    return 0
+    cols.append(["1" if w else "0" for w in window_mask(grid, windows).tolist()])
+
+    def write(args):
+        with open(args.out, "w", newline="") as fh:
+            fh.write("omega_drive,j_hot,j_cold,j_mid,power,r,g,in_window\n")
+            fh.writelines(",".join(row) + "\n" for row in zip(*cols))
+        summary = {"threshold": threshold,
+                   "windows": [{**w.to_dict(), "width": w.width} for w in windows]}
+        print(json.dumps(summary, sort_keys=True, indent=1))
+    return {"omega_min": omega_min, "omega_max": omega_max, "points": points,
+            "threshold": threshold}, None, write
 
 
-def cmd_search(args) -> int:
-    if args.from_manifest:
-        config, section, manifest = _load_manifest(args.from_manifest, "search")
-        spec = SearchSpec.from_dict(section)
-        seed = get_field(manifest, "seed", "manifest", integer)
-    else:
-        if not args.config:
-            raise ConfigError("search needs --config (or --from-manifest)")
-        config, raw, _ = _load_config(args)
-        if "search" not in raw:
-            raise ConfigError("config file has no 'search' section")
-        spec = SearchSpec.from_dict(raw["search"])
-        if args.threshold is not None:
-            spec = dataclasses.replace(spec, threshold=args.threshold)
-        if args.top_k is not None:
-            spec = dataclasses.replace(spec, top_k=args.top_k)
-        seed = args.seed
+def _search_from_flags(args, raw) -> dict:
+    if "search" not in raw:
+        raise ConfigError("config file has no 'search' section")
+    section = dict(as_mapping(raw["search"], "search"))
+    for key in ("threshold", "top_k"):
+        if getattr(args, key) is not None:
+            section[key] = getattr(args, key)
+    return {"seed": 0 if args.seed is None else args.seed, "search": section}
 
+
+def cmd_search(config, manifest, warnings):
+    spec = SearchSpec.from_dict(manifest["search"])
+    seed = get_field(manifest, "seed", "manifest", integer)
     candidates = run_search(config, spec, seed)
-    payload = {
-        "objective": spec.objective,
-        "seed": seed,
-        "candidates": [c.to_dict() for c in candidates],
-    }
+    payload = {"objective": spec.objective, "seed": seed,
+               "candidates": [c.to_dict() for c in candidates]}
     if not candidates:
         print("warning: empty feasible space, no candidates found",
               file=sys.stderr)
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        _write_manifest(args.out, "search", config, {
-            "search": spec.to_dict(),
-        }, seed=seed)
-    else:
-        print(text)
-    return 0
+    return spec.to_dict(), seed, _emit(json.dumps(payload, sort_keys=True,
+                                                  separators=(",", ":")))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,23 +297,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, manifest=True):
+    def command(name, help, from_flags, func):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="YAML config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config parameter (repeatable)")
         p.add_argument("--relax-validation", action="store_true",
                        help="permit equal temperatures (test fixtures)")
-        if manifest:
-            p.add_argument("--from-manifest", metavar="PATH",
-                           help="re-run from a previously written manifest")
+        p.add_argument("--from-manifest", metavar="PATH",
+                       help="re-run from a previously written manifest")
+        p.set_defaults(from_flags=from_flags, func=func)
+        return p
 
-    p = sub.add_parser("point", help="evaluate one operating point")
-    common(p, manifest=False)
+    p = command("point", "evaluate one operating point",
+                lambda args, raw: {"point": {}}, cmd_point)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.set_defaults(func=cmd_point)
 
-    p = sub.add_parser("sweep", help="run a 1D/2D parameter sweep to CSV")
-    common(p)
+    p = command("sweep", "run a 1D/2D parameter sweep to CSV", _sweep_from_flags,
+                cmd_sweep)
     p.add_argument("--axis1", metavar="PARAM:START:STOP[:COUNT]",
                    help=f"count defaults to {DEFAULT_AXIS_COUNT}")
     p.add_argument("--axis2", metavar="PARAM:START:STOP[:COUNT]")
@@ -328,32 +322,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--json", action="store_true",
                    help="also write <out>.json with a metadata header")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("transistor", help="r/g trace over a drive range")
-    common(p)
-    p.add_argument("--omega-min", type=float, default=0.02)
-    p.add_argument("--omega-max", type=float, default=0.98)
-    p.add_argument("--points", type=int, default=481)
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    p = command("transistor", "r/g trace over a drive range", _transistor_from_flags,
+                cmd_transistor)
+    for key, default in _TRANSISTOR_DEFAULTS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=type(default),
+                       help=f"default {default}")
     p.add_argument("--out", required=True, help="CSV output path")
-    p.set_defaults(func=cmd_transistor)
 
-    p = sub.add_parser("search", help="seeded parameter search")
-    common(p)
-    p.add_argument("--seed", type=int, default=0)
+    p = command("search", "seeded parameter search", _search_from_flags, cmd_search)
+    p.add_argument("--seed", type=int, help="default 0")
     p.add_argument("--threshold", type=float)
     p.add_argument("--top-k", type=int, dest="top_k")
     p.add_argument("--out", help="write the JSON results here instead of stdout")
-    p.set_defaults(func=cmd_search)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args, args.command, args.from_flags, args.func)
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

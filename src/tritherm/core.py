@@ -27,7 +27,6 @@ __all__ = [
     "MachineConfig",
     "bose_occupation",
     "spectral_lorentzian",
-    "spectral_ohmic",
     "PARAM_PATHS",
     "apply_params",
 ]
@@ -430,10 +429,3 @@ def spectral_lorentzian(bath: LorentzianBath, wm: WorkingMedium, omega: float) -
     den = (omega * omega - bath.center * bath.center) ** 2 \
         + bath.width * bath.width * omega * omega
     return num / den
-
-
-def spectral_ohmic(bath: OhmicBath, wm: WorkingMedium, omega: float) -> float:
-    """Strictly Ohmic spectral density ``M * gamma_m * omega``."""
-    if omega < 0:
-        raise DomainError(f"spectral density requires omega >= 0, got {omega}")
-    return wm.mass * bath.gamma_m * omega

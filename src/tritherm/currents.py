@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import NCOLS, thermo_batch
+from ._kernels import COL_JM, COL_S, NCOLS, thermo_batch
 from .core import DomainError, MachineConfig
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "check_drive",
     "VALIDITY_MESSAGES",
     "validity_codes",
+    "finite_rows",
 ]
 
 # Currents with |value| below this band are treated as exactly zero for
@@ -136,10 +137,18 @@ def validity_codes(args, shape) -> np.ndarray:
     return codes
 
 
+def finite_rows(table) -> np.ndarray:
+    """Mask of the points of a kernel table whose ``j_mid`` and ``entropy_rate``
+    are finite; any nonfinite current or power reaches both sums."""
+    return np.isfinite(table[..., COL_JM]) & np.isfinite(table[..., COL_S])
+
+
 def _drive_table(config: MachineConfig, grid=None, slopes: bool = False):
     """The drives and kernel table of ``config`` along ``grid``, a 1D,
     non-empty, strictly increasing grid, or at its own drive if ``grid`` is
-    None.  DomainError unless every drive lies in (0, omega0)."""
+    None.  DomainError unless every drive lies in (0, omega0), and unless
+    every row along a grid passes :func:`finite_rows` (a one-point row is
+    checked by ``_point_values``)."""
     if grid is None:
         drive = config.drive_freq
         if not 0.0 < drive < config.wm.omega0:   # NaN fails too
@@ -151,7 +160,11 @@ def _drive_table(config: MachineConfig, grid=None, slopes: bool = False):
         check_drive(drive, config.wm.omega0)
     args = list(config_args(config))
     args[2] = drive
-    return drive, thermo_batch(*args, slopes=slopes)
+    table = thermo_batch(*args, slopes=slopes)
+    if grid is not None and not finite_rows(table).all():
+        raise DomainError("the closed forms give nonfinite values along the omega "
+                          "grid; the config's parameters over- or underflow")
+    return drive, table
 
 
 def evaluate_point(config: MachineConfig) -> ThermoPoint:

@@ -28,7 +28,7 @@ from ._kernels import COL_JC, COL_JH, COL_JM, COL_P, thermo_batch
 from .core import (MAX_COUNT, ConfigError, MachineConfig, PARAM_PATHS, apply_params,
                    as_mapping, check_fields, construct, get_field, integer, number,
                    string)
-from .currents import KERNEL_PATHS, validity_codes
+from .currents import KERNEL_PATHS, finite_rows, validity_codes
 from .modes import OperatingMode, classify_coupled_arrays
 from .sweep import mode_sequence_along_omega
 from .transistor import (DEFAULT_THRESHOLD, _figures, _window_runs, transistor_trace,
@@ -246,7 +246,9 @@ def _columns(template: MachineConfig, spec: SearchSpec, units, grid) -> tuple:
 
 def _scores(spec: SearchSpec, grid, cols) -> np.ndarray:
     """``(C, 2)`` ranking scores of valid candidates: the widest window and
-    the soft score, or the distinct modes and the capped switches."""
+    the soft score, or the distinct modes and the capped switches.  A
+    candidate with a grid point that fails ``currents.finite_rows`` scores
+    ``-inf``, as an invalid one does."""
     args = [c[:, None] for c in cols[:, :-1].T]   # (C, 1); all but mid.gamma_m
     window = spec.objective == "transistor_window"
     table = thermo_batch(*args[:2], grid[None, :], *args[3:], slopes=window)
@@ -255,13 +257,15 @@ def _scores(spec: SearchSpec, grid, cols) -> np.ndarray:
             table[..., c] for c in (COL_JH, COL_JC, COL_JM, COL_P)))
         distinct = (codes[..., None] == _USEFUL_CODES).any(axis=1).sum(axis=1)
         switches = np.count_nonzero(codes[:, 1:] != codes[:, :-1], axis=1)
-        return np.stack([distinct, np.minimum(switches, 999)], axis=1)
-    r, g = _figures(table)
-    rows, starts, stops = _window_runs(r, g, spec.threshold)
-    width = np.zeros(len(cols))
-    np.maximum.at(width, rows, grid[stops - 1] - grid[starts])
-    soft = np.where(np.isfinite(r) & np.isfinite(g), np.minimum(r, g), 0.0)
-    return np.stack([width, np.minimum(soft.max(axis=1), _SOFT_CAP)], axis=1)
+        scores = np.stack([distinct, np.minimum(switches, 999)], axis=1)
+    else:
+        r, g = _figures(table)
+        rows, starts, stops = _window_runs(r, g, spec.threshold)
+        width = np.zeros(len(cols))
+        np.maximum.at(width, rows, grid[stops - 1] - grid[starts])
+        soft = np.where(np.isfinite(r) & np.isfinite(g), np.minimum(r, g), 0.0)
+        scores = np.stack([width, np.minimum(soft.max(axis=1), _SOFT_CAP)], axis=1)
+    return np.where(finite_rows(table).all(axis=1)[:, None], scores, -np.inf)
 
 
 def _detail(config: MachineConfig, spec: SearchSpec, grid) -> dict:
@@ -284,8 +288,8 @@ def _stage(template, spec, grid, units, first: int) -> list:
     """Entries ``(score, order, u, params)`` of the unit-cube samples
     ``units``, with orders counted from ``first``.  Valid candidates are
     scored in blocks of at most ``_kernels.BLOCK_POINTS`` points, on the
-    calling thread and its helpers (``_kernels.map_blocks``); invalid ones
-    score ``-inf``."""
+    calling thread and its helpers (``_kernels.map_blocks``); invalid ones,
+    and those with nonfinite kernel values, score ``-inf``."""
     params, cols, valid = _columns(template, spec, units, grid)
     scores = np.full((len(params), 2), -np.inf)
     valid = np.flatnonzero(valid)
@@ -322,13 +326,13 @@ def run_search(template: MachineConfig, spec: SearchSpec, seed: int) -> list[Can
     Deterministic for a fixed (template, spec, seed): identical ranking,
     parameters, and scores on every run.  Each stage (the Latin-hypercube
     sample, each refinement round) is scored in candidate x omega blocks.
-    Candidates that violate the machine's validity constraints, or whose
-    omega0 is not above the grid, score ``-inf`` and are dropped from the
-    returned list.  The seed must be a non-negative integer.  The
-    Latin-hypercube sampler reproduces SciPy's
-    ``qmc.LatinHypercube(d, seed=...)`` stream bit for bit (the sample takes
-    ``seed``, the refinements ``seed + 1001`` onwards), so results do not
-    depend on whether SciPy is installed.
+    Candidates that violate the machine's validity constraints, whose
+    omega0 is not above the grid, or whose kernel values along the grid are
+    not finite score ``-inf`` and are dropped from the returned list.  The
+    seed must be a non-negative integer.  The Latin-hypercube sampler
+    reproduces SciPy's ``qmc.LatinHypercube(d, seed=...)`` stream bit for
+    bit (the sample takes ``seed``, the refinements ``seed + 1001``
+    onwards), so results do not depend on whether SciPy is installed.
     """
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")

@@ -30,12 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from ._kernels import (COL_JC, COL_JH, COL_JM, COL_P, COL_S, COL_SNEG, COL_SPOS,
-                       NCOLS, thermo_batch)
+from ._kernels import (COL_JC, COL_JH, COL_JM, COL_P, COL_SNEG, COL_SPOS, NCOLS,
+                       thermo_batch)
 from .core import (MAX_COUNT, ConfigError, MachineConfig, as_mapping, construct,
                    get_field, integer, number, string)
 from .currents import (KERNEL_PATHS, VALIDITY_MESSAGES, _drive_table, config_args,
-                       validity_codes)
+                       finite_rows, validity_codes)
 from .modes import (ERROR_CODE, MODE_BY_CODE, classify_coupled_arrays,
                     exergy_from_split)
 from .transistor import _figures, _runs
@@ -333,13 +333,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 def _run_tile(args, template, transistor, grids, codes, mask):
     """Evaluate one tile and write its cells (those of ``mask``, if given)
     into the ``grids`` views of thermo, mode codes, phi and, with
-    ``transistor``, r and g.  A cell whose ``j_mid`` or ``entropy_rate`` is
-    not finite (any nonfinite current or power reaches both sums) gets the
-    nonfinite code in the tile's ``codes`` and NaN values, which classify
-    and score without raising.  A tile's temporaries are freed on return,
-    before the next tile's kernel call."""
+    ``transistor``, r and g.  A cell that fails ``currents.finite_rows``
+    gets the nonfinite code in the tile's ``codes`` and NaN values, which
+    classify and score without raising.  A tile's temporaries are freed on
+    return, before the next tile's kernel call."""
     table = thermo_batch(*args, slopes=transistor)
-    finite = np.isfinite(table[..., COL_JM]) & np.isfinite(table[..., COL_S])
+    finite = finite_rows(table)
     if not finite.all():
         bad = ~finite
         table[bad] = np.nan
@@ -387,8 +386,9 @@ def mode_sequence_along_omega(config: MachineConfig, omega_grid) -> list:
 
     Returns ``[((omega_start, omega_end), OperatingMode), ...]`` with
     consecutive equal labels merged.  The grid must be 1D, non-empty,
-    strictly increasing and inside (0, omega0); DomainError otherwise, as
-    for :func:`tritherm.transistor.transistor_trace`.
+    strictly increasing and inside (0, omega0), and every kernel value
+    along it finite; DomainError otherwise, as for
+    :func:`tritherm.transistor.transistor_trace`.
     """
     grid, table = _drive_table(config, omega_grid)
     codes = classify_coupled_arrays(config.hot.kappa, config.cold.kappa, *(

@@ -136,7 +136,8 @@ def transistor_point(config: MachineConfig) -> TransistorPoint:
 
 def transistor_trace(config: MachineConfig, omega_grid) -> TransistorTrace:
     """Vectorized :func:`transistor_point` over a drive-frequency grid: 1D,
-    non-empty, strictly increasing and inside (0, omega0)."""
+    non-empty, strictly increasing and inside (0, omega0).  DomainError if
+    a kernel value along it is not finite (``currents.finite_rows``)."""
     grid, table = _drive_table(config, omega_grid, slopes=True)
     r, g = _figures(table)
     return TransistorTrace(omega=grid, j_hot=table[:, COL_JH],

@@ -236,6 +236,17 @@ class TestTransistor:
         assert "threshold" in captured.err and captured.out == ""
         assert not out.exists()
 
+    def test_nonfinite_trace_exits_one(self, tmp_path, capsys):
+        # a hot peak center of 1e200 overflows the Lorentzian to NaN
+        out = tmp_path / "trace.csv"
+        with pytest.warns(RuntimeWarning):
+            rc = main(["transistor", "--config", str(CONFIGS / "default.yaml"),
+                       "--set", "hot.center=1e200", "--points", "5", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "nonfinite values along the omega grid" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_rerun_from_manifest(self, tmp_path, capsys):
         config = json.loads(json.dumps(BASE_CONFIG))
         path = write_config(tmp_path, config)
@@ -344,13 +355,13 @@ def _manifest_for(tmp_path, command):
     out = str(tmp_path / f"{command}.out")
     extra = {"sweep": ["--axis1", "drive_freq:0.1:0.8:5"],
              "transistor": ["--points", "21"],
-             "search": []}[command]
+             "search": [], "point": []}[command]
     assert main([command, "--config", path, *extra, "--out", out]) == 0
     return tmp_path / f"{command}.out.manifest.json"
 
 
 class TestManifestErrors:
-    @pytest.mark.parametrize("command", ["sweep", "transistor", "search"])
+    @pytest.mark.parametrize("command", ["point", "sweep", "transistor", "search"])
     def test_missing_section_names_it(self, tmp_path, capsys, command):
         manifest = _manifest_for(tmp_path, command)
         data = json.loads(manifest.read_text())
@@ -361,26 +372,25 @@ class TestManifestErrors:
                      "--out", str(tmp_path / "rerun")]) == 1
         assert f"no '{command}' section" in capsys.readouterr().err
 
-    def test_foreign_backend_is_rejected(self, tmp_path, capsys):
-        manifest = _manifest_for(tmp_path, "sweep")
-        data = json.loads(manifest.read_text())
-        data["backend"] = "numba"
-        manifest.write_text(json.dumps(data))
-        assert main(["sweep", "--from-manifest", str(manifest),
-                     "--out", str(tmp_path / "rerun.csv")]) == 1
-        assert "backend" in capsys.readouterr().err
-
-    def test_numpy_backend_still_loads(self, tmp_path):
+    def _rerun_with_backend(self, tmp_path, capsys, backend):
         manifest = _manifest_for(tmp_path, "sweep")
         data = json.loads(manifest.read_text())
         assert "backend" not in data
-        data["backend"] = "numpy"
+        data["backend"] = backend
         manifest.write_text(json.dumps(data))
+        capsys.readouterr()
         rerun = tmp_path / "rerun.csv"
         assert main(["sweep", "--from-manifest", str(manifest),
-                     "--out", str(rerun)]) == 0
-        assert rerun.read_bytes() == (tmp_path / "sweep.out").read_bytes()
+                     "--out", str(rerun)]) == 1
+        assert "error: unknown field: manifest.backend" in capsys.readouterr().err
+        assert not rerun.exists()
 
+    def test_foreign_backend_is_rejected(self, tmp_path, capsys):
+        self._rerun_with_backend(tmp_path, capsys, "numba")
+
+    def test_numpy_backend_is_an_unknown_field(self, tmp_path, capsys):
+        # older manifests recorded the kernel backend; no kernel choice remains
+        self._rerun_with_backend(tmp_path, capsys, "numpy")
 
     def _rerun(self, tmp_path, command, edit):
         manifest = _manifest_for(tmp_path, command)
@@ -416,13 +426,141 @@ class TestManifestErrors:
         assert self._rerun(tmp_path, "transistor", set_nan) == 1
         assert "threshold" in capsys.readouterr().err
 
-    def test_transistor_step_of_older_manifests_is_ignored(self, tmp_path):
+    def test_transistor_step_of_older_manifests_is_an_unknown_field(self, tmp_path,
+                                                                   capsys):
+        # older manifests carry the finite-difference step of the drive slopes
         def add_step(section):
             assert "step" not in section
             section["step"] = 1e-5
-        assert self._rerun(tmp_path, "transistor", add_step) == 0
-        assert ((tmp_path / "rerun").read_bytes()
-                == (tmp_path / "transistor.out").read_bytes())
+        assert self._rerun(tmp_path, "transistor", add_step) == 1
+        assert "error: unknown field: transistor.step" in capsys.readouterr().err
+        assert not (tmp_path / "rerun").exists()
+
+
+# Flags of each run whose manifest must rerun it byte for byte
+RUNS = {
+    "point_set": ["point", "--set", "hot.kappa=0.02"],
+    "sweep_1d": ["sweep", "--axis1", "drive_freq:0.1:0.8:7"],
+    "sweep_2d_json": ["sweep", "--axis1", "drive_freq:0.1:0.8:7",
+                      "--axis2", "hot.center:1.2:1.6:5", "--json"],
+    "sweep_outputs_error_cells": ["sweep", "--axis1", "hot.temperature:0.1:1.5:9",
+                                  "--axis2", "drive_freq:0.1:0.8:4",
+                                  "--outputs", "mode,transistor"],
+    "transistor_defaults": ["transistor"],
+    "transistor_every_flag": ["transistor", "--omega-min", "0.05", "--omega-max", "0.9",
+                              "--points", "41", "--threshold", "3",
+                              "--set", "hot.kappa=0.02"],
+    "search_every_flag": ["search", "--seed", "4", "--threshold", "5", "--top-k", "1"],
+}
+
+# Each run flag, with a value, of a command; none may be given beside
+# --from-manifest
+RUN_FLAGS = [("point", ["--config", "x.yaml"]), ("point", ["--set", "hot.kappa=0.02"]),
+             ("sweep", ["--axis1", "drive_freq:0.1:0.8:5"]),
+             ("sweep", ["--axis2", "hot.center:1.2:1.6:3"]),
+             ("sweep", ["--outputs", "mode"]), ("sweep", ["--set", "hot.kappa=0.02"]),
+             ("transistor", ["--omega-min", "0.02"]),
+             ("transistor", ["--omega-max", "0.5"]),
+             ("transistor", ["--points", "21"]), ("transistor", ["--threshold", "10"]),
+             ("search", ["--seed", "0"]), ("search", ["--threshold", "5"]),
+             ("search", ["--top-k", "1"]), ("search", ["--config", "x.yaml"])]
+
+
+class TestRunPath:
+    """Every command builds its manifest from its flags and runs that
+    manifest only, so the manifest reruns it exactly."""
+
+    def _first(self, tmp_path, argv, config=BASE_CONFIG):
+        """Run ``argv`` from a config into ``first/out``; the manifest's path."""
+        path = write_config(tmp_path, dict(config, search=SEARCH_SECTION))
+        (tmp_path / "first").mkdir()
+        out = tmp_path / "first" / "out"
+        assert main([argv[0], "--config", path, *argv[1:], "--out", str(out)]) == 0
+        return pathlib.Path(str(out) + ".manifest.json")
+
+    @pytest.mark.parametrize("argv", RUNS.values(), ids=RUNS.keys())
+    def test_rerun_is_byte_identical(self, tmp_path, capsys, argv):
+        manifest = self._first(tmp_path, argv)
+        first_out = capsys.readouterr().out
+        (tmp_path / "rerun").mkdir()
+        json_flag = ["--json"] if "--json" in argv else []
+        assert main([argv[0], "--from-manifest", str(manifest), *json_flag,
+                     "--out", str(tmp_path / "rerun" / "out")]) == 0
+        assert capsys.readouterr().out == first_out
+        files = sorted(p.name for p in (tmp_path / "first").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "rerun").iterdir())
+        assert "out.manifest.json" in files
+        for name in files:
+            first, rerun = (tmp_path / d / name for d in ("first", "rerun"))
+            if name.endswith(".manifest.json"):
+                first, rerun = (json.loads(f.read_text()) for f in (first, rerun))
+                del first["timestamp"], rerun["timestamp"]
+                assert first == rerun
+            else:
+                assert first.read_bytes() == rerun.read_bytes(), name
+
+    def test_point_manifest_records_an_empty_section(self, tmp_path):
+        data = json.loads(self._first(tmp_path, ["point"]).read_text())
+        assert data["command"] == "point" and data["point"] == {}
+        assert data["seed"] is None and data["outputs"] == ["out"]
+
+    @pytest.mark.parametrize("command,flag", RUN_FLAGS,
+                             ids=[f"{c}{f[0]}" for c, f in RUN_FLAGS])
+    def test_run_flag_beside_manifest_exits_one_naming_it(self, tmp_path, capsys,
+                                                          command, flag):
+        manifest = _manifest_for(tmp_path, command)
+        capsys.readouterr()
+        rerun = tmp_path / "rerun"
+        assert main([command, "--from-manifest", str(manifest), *flag,
+                     "--out", str(rerun)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {flag[0]} cannot be given with --from-manifest" in err
+        assert not rerun.exists()
+
+    @pytest.mark.parametrize("command", ["point", "sweep", "transistor", "search"])
+    @pytest.mark.parametrize("where", ["section", "manifest"])
+    def test_unknown_key_exits_one_naming_it(self, tmp_path, capsys, command, where):
+        manifest = _manifest_for(tmp_path, command)
+        data = json.loads(manifest.read_text())
+        (data[command] if where == "section" else data)["bogus"] = 1
+        manifest.write_text(json.dumps(data))
+        capsys.readouterr()
+        rerun = tmp_path / "rerun"
+        assert main([command, "--from-manifest", str(manifest),
+                     "--out", str(rerun)]) == 1
+        named = command if where == "section" else "manifest"
+        assert f"error: unknown field: {named}.bogus" in capsys.readouterr().err
+        assert not rerun.exists()
+
+    @pytest.mark.parametrize("command", ["point", "sweep", "transistor", "search"])
+    def test_reversed_temperatures_exit_one(self, tmp_path, capsys, command):
+        manifest = _manifest_for(tmp_path, command)
+        data = json.loads(manifest.read_text())
+        data["config"]["hot"]["temperature"] = 0.1   # below mid and cold
+        manifest.write_text(json.dumps(data))
+        capsys.readouterr()
+        rerun = tmp_path / "rerun"
+        assert main([command, "--from-manifest", str(manifest),
+                     "--out", str(rerun)]) == 1
+        assert "temperature ordering violated" in capsys.readouterr().err
+        assert not rerun.exists()
+
+    def test_relaxed_run_reruns_without_the_flag(self, tmp_path, capsys):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["hot"]["temperature"] = config["mid"]["temperature"] = 0.5
+        manifest = self._first(tmp_path, ["point", "--relax-validation"], config)
+        assert main(["point", "--from-manifest", str(manifest),
+                     "--out", str(tmp_path / "rerun.json")]) == 0
+        assert (tmp_path / "rerun.json").read_bytes() == \
+            (tmp_path / "first" / "out").read_bytes()
+
+    def test_rerun_prints_the_config_warnings(self, tmp_path, capsys):
+        manifest = self._first(tmp_path, ["sweep", "--axis1", "drive_freq:0.1:0.8:5",
+                                          "--set", "hot.kappa=0.5"])
+        assert "perturbative" in capsys.readouterr().err
+        assert main(["sweep", "--from-manifest", str(manifest),
+                     "--out", str(tmp_path / "rerun.csv")]) == 0
+        assert "warning: hot.kappa = 0.5" in capsys.readouterr().err
 
 
 def _walk(node, path=()):
@@ -498,7 +636,7 @@ class TestMalformedManifests:
     EXTRA = {"sweep": ["--axis1", "drive_freq:0.1:0.8:5",
                        "--axis2", "hot.center:1.2:1.6:3"],
              "transistor": ["--points", "21"],
-             "search": []}
+             "search": [], "point": []}
 
     def _written(self, tmp_path, command) -> dict:
         path = write_config(tmp_path, dict(BASE_CONFIG, search=SEARCH_SECTION))
@@ -506,7 +644,7 @@ class TestMalformedManifests:
         assert main([command, "--config", path, *self.EXTRA[command], "--out", out]) == 0
         return json.loads(pathlib.Path(out + ".manifest.json").read_text())
 
-    @pytest.mark.parametrize("command", ["sweep", "transistor", "search"])
+    @pytest.mark.parametrize("command", ["point", "sweep", "transistor", "search"])
     def test_each_mutation_names_its_field(self, tmp_path, capsys, command):
         written = self._written(tmp_path, command)
         edited = tmp_path / "edited.json"
@@ -716,7 +854,7 @@ class TestErrors:
                      "--out", str(tmp_path / "s.csv")]) == 1
         assert f"manifest file {path} is not UTF-8" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["sweep", "transistor", "search"])
+    @pytest.mark.parametrize("command", ["point", "sweep", "transistor", "search"])
     def test_missing_manifest_exits_1_naming_file(self, tmp_path, capsys, command):
         # as a missing --config does, not exit 2 with a bare OSError
         path = tmp_path / "missing.json"

@@ -97,15 +97,6 @@ class TestSpectralDensities:
         with pytest.raises(DomainError):
             tt.spectral_lorentzian(default_config.hot, default_config.wm, -0.1)
 
-    def test_ohmic(self):
-        wm = tt.WorkingMedium()
-        bath = tt.OhmicBath(temperature=0.5, gamma_m=0.1)
-        assert tt.spectral_ohmic(bath, wm, 0.0) == 0.0
-        assert tt.spectral_ohmic(bath, wm, 2.0) == pytest.approx(0.2, rel=1e-15)
-        wm2 = tt.WorkingMedium(omega0=1.0, mass=2.0)
-        bath2 = tt.OhmicBath(temperature=0.5, gamma_m=0.05)
-        assert tt.spectral_ohmic(bath2, wm2, 1.0) == pytest.approx(0.1, rel=1e-15)
-
 
 class TestConfig:
     def test_detuning_accessor(self, default_config):

@@ -389,6 +389,25 @@ class TestBatchedSearch:
         assert out and all(1.2 <= c.params["wm.omega0"] <= 1.7 for c in out)
         assert dumps(out) == dumps(reference_search(template, spec, 7))
 
+    @pytest.mark.parametrize("objective", search.OBJECTIVES)
+    def test_nonfinite_kernel_values_score_minus_inf(self, objective):
+        # hot peak centers and widths up to 1e200 overflow the Lorentzian to
+        # NaN for part of the box; such candidates were once ranked, and the
+        # mode sequence labelled their all-NaN trace engine_pump
+        spec = tt.SearchSpec(
+            objective=objective, omega_count=121, samples=60, refine_rounds=1,
+            refine_samples=12, pool=2, top_k=60,
+            vary={"hot.center": tt.VaryRange(1.0, 1e200, "log"),
+                  "hot.width": tt.VaryRange(1.0, 1e200, "log")})
+        evaluated = []
+        with np.errstate(all="ignore"):
+            out = tt.run_search(make_config(), spec, 1)
+            assert dumps(out) == dumps(reference_search(make_config(), spec, 1,
+                                                        evaluated))
+        assert sum(not np.isfinite(e[0][0]) for e in evaluated) > 10
+        assert out and len(out) < spec.top_k
+        assert all(np.isfinite(c.score) for c in out)
+
     def test_fixed_omega0_below_grid_raises(self):
         template = tt.apply_params(transistor_template(), {"wm.omega0": 0.9})
         with pytest.raises(ConfigError, match="grid must stay below omega0"):

@@ -407,6 +407,17 @@ class TestNonfiniteCells:
         for got, want in zip(_arrays(blocked), _arrays(whole), strict=True):
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("trace", [tt.mode_sequence_along_omega,
+                                       tt.transistor_trace])
+    def test_drive_traces_raise(self, trace):
+        # the sweep's error cells, along one machine's drive, are an error
+        template = tt.MachineConfig.from_dict(
+            yaml.safe_load((CONFIGS / "default.yaml").read_text()))
+        config = tt.apply_params(template, {"hot.center": 1e200})
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(DomainError, match="nonfinite values along the omega"):
+            trace(config, np.linspace(0.1, 0.9, 5))
+
     @pytest.mark.parametrize("axis2", [tt.Axis("drive_freq", 0.1, 0.9, 3),
                                        tt.Axis("hot.temperature", 0.3, 1.0, 3)])
     def test_worker_count_does_not_change_output(self, monkeypatch, axis2):
