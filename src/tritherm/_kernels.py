@@ -31,6 +31,14 @@ search stage on the calling thread plus one helper thread per further
 CPU the process may use: numpy releases the GIL inside each operation,
 so the blocks' arithmetic overlaps.  Each block writes only its own
 results, so the outputs do not depend on the number of threads.
+
+The blocks of one sweep or search stage write into results allocated
+once for all of them: a sweep's result arrays, a search stage's table
+(``thermo_batch(..., out=)``).  A table per block (1.2 MB) is mapped and
+unmapped by glibc on every block, and each block faults its pages in
+again.  Freeing one large table instead raises glibc's dynamic mmap and
+trim thresholds (``mallopt(3)``) above a block's temporaries, which then
+reuse the same heap pages.
 """
 
 from __future__ import annotations
@@ -78,15 +86,29 @@ def bose_pos(x):
     return n
 
 
-def _sideband(s, t, nbm, w, g, dmg, slopes):
-    """``L(s) = dmg s / D``, ``dn = n(s/t) - nbm`` and, with ``slopes``, the
-    derivative ``H'(s)`` of ``H = L dn`` at one sideband ``s``."""
-    n = bose_pos(s / t)
-    dn = n - nbm
+def amplitude(w0, m, w, g, k):
+    """``dmg = kappa w^2 w0^2 M gamma`` of a Lorentzian bath peaked at ``w``
+    with width ``g``: the numerator of :func:`lorentzian` over ``s``."""
+    return k * w * w * w0 * w0 * m * g
+
+
+def lorentzian(s, w, g, dmg):
+    """The Lorentzian spectral density ``L(s) = dmg s / D`` with
+    ``D = q^2 + g^2 s^2`` and ``q = s^2 - w^2``; returns ``L, q, g^2 s^2, D``,
+    which the slope reuses.  ``core.spectral_lorentzian`` evaluates it too,
+    so the two agree to the last bit."""
     q = s * s - w * w
     gss = g * g * s * s
     den = q * q + gss
-    lor = dmg * s / den
+    return dmg * s / den, q, gss, den
+
+
+def _sideband(s, t, nbm, w, g, dmg, slopes):
+    """``L(s)`` (:func:`lorentzian`), ``dn = n(s/t) - nbm`` and, with
+    ``slopes``, the derivative ``H'(s)`` of ``H = L dn`` at one sideband ``s``."""
+    n = bose_pos(s / t)
+    dn = n - nbm
+    lor, q, gss, den = lorentzian(s, w, g, dmg)
     if not slopes:
         return lor, dn, None
     dlor = lor * (-q * (3.0 * s * s + w * w) - gss) / (s * den)
@@ -102,7 +124,7 @@ def _bath(sp, sm, drv, pref, nbm, w0, m, t, w, g, k, slopes, with_dj):
     ``sm = w0 - drv``, weighted by its Lorentzian spectral density there and
     by its Bose imbalance ``nbm`` against the static bath.
     """
-    dmg = k * w * w * w0 * w0 * m * g
+    dmg = amplitude(w0, m, w, g, k)
     lp, dnp_, dhp = _sideband(sp, t, nbm, w, g, dmg, slopes)
     lm, dnm_, dhm = _sideband(sm, t, nbm, w, g, dmg, slopes)
     j = pref * (sp * lp * dnp_ + sm * lm * dnm_)
@@ -161,7 +183,7 @@ def entropy_split(power, j_hot, j_cold, t_hot, t_mid, t_cold):
 
 def thermo_batch(omega0, mass, drive, t_hot, t_mid, t_cold,
                  w_hot, g_hot, k_hot, w_cold, g_cold, k_cold,
-                 slopes: bool = False) -> np.ndarray:
+                 slopes: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate currents, power, and entropy split for a batch of machines.
 
     All twelve parameters broadcast against each other; scalars are fine
@@ -174,8 +196,11 @@ def thermo_batch(omega0, mass, drive, t_hot, t_mid, t_cold,
     It is stored one contiguous column per quantity and returned as a
     ``broadcast_shape + (ncols,)`` view, so ``table[..., c]`` is
     contiguous; a one-point call returns the 1-D ``(ncols,)`` array.
-    Inputs must satisfy ``0 < drive < omega0`` and positive temperatures;
-    this is the caller's responsibility (the wrappers in
+    ``out``, if given, is that storage, written in place: a float64
+    array of shape ``(ncols,) + shape`` that the arguments broadcast to,
+    such as rows of a larger table; ValueError otherwise.  Inputs must
+    satisfy ``0 < drive < omega0`` and positive temperatures; this is the
+    caller's responsibility (the wrappers in
     :mod:`tritherm.currents` and :mod:`tritherm.sweep` enforce it).
     """
     args = [a if type(a) is float else np.asarray(a, dtype=np.float64) for a in (
@@ -184,7 +209,16 @@ def thermo_batch(omega0, mass, drive, t_hot, t_mid, t_cold,
     shapes = {a.shape for a in args if type(a) is not float}
     shape = np.broadcast_shapes(*shapes) if shapes - {()} else ()
     args = [a if type(a) is float or a.ndim else float(a) for a in args]
-    out = np.empty((NCOLS + 2 if slopes else NCOLS,) + shape)
+    ncols = NCOLS + 2 if slopes else NCOLS
+    if out is None:
+        out = np.empty((ncols,) + shape)
+    elif (out.dtype != np.float64 or out.shape[:1] != (ncols,)
+          or len(out.shape) <= len(shape)
+          or any(a not in (1, b) for a, b in zip(shape[::-1], out.shape[:0:-1]))):
+        raise ValueError(f"out must be a float64 array of shape ({ncols}, ...) that "
+                         f"the arguments of shape {shape} broadcast to, got "
+                         f"{out.dtype} {out.shape}")
+    shape = out.shape[1:]
     try:
         _thermo(*args, out)
         rerun = not shape and any(map(math.isnan, out.tolist()))

@@ -119,7 +119,10 @@ def _run(args, command: str, from_flags, run) -> int:
     the entries ``from_flags(args, raw)`` makes of the flags and raw YAML;
     its config validated; ``run(config, manifest, warnings)``, which parses
     the command's section and returns the section it ran, the seed and a
-    writer of the output (taking ``args``); then a file output's manifest."""
+    writer of the output (taking ``args``); then a file output's manifest.
+    The command runs with numpy's divide, invalid and overflow warnings
+    off (``map_blocks`` passes that to its helpers); library calls keep
+    them."""
     if args.from_manifest:
         given = [flag for flag in _RUN_FLAGS if getattr(args, flag, None) is not None]
         if given:
@@ -138,7 +141,10 @@ def _run(args, command: str, from_flags, run) -> int:
     warnings = config.validate(relax=args.relax_validation or bool(args.from_manifest))
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    section, seed, write = run(config, manifest, warnings)
+    # numpy's warnings are not messages: every such outcome is reported by
+    # name (a NaN point as an error, a sweep's error cells in its count)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        section, seed, write = run(config, manifest, warnings)
     write(args)
     if args.out:
         with open(args.out + ".manifest.json", "w") as fh:

@@ -14,7 +14,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from ._kernels import bose_pos
+from ._kernels import amplitude, bose_pos, lorentzian
 
 __all__ = [
     "TrithermError",
@@ -408,7 +408,9 @@ def spectral_lorentzian(bath: LorentzianBath, wm: WorkingMedium, omega: float) -
     """Lorentzian spectral density of a dynamically coupled bath.
 
     Evaluates ``d * M * gamma * omega / ((omega^2 - center^2)^2 +
-    gamma^2 omega^2)`` with ``d = kappa * center**2 * omega0**2``.
+    gamma^2 omega^2)`` with ``d = kappa * center**2 * omega0**2``, by the
+    kernel's own arithmetic, so it equals the kernel's value at a sideband
+    to the last bit.
 
     Parameters
     ----------
@@ -424,8 +426,5 @@ def spectral_lorentzian(bath: LorentzianBath, wm: WorkingMedium, omega: float) -
     """
     if omega < 0:
         raise DomainError(f"spectral density requires omega >= 0, got {omega}")
-    d = bath.amplitude(wm.omega0)
-    num = d * wm.mass * bath.width * omega
-    den = (omega * omega - bath.center * bath.center) ** 2 \
-        + bath.width * bath.width * omega * omega
-    return num / den
+    dmg = amplitude(wm.omega0, wm.mass, bath.center, bath.width, bath.kappa)
+    return lorentzian(omega, bath.center, bath.width, dmg)[0]

@@ -6,8 +6,8 @@ smooth, and low-dimensional).  Everything is driven by one integer seed, so
 repeated runs are bit-for-bit reproducible.  Each stage is scored in
 candidate x omega kernel blocks, which run on the calling thread plus one
 helper thread per further CPU (:func:`tritherm._kernels.map_blocks`); each
-block scores its own candidates, so the result does not depend on the
-thread count.  The detail of each returned candidate is built by the
+block writes its rows of one stage table and scores its own candidates,
+so the result does not depend on the thread count.  The detail of each returned candidate is built by the
 public trace functions, so its score can be read off it.
 
 A search varies a set of dotted config parameters over ranges (linear or
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from ._kernels import COL_JC, COL_JH, COL_JM, COL_P, thermo_batch
+from ._kernels import COL_JC, COL_JH, COL_JM, COL_P, NCOLS, thermo_batch
 from .core import (MAX_COUNT, ConfigError, MachineConfig, PARAM_PATHS, apply_params,
                    as_mapping, check_fields, construct, get_field, integer, number,
                    string)
@@ -66,11 +66,16 @@ class VaryRange:
         if self.scale == "log" and self.low <= 0:
             raise ConfigError("log-scaled range requires positive bounds", "min")
 
-    def decode(self, u: float) -> float:
+    def decode(self, u: np.ndarray) -> np.ndarray:
+        """The values of a column ``u`` of unit samples: ``low + u (high -
+        low)``, or on the log scale ``10 ** e`` with ``e`` so interpolated
+        between the bounds' ``log10``.  The power is taken per element on
+        numpy scalars, as for one sample: numpy's array ``power`` differs
+        from it in the last bit on some values (on AVX-512 hosts, say)."""
         if self.scale == "log":
             lo, hi = np.log10(self.low), np.log10(self.high)
-            return float(10.0 ** (lo + u * (hi - lo)))
-        return float(self.low + u * (self.high - self.low))
+            return np.array([10.0 ** e for e in lo + u * (hi - lo)], dtype=np.float64)
+        return self.low + u * (self.high - self.low)
 
 
 @dataclass(frozen=True)
@@ -226,43 +231,46 @@ class Candidate:
 
 
 def _columns(template: MachineConfig, spec: SearchSpec, units, grid) -> tuple:
-    """The params decoded from each unit-cube sample, their ``(C, 13)``
-    values of ``_ARG_PATHS`` over the template, and the mask of the
-    candidates that ``apply_params`` and ``MachineConfig.validate`` accept
-    and whose omega0 is above the grid."""
-    params = [{name: rng.decode(float(ui))
-               for (name, rng), ui in zip(spec.vary.items(), u)} for u in units]
-    for p in params:
-        for target, rule in spec.lock.items():
-            p[target] = p[rule.source] + rule.offset
+    """The columns of the unit-cube samples ``units`` (one row each): the
+    values of the varied parameters, decoded, then of the locked ones; the
+    thirteen values of ``_ARG_PATHS``, such a column where the spec varies
+    or locks the parameter and the template's scalar elsewhere; and the
+    mask of the candidates that ``apply_params`` and
+    ``MachineConfig.validate`` accept and whose omega0 is above the grid."""
+    values = {name: rng.decode(units[:, i])
+              for i, (name, rng) in enumerate(spec.vary.items())}
+    for target, rule in spec.lock.items():
+        values[target] = values[rule.source] + rule.offset
     base = operator.attrgetter(*_ARG_PATHS)(template)
-    cols = np.array([[p.get(path, b) for path, b in zip(_ARG_PATHS, base)]
-                     for p in params]).reshape(len(params), len(_ARG_PATHS))
-    gamma_m = cols[:, -1]
-    return params, cols, ((validity_codes(cols[:, :-1].T, len(params)) == 0)
-                          & (gamma_m > 0.0) & (gamma_m < np.inf)
-                          & (grid[-1] < cols[:, 0]))
+    args = [values.get(path, b) for path, b in zip(_ARG_PATHS, base)]
+    gamma_m = args[-1]
+    return values, args, ((validity_codes(args[:-1], len(units)) == 0)
+                          & (gamma_m > 0.0) & (gamma_m < np.inf) & (grid[-1] < args[0]))
 
 
-def _scores(spec: SearchSpec, grid, cols) -> np.ndarray:
-    """``(C, 2)`` ranking scores of valid candidates: the widest window and
-    the soft score, or the distinct modes and the capped switches.  A
-    candidate with a grid point that fails ``currents.finite_rows`` scores
-    ``-inf``, as an invalid one does."""
-    args = [c[:, None] for c in cols[:, :-1].T]   # (C, 1); all but mid.gamma_m
+def _scores(spec: SearchSpec, grid, args, rows, out) -> np.ndarray:
+    """``(len(rows), 2)`` ranking scores of the valid candidates ``rows`` of
+    the ``_columns`` arguments ``args``, whose kernel table along ``grid``
+    is written into ``out``: the widest window and the soft score, or the
+    distinct modes and the capped switches.  A candidate with a grid point
+    that fails ``currents.finite_rows`` scores ``-inf``, as an invalid one
+    does."""
+    # (C, 1) columns and template scalars; all but mid.gamma_m
+    block = [a[rows, None] if isinstance(a, np.ndarray) else a for a in args[:-1]]
+    block[2] = grid
     window = spec.objective == "transistor_window"
-    table = thermo_batch(*args[:2], grid[None, :], *args[3:], slopes=window)
+    table = thermo_batch(*block, slopes=window, out=out)
     if not window:
-        codes = classify_coupled_arrays(args[8], args[11], *(
+        codes = classify_coupled_arrays(block[8], block[11], *(
             table[..., c] for c in (COL_JH, COL_JC, COL_JM, COL_P)))
         distinct = (codes[..., None] == _USEFUL_CODES).any(axis=1).sum(axis=1)
         switches = np.count_nonzero(codes[:, 1:] != codes[:, :-1], axis=1)
         scores = np.stack([distinct, np.minimum(switches, 999)], axis=1)
     else:
         r, g = _figures(table)
-        rows, starts, stops = _window_runs(r, g, spec.threshold)
-        width = np.zeros(len(cols))
-        np.maximum.at(width, rows, grid[stops - 1] - grid[starts])
+        runs, starts, stops = _window_runs(r, g, spec.threshold)
+        width = np.zeros(len(rows))
+        np.maximum.at(width, runs, grid[stops - 1] - grid[starts])
         soft = np.where(np.isfinite(r) & np.isfinite(g), np.minimum(r, g), 0.0)
         scores = np.stack([width, np.minimum(soft.max(axis=1), _SOFT_CAP)], axis=1)
     return np.where(finite_rows(table).all(axis=1)[:, None], scores, -np.inf)
@@ -285,21 +293,35 @@ def _detail(config: MachineConfig, spec: SearchSpec, grid) -> dict:
 
 
 def _stage(template, spec, grid, units, first: int) -> list:
-    """Entries ``(score, order, u, params)`` of the unit-cube samples
-    ``units``, with orders counted from ``first``.  Valid candidates are
-    scored in blocks of at most ``_kernels.BLOCK_POINTS`` points, on the
-    calling thread and its helpers (``_kernels.map_blocks``); invalid ones,
-    and those with nonfinite kernel values, score ``-inf``."""
-    params, cols, valid = _columns(template, spec, units, grid)
-    scores = np.full((len(params), 2), -np.inf)
+    """Entries ``(score, order, u, values)`` of the unit-cube samples
+    ``units``, with orders counted from ``first`` and ``values`` those of
+    the varied, then the locked parameters.  Valid candidates are scored
+    in blocks of at most ``_kernels.BLOCK_POINTS`` points, on the calling
+    thread and its helpers (``_kernels.map_blocks``); invalid ones, and
+    those with nonfinite kernel values, score ``-inf``.
+
+    The blocks write their kernel rows into one stage table, allocated
+    here, and score them from it, as a sweep's tiles write into its
+    result arrays: with a table of its own, each block faulted the pages
+    of its table and temporaries in again (see :mod:`tritherm._kernels`).
+    What the spec neither varies nor locks enters the kernel as the
+    template's scalar, so terms without a varied parameter are computed
+    once per grid point."""
+    values, args, valid = _columns(template, spec, units, grid)
+    scores = np.full((len(units), 2), -np.inf)
     valid = np.flatnonzero(valid)
+    slopes = spec.objective == "transistor_window"
+    table = np.empty((NCOLS + 2 if slopes else NCOLS, valid.size, grid.size))
     step = max(_kernels.BLOCK_POINTS // grid.size, 1)
-    blocks = [valid[i:i + step] for i in range(0, valid.size, step)]
-    for rows, block in zip(blocks, _kernels.map_blocks(
-            lambda rows: _scores(spec, grid, cols[rows]), blocks)):
-        scores[rows] = block
-    return [(score, first + i, u, p) for i, (score, u, p)
-            in enumerate(zip(scores.tolist(), units, params))]
+
+    def run(start):
+        rows = valid[start:start + step]
+        scores[rows] = _scores(spec, grid, args, rows, table[:, start:start + step])
+
+    _kernels.map_blocks(run, range(0, valid.size, step))
+    samples = np.stack(list(values.values()), axis=1).tolist()
+    return [(score, first + i, u, row) for i, (score, u, row)
+            in enumerate(zip(scores.tolist(), units, samples))]
 
 
 def _latin_hypercube(d: int, n: int, seed: int) -> np.ndarray:
@@ -360,10 +382,11 @@ def run_search(template: MachineConfig, spec: SearchSpec, seed: int) -> list[Can
         entries += _stage(template, spec, grid, np.concatenate(units), len(entries))
         shrink *= 0.5
 
-    best = [e for e in sorted(entries, key=_rank_key)[:spec.top_k]
-            if np.isfinite(e[0][0])]
-    return [Candidate(params={k: float(v) for k, v in params.items()},
-                      score=float(score[0]),
+    names = [*spec.vary, *spec.lock]
+    best = [(score, dict(zip(names, values)))
+            for score, _, _, values in sorted(entries, key=_rank_key)[:spec.top_k]
+            if np.isfinite(score[0])]
+    return [Candidate(params=params, score=float(score[0]),
                       detail={**_detail(apply_params(template, params), spec, grid),
                               "soft_score": float(score[1])})
-            for score, _, _, params in best]
+            for score, params in best]

@@ -237,14 +237,15 @@ class TestTransistor:
         assert not out.exists()
 
     def test_nonfinite_trace_exits_one(self, tmp_path, capsys):
-        # a hot peak center of 1e200 overflows the Lorentzian to NaN
+        # a hot peak center of 1e200 overflows the Lorentzian to NaN; the
+        # command runs with numpy's warnings off, so none raises here
         out = tmp_path / "trace.csv"
-        with pytest.warns(RuntimeWarning):
-            rc = main(["transistor", "--config", str(CONFIGS / "default.yaml"),
-                       "--set", "hot.center=1e200", "--points", "5", "--out", str(out)])
+        rc = main(["transistor", "--config", str(CONFIGS / "default.yaml"),
+                   "--set", "hot.center=1e200", "--points", "5", "--out", str(out)])
         assert rc == 1
         captured = capsys.readouterr()
-        assert "nonfinite values along the omega grid" in captured.err
+        assert captured.err.splitlines()[-1].startswith("error: the closed forms give "
+                                                        "nonfinite values along the omega grid")
         assert captured.out == "" and not out.exists()
 
     def test_rerun_from_manifest(self, tmp_path, capsys):
@@ -914,6 +915,19 @@ class TestEntryPoint:
                          cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["mode"] == "engine"
+
+    def test_overflowing_sweep_prints_no_numpy_warning(self, tmp_path):
+        # hot peak centers up to 1e200 give inf / inf in the kernel: the
+        # error-cell count reports them, numpy's RuntimeWarning does not
+        proc = self._run("sweep", "--config", str(CONFIGS / "default.yaml"),
+                         "--axis1", "drive_freq:0.1:0.9:5",
+                         "--axis2", "hot.center:1.0:1e200:5", "--out", "x.csv",
+                         cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "sweep: 25 cells (20 error cells) -> x.csv\n"
+        error_column = [line.rsplit(",", 1)[1] for line in
+                        (tmp_path / "x.csv").read_text().splitlines()[1:]]
+        assert error_column.count("nonfinite kernel result") == 20
 
     def test_nan_threshold_exits_one(self, tmp_path):
         proc = self._run("transistor", "--config", str(CONFIGS / "default.yaml"),

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 import tritherm as tt
+from tritherm import _kernels
 from tritherm.core import ConfigError, DomainError
+
+from conftest import make_config
 
 
 class TestBoseOccupation:
@@ -92,6 +95,30 @@ class TestSpectralDensities:
             vals = [tt.spectral_lorentzian(bath, wm, w) for w in grid]
             peak = grid[int(np.argmax(vals))]
             assert abs(peak - center) <= 0.5 * width
+
+    def test_lorentzian_equals_the_kernels_at_both_sidebands(self, monkeypatch):
+        # the kernel's own Lorentzian values, caught along a drive grid; an
+        # omega0 and a mass other than 1 enter the amplitude's products
+        seen = []
+
+        def spy(s, w, g, dmg):
+            values = real(s, w, g, dmg)
+            seen.append((s, w, values[0]))
+            return values
+
+        real = _kernels.lorentzian
+        monkeypatch.setattr(_kernels, "lorentzian", spy)
+        cfg = make_config(omega0=1.13, mass=0.71, wh=1.63, gh=0.083, kh=0.017,
+                          wc=0.81, gc=0.037, kc=0.023)
+        grid = np.linspace(0.02, 0.98, 97)
+        tt.transistor_trace(cfg, grid)
+        sidebands = [(cfg.wm.omega0 + grid).tobytes(), (cfg.wm.omega0 - grid).tobytes()]
+        assert [(s.tobytes(), w) for s, w, _ in seen] == [
+            (s, bath.center) for bath in (cfg.hot, cfg.cold) for s in sidebands]
+        for s, w, lor in seen:
+            bath = cfg.hot if w == cfg.hot.center else cfg.cold
+            want = [tt.spectral_lorentzian(bath, cfg.wm, x) for x in s.tolist()]
+            assert np.array(want).tobytes() == lor.tobytes()
 
     def test_lorentzian_negative_frequency_raises(self, default_config):
         with pytest.raises(DomainError):

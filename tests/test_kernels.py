@@ -127,6 +127,36 @@ class TestLayouts:
         assert table.shape == (_kernels.NCOLS + 2 if slopes else _kernels.NCOLS,)
         assert table.flags.c_contiguous
 
+    def test_out_rows_of_a_larger_table(self, slopes):
+        # a search stage: each block writes its rows into one stage table,
+        # the template's values entering as scalars
+        candidates = random_valid_batch(30, seed=11)
+        drives = np.linspace(0.02, 0.98, 53)
+        args = block_args(candidates, drives)
+        for name in ("omega0", "mass", "hot_width", "cold_kappa"):
+            args[ARG_NAMES.index(name)] = float(candidates[name][0])
+        want = _kernels.thermo_batch(*args, slopes=slopes)
+        ncols = want.shape[-1]
+        stage = np.full((ncols, 40, 53), -1.0)
+        for start in range(0, 30, 12):
+            rows = slice(start, min(start + 12, 30))
+            block = [a[rows] if np.ndim(a) and a.shape[0] == 30 else a for a in args]
+            got = _kernels.thermo_batch(*block, slopes=slopes,
+                                        out=stage[:, 5 + rows.start:5 + rows.stop])
+            assert np.shares_memory(got, stage)
+            assert_bitwise(got, want[rows])
+        assert_bitwise(np.moveaxis(stage[:, 5:35], 0, -1), want)
+        assert (stage[:, :5] == -1.0).all() and (stage[:, 35:] == -1.0).all()
+        # arguments that vary along the drive only broadcast to every row
+        one = [a[0, 0] if np.ndim(a) and a.shape[0] == 30 else a for a in args]
+        assert_bitwise(_kernels.thermo_batch(*one, slopes=slopes, out=np.empty(
+            (ncols, 3, 53))), np.broadcast_to(want[:1], (3, 53, ncols)))
+        for bad in (np.empty((ncols, 30, 52)), np.empty((ncols + 1, 30, 53)),
+                    np.empty((ncols, 53)), np.empty((ncols, 30, 53), dtype=np.float32),
+                    np.empty((30, 53, ncols))):
+            with pytest.raises(ValueError, match="out must be"):
+                _kernels.thermo_batch(*args, slopes=slopes, out=bad)
+
 
 class TestOnePoint:
     def test_bose_point_equals_array(self):
@@ -178,13 +208,17 @@ class TestOnePoint:
         for entry in (tt.evaluate_point, tt.mode_report, tt.transistor_point):
             with pytest.warns(RuntimeWarning), pytest.raises(DomainError, match="NaN"):
                 entry(cfg)
+        # the command runs with numpy's warnings off (a RuntimeWarning would
+        # raise here) and prints the config's warnings and the error only
         path = tmp_path / "extreme.yaml"
         path.write_text(yaml.safe_dump(cfg.to_dict()))
-        with pytest.warns(RuntimeWarning):
-            assert main(["point", "--config", str(path)]) == 1
+        assert main(["point", "--config", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: the closed forms give NaN" in captured.err
+        assert captured.err.splitlines() == [
+            *(f"warning: {w}" for w in cfg.validate()),
+            "error: the closed forms give NaN at this operating point; its "
+            "parameters over- or underflow double precision"]
 
 
 class TestSquares:

@@ -52,6 +52,15 @@ def reference_score(config, spec, grid):
         "runs": [[lo, hi, mode.value] for ((lo, hi), mode) in runs]}
 
 
+def decode_one(rng, u):
+    """The value of one unit sample ``u`` in the range ``rng``, on Python
+    floats and numpy scalars: the per-element rule of ``VaryRange.decode``."""
+    if rng.scale == "log":
+        lo, hi = np.log10(rng.low), np.log10(rng.high)
+        return float(10.0 ** (lo + u * (hi - lo)))
+    return float(rng.low + u * (rng.high - rng.low))
+
+
 def reference_search(template, spec, seed, evaluated=None):
     """The search as a loop over candidates, each evaluated on its own.
 
@@ -66,7 +75,7 @@ def reference_search(template, spec, seed, evaluated=None):
         raise ConfigError("search omega grid must stay below omega0")
 
     def evaluate(u):
-        params = {name: rng.decode(float(ui))
+        params = {name: decode_one(rng, float(ui))
                   for (name, rng), ui in zip(spec.vary.items(), u)}
         for target, rule in spec.lock.items():
             params[target] = params[rule.source] + rule.offset
@@ -158,9 +167,9 @@ class TestSpecValidation:
 
     def test_range_decode(self):
         lin = tt.VaryRange(1.0, 3.0)
-        assert lin.decode(0.5) == 2.0
+        assert lin.decode(np.array([0.5])).tolist() == [2.0]
         log = tt.VaryRange(0.01, 1.0, scale="log")
-        assert log.decode(0.5) == pytest.approx(0.1, rel=1e-12)
+        assert log.decode(np.array([0.5]))[0] == pytest.approx(0.1, rel=1e-12)
 
     def test_grid_that_does_not_increase_is_named(self):
         # np.linspace repeats values when start and stop are this close
@@ -415,23 +424,26 @@ class TestBatchedSearch:
 
     @pytest.mark.parametrize("objective", search.OBJECTIVES)
     def test_block_memory_is_bounded(self, objective):
-        # one block of C x omega points peaks below four kernel tables; a
-        # copy of the twelve inputs to full size adds 12/7 or 12/9 of one
+        # one block of C x omega points, written into its rows of the stage
+        # table, peaks below four kernel tables; a copy of the twelve inputs
+        # to full size adds 12/7 or 12/9 of one
         spec = dataclasses.replace(window_spec(), objective=objective,
                                    omega_count=481)
         grid = np.linspace(spec.omega_start, spec.omega_stop, spec.omega_count)
         units = np.random.default_rng(0).random(
             (_kernels.BLOCK_POINTS // grid.size, len(spec.vary)))
-        _, cols, valid = search._columns(transistor_template(), spec, units, grid)
+        _, args, valid = search._columns(transistor_template(), spec, units, grid)
         assert valid.all()
-        search._scores(spec, grid, cols)
+        rows = np.flatnonzero(valid)
+        ncols = _kernels.NCOLS + 2 if objective == "transistor_window" else _kernels.NCOLS
+        out = np.empty((ncols, rows.size, grid.size))
+        search._scores(spec, grid, args, rows, out)
         tracemalloc.start()
         try:
-            search._scores(spec, grid, cols)
+            search._scores(spec, grid, args, rows, out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        ncols = _kernels.NCOLS + 2 if objective == "transistor_window" else _kernels.NCOLS
         assert peak <= 4 * _kernels.BLOCK_POINTS * ncols * 8
 
     @pytest.mark.parametrize("objective", search.OBJECTIVES)
@@ -452,6 +464,76 @@ class TestBatchedSearch:
         blocks = sum(-(-n // rows) for n in stages)
         assert len(calls) <= blocks + 1
         assert all(n * m <= _kernels.BLOCK_POINTS for n, m in calls)
+
+
+class TestStage:
+    """A stage decodes whole columns and writes its blocks into one table."""
+
+    @pytest.mark.parametrize("scale", ["linear", "log"])
+    def test_column_decode_equals_per_element_rule(self, scale):
+        spec = tt.SearchSpec(
+            objective="transistor_window",
+            vary={"hot.center": tt.VaryRange(1.4, 1.9, scale),
+                  "hot.width": tt.VaryRange(0.01, 0.2, scale),
+                  "cold.kappa": tt.VaryRange(1e-4, 0.05, scale)},
+            lock={"cold.center": tt.LockRule("hot.center", -0.3),
+                  "hot.kappa": tt.LockRule("cold.kappa", 1e-3)})
+        units = np.random.default_rng(3).random((4000, 3))
+        values, args, _ = search._columns(transistor_template(), spec, units, spec.grid)
+        want = {name: [] for name in [*spec.vary, *spec.lock]}
+        for u in units.tolist():
+            row = {name: decode_one(rng, ui) for (name, rng), ui in zip(spec.vary.items(), u)}
+            for target, rule in spec.lock.items():
+                row[target] = row[rule.source] + rule.offset
+            for name, value in row.items():
+                want[name].append(value)
+        assert list(values) == list(want)
+        for name, column in want.items():
+            assert values[name].tobytes() == np.array(column).tobytes()
+        # the kernel gets those columns; what the spec leaves alone stays a
+        # template scalar
+        varied = {**spec.vary, **spec.lock}
+        for path, arg in zip(search._ARG_PATHS, args):
+            assert (arg is values[path]) if path in varied else type(arg) is float
+
+    @pytest.mark.parametrize("objective", search.OBJECTIVES)
+    def test_log_search_is_the_same_on_one_and_two_threads(self, monkeypatch, objective):
+        # every stage spans several blocks of 34 candidates
+        template, spec = REFERENCE_CASES["log_range"]
+        spec = dataclasses.replace(spec, objective=objective, omega_count=481,
+                                   samples=90, refine_samples=30)
+        outs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(_kernels, "_WORKERS", workers)
+            outs.append(dumps(tt.run_search(template, spec, 3)))
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("objective", search.OBJECTIVES)
+    def test_varied_kappa_classifies_each_candidate_with_its_own(self, objective):
+        # the template's cold bath is decoupled and no candidate's is, so a
+        # score taken with the template's coupling would use the reduced
+        # two-terminal taxonomy
+        template = make_config(kc=0.0)
+        spec = dataclasses.replace(window_spec(), objective=objective, lock={}, vary={
+            "hot.center": tt.VaryRange(1.2, 1.8), "cold.kappa": tt.VaryRange(1e-3, 0.02)})
+        units = search._latin_hypercube(len(spec.vary), 40, 0)
+        names = [*spec.vary, *spec.lock]
+        for score, _, _, values in search._stage(template, spec, spec.grid, units, 0):
+            config = tt.apply_params(template, dict(zip(names, values)))
+            assert config.cold.kappa > 0
+            assert tuple(score) == reference_score(config, spec, spec.grid)[0]
+
+    @pytest.mark.parametrize("objective", search.OBJECTIVES)
+    def test_spec_that_varies_no_kernel_argument(self, objective):
+        # every kernel argument but the drive is a template scalar, so the
+        # drive row broadcasts to every row of a block
+        template = transistor_template()
+        spec = dataclasses.replace(window_spec(refine_rounds=1), objective=objective,
+                                   vary={"mid.gamma_m": tt.VaryRange(0.05, 0.2)},
+                                   lock={})
+        out = tt.run_search(template, spec, 7)
+        assert out
+        assert dumps(out) == dumps(reference_search(template, spec, 7))
 
 
 class TestScoreMatchesDetail:
