@@ -16,8 +16,7 @@ from .core import (ConfigError, ConsistencyError, DomainError,
                    spectral_lorentzian)
 from .currents import (SIGN_ZERO_BAND, ThermoArrays, ThermoPoint,
                        evaluate_arrays, evaluate_point)
-from .modes import (HYBRID_MODES, ModeReport, OperatingMode, classify,
-                    classify_reduced, exergy_efficiency, mode_report)
+from .modes import HYBRID_MODES, ModeReport, OperatingMode, mode_report
 from .search import Candidate, LockRule, SearchSpec, VaryRange, run_search
 from .sweep import (Axis, SweepResult, SweepSpec,
                     mode_sequence_along_omega, resonance_lines, run_sweep)
@@ -32,8 +31,7 @@ __all__ = [
     "apply_params", "bose_occupation", "spectral_lorentzian",
     "SIGN_ZERO_BAND", "ThermoPoint", "ThermoArrays",
     "evaluate_point", "evaluate_arrays",
-    "OperatingMode", "HYBRID_MODES", "ModeReport",
-    "classify", "classify_reduced", "exergy_efficiency", "mode_report",
+    "OperatingMode", "HYBRID_MODES", "ModeReport", "mode_report",
     "TransistorPoint", "TransistorWindow", "TransistorTrace",
     "transistor_point", "transistor_trace", "find_windows", "windows_from_arrays",
     "Axis", "SweepSpec", "SweepResult",

@@ -27,18 +27,9 @@ callers (sweeps, searches), which keeps the temporaries of one call in
 cache.  Sweeps pass axis vectors, an axis1 column against an axis2 row,
 not expanded columns, so a term of one axis is computed once per row or
 column of a tile.  :func:`map_blocks` runs the blocks of one sweep or
-search stage on the calling thread plus one helper thread per further
-CPU the process may use: numpy releases the GIL inside each operation,
-so the blocks' arithmetic overlaps.  Each block writes only its own
-results, so the outputs do not depend on the number of threads.
-
-The blocks of one sweep or search stage write into results allocated
-once for all of them: a sweep's result arrays, a search stage's table
-(``thermo_batch(..., out=)``).  A table per block (1.2 MB) is mapped and
-unmapped by glibc on every block, and each block faults its pages in
-again.  Freeing one large table instead raises glibc's dynamic mmap and
-trim thresholds (``mallopt(3)``) above a block's temporaries, which then
-reuse the same heap pages.
+search stage (its thread model is described there); they write into
+results allocated once for all of them: a sweep's result arrays, a search
+stage's table (``thermo_batch(..., out=)``).
 """
 
 from __future__ import annotations
@@ -60,8 +51,7 @@ BLOCK_POINTS = 16384
 
 # Threads of one map_blocks call: the CPUs this process may use, at most 4.
 # The cap bounds memory, not speed: each running block holds about 3.5 MB
-# of kernel temporaries.  Only 2 threads have been measured; the cap is
-# unverified, and a cgroup CPU quota is not read.
+# of kernel temporaries.
 _WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 
@@ -233,11 +223,15 @@ def thermo_batch(omega0, mass, drive, t_hot, t_mid, t_cold,
 def map_blocks(fn, items) -> list:
     """``[fn(x) for x in items]`` for a sequence ``items``, computed by the
     calling thread and, with several items, one helper thread per further
-    CPU of the process.
+    CPU of the process: the one thread model of sweeps and searches.
 
     The thread count is the number of CPUs in the process's affinity mask
-    when tritherm is imported (``taskset`` limits it), capped by the number
-    of items and by 4; nothing above 2 CPUs has been measured.  Every
+    when tritherm is imported, capped by the number of items and by 4;
+    nothing above 2 CPUs has been measured.  ``taskset`` limits it, a
+    cgroup CPU quota does not, and there is no option for it.  numpy
+    releases the GIL inside each operation, so the items' arithmetic
+    overlaps.  Each item of a sweep or search writes only its own results,
+    so their outputs do not depend on the thread count.  Every
     thread takes the next index from one shared counter until none is left,
     so items start in order.  Each helper runs under the caller's numpy
     ``errstate``, set explicitly: numpy 2 keeps it in a context variable and

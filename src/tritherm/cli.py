@@ -21,12 +21,9 @@ Manifests keep their key order: that of ``search.vary`` fixes the
 Latin-hypercube dimensions.
 
 A sweep runs in tiles of at most ``_kernels.BLOCK_POINTS`` cells, and a
-search stage in blocks of as many points; the tiles or blocks run on the
-calling thread plus one helper thread per further CPU in the process's
-affinity mask (at most four threads; only two have been measured, so the
-cap is unverified; ``taskset`` limits them, a cgroup CPU quota does not).
-There is no thread option, and the outputs do not depend on the thread
-count.
+search stage in blocks of as many points, under
+:func:`tritherm._kernels.map_blocks`, whose thread model leaves every output
+independent of the thread count.
 
 Exit codes: 0 success, 1 validation/parse error, 2 runtime error.
 """

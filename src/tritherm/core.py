@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -64,22 +65,6 @@ class DomainError(TrithermError, ValueError):
 class ConsistencyError(TrithermError, RuntimeError):
     """Internal consistency violated (signals a bug or an invalid
     hand-constructed input, e.g. a sign pattern forbidden by the second law)."""
-
-
-def _positive(obj, attr, allow_zero=False):
-    """Check field ``attr`` of a frozen dataclass and store it as a float,
-    so that an int given in code serializes like one read from a file."""
-    value = getattr(obj, attr)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{attr} must be a number, got {value!r}", attr)
-    if math.isnan(value) or math.isinf(value):
-        raise ConfigError(f"{attr} must be finite, got {value!r}", attr)
-    if allow_zero:
-        if value < 0:
-            raise ConfigError(f"{attr} must be >= 0, got {value!r}", attr)
-    elif value <= 0:
-        raise ConfigError(f"{attr} must be > 0, got {value!r}", attr)
-    object.__setattr__(obj, attr, float(value))
 
 
 def number(value) -> float:
@@ -149,6 +134,48 @@ def get_field(data: dict, key: str, path: str, kind, default=MISSING):
                           f"{data[key]!r}") from None
 
 
+# The three rules of the machine's domain.  Each takes floats, where it is
+# a few comparisons giving a bool, or arrays, elementwise; NaN fails each.
+
+def parameter_ok(name: str, value):
+    """The parameter rule for the field or dotted path ``name``: finite and
+    > 0, or >= 0 for a coupling ``kappa`` (0 decouples its bath)."""
+    return (value >= 0.0 if name.endswith("kappa") else value > 0.0) & (value < math.inf)
+
+
+def parameter_bound(name: str) -> str:
+    """The lower bound of the parameter rule for ``name``, as message text."""
+    return ">= 0" if name.endswith("kappa") else "> 0"
+
+
+def drive_ok(drive, omega0):
+    """The drive rule ``0 < drive < omega0``: both sidebands ``omega0 +/-
+    drive`` positive."""
+    return (drive > 0.0) & (drive < omega0)
+
+
+def ordering_ok(t_hot, t_mid, t_cold, relax: bool = False):
+    """The ordering rule ``t_hot > t_mid > t_cold > 0`` that the mode
+    taxonomy assumes; with ``relax`` equal temperatures pass."""
+    if relax:
+        return (t_hot >= t_mid) & (t_mid >= t_cold) & (t_cold > 0.0)
+    return (t_hot > t_mid) & (t_mid > t_cold) & (t_cold > 0.0)
+
+
+def _check_params(obj, names: tuple) -> None:
+    """Check the fields ``names`` of a frozen dataclass by the parameter
+    rule, naming the field, and store each as a float, so that an int given
+    in code serializes like one read from a file."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ConfigError(f"{name} must be a number, got {value!r}", name)
+        if not parameter_ok(name, value):
+            why = parameter_bound(name) if math.isfinite(value) else "finite"
+            raise ConfigError(f"{name} must be {why}, got {value!r}", name)
+        object.__setattr__(obj, name, float(value))
+
+
 @dataclass(frozen=True)
 class WorkingMedium:
     """Harmonic-oscillator working medium.
@@ -166,8 +193,7 @@ class WorkingMedium:
     mass: float = 1.0
 
     def __post_init__(self):
-        _positive(self, "omega0")
-        _positive(self, "mass")
+        _check_params(self, ("omega0", "mass"))
 
 
 @dataclass(frozen=True)
@@ -197,14 +223,7 @@ class LorentzianBath:
     kappa: float
 
     def __post_init__(self):
-        _positive(self, "temperature")
-        _positive(self, "center")
-        _positive(self, "width")
-        _positive(self, "kappa", allow_zero=True)
-
-    def amplitude(self, omega0: float = 1.0) -> float:
-        """Dimensionful spectral amplitude ``kappa * center**2 * omega0**2``."""
-        return self.kappa * self.center ** 2 * omega0 ** 2
+        _check_params(self, ("temperature", "center", "width", "kappa"))
 
 
 @dataclass(frozen=True)
@@ -220,8 +239,7 @@ class OhmicBath:
     gamma_m: float = 0.1
 
     def __post_init__(self):
-        _positive(self, "temperature")
-        _positive(self, "gamma_m")
+        _check_params(self, ("temperature", "gamma_m"))
 
 
 @dataclass(frozen=True)
@@ -253,38 +271,27 @@ class MachineConfig:
     wm: WorkingMedium = field(default_factory=WorkingMedium)
 
     def __post_init__(self):
-        _positive(self, "drive_freq")
+        _check_params(self, ("drive_freq",))
 
     @property
     def detuning(self) -> float:
         """Detuning of the two Lorentzian peaks, ``hot.center - cold.center``."""
         return self.hot.center - self.cold.center
 
-    def validate(self, relax: bool = False,
-                 kappa_warn: float = KAPPA_WARN_THRESHOLD,
-                 width_warn: float = WIDTH_WARN_FRACTION) -> list[str]:
-        """Check orderings and regime assumptions.
-
-        Raises :class:`ConfigError` on hard violations (temperature ordering,
-        drive frequency outside ``(0, omega0)``) and returns a list of
+    def validate(self, relax: bool = False) -> list[str]:
+        """ConfigError unless the config passes the ordering rule (with
+        ``relax``, equal temperatures pass) and the drive rule; else the
         validity warnings (perturbative couplings, underdamped widths,
-        quantum regime), which evaluate fine but may leave the regime in
-        which the closed forms are controlled.
-
-        With ``relax=True`` equal temperatures are tolerated (test fixtures).
-        """
+        quantum regime): such configs evaluate, but may leave the regime in
+        which the closed forms are controlled."""
         th, tm, tc = self.hot.temperature, self.mid.temperature, self.cold.temperature
-        if relax:
-            if not (th >= tm >= tc):
-                raise ConfigError(
-                    f"temperature ordering violated: need hot >= mid >= cold, "
-                    f"got ({th}, {tm}, {tc})")
-        elif not (th > tm > tc):
+        if not ordering_ok(th, tm, tc, relax):
+            op = ">=" if relax else ">"
             raise ConfigError(
-                f"temperature ordering violated: need hot.temperature > "
-                f"mid.temperature > cold.temperature, got ({th}, {tm}, {tc})")
+                f"temperature ordering violated: need hot.temperature {op} "
+                f"mid.temperature {op} cold.temperature, got ({th}, {tm}, {tc})")
         w0 = self.wm.omega0
-        if not (0.0 < self.drive_freq < w0):
+        if not drive_ok(self.drive_freq, w0):
             raise ConfigError(
                 f"drive_freq must lie in (0, omega0) = (0, {w0}), got {self.drive_freq}")
 
@@ -293,13 +300,13 @@ class MachineConfig:
             warnings.append(
                 f"quantum regime violated: omega0 = {w0} <= hot.temperature = {th}")
         for name, bath in (("hot", self.hot), ("cold", self.cold)):
-            if bath.kappa >= kappa_warn:
+            if bath.kappa >= KAPPA_WARN_THRESHOLD:
                 warnings.append(
-                    f"{name}.kappa = {bath.kappa} >= {kappa_warn}: outside the "
-                    f"perturbative regime, results are uncontrolled")
-            if bath.width >= width_warn * w0:
+                    f"{name}.kappa = {bath.kappa} >= {KAPPA_WARN_THRESHOLD}: outside "
+                    f"the perturbative regime, results are uncontrolled")
+            if bath.width >= WIDTH_WARN_FRACTION * w0:
                 warnings.append(
-                    f"{name}.width = {bath.width} >= {width_warn}*omega0: outside "
+                    f"{name}.width = {bath.width} >= {WIDTH_WARN_FRACTION}*omega0: outside "
                     f"the underdamped regime")
         return warnings
 
@@ -350,81 +357,51 @@ def apply_params(config: MachineConfig, params: dict) -> MachineConfig:
     """Return a copy of ``config`` with dotted-path parameters replaced.
 
     ``params`` maps paths from :data:`PARAM_PATHS` (e.g. ``"hot.kappa"``)
-    to new float values.
+    to new numbers.  A value the section rejects (a bool or a string too)
+    raises ConfigError naming its path (``field hot.kappa: ...``), as
+    ``from_dict`` does.
     """
     updates = {}
     for path, value in params.items():
         if path not in PARAM_PATHS:
             raise ConfigError(f"unknown parameter: {path!r} "
                               f"(expected one of {', '.join(PARAM_PATHS)})")
-        if path == "drive_freq":
-            updates["drive_freq"] = float(value)
-        else:
-            section, key = path.split(".")
-            updates.setdefault(section, {})[key] = float(value)
-    new = config
-    if "drive_freq" in updates:
-        new = replace(new, drive_freq=updates.pop("drive_freq"))
-    for section, fields in updates.items():
-        new = replace(new, **{section: replace(getattr(new, section), **fields)})
-    return new
+        section, _, key = path.rpartition(".")
+        updates.setdefault(section, {})[key] = value
+    sections = {section: construct(partial(replace, getattr(config, section)), section,
+                                   **changes)
+                for section, changes in updates.items() if section}
+    return replace(config, **updates.get("", {}), **sections)
 
 
 def bose_occupation(x: float) -> float:
-    """Bose occupation number ``1 / (exp(x) - 1)``.
+    """Bose occupation number ``1 / (exp(x) - 1)`` for ``x > 0``.
 
-    Numerically stable over the full real line: for ``|x| < 1e-5`` the
-    Laurent expansion ``1/x - 1/2 + x/12`` is used to avoid catastrophic
-    cancellation, and negative arguments go through the reflection
-    ``n_B(-x) = -1 - n_B(x)``, which therefore holds exactly.  Positive
-    arguments go through the batch kernel's Bose function, so scalar and
-    batched values agree bitwise.
-
-    Parameters
-    ----------
-    x : float
-        Dimensionless ratio (typically frequency / temperature); must be
-        nonzero.
-
-    Returns
-    -------
-    float
-        The occupation number; negative (below -1) for x < 0.
+    Numerically stable: for ``x < 1e-5`` the Laurent expansion ``1/x - 1/2
+    + x/12`` is used to avoid catastrophic cancellation.  It is the batch
+    kernel's Bose function, so scalar and batched values agree bitwise.
 
     Raises
     ------
     DomainError
-        If ``x == 0`` (diverging occupation).
+        Unless ``x > 0`` (the occupation diverges at 0); NaN included.
     """
-    if x == 0.0:
-        raise DomainError("bose_occupation diverges at x = 0")
-    if x < 0.0:
-        return -1.0 - bose_occupation(-x)
+    if not x > 0.0:
+        raise DomainError(f"bose_occupation requires x > 0, got {x}")
     with np.errstate(over="ignore"):
         return float(bose_pos(np.float64(x)))
 
 
 def spectral_lorentzian(bath: LorentzianBath, wm: WorkingMedium, omega: float) -> float:
-    """Lorentzian spectral density of a dynamically coupled bath.
+    """Lorentzian spectral density of a dynamically coupled bath at a
+    finite frequency ``omega >= 0`` (DomainError otherwise; 0 at 0).
 
     Evaluates ``d * M * gamma * omega / ((omega^2 - center^2)^2 +
     gamma^2 omega^2)`` with ``d = kappa * center**2 * omega0**2``, by the
     kernel's own arithmetic, so it equals the kernel's value at a sideband
     to the last bit.
-
-    Parameters
-    ----------
-    bath : LorentzianBath
-    wm : WorkingMedium
-    omega : float
-        Evaluation frequency, ``omega >= 0``.
-
-    Returns
-    -------
-    float
-        The spectral density value (0 at ``omega = 0``).
     """
-    if omega < 0:
-        raise DomainError(f"spectral density requires omega >= 0, got {omega}")
+    if not 0.0 <= omega < math.inf:
+        raise DomainError(f"spectral density requires a finite omega >= 0, got {omega}")
     dmg = amplitude(wm.omega0, wm.mass, bath.center, bath.width, bath.kappa)
     return lorentzian(omega, bath.center, bath.width, dmg)[0]

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import COL_JM, COL_S, NCOLS, thermo_batch
-from .core import DomainError, MachineConfig
+from .core import (DomainError, MachineConfig, drive_ok, ordering_ok, parameter_bound,
+                   parameter_ok)
 
 __all__ = [
     "SIGN_ZERO_BAND",
@@ -100,9 +101,8 @@ def config_args(config: MachineConfig) -> tuple[float, ...]:
 
 
 def check_drive(drive_freq, omega0) -> None:
-    """Raise DomainError unless every drive frequency lies in (0, omega0)."""
-    drive_freq = np.asarray(drive_freq, dtype=np.float64)
-    if not np.all((drive_freq > 0.0) & (drive_freq < omega0)):
+    """DomainError unless every drive frequency passes the drive rule."""
+    if not drive_ok(np.asarray(drive_freq, dtype=np.float64), omega0).all():
         raise DomainError(
             f"drive_freq outside the supported driving range (0, omega0) = "
             f"(0, {omega0}); both sideband frequencies must stay positive")
@@ -128,12 +128,11 @@ def validity_codes(args, shape) -> np.ndarray:
 
     # np.logical_not, not ~: on a Python bool ~True is -2, an index
     for path, a in zip(KERNEL_PATHS, args):
-        mark(4, np.logical_not((a >= 0.0 if path.endswith(".kappa") else a > 0.0)
-                               & (a < np.inf)))
+        mark(4, np.logical_not(parameter_ok(path, a)))
     w0, _, drv, th, tm, tc, wh, _, _, wc = args[:10]
     mark(3, (wh <= 0.0) | (wc <= 0.0))
-    mark(2, np.logical_not((th > tm) & (tm > tc) & (tc > 0.0)))
-    mark(1, (drv <= 0.0) | (drv >= w0))
+    mark(2, np.logical_not(ordering_ok(th, tm, tc)))
+    mark(1, np.logical_not(drive_ok(drv, w0)))
     return codes
 
 
@@ -151,7 +150,7 @@ def _drive_table(config: MachineConfig, grid=None, slopes: bool = False):
     checked by ``_point_values``)."""
     if grid is None:
         drive = config.drive_freq
-        if not 0.0 < drive < config.wm.omega0:   # NaN fails too
+        if not drive_ok(drive, config.wm.omega0):   # two floats: a bool
             check_drive(drive, config.wm.omega0)
     else:
         drive = np.asarray(grid, dtype=np.float64)
@@ -196,16 +195,14 @@ def evaluate_arrays(omega0, mass, drive_freq, hot_temperature, mid_temperature,
                     cold_center, cold_width, cold_kappa) -> ThermoArrays:
     """Batched :func:`evaluate_point` over broadcastable parameter arrays.
 
-    All arguments broadcast; scalars are allowed.  Every element must be
-    finite, positive (the couplings may be 0) and satisfy
-    ``0 < drive_freq < omega0``; DomainError names the first argument that
-    does not.  The temperature ordering is not checked.  Returns a
-    :class:`ThermoArrays` with one entry per broadcast element.
+    All arguments broadcast; scalars are allowed.  DomainError names the
+    first argument with an element that fails the parameter rule, or the
+    drive rule (:mod:`tritherm.core`); the ordering is not checked.  Returns
+    a :class:`ThermoArrays` with one entry per broadcast element.
     """
     args = dict(locals())   # the twelve arguments, in kernel order
     for name, value in args.items():
-        value, zero_ok = np.asarray(value, dtype=np.float64), name.endswith("kappa")
-        if not np.all((value >= 0.0 if zero_ok else value > 0.0) & (value < np.inf)):
-            raise DomainError(f"{name} must be finite and {'>= 0' if zero_ok else '> 0'}")
+        if not parameter_ok(name, np.asarray(value, dtype=np.float64)).all():
+            raise DomainError(f"{name} must be finite and {parameter_bound(name)}")
     check_drive(drive_freq, omega0)
     return ThermoArrays.from_table(thermo_batch(*args.values()))

@@ -8,12 +8,13 @@ set is the "wasteful" mode (hot heat dumped downhill while absorbing work).
 The sign pattern (j_hot < 0, j_cold > 0, power < 0) would make all three
 entropy terms negative and is forbidden by the second law.
 
-For a machine with one Lorentzian coupling switched off (kappa = 0) the
-corresponding current vanishes identically and the three-sign taxonomy
-degenerates; the reduced two-terminal taxonomy (:func:`classify_reduced`)
-classifies on the remaining Lorentzian current, the mid-bath current, and
-the power, with the static bath taking over the missing role.  Only four
-modes are then reachable: engine, heat_pump, refrigerator_pump, wasteful.
+With one Lorentzian coupling off (kappa = 0) its current vanishes and the
+three-sign taxonomy degenerates.  :func:`classify_coupled_arrays` then
+classifies ``(j_hot, j_mid, power)`` (cold coupling off) or ``(j_mid,
+j_cold, power)`` (hot coupling off), the static bath taking the missing
+role.  Only engine, heat_pump, refrigerator_pump and wasteful are then
+reachable; some two-terminal literature calls the last three
+"dissipator", "refrigerator" and "accelerator".
 """
 
 from __future__ import annotations
@@ -23,18 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import entropy_split
 from .core import ConsistencyError, MachineConfig
 from .currents import SIGN_ZERO_BAND, ThermoPoint, evaluate_point
 
 __all__ = [
     "OperatingMode",
     "ModeReport",
-    "classify",
-    "classify_reduced",
     "classify_arrays",
     "classify_coupled_arrays",
-    "exergy_efficiency",
     "exergy_from_split",
     "mode_report",
     "MODE_BY_CODE",
@@ -99,9 +96,9 @@ def classify_coupled_arrays(hot_kappa, cold_kappa, j_hot, j_cold, j_mid,
                             power) -> np.ndarray:
     """Vectorized mode codes into MODE_BY_CODE, the taxonomy chosen per
     element from the couplings, which broadcast against the currents (one
-    pair per row of a 2D block, say): the reduced two-terminal taxonomy of
-    :func:`classify_reduced` where exactly one kappa is zero, as in
-    :func:`mode_report`, and the full three-sign one elsewhere.
+    pair per row of a 2D block, say): the reduced two-terminal taxonomy
+    where exactly one kappa is zero, as in :func:`mode_report`, and the
+    full three-sign one elsewhere.
 
     Values within the 1e-14 zero band are sign-indeterminate and yield
     ``DEGENERATE``; the entropically forbidden octant raises
@@ -120,44 +117,10 @@ def classify_coupled_arrays(hot_kappa, cold_kappa, j_hot, j_cold, j_mid,
 
 
 def classify_arrays(j_hot, j_cold, power) -> np.ndarray:
-    """Vectorized :func:`classify`; returns int8 codes into MODE_BY_CODE."""
+    """Mode codes into MODE_BY_CODE of the full three-sign taxonomy, from
+    the signs of ``(j_hot, j_cold, power)``."""
     # with both couplings on, j_mid is never read
     return classify_coupled_arrays(1.0, 1.0, j_hot, j_cold, 0.0, power)
-
-
-def classify(point: ThermoPoint) -> OperatingMode:
-    """Operating mode of a point from the signs of (j_hot, j_cold, power).
-
-    Values within the 1e-14 zero band count as sign-indeterminate and yield
-    ``DEGENERATE``.  The entropically forbidden octant raises
-    :class:`ConsistencyError`.
-    """
-    return MODE_BY_CODE[classify_arrays(point.j_hot, point.j_cold, point.power)]
-
-
-# kappa pair that selects the reduced taxonomy of each Lorentzian side
-_REDUCED_KAPPAS = {"hot": (1.0, 0.0), "h": (1.0, 0.0),
-                   "cold": (0.0, 1.0), "c": (0.0, 1.0)}
-
-
-def classify_reduced(point: ThermoPoint, lorentzian: str = "hot") -> OperatingMode:
-    """Two-terminal mode of a machine with one Lorentzian coupling off.
-
-    ``lorentzian="hot"`` (cold coupling off): classify on
-    ``(j_hot, j_mid, power)`` with the static bath as the cold side.
-    ``lorentzian="cold"`` (hot coupling off): classify on
-    ``(j_mid, j_cold, power)`` with the static bath as the hot side.
-
-    Some two-terminal literature names these modes differently:
-    "refrigerator" for refrigerator_pump, "dissipator" for heat_pump, and
-    "accelerator" for wasteful.  Only the labels in :class:`OperatingMode`
-    are ever emitted.
-    """
-    if lorentzian not in _REDUCED_KAPPAS:
-        raise ValueError(f"lorentzian must be 'hot' or 'cold', got {lorentzian!r}")
-    return MODE_BY_CODE[classify_coupled_arrays(
-        *_REDUCED_KAPPAS[lorentzian], point.j_hot, point.j_cold, point.j_mid,
-        point.power)]
 
 
 def exergy_from_split(entropy_pos, entropy_neg) -> np.ndarray:
@@ -188,14 +151,6 @@ def exergy_from_split(entropy_pos, entropy_neg) -> np.ndarray:
                 f"the underlying point violates the second law")
         phi = np.where(over, 1.0, phi)
     return phi
-
-
-def exergy_efficiency(point: ThermoPoint, temps: tuple[float, float, float]) -> float:
-    """Exergy efficiency of a point at ``temps = (t_hot, t_mid, t_cold)``:
-    :func:`exergy_from_split` of the entropy split the kernel would store
-    for its currents."""
-    _, pos, neg = entropy_split(point.power, point.j_hot, point.j_cold, *temps)
-    return float(exergy_from_split(pos, neg))
 
 
 @dataclass(frozen=True)

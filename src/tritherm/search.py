@@ -4,11 +4,10 @@ The strategy is Latin-hypercube sampling over a bounded box followed by
 local refinement around the best candidates (the objectives are cheap,
 smooth, and low-dimensional).  Everything is driven by one integer seed, so
 repeated runs are bit-for-bit reproducible.  Each stage is scored in
-candidate x omega kernel blocks, which run on the calling thread plus one
-helper thread per further CPU (:func:`tritherm._kernels.map_blocks`); each
-block writes its rows of one stage table and scores its own candidates,
-so the result does not depend on the thread count.  The detail of each returned candidate is built by the
-public trace functions, so its score can be read off it.
+candidate x omega kernel blocks, which write their rows of one stage table
+and score their own candidates under :func:`tritherm._kernels.map_blocks`.
+The detail of each returned candidate is built by the public trace
+functions, so its score can be read off it.
 
 A search varies a set of dotted config parameters over ranges (linear or
 log scale) and can lock other parameters to sampled ones (e.g.
@@ -27,7 +26,7 @@ from . import _kernels
 from ._kernels import COL_JC, COL_JH, COL_JM, COL_P, NCOLS, thermo_batch
 from .core import (MAX_COUNT, ConfigError, MachineConfig, PARAM_PATHS, apply_params,
                    as_mapping, check_fields, construct, get_field, integer, number,
-                   string)
+                   parameter_bound, parameter_ok, string)
 from .currents import KERNEL_PATHS, finite_rows, validity_codes
 from .modes import OperatingMode, classify_coupled_arrays
 from .sweep import mode_sequence_along_omega
@@ -118,11 +117,9 @@ class SearchSpec:
             if name not in PARAM_PATHS:
                 raise ConfigError(f"unknown parameter {name!r}")
         for name, rng in self.vary.items():
-            # every parameter is positive; a coupling may be 0
-            zero_ok = name.endswith(".kappa")
-            if not (rng.low >= 0.0 if zero_ok else rng.low > 0.0):
+            if not parameter_ok(name, rng.low):
                 raise ConfigError(f"search.vary.{name}.min must be "
-                                  f"{'>= 0' if zero_ok else '> 0'}, got {rng.low}")
+                                  f"{parameter_bound(name)}, got {rng.low}")
         for name, rule in self.lock.items():
             if name in self.vary:
                 raise ConfigError(f"parameter {name!r} is both varied and locked")
@@ -243,9 +240,8 @@ def _columns(template: MachineConfig, spec: SearchSpec, units, grid) -> tuple:
         values[target] = values[rule.source] + rule.offset
     base = operator.attrgetter(*_ARG_PATHS)(template)
     args = [values.get(path, b) for path, b in zip(_ARG_PATHS, base)]
-    gamma_m = args[-1]
     return values, args, ((validity_codes(args[:-1], len(units)) == 0)
-                          & (gamma_m > 0.0) & (gamma_m < np.inf) & (grid[-1] < args[0]))
+                          & parameter_ok("mid.gamma_m", args[-1]) & (grid[-1] < args[0]))
 
 
 def _scores(spec: SearchSpec, grid, args, rows, out) -> np.ndarray:
@@ -296,17 +292,12 @@ def _stage(template, spec, grid, units, first: int) -> list:
     """Entries ``(score, order, u, values)`` of the unit-cube samples
     ``units``, with orders counted from ``first`` and ``values`` those of
     the varied, then the locked parameters.  Valid candidates are scored
-    in blocks of at most ``_kernels.BLOCK_POINTS`` points, on the calling
-    thread and its helpers (``_kernels.map_blocks``); invalid ones, and
-    those with nonfinite kernel values, score ``-inf``.
-
-    The blocks write their kernel rows into one stage table, allocated
-    here, and score them from it, as a sweep's tiles write into its
-    result arrays: with a table of its own, each block faulted the pages
-    of its table and temporaries in again (see :mod:`tritherm._kernels`).
-    What the spec neither varies nor locks enters the kernel as the
-    template's scalar, so terms without a varied parameter are computed
-    once per grid point."""
+    in ``map_blocks`` blocks of at most ``_kernels.BLOCK_POINTS`` points,
+    which write their kernel rows into one stage table and score them from
+    it; invalid ones, and those with nonfinite kernel values, score
+    ``-inf``.  What the spec neither varies nor locks enters the kernel as
+    the template's scalar, so terms without a varied parameter are
+    computed once per grid point."""
     values, args, valid = _columns(template, spec, units, grid)
     scores = np.full((len(units), 2), -np.inf)
     valid = np.flatnonzero(valid)

@@ -10,13 +10,12 @@ preconditions (temperature ordering, drive range, positive peak
 frequencies) are emitted as error cells carrying NaN values and an error
 code, so maps keep their rectangular shape; the kernel never sees them.
 A valid cell whose kernel values come out nonfinite becomes an error cell
-too, with its own code.  The tiles run on the calling thread plus one
-helper thread per further CPU (:func:`tritherm._kernels.map_blocks`); each
-writes only its own cells.  Every cell is bitwise identical to a
-single-point evaluation at the same parameters, whatever the thread
-count.  :func:`mode_sequence_along_omega` traces one machine along the
-drive; it checks its grid and calls the kernel as ``transistor_trace``
-does.
+too, with its own code.  The tiles run under
+:func:`tritherm._kernels.map_blocks` and each writes only its own cells.
+Every cell is bitwise identical to a single-point evaluation at the same
+parameters, whatever the thread count.  :func:`mode_sequence_along_omega`
+traces one machine along the drive; it checks its grid and calls the
+kernel as ``transistor_trace`` does.
 """
 
 from __future__ import annotations

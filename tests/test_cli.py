@@ -74,6 +74,15 @@ class TestPoint:
         assert payload["point"]["j_hot"] == pytest.approx(
             2 * 0.00278666768099950900067367401566, rel=1e-12)
 
+    @pytest.mark.parametrize("override, message", [
+        ("cold.kappa=-1", "field cold.kappa: kappa must be >= 0, got -1.0"),
+        ("hot.width=0", "field hot.width: width must be > 0, got 0.0"),
+        ("mid.gamma_m=inf", "field mid.gamma_m: gamma_m must be finite, got inf")])
+    def test_set_rejected_value_names_its_field(self, capsys, override, message):
+        argv = ["point", "--config", str(CONFIGS / "default.yaml"), "--set", override]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_field_names_path(self, tmp_path, capsys):
         broken = {k: dict(v) if isinstance(v, dict) else v
                   for k, v in BASE_CONFIG.items()}

@@ -30,10 +30,10 @@ class TestBoseOccupation:
         with pytest.raises(DomainError):
             tt.bose_occupation(0.0)
 
-    @hypothesis.given(st.floats(min_value=1e-8, max_value=50.0))
-    def test_reflection_identity(self, x):
-        assert tt.bose_occupation(-x) == pytest.approx(
-            -1.0 - tt.bose_occupation(x), abs=1e-12)
+    @pytest.mark.parametrize("x", [-1.0, -1e-300, math.nan])
+    def test_nonpositive_and_nan_raise(self, x):
+        with pytest.raises(DomainError, match="x > 0"):
+            tt.bose_occupation(x)
 
     @hypothesis.given(st.floats(min_value=1e-8, max_value=49.0),
                       st.floats(min_value=1e-6, max_value=1.0))
@@ -62,7 +62,8 @@ class TestSpectralDensities:
     def test_lorentzian_peak_value(self, default_config):
         bath, wm = default_config.hot, default_config.wm
         # at resonance the value reduces to d*M/(gamma*center)
-        expected = bath.amplitude(wm.omega0) * wm.mass / (bath.width * bath.center)
+        amplitude = bath.kappa * bath.center ** 2 * wm.omega0 ** 2
+        expected = amplitude * wm.mass / (bath.width * bath.center)
         assert tt.spectral_lorentzian(bath, wm, bath.center) == pytest.approx(
             expected, rel=1e-14)
 
@@ -123,6 +124,11 @@ class TestSpectralDensities:
     def test_lorentzian_negative_frequency_raises(self, default_config):
         with pytest.raises(DomainError):
             tt.spectral_lorentzian(default_config.hot, default_config.wm, -0.1)
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+    def test_lorentzian_nonfinite_frequency_raises(self, default_config, omega):
+        with pytest.raises(DomainError, match="finite omega >= 0"):
+            tt.spectral_lorentzian(default_config.hot, default_config.wm, omega)
 
 
 class TestConfig:
@@ -216,6 +222,11 @@ class TestConfig:
         data["wm"]["omega0"] = -1.0
         with pytest.raises(ConfigError, match=r"^field wm\.omega0: omega0 must be > 0"):
             tt.MachineConfig.from_dict(data)
+
+    @pytest.mark.parametrize("value", [True, "0.02"])
+    def test_apply_params_rejects_what_the_config_rejects(self, default_config, value):
+        with pytest.raises(ConfigError, match=r"^field hot\.kappa: kappa must be a number"):
+            tt.apply_params(default_config, {"hot.kappa": value})
 
     def test_apply_params_unknown_path(self, default_config):
         with pytest.raises(ConfigError, match="unknown parameter"):

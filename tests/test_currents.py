@@ -1,11 +1,16 @@
+import math
+import re
+from types import SimpleNamespace
+
 import hypothesis
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 
 import tritherm as tt
-from tritherm import _kernels
-from tritherm.core import DomainError
+from tritherm import _kernels, search
+from tritherm.core import ConfigError, DomainError
+from tritherm.currents import KERNEL_PATHS, config_args, validity_codes
 
 from conftest import config_from_params, make_config, random_valid_batch
 
@@ -74,6 +79,51 @@ class TestDomain:
     def test_drive_above_omega0_rejected(self):
         with pytest.raises(DomainError):
             tt.evaluate_point(make_config(drive=1.2))
+
+
+class TestParameterRule:
+    """Every entry point applies the one parameter rule: for each parameter
+    and value, either all of them reject it or none does."""
+
+    @staticmethod
+    def _namespace(data):
+        # a template the search reads like a config, but holding any value
+        return SimpleNamespace(**{k: TestParameterRule._namespace(v)
+                                  if isinstance(v, dict) else v for k, v in data.items()})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+    @pytest.mark.parametrize("path", KERNEL_PATHS + ("mid.gamma_m",))
+    def test_entry_points_agree(self, default_config, path, value):
+        section, _, key = path.rpartition(".")
+        verdicts = []
+        try:
+            tt.apply_params(default_config, {path: value})
+            verdicts.append(False)
+        except ConfigError as exc:
+            assert path in str(exc)
+            verdicts.append(True)
+        if path in KERNEL_PATHS:
+            name = key if section == "wm" else path.replace(".", "_")
+            args = list(config_args(default_config))
+            args[KERNEL_PATHS.index(path)] = value
+            try:
+                tt.evaluate_arrays(*args)
+                verdicts.append(False)
+            except DomainError as exc:
+                assert re.match(rf"{name} must be finite and >=? 0$", str(exc))
+                verdicts.append(True)
+            verdicts.append(bool(validity_codes(args, 1)[0]))
+        data = default_config.to_dict()
+        (data[section] if section else data)[key] = value
+        # one varied parameter, held at its template value
+        other = "cold" if path == "hot.center" else "hot"
+        center = getattr(default_config, other).center
+        spec = tt.SearchSpec(objective="transistor_window",
+                             vary={f"{other}.center": tt.VaryRange(center, center)})
+        _, _, valid = search._columns(self._namespace(data), spec,
+                                      np.full((1, 1), 0.5), spec.grid)
+        verdicts.append(not valid[0])
+        assert verdicts == [not (value == 0.0 and key == "kappa")] * len(verdicts)
 
 
 class TestStructure:

@@ -277,7 +277,9 @@ class TestScalarApi:
             # the sign of a zero phi included
             assert bits(report.exergy) == bits(phi[k])
             temps = (cfg.hot.temperature, cfg.mid.temperature, cfg.cold.temperature)
-            assert bits(tt.exergy_efficiency(point, temps)) == bits(phi[k])
+            _, pos, neg = _kernels.entropy_split(point.power, point.j_hot,
+                                                 point.j_cold, *temps)
+            assert bits(float(exergy_from_split(pos, neg))) == bits(phi[k])
             tp = tt.transistor_point(cfg)
             assert bits(tp.r, tp.g, tp.djh_domega, tp.dp_domega, tp.j_hot, tp.power) \
                 == bits(r[k], g[k], *row[[COL_DJH, COL_DP, COL_JH, COL_P]])

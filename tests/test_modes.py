@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import tritherm as tt
+from tritherm._kernels import entropy_split
 from tritherm.core import ConsistencyError
 from tritherm.currents import ThermoPoint
 from tritherm.modes import (MODE_BY_CODE, OperatingMode, classify_arrays,
@@ -16,6 +17,28 @@ def point_from_signs(jh, jc, p):
                        entropy_rate=0.0, entropy_pos=0.0, entropy_neg=0.0)
 
 
+# coupling pairs of the two reduced taxonomies: one Lorentzian bath on
+HOT_ONLY, COLD_ONLY = (1.0, 0.0), (0.0, 1.0)
+
+
+def full_mode(point):
+    """The full three-sign mode of a point, by ``classify_arrays``."""
+    return MODE_BY_CODE[classify_arrays(point.j_hot, point.j_cold, point.power)]
+
+
+def reduced_mode(point, kappas):
+    """The mode of a point under the taxonomy of the coupling pair ``kappas``."""
+    return MODE_BY_CODE[classify_coupled_arrays(*kappas, point.j_hot, point.j_cold,
+                                                point.j_mid, point.power)]
+
+
+def exergy(point, temps):
+    """``exergy_from_split`` of the entropy split the kernel stores for the
+    point's currents at ``temps = (t_hot, t_mid, t_cold)``."""
+    _, pos, neg = entropy_split(point.power, point.j_hot, point.j_cold, *temps)
+    return float(exergy_from_split(pos, neg))
+
+
 class TestClassify:
     @pytest.mark.parametrize("signs,expected", [
         ((+1.0, -0.5, -0.2), OperatingMode.ENGINE),
@@ -27,16 +50,16 @@ class TestClassify:
         ((+1.0, -0.5, +0.2), OperatingMode.WASTEFUL),
     ])
     def test_octants(self, signs, expected):
-        assert tt.classify(point_from_signs(*signs)) is expected
+        assert full_mode(point_from_signs(*signs)) is expected
 
     def test_forbidden_octant_raises(self):
         with pytest.raises(ConsistencyError):
-            tt.classify(point_from_signs(-0.1, +0.05, -0.01))
+            full_mode(point_from_signs(-0.1, +0.05, -0.01))
 
     def test_zero_band_is_degenerate(self):
-        assert tt.classify(point_from_signs(5e-15, -0.5, 0.2)) is OperatingMode.DEGENERATE
-        assert tt.classify(point_from_signs(1.0, -1e-15, 0.2)) is OperatingMode.DEGENERATE
-        assert tt.classify(point_from_signs(1.0, -0.5, 0.0)) is OperatingMode.DEGENERATE
+        assert full_mode(point_from_signs(5e-15, -0.5, 0.2)) is OperatingMode.DEGENERATE
+        assert full_mode(point_from_signs(1.0, -1e-15, 0.2)) is OperatingMode.DEGENERATE
+        assert full_mode(point_from_signs(1.0, -0.5, 0.0)) is OperatingMode.DEGENERATE
 
     def test_labels_are_stable_strings(self):
         assert [m.value for m in OperatingMode] == [
@@ -51,7 +74,7 @@ class TestClassify:
             point = ThermoPoint(out.j_hot[k], out.j_cold[k], out.j_mid[k],
                                 out.power[k], out.entropy_rate[k],
                                 out.entropy_pos[k], out.entropy_neg[k])
-            assert tt.classify(point) is tuple(OperatingMode)[codes[k]]
+            assert full_mode(point) is tuple(OperatingMode)[codes[k]]
 
     def test_no_forbidden_octants_in_random_sample(self):
         batch = random_valid_batch(50000, seed=11)
@@ -70,13 +93,13 @@ class TestReducedClassify:
         jh, jm, p = triple
         point = ThermoPoint(j_hot=jh, j_cold=0.0, j_mid=jm, power=p,
                             entropy_rate=0.0, entropy_pos=0.0, entropy_neg=0.0)
-        assert tt.classify_reduced(point, "hot") is expected
+        assert reduced_mode(point, HOT_ONLY) is expected
 
     def test_lorentzian_cold(self):
         # mid plays the hot role: (j_mid, j_cold, power)
         point = ThermoPoint(j_hot=0.0, j_cold=0.5, j_mid=-1.0, power=0.2,
                             entropy_rate=0.0, entropy_pos=0.0, entropy_neg=0.0)
-        assert tt.classify_reduced(point, "cold") is OperatingMode.REFRIGERATOR_PUMP
+        assert reduced_mode(point, COLD_ONLY) is OperatingMode.REFRIGERATOR_PUMP
 
     def test_coupled_arrays_choose_taxonomy_per_row(self):
         # one row per coupling pair, as in a block of search candidates
@@ -94,49 +117,48 @@ class TestReducedClassify:
         assert [[MODE_BY_CODE[c] for c in row] for row in codes] == \
             [[tt.mode_report(c).mode for c in row] for row in configs]
 
-    def test_unknown_side_raises(self, default_config):
-        with pytest.raises(ValueError, match="lorentzian"):
-            tt.classify_reduced(tt.evaluate_point(default_config), "middle")
-
     def test_full_classify_is_degenerate_for_reduced_machine(self):
-        point = tt.evaluate_point(make_config(kc=0.0))
-        assert tt.classify(point) is OperatingMode.DEGENERATE
-        assert tt.classify_reduced(point, "hot") is not OperatingMode.DEGENERATE
+        for config, kappas in ((make_config(kc=0.0), HOT_ONLY),
+                               (make_config(kh=0.0), COLD_ONLY)):
+            point = tt.evaluate_point(config)
+            assert full_mode(point) is OperatingMode.DEGENERATE
+            assert reduced_mode(point, kappas) is not OperatingMode.DEGENERATE
+            assert tt.mode_report(config).mode is reduced_mode(point, kappas)
 
 
 class TestExergy:
     def test_wasteful_point_has_zero_exergy(self):
         point = point_from_signs(+1.0, -0.5, +0.2)
-        assert tt.exergy_efficiency(point, (0.8, 0.5, 0.2)) == 0.0
+        assert exergy(point, (0.8, 0.5, 0.2)) == 0.0
 
     def test_zero_negative_split_gives_zero(self):
         point = point_from_signs(+1.0, -0.5, +0.2)
-        assert tt.exergy_efficiency(point, (0.8, 0.5, 0.2)) == 0.0
+        assert exergy(point, (0.8, 0.5, 0.2)) == 0.0
 
     def test_reference_value(self):
         # step-function form at P=-0.01, J_h=1, J_c=-0.4 with (0.8, 0.5, 0.2):
         # useful = -P, resource = J_c(1-Tm/Tc) + J_h(1-Tm/Th) = 1.2 + 0.75
         point = point_from_signs(+1.0, -0.4, -0.01)
-        assert tt.exergy_efficiency(point, (0.8, 0.5, 0.2)) == pytest.approx(
+        assert exergy(point, (0.8, 0.5, 0.2)) == pytest.approx(
             0.01025641025641025641, rel=1e-14)
 
     def test_matches_stored_split(self, default_config):
         point = tt.evaluate_point(default_config)
         temps = (0.8, 0.5, 0.2)
         from_split = -point.entropy_neg / point.entropy_pos
-        assert tt.exergy_efficiency(point, temps) == pytest.approx(
+        assert exergy(point, temps) == pytest.approx(
             from_split, rel=1e-12)
 
     def test_no_positive_split_raises(self):
         # all balance terms <= 0 and one < 0: entropy rate would be negative
         point = point_from_signs(-1.0, 0.0, -0.01)
         with pytest.raises(ConsistencyError):
-            tt.exergy_efficiency(point, (0.8, 0.5, 0.2))
+            exergy(point, (0.8, 0.5, 0.2))
 
     def test_large_violation_raises(self):
         point = point_from_signs(+1.0, +10.0, -0.3)
         with pytest.raises(ConsistencyError):
-            tt.exergy_efficiency(point, (0.8, 0.5, 0.2))
+            exergy(point, (0.8, 0.5, 0.2))
 
     def test_split_clamps_rounding_above_one(self):
         phi = exergy_from_split([1.0, 1.0, 2.0], [-1.0 - 5e-13, -0.5, -1.0])
