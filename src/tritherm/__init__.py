@@ -14,8 +14,7 @@ from .core import (ConfigError, ConsistencyError, DomainError,
                    LorentzianBath, MachineConfig, OhmicBath, TrithermError,
                    WorkingMedium, apply_params, bose_occupation,
                    spectral_lorentzian)
-from .currents import (SIGN_ZERO_BAND, ThermoArrays, ThermoPoint,
-                       evaluate_arrays, evaluate_point)
+from .currents import SIGN_ZERO_BAND, ThermoPoint, evaluate_arrays, evaluate_point
 from .modes import HYBRID_MODES, ModeReport, OperatingMode, mode_report
 from .search import Candidate, LockRule, SearchSpec, VaryRange, run_search
 from .sweep import (Axis, SweepResult, SweepSpec,
@@ -29,7 +28,7 @@ __all__ = [
     "TrithermError", "ConfigError", "DomainError", "ConsistencyError",
     "WorkingMedium", "LorentzianBath", "OhmicBath", "MachineConfig",
     "apply_params", "bose_occupation", "spectral_lorentzian",
-    "SIGN_ZERO_BAND", "ThermoPoint", "ThermoArrays",
+    "SIGN_ZERO_BAND", "ThermoPoint",
     "evaluate_point", "evaluate_arrays",
     "OperatingMode", "HYBRID_MODES", "ModeReport", "mode_report",
     "TransistorPoint", "TransistorWindow", "TransistorTrace",

@@ -35,14 +35,15 @@ import datetime
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import yaml
 
 from . import __version__
 from .core import (MAX_COUNT, ConfigError, DomainError, MachineConfig, TrithermError,
-                   apply_params, as_mapping, check_fields, construct, get_field,
-                   integer, number)
+                   apply_params, as_mapping, check_fields, construct, from_fields,
+                   get_field, integer, number)
 from .modes import mode_report
 from .search import SearchSpec, run_search
 from .sweep import Axis, SweepSpec, _float_texts, run_sweep
@@ -205,9 +206,9 @@ def _sweep_from_flags(args, raw) -> dict:
 
 def cmd_sweep(config, manifest, warnings):
     grid = manifest["sweep"]
-    axis1 = Axis.from_dict(grid.get("axis1"), "sweep.axis1")
+    axis1 = from_fields(Axis, grid.get("axis1"), "sweep.axis1")
     # a 1D sweep records its second axis as null
-    axis2 = (Axis.from_dict(grid["axis2"], "sweep.axis2")
+    axis2 = (from_fields(Axis, grid["axis2"], "sweep.axis2")
              if grid.get("axis2") is not None else None)
     outputs = get_field(grid, "outputs", "sweep", _names)
     check_fields(grid, ("axis1", "axis2", "outputs"), "sweep")
@@ -220,7 +221,7 @@ def cmd_sweep(config, manifest, warnings):
         n_err = np.count_nonzero(result.error_codes)
         print(f"sweep: {result.size} cells ({n_err} error cells) -> {args.out}",
               file=sys.stderr)
-    return {"axis1": axis1.to_dict(), "axis2": axis2.to_dict() if axis2 else None,
+    return {"axis1": asdict(axis1), "axis2": asdict(axis2) if axis2 else None,
             "outputs": sorted(outputs)}, None, write
 
 
@@ -321,7 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis1", metavar="PARAM:START:STOP[:COUNT]",
                    help=f"count defaults to {DEFAULT_AXIS_COUNT}")
     p.add_argument("--axis2", metavar="PARAM:START:STOP[:COUNT]")
-    p.add_argument("--outputs", help="comma list of currents,mode,exergy,transistor")
+    p.add_argument("--outputs", help="comma list of currents,mode,exergy,transistor; "
+                   "only transistor changes the columns (it adds r and g): the "
+                   "currents, mode and phi are always written")
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--json", action="store_true",
                    help="also write <out>.json with a metadata header")

@@ -10,7 +10,7 @@ harmonic oscillator coupled to two harmonically modulated Lorentzian baths
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -28,6 +28,7 @@ __all__ = [
     "MachineConfig",
     "bose_occupation",
     "spectral_lorentzian",
+    "SECTIONS",
     "PARAM_PATHS",
     "apply_params",
 ]
@@ -134,6 +135,24 @@ def get_field(data: dict, key: str, path: str, kind, default=MISSING):
                           f"{data[key]!r}") from None
 
 
+# The reader of each annotated field type; annotations are strings here
+# (``from __future__ import annotations``).
+_KINDS = {"float": number, "int": integer, "str": string}
+
+
+def from_fields(cls, data, path: str):
+    """A ``cls`` record read from the mapping ``data`` at the dotted
+    ``path``: each dataclass field by its annotated type (``float``,
+    ``int`` or ``str``), an absent one taking its default.  ConfigError
+    names a missing or malformed field first, then an unknown key, then a
+    field the record rejects, each by its dotted path."""
+    data = as_mapping(data, path)
+    values = {name: get_field(data, name, path, _KINDS[f.type], f.default)
+              for name, f in cls.__dataclass_fields__.items()}
+    check_fields(data, values, path)
+    return construct(cls, path, **values)
+
+
 # The three rules of the machine's domain.  Each takes floats, where it is
 # a few comparisons giving a bool, or arrays, elementwise; NaN fails each.
 
@@ -162,11 +181,11 @@ def ordering_ok(t_hot, t_mid, t_cold, relax: bool = False):
     return (t_hot > t_mid) & (t_mid > t_cold) & (t_cold > 0.0)
 
 
-def _check_params(obj, names: tuple) -> None:
-    """Check the fields ``names`` of a frozen dataclass by the parameter
+def _check_params(obj) -> None:
+    """Check the float fields of a frozen config record by the parameter
     rule, naming the field, and store each as a float, so that an int given
     in code serializes like one read from a file."""
-    for name in names:
+    for name in _PARAMS[type(obj)]:
         value = getattr(obj, name)
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{name} must be a number, got {value!r}", name)
@@ -193,7 +212,7 @@ class WorkingMedium:
     mass: float = 1.0
 
     def __post_init__(self):
-        _check_params(self, ("omega0", "mass"))
+        _check_params(self)
 
 
 @dataclass(frozen=True)
@@ -223,7 +242,7 @@ class LorentzianBath:
     kappa: float
 
     def __post_init__(self):
-        _check_params(self, ("temperature", "center", "width", "kappa"))
+        _check_params(self)
 
 
 @dataclass(frozen=True)
@@ -239,7 +258,7 @@ class OhmicBath:
     gamma_m: float = 0.1
 
     def __post_init__(self):
-        _check_params(self, ("temperature", "gamma_m"))
+        _check_params(self)
 
 
 @dataclass(frozen=True)
@@ -271,7 +290,7 @@ class MachineConfig:
     wm: WorkingMedium = field(default_factory=WorkingMedium)
 
     def __post_init__(self):
-        _check_params(self, ("drive_freq",))
+        _check_params(self)
 
     @property
     def detuning(self) -> float:
@@ -311,46 +330,35 @@ class MachineConfig:
         return warnings
 
     def to_dict(self) -> dict:
-        return {
-            "drive_freq": self.drive_freq,
-            "wm": {"omega0": self.wm.omega0, "mass": self.wm.mass},
-            "hot": {"temperature": self.hot.temperature, "center": self.hot.center,
-                    "width": self.hot.width, "kappa": self.hot.kappa},
-            "cold": {"temperature": self.cold.temperature, "center": self.cold.center,
-                     "width": self.cold.width, "kappa": self.cold.kappa},
-            "mid": {"temperature": self.mid.temperature, "gamma_m": self.mid.gamma_m},
-        }
+        return {"drive_freq": self.drive_freq,
+                **{name: asdict(getattr(self, name)) for name in SECTIONS}}
 
     @classmethod
     def from_dict(cls, data: dict) -> "MachineConfig":
         """Build a config from a nested mapping, naming offending fields.
 
-        The sections ``wm``, ``hot``, ``cold`` and ``mid`` accept their own
-        fields only, so a misspelled key is an error rather than a default;
-        the top level stays open for sections such as ``search``."""
+        Each section of :data:`SECTIONS` accepts its own fields only, so a
+        misspelled key is an error rather than a default; the top level
+        stays open for sections such as ``search``."""
         data = as_mapping(data, "config")
-
-        def build(factory, name):
-            sec = as_mapping(data.get(name, {}), name)
-            check_fields(sec, factory.__dataclass_fields__, name)
-            return construct(factory, name, **{
-                f.name: get_field(sec, f.name, name, number, f.default)
-                for f in fields(factory)})
-
         return cls(drive_freq=get_field(data, "drive_freq", "", number),
-                   hot=build(LorentzianBath, "hot"),
-                   cold=build(LorentzianBath, "cold"),
-                   mid=build(OhmicBath, "mid"), wm=build(WorkingMedium, "wm"))
+                   **{name: from_fields(record, data.get(name, {}), name)
+                      for name, record in SECTIONS.items()})
 
+
+# The record of each config section, in the order of a written config
+SECTIONS = {"wm": WorkingMedium, "hot": LorentzianBath, "cold": LorentzianBath,
+            "mid": OhmicBath}
+
+# The float fields of each record, which _check_params checks; found once
+# here, not on every construction.
+_PARAMS = {cls: tuple(name for name, f in cls.__dataclass_fields__.items()
+                      if f.type == "float")
+           for cls in (*SECTIONS.values(), MachineConfig)}
 
 # Dotted parameter paths accepted by overrides, sweeps, and searches.
-PARAM_PATHS = (
-    "drive_freq",
-    "wm.omega0", "wm.mass",
-    "hot.temperature", "hot.center", "hot.width", "hot.kappa",
-    "cold.temperature", "cold.center", "cold.width", "cold.kappa",
-    "mid.temperature", "mid.gamma_m",
-)
+PARAM_PATHS = ("drive_freq", *(f"{name}.{key}" for name, record in SECTIONS.items()
+                               for key in record.__dataclass_fields__))
 
 
 def apply_params(config: MachineConfig, params: dict) -> MachineConfig:

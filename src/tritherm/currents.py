@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .core import (DomainError, MachineConfig, drive_ok, ordering_ok, parameter_
 __all__ = [
     "SIGN_ZERO_BAND",
     "ThermoPoint",
-    "ThermoArrays",
     "evaluate_point",
     "evaluate_arrays",
     "config_args",
@@ -45,12 +44,13 @@ SIGN_ZERO_BAND = 1e-14
 
 @dataclass(frozen=True)
 class ThermoPoint:
-    """Period-averaged thermodynamic quantities at one operating point.
+    """Period-averaged thermodynamic quantities at one operating point, or
+    at each point of a batch, as arrays (see :func:`evaluate_arrays`).
 
     ``entropy_rate = entropy_pos + entropy_neg`` and
     ``power + j_hot + j_cold + j_mid = 0`` hold to rounding; the second law
     guarantees ``entropy_rate >= 0`` for any config with ordered
-    temperatures.
+    temperatures.  The fields are declared in kernel column order.
     """
 
     j_hot: float
@@ -62,29 +62,7 @@ class ThermoPoint:
     entropy_neg: float
 
     def to_dict(self) -> dict:
-        return {
-            "j_hot": self.j_hot, "j_cold": self.j_cold, "j_mid": self.j_mid,
-            "power": self.power, "entropy_rate": self.entropy_rate,
-            "entropy_pos": self.entropy_pos, "entropy_neg": self.entropy_neg,
-        }
-
-
-@dataclass(frozen=True)
-class ThermoArrays:
-    """Columnar result of a batched evaluation (see :func:`evaluate_arrays`)."""
-
-    j_hot: np.ndarray
-    j_cold: np.ndarray
-    j_mid: np.ndarray
-    power: np.ndarray
-    entropy_rate: np.ndarray
-    entropy_pos: np.ndarray
-    entropy_neg: np.ndarray
-
-    @classmethod
-    def from_table(cls, table: np.ndarray) -> "ThermoArrays":
-        # fields are declared in kernel column order
-        return cls(*(table[..., c] for c in range(NCOLS)))
+        return asdict(self)
 
 
 # Dotted config paths of the twelve kernel arguments, in batch-call order.
@@ -175,7 +153,6 @@ def evaluate_point(config: MachineConfig) -> ThermoPoint:
     balance terms are assigned to ``entropy_pos``/``entropy_neg`` by their
     individual signs).  DomainError if a value comes out NaN.
     """
-    # ThermoPoint fields are declared in kernel column order
     return ThermoPoint(*_point_values(_drive_table(config)[1]))
 
 
@@ -192,17 +169,25 @@ def _point_values(row: np.ndarray) -> list[float]:
 
 def evaluate_arrays(omega0, mass, drive_freq, hot_temperature, mid_temperature,
                     cold_temperature, hot_center, hot_width, hot_kappa,
-                    cold_center, cold_width, cold_kappa) -> ThermoArrays:
+                    cold_center, cold_width, cold_kappa) -> ThermoPoint:
     """Batched :func:`evaluate_point` over broadcastable parameter arrays.
 
     All arguments broadcast; scalars are allowed.  DomainError names the
     first argument with an element that fails the parameter rule, or the
-    drive rule (:mod:`tritherm.core`); the ordering is not checked.  Returns
-    a :class:`ThermoArrays` with one entry per broadcast element.
+    drive rule (:mod:`tritherm.core`); the ordering is not checked.
+    DomainError also if a point's values fail :func:`finite_rows`, giving
+    the number of such points.  Returns a :class:`ThermoPoint` whose fields
+    are arrays, with one entry per broadcast element.
     """
     args = dict(locals())   # the twelve arguments, in kernel order
     for name, value in args.items():
         if not parameter_ok(name, np.asarray(value, dtype=np.float64)).all():
             raise DomainError(f"{name} must be finite and {parameter_bound(name)}")
     check_drive(drive_freq, omega0)
-    return ThermoArrays.from_table(thermo_batch(*args.values()))
+    table = thermo_batch(*args.values())
+    finite = finite_rows(table)
+    if not finite.all():
+        raise DomainError(f"the closed forms give nonfinite values at "
+                          f"{finite.size - np.count_nonzero(finite)} of {finite.size} "
+                          f"points; their parameters over- or underflow")
+    return ThermoPoint(*(table[..., c] for c in range(NCOLS)))

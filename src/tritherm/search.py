@@ -18,15 +18,15 @@ log scale) and can lock other parameters to sampled ones (e.g.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import _kernels
 from ._kernels import COL_JC, COL_JH, COL_JM, COL_P, NCOLS, thermo_batch
 from .core import (MAX_COUNT, ConfigError, MachineConfig, PARAM_PATHS, apply_params,
-                   as_mapping, check_fields, construct, get_field, integer, number,
-                   parameter_bound, parameter_ok, string)
+                   as_mapping, check_fields, construct, from_fields, get_field, integer,
+                   number, parameter_bound, parameter_ok, string)
 from .currents import KERNEL_PATHS, finite_rows, validity_codes
 from .modes import OperatingMode, classify_coupled_arrays
 from .sweep import mode_sequence_along_omega
@@ -163,9 +163,7 @@ class SearchSpec:
                                 high=get_field(rng, "max", where, number),
                                 scale=get_field(rng, "scale", where, string, "linear"))
                 for name, rng, where in _entries(section, "vary", path)}
-        lock = {name: construct(LockRule, where,
-                                source=get_field(rule, "source", where, string),
-                                offset=get_field(rule, "offset", where, number, 0.0))
+        lock = {name: from_fields(LockRule, rule, where)
                 for name, rule, where in _entries(section, "lock", path)}
         grid = as_mapping(section.get("omega_grid") or {}, f"{path}.omega_grid")
         options = {f"omega_{k}": get_field(grid, k, f"{path}.omega_grid", kind)
@@ -173,9 +171,8 @@ class SearchSpec:
         options.update({k: get_field(section, k, path, kind)
                         for k, kind in _SCALAR_FIELDS.items() if k in section})
         # after the known fields, so that a missing one is named first
-        for key, known in (("vary", _VARY_FIELDS), ("lock", _LOCK_FIELDS)):
-            for _, entry, where in _entries(section, key, path):
-                check_fields(entry, known, where)
+        for _, entry, where in _entries(section, "vary", path):
+            check_fields(entry, _VARY_FIELDS, where)
         check_fields(grid, _GRID_FIELDS, f"{path}.omega_grid")
         check_fields(section, _SECTION_FIELDS, path)
         return cls(objective=get_field(section, "objective", path, string,
@@ -189,23 +186,21 @@ class SearchSpec:
             "objective": self.objective,
             "vary": {k: {"min": v.low, "max": v.high, "scale": v.scale}
                      for k, v in self.vary.items()},
-            "lock": {k: {"source": r.source, "offset": r.offset}
-                     for k, r in self.lock.items()},
+            "lock": {k: asdict(r) for k, r in self.lock.items()},
             "omega_grid": {k: getattr(self, f"omega_{k}") for k in _GRID_FIELDS},
             **{k: getattr(self, k) for k in _SCALAR_FIELDS},
         }
 
 
 # Fields of a search section, with the types of the plain ones, and of its
-# vary and lock entries; omega_grid.<key> maps to the SearchSpec field
-# omega_<key>.  Any other key is an error.
+# vary entries; omega_grid.<key> maps to the SearchSpec field omega_<key>.
+# Any other key is an error.
 _GRID_FIELDS = {"start": number, "stop": number, "count": integer}
 _SCALAR_FIELDS = {"threshold": number, "samples": integer, "refine_rounds": integer,
                   "refine_samples": integer, "pool": integer, "shrink": number,
                   "top_k": integer}
 _SECTION_FIELDS = ("objective", "vary", "lock", "omega_grid", *_SCALAR_FIELDS)
 _VARY_FIELDS = ("min", "max", "scale")
-_LOCK_FIELDS = ("source", "offset")
 
 
 def _entries(section: dict, key: str, path: str):
@@ -224,7 +219,7 @@ class Candidate:
     detail: dict
 
     def to_dict(self) -> dict:
-        return {"params": self.params, "score": self.score, "detail": self.detail}
+        return asdict(self)
 
 
 def _columns(template: MachineConfig, spec: SearchSpec, units, grid) -> tuple:

@@ -24,15 +24,14 @@ import contextlib
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import _kernels
 from ._kernels import (COL_JC, COL_JH, COL_JM, COL_P, COL_SNEG, COL_SPOS, NCOLS,
                        thermo_batch)
-from .core import (MAX_COUNT, ConfigError, MachineConfig, as_mapping, construct,
-                   get_field, integer, number, string)
+from .core import MAX_COUNT, ConfigError, MachineConfig
 from .currents import (KERNEL_PATHS, VALIDITY_MESSAGES, _drive_table, config_args,
                        finite_rows, validity_codes)
 from .modes import (ERROR_CODE, MODE_BY_CODE, classify_coupled_arrays,
@@ -110,20 +109,6 @@ class Axis:
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
 
-    def to_dict(self) -> dict:
-        return {"param": self.param, "start": self.start,
-                "stop": self.stop, "count": self.count}
-
-    @classmethod
-    def from_dict(cls, data, path: str) -> "Axis":
-        """Inverse of :meth:`to_dict`; ConfigError names a missing or
-        malformed field below ``path`` (e.g. ``sweep.axis1.count``)."""
-        data = as_mapping(data, path)
-        values = {key: get_field(data, key, path, kind) for key, kind in (
-            ("param", string), ("start", number), ("stop", number),
-            ("count", integer))}
-        return construct(cls, path, **values)
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -159,20 +144,19 @@ def _apply_axis(cols: list[np.ndarray], param: str, values: np.ndarray,
         cols[_ARG_INDEX[param]] = values
 
 
+@dataclass(eq=False)
 class SweepResult:
     """Columnar sweep output; row-major over (axis1, axis2)."""
 
-    def __init__(self, spec, axis1_values, axis2_values, thermo, mode_codes,
-                 phi, r, g, error_codes):
-        self.spec = spec
-        self.axis1_values = axis1_values
-        self.axis2_values = axis2_values
-        self.thermo = thermo
-        self.mode_codes = mode_codes
-        self.phi = phi
-        self.r = r
-        self.g = g
-        self.error_codes = error_codes
+    spec: SweepSpec
+    axis1_values: np.ndarray
+    axis2_values: np.ndarray | None
+    thermo: np.ndarray
+    mode_codes: np.ndarray
+    phi: np.ndarray
+    r: np.ndarray | None
+    g: np.ndarray | None
+    error_codes: np.ndarray
 
     @property
     def errors(self) -> list:
@@ -208,11 +192,10 @@ class SweepResult:
     def to_csv(self, path) -> None:
         self._write_text(csv_path=path)
 
-    def to_json(self, path, metadata: dict | None = None) -> None:
-        self._write_text(json_path=path, metadata=metadata)
+    def to_json(self, path) -> None:
+        self._write_text(json_path=path)
 
-    def _write_text(self, csv_path=None, json_path=None,
-                    metadata: dict | None = None) -> None:
+    def _write_text(self, csv_path=None, json_path=None) -> None:
         """Write the CSV export, the JSON export or both, a chunk of rows at a
         time; each float is formatted once, for both files."""
         header = self.csv_header()
@@ -229,9 +212,9 @@ class SweepResult:
             if out_json:
                 spec = self.spec
                 meta = {"artifact": "tritherm", "config": spec.template.to_dict(),
-                        "grid": {"axis1": spec.axis1.to_dict(),
-                                 "axis2": spec.axis2.to_dict() if spec.axis2 else None},
-                        "outputs": sorted(spec.outputs), **(metadata or {})}
+                        "grid": {"axis1": asdict(spec.axis1),
+                                 "axis2": asdict(spec.axis2) if spec.axis2 else None},
+                        "outputs": sorted(spec.outputs)}
                 out_json.write('{"metadata":' + json.dumps(
                     meta, sort_keys=True, separators=(",", ":")) + ',"rows":[')
             for start in range(0, self.size, _CHUNK_ROWS):

@@ -527,19 +527,25 @@ class TestRunPath:
         assert f"error: {flag[0]} cannot be given with --from-manifest" in err
         assert not rerun.exists()
 
-    @pytest.mark.parametrize("command", ["point", "sweep", "transistor", "search"])
-    @pytest.mark.parametrize("where", ["section", "manifest"])
+    @pytest.mark.parametrize("where,command", [
+        *((where, command) for where in ("section", "manifest")
+          for command in ("point", "sweep", "transistor", "search")),
+        ("sweep.axis1", "sweep")])
     def test_unknown_key_exits_one_naming_it(self, tmp_path, capsys, command, where):
         manifest = _manifest_for(tmp_path, command)
         data = json.loads(manifest.read_text())
-        (data[command] if where == "section" else data)["bogus"] = 1
+        path = {"section": [command], "manifest": []}.get(where, where.split("."))
+        entry = data
+        for key in path:
+            entry = entry[key]
+        entry["cuont"] = 7
         manifest.write_text(json.dumps(data))
         capsys.readouterr()
         rerun = tmp_path / "rerun"
         assert main([command, "--from-manifest", str(manifest),
                      "--out", str(rerun)]) == 1
-        named = command if where == "section" else "manifest"
-        assert f"error: unknown field: {named}.bogus" in capsys.readouterr().err
+        named = ".".join(path) or "manifest"
+        assert f"error: unknown field: {named}.cuont" in capsys.readouterr().err
         assert not rerun.exists()
 
     @pytest.mark.parametrize("command", ["point", "sweep", "transistor", "search"])
@@ -772,7 +778,66 @@ class TestUnknownConfigFields:
         assert "unknown field: wm.omga0" in capsys.readouterr().err
 
 
+def _text_file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _search_config(tmp_path, **changes):
+    return write_config(tmp_path, dict(BASE_CONFIG, search=dict(SEARCH_SECTION, **changes)))
+
+
+# Runs that fail: the argv made in tmp_path, the exit code and the message
+FAILING_RUNS = {
+    "yaml_syntax": (lambda tmp: [
+        "point", "--config", _text_file(tmp, "bad.yaml", "hot: {temperature: [\n")],
+        1, "cannot parse config"),
+    "set_without_value": (lambda tmp: [
+        "point", "--config", write_config(tmp, BASE_CONFIG), "--set", "hot.kappa"],
+        1, "--set expects key=value"),
+    "set_not_a_number": (lambda tmp: [
+        "point", "--config", write_config(tmp, BASE_CONFIG), "--set", "hot.kappa=abc"],
+        1, "value must be a number"),
+    "manifest_a_list": (lambda tmp: [
+        "point", "--from-manifest", _text_file(tmp, "list.json", "[]")],
+        1, "must contain a mapping"),
+    "manifest_of_another_command": (lambda tmp: [
+        "transistor", "--from-manifest", str(_manifest_for(tmp, "sweep")),
+        "--out", str(tmp / "t.csv")], 1, "was written by 'sweep'"),
+    "point_without_config": (lambda tmp: ["point"], 1, "needs --config"),
+    "malformed_axis": (lambda tmp: [
+        "sweep", "--config", write_config(tmp, BASE_CONFIG), "--axis1", "drive_freq:a:b:5",
+        "--out", str(tmp / "s.csv")], 1, "malformed axis"),
+    "sweep_without_axis1": (lambda tmp: [
+        "sweep", "--config", write_config(tmp, BASE_CONFIG), "--out", str(tmp / "s.csv")],
+        1, "needs --axis1"),
+    "out_in_missing_directory": (lambda tmp: [
+        "point", "--config", write_config(tmp, BASE_CONFIG),
+        "--out", str(tmp / "missing" / "p.json")], 2, "error: [Errno 2]"),
+    "search_varies_unknown_parameter": (lambda tmp: [
+        "search", "--config",
+        _search_config(tmp, vary={"hot.temp": {"min": 0.5, "max": 0.6}})],
+        1, "unknown parameter"),
+    "varied_and_locked": (lambda tmp: [
+        "search", "--config",
+        _search_config(tmp, lock={"hot.center": {"source": "hot.temperature"}})],
+        1, "both varied and locked"),
+}
+
+
 class TestErrors:
+    @pytest.mark.parametrize("run", FAILING_RUNS)
+    def test_failing_run_exits_naming_its_cause(self, tmp_path, capsys, run):
+        make_argv, code, message = FAILING_RUNS[run]
+        argv = make_argv(tmp_path)
+        manifests = set(tmp_path.rglob("*.manifest.json"))
+        capsys.readouterr()
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert set(tmp_path.rglob("*.manifest.json")) == manifests
+
     @pytest.mark.parametrize("points", ["-1", "0"])
     def test_transistor_points_below_one_names_field(self, tmp_path, capsys, points):
         path = write_config(tmp_path, BASE_CONFIG)

@@ -198,6 +198,16 @@ class TestBatch:
         with pytest.raises(DomainError, match=name):
             tt.evaluate_arrays(**batch)
 
+    @pytest.mark.parametrize("hot_center, bad", [
+        (1e200, 1), (np.array([1.5, 1e200, 2.0, 1e200]), 2)], ids=["scalar", "array"])
+    def test_nonfinite_values_raise_counting_points(self, default_config, hot_center, bad):
+        # a hot Lorentzian of inf / inf: evaluate_point raises on it too
+        args = list(config_args(default_config))
+        args[KERNEL_PATHS.index("hot.center")] = hot_center
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                DomainError, match=f"nonfinite values at {bad} of {np.size(hot_center)} "):
+            tt.evaluate_arrays(*args)
+
     def test_equal_temperatures_and_zero_couplings_evaluate(self):
         batch = dict(random_valid_batch(3, seed=4), hot_kappa=0.0)
         batch["hot_temperature"] = batch["mid_temperature"]
