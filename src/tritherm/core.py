@@ -123,14 +123,15 @@ def get_field(data: dict, key: str, path: str, kind, default=MISSING):
     ``kind`` is one of :func:`number`, :func:`integer` and :func:`string`,
     or any callable raising TypeError or ValueError on a malformed value.
     """
-    where = f"{path}.{key}" if path else key
     if key not in data:
         if default is MISSING:
+            where = f"{path}.{key}" if path else key
             raise ConfigError(f"missing field: {where}")
         return default
     try:
         return kind(data[key])
     except (TypeError, ValueError):
+        where = f"{path}.{key}" if path else key
         raise ConfigError(f"field {where} has an invalid value "
                           f"{data[key]!r}") from None
 

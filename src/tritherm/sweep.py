@@ -16,6 +16,14 @@ Every cell is bitwise identical to a single-point evaluation at the same
 parameters, whatever the thread count.  :func:`mode_sequence_along_omega`
 traces one machine along the drive; it checks its grid and calls the
 kernel as ``transistor_trace`` does.
+
+The text exports (:meth:`SweepResult.to_csv`, :meth:`SweepResult.to_json`
+and the CLI's pair of both) spend nearly all their time in ``float.__repr__``,
+which holds the GIL, so they run on processes rather than threads: the
+rows are cut into one contiguous range per CPU, by the thread count of
+``map_blocks``, the calling process formats the first range, and one
+forked child per further CPU formats each other range.  The bytes do not
+depend on that count; ``taskset -c 0`` keeps the export in one process.
 """
 
 from __future__ import annotations
@@ -24,6 +32,10 @@ import contextlib
 import csv
 import io
 import json
+import os
+import shutil
+import tempfile
+import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -31,7 +43,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import (COL_JC, COL_JH, COL_JM, COL_P, COL_SNEG, COL_SPOS, NCOLS,
                        thermo_batch)
-from .core import MAX_COUNT, ConfigError, MachineConfig
+from .core import MAX_COUNT, ConfigError, MachineConfig, TrithermError
 from .currents import (KERNEL_PATHS, VALIDITY_MESSAGES, _drive_table, config_args,
                        finite_rows, validity_codes)
 from .modes import (ERROR_CODE, MODE_BY_CODE, classify_coupled_arrays,
@@ -196,45 +208,112 @@ class SweepResult:
         self._write_text(json_path=path)
 
     def _write_text(self, csv_path=None, json_path=None) -> None:
-        """Write the CSV export, the JSON export or both, a chunk of rows at a
-        time; each float is formatted once, for both files."""
+        """Write the CSV export, the JSON export or both, on every CPU of
+        the process.
+
+        The rows are cut into one contiguous range per CPU
+        (``_kernels._WORKERS``, at most one range per chunk of
+        ``_CHUNK_ROWS``), and every range goes through :meth:`_text_chunks`.
+        The caller writes its own range, the first, into the output files;
+        one forked child per further range writes its range into a pair of
+        temporary files, which the caller appends in row order.  Without
+        ``os.fork``, or with another thread alive (a forked child holds
+        only the calling thread, and no lock another thread held is ever
+        released in it), the caller writes every range.  A child that fails
+        makes the call raise TrithermError, and no child outlives the call.
+        """
         header = self.csv_header()
+        workers = min(_kernels._WORKERS, -(-self.size // _CHUNK_ROWS))
+        if not hasattr(os, "fork") or threading.active_count() > 1:
+            workers = 1
+        ranges = [range(self.size * w // workers, self.size * (w + 1) // workers)
+                  for w in range(workers)]
+        paths = (csv_path, json_path)
+        children = {}   # pid -> (its rows, its temporary files), in row order
+        with contextlib.ExitStack() as stack:
+            out_csv, out_json = outs = [p and stack.enter_context(open(p, "wb"))
+                                        for p in paths]
+            try:
+                for part in ranges[1:]:
+                    tmps = [p and stack.enter_context(tempfile.TemporaryFile())
+                            for p in paths]
+                    pid = os.fork()
+                    if pid == 0:   # the child; os._exit flushes no buffer of the caller
+                        status = 1
+                        try:
+                            _write_chunks(self._text_chunks(part, *paths), tmps)
+                            status = 0
+                        finally:
+                            os._exit(status)
+                    children[pid] = part, tmps
+                if out_csv:
+                    out_csv.write((",".join(header) + "\r\n").encode())
+                if out_json:
+                    spec = self.spec
+                    meta = {"artifact": "tritherm", "config": spec.template.to_dict(),
+                            "grid": {"axis1": asdict(spec.axis1),
+                                     "axis2": asdict(spec.axis2) if spec.axis2 else None},
+                            "outputs": sorted(spec.outputs)}
+                    out_json.write(('{"metadata":' + json.dumps(
+                        meta, sort_keys=True, separators=(",", ":")) + ',"rows":[').encode())
+                _write_chunks(self._text_chunks(ranges[0], *paths), outs)
+                for pid, (part, tmps) in list(children.items()):
+                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    del children[pid]
+                    if status:
+                        raise TrithermError(f"the writer of rows {part.start} to "
+                                            f"{part.stop - 1} exited with status {status}")
+                    for tmp, out in zip(tmps, outs):
+                        if out:
+                            tmp.seek(0)
+                            shutil.copyfileobj(tmp, out)
+            finally:
+                if children:
+                    import signal   # only here: a failed write
+                    for pid in children:
+                        os.kill(pid, signal.SIGKILL)
+                        os.waitpid(pid, 0)
+            if out_json:
+                out_json.write(('],"schema":' + json.dumps(
+                    header, separators=(",", ":")) + "}").encode())
+
+    def _text_chunks(self, rows: range, want_csv, want_json):
+        """``(CSV bytes, JSON bytes)`` of each chunk of at most
+        ``_CHUNK_ROWS`` of the ``rows``, None for a format not wanted; each
+        float is formatted once, for both files.  A JSON chunk after the
+        first row of the sweep begins with the comma that joins it to the
+        previous one."""
         n2 = 1 if self.axis2_values is None else len(self.axis2_values)
         axes = [np.array(_float_texts(a)[0], dtype=object)
                 for a in (self.axis1_values, self.axis2_values) if a is not None]
         currents = [self.thermo[:, c] for c in range(5)]
         figures = [self.phi] + ([self.r, self.g] if self.r is not None else [])
-        with contextlib.ExitStack() as stack:
-            out_csv = csv_path and stack.enter_context(open(csv_path, "w", newline=""))
-            out_json = json_path and stack.enter_context(open(json_path, "w"))
-            if out_csv:
-                out_csv.write(",".join(header) + "\r\n")
-            if out_json:
-                spec = self.spec
-                meta = {"artifact": "tritherm", "config": spec.template.to_dict(),
-                        "grid": {"axis1": asdict(spec.axis1),
-                                 "axis2": asdict(spec.axis2) if spec.axis2 else None},
-                        "outputs": sorted(spec.outputs)}
-                out_json.write('{"metadata":' + json.dumps(
-                    meta, sort_keys=True, separators=(",", ":")) + ',"rows":[')
-            for start in range(0, self.size, _CHUNK_ROWS):
-                rows = slice(start, start + _CHUNK_ROWS)
-                k = np.arange(start, min(start + _CHUNK_ROWS, self.size))
-                # (CSV strings, JSON strings) of each column, in header order
-                cols = [(t, t) for t in (a[pick].tolist() for a, pick
-                                         in zip(axes, (k // n2, k % n2)))]
-                cols += [_float_texts(c[rows]) for c in currents]
-                cols.append([t[self.mode_codes[rows]].tolist() for t in _MODE_TEXT])
-                cols += [_float_texts(c[rows]) for c in figures]
-                cols.append([t[self.error_codes[rows]].tolist() for t in _ERROR_TEXT])
-                csv_cols, json_cols = zip(*cols)
-                if out_csv:
-                    out_csv.write("".join(",".join(r) + "\r\n" for r in zip(*csv_cols)))
-                if out_json:
-                    out_json.write(("," if start else "") + "[" + "],[".join(
-                        map(",".join, zip(*json_cols))) + "]")
-            if out_json:
-                out_json.write('],"schema":' + json.dumps(header, separators=(",", ":")) + "}")
+        for start in range(rows.start, rows.stop, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, rows.stop)
+            chunk = slice(start, stop)
+            k = np.arange(start, stop)
+            # (CSV strings, JSON strings) of each column, in header order
+            cols = [(t, t) for t in (a[pick].tolist() for a, pick
+                                     in zip(axes, (k // n2, k % n2)))]
+            cols += [_float_texts(c[chunk]) for c in currents]
+            cols.append([t[self.mode_codes[chunk]].tolist() for t in _MODE_TEXT])
+            cols += [_float_texts(c[chunk]) for c in figures]
+            cols.append([t[self.error_codes[chunk]].tolist() for t in _ERROR_TEXT])
+            csv_cols, json_cols = zip(*cols)
+            yield ("".join(",".join(r) + "\r\n" for r in zip(*csv_cols)).encode()
+                   if want_csv else None,
+                   (("," if start else "") + "[" + "],[".join(
+                       map(",".join, zip(*json_cols))) + "]").encode()
+                   if want_json else None)
+
+
+def _write_chunks(chunks, files) -> None:
+    for texts in chunks:
+        for fh, text in zip(files, texts):
+            if fh:
+                fh.write(text)
+    for fh in filter(None, files):
+        fh.flush()
 
 
 def _float_texts(values) -> tuple[list[str], list[str]]:

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import pathlib
+import threading
+import time
 import tracemalloc
 from dataclasses import asdict
 
@@ -9,8 +12,9 @@ import pytest
 import yaml
 
 import tritherm as tt
-from tritherm import _kernels
-from tritherm.core import ConfigError, DomainError
+from tritherm import _kernels, sweep
+from tritherm.cli import main
+from tritherm.core import ConfigError, DomainError, TrithermError
 from tritherm._kernels import thermo_batch
 from tritherm.currents import KERNEL_PATHS, ThermoPoint, config_args, validity_codes
 from tritherm.modes import (ERROR_CODE, MODE_BY_CODE, OperatingMode,
@@ -728,3 +732,125 @@ class TestWriterBytes:
         assert result.errors == [
             "drive_freq outside (0, omega0)", None, None, None,
             "temperature ordering violated", "nonpositive spectral peak frequency"]
+
+
+def _fork_case(name):
+    if name == "error_boundaries":
+        # error cells on both sides of every range boundary of 2 and 3 writers
+        return tt.run_sweep(tt.SweepSpec(
+            template=make_config(), axis1=tt.Axis("drive_freq", 0.02, 0.9, 25),
+            axis2=tt.Axis("hot.temperature", 0.05, 0.6, 12)))
+    if name == "below_one_chunk":
+        return tt.run_sweep(small_spec(make_config()))
+    return _writer_case(name)
+
+
+def _count_forks(monkeypatch) -> list:
+    """The pids of the children forked from here on, in fork order."""
+    pids, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedWriter:
+    """The text export on one process per range of rows (``_WORKERS``)."""
+
+    CHUNK = 16   # rows per chunk here, so small grids span several ranges
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["1d_plain", "2d_transistor", "below_one_chunk",
+                                      "error_boundaries"])
+    def test_bytes_do_not_depend_on_the_writer_count(self, monkeypatch, tmp_path,
+                                                     workers, name):
+        result = _fork_case(name)
+        _reference_csv(result, tmp_path / "want.csv")
+        _reference_json(result, tmp_path / "want.json")
+        monkeypatch.setattr(sweep, "_CHUNK_ROWS", self.CHUNK)
+        monkeypatch.setattr(_kernels, "_WORKERS", workers)
+        writers = min(workers, -(-result.size // self.CHUNK))
+        if name == "error_boundaries":
+            bounds = [result.size * w // writers for w in range(1, writers)]
+            assert all(result.error_codes[b - 1] and result.error_codes[b]
+                       for b in bounds)
+        forks = _count_forks(monkeypatch)
+        result.to_csv(tmp_path / "got.csv")
+        result.to_json(tmp_path / "got.json")
+        result._write_text(tmp_path / "both.csv", tmp_path / "both.json")
+        assert len(forks) == 3 * (writers - 1)
+        _assert_no_child_left()
+        for got in ("got", "both"):
+            assert (tmp_path / f"{got}.csv").read_bytes() == \
+                (tmp_path / "want.csv").read_bytes()
+            assert (tmp_path / f"{got}.json").read_bytes() == \
+                (tmp_path / "want.json").read_bytes()
+
+    def _failing_ranges(self, monkeypatch, fails):
+        """Make the chunks of the rows for which ``fails(rows)`` holds raise."""
+        chunks = tt.SweepResult._text_chunks
+
+        def text_chunks(result, rows, *wants):
+            if fails(rows):
+                raise RuntimeError(f"rows from {rows.start}")
+            return chunks(result, rows, *wants)
+        monkeypatch.setattr(sweep, "_CHUNK_ROWS", self.CHUNK)
+        monkeypatch.setattr(_kernels, "_WORKERS", 3)
+        monkeypatch.setattr(tt.SweepResult, "_text_chunks", text_chunks)
+        return _count_forks(monkeypatch)
+
+    def test_failing_child_raises_and_cli_exits_two(self, monkeypatch, tmp_path, capsys):
+        result = _writer_case("1d_plain")
+        forks = self._failing_ranges(monkeypatch, lambda rows: rows.start > 0)
+        with pytest.raises(TrithermError, match="rows 13 to 26 exited with status 1"):
+            result._write_text(tmp_path / "map.csv", tmp_path / "map.json")
+        assert len(forks) == 2
+        _assert_no_child_left()
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(make_config().to_dict()))
+        assert main(["sweep", "--config", str(path), "--axis1",
+                     "drive_freq:0.02:0.98:41", "--out", str(tmp_path / "map.csv")]) == 2
+        assert capsys.readouterr().err == \
+            "internal error: the writer of rows 13 to 26 exited with status 1\n"
+        _assert_no_child_left()
+
+    def test_failing_caller_kills_its_children(self, monkeypatch, tmp_path):
+        def fails(rows):
+            if rows.start:   # a child: outlives the test unless killed
+                time.sleep(30)
+            return rows.start == 0
+        result = _writer_case("1d_plain")
+        forks = self._failing_ranges(monkeypatch, fails)
+        began = time.monotonic()
+        with pytest.raises(RuntimeError, match="rows from 0"):
+            result.to_csv(tmp_path / "map.csv")
+        assert len(forks) == 2
+        _assert_no_child_left()
+        assert time.monotonic() - began < 20
+
+    def test_no_fork_beside_another_thread(self, monkeypatch, tmp_path):
+        result = _writer_case("2d_transistor")
+        _reference_csv(result, tmp_path / "want.csv")
+        monkeypatch.setattr(sweep, "_CHUNK_ROWS", self.CHUNK)
+        monkeypatch.setattr(_kernels, "_WORKERS", 3)
+        forks = _count_forks(monkeypatch)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            result.to_csv(tmp_path / "got.csv")
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
