@@ -15,10 +15,8 @@ file-producing command (``point --out`` too) writes the manifest next to
 its output, and ``--from-manifest`` reruns it byte for byte.  An unknown
 manifest key (``unknown field: sweep.axis3``) exits 1, and so does a flag
 that chooses the run given beside ``--from-manifest`` (only ``--out`` and
-``--json`` may be).  A manifest's config is validated with equal
-temperatures allowed, since it does not record ``--relax-validation``.
-Manifests keep their key order: that of ``search.vary`` fixes the
-Latin-hypercube dimensions.
+``--json`` may be).  Manifests keep their key order: that of
+``search.vary`` fixes the Latin-hypercube dimensions.
 
 A sweep runs in tiles of at most ``_kernels.BLOCK_POINTS`` cells, and a
 search stage in blocks of as many points, under
@@ -105,10 +103,10 @@ def _load_manifest(path: str, command: str) -> dict:
     return manifest
 
 
-# Flags that choose what a run computes.  A manifest fixes all of them, so
-# each is an error beside --from-manifest; --out and --json are not.
-_RUN_FLAGS = ("config", "set", "axis1", "axis2", "outputs", "omega_min", "omega_max",
-              "points", "threshold", "seed", "top_k")
+# The entries of a parsed command line that are not flags choosing the run:
+# the command, its functions, and the options a manifest rerun may take.
+# Every other option given is an error beside --from-manifest.
+_NOT_RUN_FLAGS = ("command", "from_flags", "func", "from_manifest", "out", "json")
 
 
 def _run(args, command: str, from_flags, run) -> int:
@@ -122,10 +120,10 @@ def _run(args, command: str, from_flags, run) -> int:
     off (``map_blocks`` passes that to its helpers); library calls keep
     them."""
     if args.from_manifest:
-        given = [flag for flag in _RUN_FLAGS if getattr(args, flag, None) is not None]
-        if given:
-            raise ConfigError(f"--{given[0].replace('_', '-')} cannot be given with "
-                              f"--from-manifest: the manifest fixes the run")
+        for key, value in vars(args).items():
+            if value is not None and key not in _NOT_RUN_FLAGS:
+                raise ConfigError(f"--{key.replace('_', '-')} cannot be given with "
+                                  f"--from-manifest: the manifest fixes the run")
         manifest = _load_manifest(args.from_manifest, command)
     elif args.config:
         raw = _parse(args.config, "config", yaml.safe_load)
@@ -136,7 +134,7 @@ def _run(args, command: str, from_flags, run) -> int:
     else:
         raise ConfigError(f"{command} needs --config (or --from-manifest)")
     config = MachineConfig.from_dict(manifest["config"])
-    warnings = config.validate(relax=args.relax_validation or bool(args.from_manifest))
+    warnings = config.validate()
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     # numpy's warnings are not messages: every such outcome is reported by
@@ -238,10 +236,10 @@ def _transistor_from_flags(args, raw) -> dict:
 
 def cmd_transistor(config, manifest, warnings):
     t = manifest["transistor"]
-    omega_min, omega_max, points, threshold = (
-        get_field(t, key, "transistor", integer if key == "points" else number)
-        for key in _TRANSISTOR_DEFAULTS)
-    check_fields(t, _TRANSISTOR_DEFAULTS, "transistor")
+    section = {key: get_field(t, key, "transistor", integer if key == "points" else number)
+               for key in _TRANSISTOR_DEFAULTS}
+    check_fields(t, section, "transistor")
+    omega_min, omega_max, points, threshold = section.values()
     for key, bad, why in (
             ("omega_min", not omega_min > 0.0, "must be > 0"),
             ("omega_max", not omega_max > omega_min, "must be > omega_min"),
@@ -249,11 +247,15 @@ def cmd_transistor(config, manifest, warnings):
              f"must be < omega0 = {config.wm.omega0}"),
             ("points", points < 1, "must be >= 1"),
             ("points", points > MAX_COUNT, f"must be <= {MAX_COUNT}"),
-            ("threshold", not threshold > 0.0, "must be > 0")):
+            ("threshold", not 0.0 < threshold < np.inf, "must be finite and > 0")):
         if bad:
             raise ConfigError(f"transistor.{key} {why}, got {t[key]!r}")
 
     grid = np.linspace(omega_min, omega_max, points)
+    if np.any(np.diff(grid) <= 0):
+        raise ConfigError(f"transistor.points must give a strictly increasing grid: "
+                          f"omega_min {omega_min} and omega_max {omega_max} are too "
+                          f"close for {points} points")
     trace = transistor_trace(config, grid)
     windows = windows_from_arrays(trace.omega, trace.r, trace.g, threshold)
     cols = [_float_texts(c)[0] for c in (trace.omega, trace.j_hot, trace.j_cold,
@@ -267,8 +269,7 @@ def cmd_transistor(config, manifest, warnings):
         summary = {"threshold": threshold,
                    "windows": [{**w.to_dict(), "width": w.width} for w in windows]}
         print(json.dumps(summary, sort_keys=True, indent=1))
-    return {"omega_min": omega_min, "omega_max": omega_max, "points": points,
-            "threshold": threshold}, None, write
+    return section, None, write
 
 
 def _search_from_flags(args, raw) -> dict:
@@ -306,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="YAML config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config parameter (repeatable)")
-        p.add_argument("--relax-validation", action="store_true",
-                       help="permit equal temperatures (test fixtures)")
         p.add_argument("--from-manifest", metavar="PATH",
                        help="re-run from a previously written manifest")
         p.set_defaults(from_flags=from_flags, func=func)

@@ -10,6 +10,7 @@ harmonic oscillator coupled to two harmonically modulated Lorentzian baths
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import MISSING, asdict, dataclass, field, replace
 from functools import partial
 
@@ -77,11 +78,11 @@ def number(value) -> float:
 
 
 def integer(value) -> int:
-    """``value`` if it is an int; TypeError for anything else, booleans,
-    floats and numeric strings included."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """``operator.index(value)``, so an int or a numpy integer; TypeError
+    for anything else, booleans, floats and numeric strings included."""
+    if isinstance(value, bool):
         raise TypeError(value)
-    return value
+    return operator.index(value)
 
 
 def string(value) -> str:
@@ -174,11 +175,9 @@ def drive_ok(drive, omega0):
     return (drive > 0.0) & (drive < omega0)
 
 
-def ordering_ok(t_hot, t_mid, t_cold, relax: bool = False):
+def ordering_ok(t_hot, t_mid, t_cold):
     """The ordering rule ``t_hot > t_mid > t_cold > 0`` that the mode
-    taxonomy assumes; with ``relax`` equal temperatures pass."""
-    if relax:
-        return (t_hot >= t_mid) & (t_mid >= t_cold) & (t_cold > 0.0)
+    taxonomy assumes."""
     return (t_hot > t_mid) & (t_mid > t_cold) & (t_cold > 0.0)
 
 
@@ -298,18 +297,16 @@ class MachineConfig:
         """Detuning of the two Lorentzian peaks, ``hot.center - cold.center``."""
         return self.hot.center - self.cold.center
 
-    def validate(self, relax: bool = False) -> list[str]:
-        """ConfigError unless the config passes the ordering rule (with
-        ``relax``, equal temperatures pass) and the drive rule; else the
-        validity warnings (perturbative couplings, underdamped widths,
-        quantum regime): such configs evaluate, but may leave the regime in
-        which the closed forms are controlled."""
+    def validate(self) -> list[str]:
+        """ConfigError unless the config passes the ordering rule and the
+        drive rule; else the validity warnings (perturbative couplings,
+        underdamped widths, quantum regime): such configs evaluate, but may
+        leave the regime in which the closed forms are controlled."""
         th, tm, tc = self.hot.temperature, self.mid.temperature, self.cold.temperature
-        if not ordering_ok(th, tm, tc, relax):
-            op = ">=" if relax else ">"
+        if not ordering_ok(th, tm, tc):
             raise ConfigError(
-                f"temperature ordering violated: need hot.temperature {op} "
-                f"mid.temperature {op} cold.temperature, got ({th}, {tm}, {tc})")
+                f"temperature ordering violated: need hot.temperature > "
+                f"mid.temperature > cold.temperature, got ({th}, {tm}, {tc})")
         w0 = self.wm.omega0
         if not drive_ok(self.drive_freq, w0):
             raise ConfigError(

@@ -126,13 +126,13 @@ class SearchSpec:
             if rule.source not in self.vary:
                 raise ConfigError(f"search.lock.{name}.source {rule.source!r} must "
                                   f"be a varied parameter")
-        for name, low, value in (("omega_grid.count", 3, self.omega_count),
-                                 ("samples", 1, self.samples),
-                                 ("refine_rounds", 0, self.refine_rounds),
-                                 ("refine_samples", 0, self.refine_samples),
-                                 ("pool", 1, self.pool), ("top_k", 1, self.top_k)):
-            if not low <= value <= MAX_COUNT:
-                raise ConfigError(f"search.{name} must be >= {low} and <= {MAX_COUNT}")
+        for name, low in (("omega_count", 3), ("samples", 1), ("refine_rounds", 0),
+                          ("refine_samples", 0), ("pool", 1), ("top_k", 1)):
+            # the reader of a count in a file; a numpy integer is stored as an int
+            object.__setattr__(self, name, get_field(vars(self), name, "search", integer))
+            if not low <= getattr(self, name) <= MAX_COUNT:
+                where = name.replace("omega_", "omega_grid.")
+                raise ConfigError(f"search.{where} must be >= {low} and <= {MAX_COUNT}")
         for name, low, value in (("shrink", 0, self.shrink),
                                  ("threshold", 0, self.threshold),
                                  ("omega_grid.start", 0, self.omega_start),

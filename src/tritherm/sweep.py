@@ -43,7 +43,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import (COL_JC, COL_JH, COL_JM, COL_P, COL_SNEG, COL_SPOS, NCOLS,
                        thermo_batch)
-from .core import MAX_COUNT, ConfigError, MachineConfig, TrithermError
+from .core import MAX_COUNT, ConfigError, MachineConfig, TrithermError, get_field, integer
 from .currents import (KERNEL_PATHS, VALIDITY_MESSAGES, _drive_table, config_args,
                        finite_rows, validity_codes)
 from .modes import (ERROR_CODE, MODE_BY_CODE, classify_coupled_arrays,
@@ -108,6 +108,9 @@ class Axis:
         if self.param not in AXIS_PARAMS:
             raise ConfigError(f"unknown sweep parameter {self.param!r}; "
                               f"expected one of {sorted(AXIS_PARAMS)}", "param")
+        # the reader of a count in a file; a numpy integer is stored as an int
+        object.__setattr__(self, "count",
+                           get_field(vars(self), "count", f"axis {self.param}", integer))
         for key, bad, why in (
                 ("count", self.count < 2, "count must be >= 2"),
                 ("count", self.count > MAX_COUNT, f"count must be <= {MAX_COUNT}"),

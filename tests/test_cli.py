@@ -91,18 +91,22 @@ class TestPoint:
         assert main(["point", "--config", path]) == 1
         assert "mid.temperature" in capsys.readouterr().err
 
-    def test_relaxed_equal_temperatures(self, tmp_path, capsys):
-        relaxed = json.loads(json.dumps(BASE_CONFIG))
-        relaxed["hot"]["temperature"] = 0.5
-        relaxed["cold"]["temperature"] = 0.5
-        relaxed["drive_freq"] = 1e-7
-        path = write_config(tmp_path, relaxed)
-        assert main(["point", "--config", path]) == 1  # strict by default
-        capsys.readouterr()
-        assert main(["point", "--config", path, "--relax-validation"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        for key in ("j_hot", "j_cold", "j_mid", "power", "entropy_rate"):
-            assert abs(payload["point"][key]) < 1e-12
+    def test_equal_temperatures_exit_one(self, tmp_path, capsys):
+        equal = json.loads(json.dumps(BASE_CONFIG))
+        equal["hot"]["temperature"] = 0.5
+        equal["cold"]["temperature"] = 0.5
+        path = write_config(tmp_path, equal)
+        assert main(["point", "--config", path]) == 1
+        assert capsys.readouterr().err == (
+            "error: temperature ordering violated: need hot.temperature > "
+            "mid.temperature > cold.temperature, got (0.5, 0.5, 0.5)\n")
+
+    def test_relax_validation_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["point", "--config", str(CONFIGS / "default.yaml"),
+                  "--relax-validation"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --relax-validation" in capsys.readouterr().err
 
     def test_validation_warning_on_stderr(self, tmp_path, capsys):
         noisy = json.loads(json.dumps(BASE_CONFIG))
@@ -234,7 +238,7 @@ class TestTransistor:
                       str(int(in_window[k]))]) + "\n" for k in range(grid.size))
         assert out.read_bytes() == want.encode()
 
-    @pytest.mark.parametrize("threshold", ["nan", "-1", "0"])
+    @pytest.mark.parametrize("threshold", ["nan", "-1", "0", "inf", "1e400"])
     def test_nonpositive_threshold_exits_one_naming_it(self, tmp_path, capsys,
                                                        threshold):
         path = write_config(tmp_path, BASE_CONFIG)
@@ -244,6 +248,20 @@ class TestTransistor:
         captured = capsys.readouterr()
         assert "threshold" in captured.err and captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("points", [3, 5, 481])
+    def test_grid_too_dense_for_its_span_names_its_field(self, tmp_path, capsys,
+                                                         points):
+        out = tmp_path / "trace.csv"
+        assert main(["transistor", "--config", str(CONFIGS / "default.yaml"),
+                     "--omega-min", "0.5", "--omega-max", "0.5000000000000001",
+                     "--points", str(points), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: transistor.points must give a strictly increasing grid: "
+            "omega_min 0.5 and omega_max 0.5000000000000001 are too close for "
+            f"{points} points\n")
+        assert captured.out == "" and not out.exists()
 
     def test_nonfinite_trace_exits_one(self, tmp_path, capsys):
         # a hot peak center of 1e200 overflows the Lorentzian to NaN; the
@@ -436,6 +454,20 @@ class TestManifestErrors:
         assert self._rerun(tmp_path, "transistor", set_nan) == 1
         assert "threshold" in capsys.readouterr().err
 
+    def test_transistor_overflowing_threshold_names_field(self, tmp_path, capsys):
+        manifest = _manifest_for(tmp_path, "transistor")
+        data = json.loads(manifest.read_text())
+        data["transistor"]["threshold"] = "THRESHOLD"
+        # json reads 1e400 as inf
+        manifest.write_text(json.dumps(data).replace('"THRESHOLD"', "1e400"))
+        capsys.readouterr()
+        assert main(["transistor", "--from-manifest", str(manifest),
+                     "--out", str(tmp_path / "rerun")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: transistor.threshold must be finite and > 0, "
+                                "got inf\n")
+        assert captured.out == "" and not (tmp_path / "rerun").exists()
+
     def test_transistor_step_of_older_manifests_is_an_unknown_field(self, tmp_path,
                                                                    capsys):
         # older manifests carry the finite-difference step of the drive slopes
@@ -561,14 +593,21 @@ class TestRunPath:
         assert "temperature ordering violated" in capsys.readouterr().err
         assert not rerun.exists()
 
-    def test_relaxed_run_reruns_without_the_flag(self, tmp_path, capsys):
-        config = json.loads(json.dumps(BASE_CONFIG))
-        config["hot"]["temperature"] = config["mid"]["temperature"] = 0.5
-        manifest = self._first(tmp_path, ["point", "--relax-validation"], config)
-        assert main(["point", "--from-manifest", str(manifest),
-                     "--out", str(tmp_path / "rerun.json")]) == 0
-        assert (tmp_path / "rerun.json").read_bytes() == \
-            (tmp_path / "first" / "out").read_bytes()
+    @pytest.mark.parametrize("command", ["point", "sweep", "transistor"])
+    def test_equal_temperatures_in_manifest_exit_one(self, tmp_path, capsys, command):
+        # a manifest is validated as strictly as the config that wrote it
+        manifest = _manifest_for(tmp_path, command)
+        data = json.loads(manifest.read_text())
+        data["config"]["hot"]["temperature"] = data["config"]["mid"]["temperature"]
+        manifest.write_text(json.dumps(data))
+        capsys.readouterr()
+        rerun = tmp_path / "rerun"
+        assert main([command, "--from-manifest", str(manifest),
+                     "--out", str(rerun)]) == 1
+        captured = capsys.readouterr()
+        assert "error: temperature ordering violated" in captured.err
+        assert captured.out == "" and not rerun.exists()
+        assert not pathlib.Path(str(rerun) + ".manifest.json").exists()
 
     def test_rerun_prints_the_config_warnings(self, tmp_path, capsys):
         manifest = self._first(tmp_path, ["sweep", "--axis1", "drive_freq:0.1:0.8:5",

@@ -154,12 +154,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="ordering"):
             bad.validate()
 
-    def test_validate_relax_allows_equal(self, default_config):
+    def test_validate_rejects_equal_temperatures(self, default_config):
         eq = tt.apply_params(default_config, {"hot.temperature": 0.5,
                                               "cold.temperature": 0.5})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="need hot.temperature > mid.temperature "
+                                              "> cold.temperature"):
             eq.validate()
-        assert eq.validate(relax=True) == []
 
     def test_validate_drive_range(self, default_config):
         fast = tt.apply_params(default_config, {"drive_freq": 1.5})

@@ -131,6 +131,10 @@ def window_spec(samples=40, refine_rounds=1, refine_samples=12):
         refine_samples=refine_samples, pool=2, top_k=3)
 
 
+# The count fields of a SearchSpec
+COUNTS = ["omega_count", "samples", "refine_rounds", "refine_samples", "pool", "top_k"]
+
+
 class TestSpecValidation:
     def test_unknown_objective(self):
         with pytest.raises(ConfigError):
@@ -154,6 +158,19 @@ class TestSpecValidation:
     def test_out_of_range_field_is_named(self, name, value):
         with pytest.raises(ConfigError, match=rf"search\.{name} must be"):
             dataclasses.replace(window_spec(), **{name: value})
+
+    @pytest.mark.parametrize("value", [2.5, True, "5", np.float64(5.0)],
+                             ids=["float", "bool", "str", "float64"])
+    @pytest.mark.parametrize("name", COUNTS)
+    def test_count_that_is_not_an_integer_is_named(self, name, value):
+        with pytest.raises(ConfigError,
+                           match=rf"^field search\.{name} has an invalid value"):
+            dataclasses.replace(window_spec(), **{name: value})
+
+    @pytest.mark.parametrize("name", COUNTS)
+    def test_count_may_be_a_numpy_integer(self, name):
+        value = getattr(dataclasses.replace(window_spec(), **{name: np.int64(5)}), name)
+        assert value == 5 and type(value) is int
 
     @pytest.mark.parametrize("name,low", [("hot.temperature", 0.0),
                                           ("hot.center", -0.5), ("hot.kappa", -1e-3)])
@@ -230,6 +247,13 @@ class TestRunSearch:
         out = tt.run_search(transistor_template(), spec, seed=5)
         assert out
         assert out[0].params["hot.center"] == 1.7
+
+    def test_numpy_integer_counts_give_the_same_result(self):
+        template = transistor_template()
+        spec = window_spec(samples=np.int64(10), refine_rounds=np.int32(1),
+                           refine_samples=np.int64(6))
+        assert dumps(tt.run_search(template, spec, 3)) == \
+            dumps(tt.run_search(template, window_spec(10, 1, 6), 3))
 
     def test_same_seed_is_deterministic(self):
         template = transistor_template()

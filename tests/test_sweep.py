@@ -112,6 +112,25 @@ class TestRunSweep:
             tt.SweepSpec(template=default_config,
                          axis1=tt.Axis("drive_freq", 0.2, 1.5, 5))
 
+    @pytest.mark.parametrize("count", [5.0, True, "5", np.float64(5.0)],
+                             ids=["float", "bool", "str", "float64"])
+    def test_axis_count_that_is_not_an_integer_is_named(self, count):
+        with pytest.raises(ConfigError, match="^field axis drive_freq.count has an "
+                                              "invalid value"):
+            tt.Axis("drive_freq", 0.1, 0.5, count)
+
+    def test_axis_count_may_be_a_numpy_integer(self, default_config, tmp_path):
+        axis = tt.Axis("drive_freq", 0.1, 0.5, np.int64(5))
+        assert axis.count == 5 and type(axis.count) is int
+        got, want = (tt.run_sweep(tt.SweepSpec(template=default_config, axis1=a))
+                     for a in (axis, tt.Axis("drive_freq", 0.1, 0.5, 5)))
+        for a, b in zip(_arrays(got), _arrays(want)):
+            np.testing.assert_array_equal(a, b)
+        # the JSON export records the axis, count included
+        got.to_json(tmp_path / "got.json")
+        want.to_json(tmp_path / "want.json")
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
     @pytest.mark.parametrize("start,stop", [(1.0, np.inf), (1.0, np.nan),
                                             (-np.inf, 2.0), (np.nan, 2.0)])
     def test_non_finite_axis_bound_names_axis(self, start, stop):
