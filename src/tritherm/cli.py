@@ -41,7 +41,7 @@ import yaml
 from . import __version__
 from .core import (MAX_COUNT, ConfigError, DomainError, MachineConfig, TrithermError,
                    apply_params, as_mapping, check_fields, construct, from_fields,
-                   get_field, integer, number)
+                   get_field, integer, names, number)
 from .modes import mode_report
 from .search import SearchSpec, run_search
 from .sweep import Axis, SweepSpec, _float_texts, run_sweep
@@ -138,7 +138,7 @@ def _run(args, command: str, from_flags, run) -> int:
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     # numpy's warnings are not messages: every such outcome is reported by
-    # name (a NaN point as an error, a sweep's error cells in its count)
+    # name (a nonfinite point as an error, a sweep's error cells in its count)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         section, seed, write = run(config, manifest, warnings)
     write(args)
@@ -161,13 +161,6 @@ def _emit(text: str):
         else:
             print(text)
     return write
-
-
-def _names(value) -> frozenset:
-    """A list of strings as a set; TypeError for anything else (a string too)."""
-    if isinstance(value, list) and all(isinstance(v, str) for v in value):
-        return frozenset(value)
-    raise TypeError(value)
 
 
 DEFAULT_AXIS_COUNT = 201
@@ -208,7 +201,7 @@ def cmd_sweep(config, manifest, warnings):
     # a 1D sweep records its second axis as null
     axis2 = (from_fields(Axis, grid["axis2"], "sweep.axis2")
              if grid.get("axis2") is not None else None)
-    outputs = get_field(grid, "outputs", "sweep", _names)
+    outputs = get_field(grid, "outputs", "sweep", names)
     check_fields(grid, ("axis1", "axis2", "outputs"), "sweep")
     spec = construct(SweepSpec, "sweep", template=config, axis1=axis1, axis2=axis2,
                      outputs=outputs)

@@ -92,6 +92,15 @@ def string(value) -> str:
     return value
 
 
+def names(value) -> frozenset:
+    """A list, tuple or set of strings as a frozenset; TypeError for
+    anything else, a single string included."""
+    if (isinstance(value, (list, tuple, set, frozenset))
+            and all(isinstance(v, str) for v in value)):
+        return frozenset(value)
+    raise TypeError(value)
+
+
 def as_mapping(value, path: str) -> dict:
     """``value`` itself; ConfigError naming ``path`` unless it is a mapping."""
     if not isinstance(value, dict):

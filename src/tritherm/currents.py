@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._kernels import COL_JM, COL_S, NCOLS, thermo_batch
+from ._kernels import COL_DJH, COL_DP, COL_JM, COL_S, NCOLS, thermo_batch
 from .core import (DomainError, MachineConfig, drive_ok, ordering_ok, parameter_bound,
                    parameter_ok)
 
@@ -115,17 +115,22 @@ def validity_codes(args, shape) -> np.ndarray:
 
 
 def finite_rows(table) -> np.ndarray:
-    """Mask of the points of a kernel table whose ``j_mid`` and ``entropy_rate``
-    are finite; any nonfinite current or power reaches both sums."""
-    return np.isfinite(table[..., COL_JM]) & np.isfinite(table[..., COL_S])
+    """Mask of the points of a kernel table whose ``j_mid`` and
+    ``entropy_rate`` are finite, and, in a table with slopes, both drive
+    slopes; any nonfinite current or power reaches both sums."""
+    finite = np.isfinite(table[..., COL_JM]) & np.isfinite(table[..., COL_S])
+    if table.shape[-1] > NCOLS:
+        finite &= np.isfinite(table[..., COL_DJH]) & np.isfinite(table[..., COL_DP])
+    return finite
 
 
 def _drive_table(config: MachineConfig, grid=None, slopes: bool = False):
     """The drives and kernel table of ``config`` along ``grid``, a 1D,
     non-empty, strictly increasing grid, or at its own drive if ``grid`` is
     None.  DomainError unless every drive lies in (0, omega0), and unless
-    every row along a grid passes :func:`finite_rows` (a one-point row is
-    checked by ``_point_values``)."""
+    every value of the table is finite (a grid's by :func:`finite_rows`):
+    the closed forms can over- or underflow at a config that
+    ``MachineConfig.validate`` passes (an omega0 of 1e-300, say)."""
     if grid is None:
         drive = config.drive_freq
         if not drive_ok(drive, config.wm.omega0):   # two floats: a bool
@@ -138,9 +143,12 @@ def _drive_table(config: MachineConfig, grid=None, slopes: bool = False):
     args = list(config_args(config))
     args[2] = drive
     table = thermo_batch(*args, slopes=slopes)
-    if grid is not None and not finite_rows(table).all():
-        raise DomainError("the closed forms give nonfinite values along the omega "
-                          "grid; the config's parameters over- or underflow")
+    # a point's row is tested on Python floats, faster than numpy on one row
+    if not (finite_rows(table).all() if grid is not None
+            else all(map(math.isfinite, table.tolist()))):
+        where = "along the omega grid" if grid is not None else "at this operating point"
+        raise DomainError(f"the closed forms give nonfinite values {where}; the "
+                          "config's parameters over- or underflow double precision")
     return drive, table
 
 
@@ -151,20 +159,9 @@ def evaluate_point(config: MachineConfig) -> ThermoPoint:
     closed forms, the mid-bath current from energy balance, and the entropy
     production rate together with its positive/negative split (the three
     balance terms are assigned to ``entropy_pos``/``entropy_neg`` by their
-    individual signs).  DomainError if a value comes out NaN.
+    individual signs).  DomainError if a value comes out nonfinite.
     """
-    return ThermoPoint(*_point_values(_drive_table(config)[1]))
-
-
-def _point_values(row: np.ndarray) -> list[float]:
-    """A one-point kernel row as Python floats.  DomainError if it holds a
-    NaN: the closed forms can over- or underflow at a config that
-    ``MachineConfig.validate`` passes (an omega0 of 1e-300, say)."""
-    values = row.tolist()
-    if any(map(math.isnan, values)):
-        raise DomainError("the closed forms give NaN at this operating point; "
-                          "its parameters over- or underflow double precision")
-    return values
+    return ThermoPoint(*_drive_table(config)[1].tolist())
 
 
 def evaluate_arrays(omega0, mass, drive_freq, hot_temperature, mid_temperature,

@@ -173,7 +173,7 @@ def mode_report(config: MachineConfig) -> ModeReport:
     When exactly one Lorentzian coupling is zero the reduced two-terminal
     taxonomy is applied automatically (the full three-sign classification
     would be blanket-degenerate there).  DomainError if a kernel value
-    comes out NaN, as :func:`evaluate_point` raises.
+    comes out nonfinite, as :func:`evaluate_point` raises.
     """
     point = evaluate_point(config)
     code = classify_coupled_arrays(config.hot.kappa, config.cold.kappa,

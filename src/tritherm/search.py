@@ -54,9 +54,12 @@ class VaryRange:
     scale: str = "linear"
 
     def __post_init__(self):
-        for key, value in (("min", self.low), ("max", self.high)):
+        for name, key in (("low", "min"), ("high", "max")):
+            # the reader of a file; an int is stored as a float
+            value = get_field(vars(self), name, "range", number)
             if not np.isfinite(value):
                 raise ConfigError(f"range {key} must be finite, got {value}", key)
+            object.__setattr__(self, name, value)
         if self.scale not in ("linear", "log"):
             raise ConfigError(f"scale must be 'linear' or 'log', got {self.scale!r}",
                               "scale")
@@ -85,6 +88,7 @@ class LockRule:
     offset: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "offset", get_field(vars(self), "offset", "lock", number))
         if not np.isfinite(self.offset):
             raise ConfigError(f"lock offset must be finite, got {self.offset}", "offset")
 
@@ -126,10 +130,12 @@ class SearchSpec:
             if rule.source not in self.vary:
                 raise ConfigError(f"search.lock.{name}.source {rule.source!r} must "
                                   f"be a varied parameter")
+        # the readers of a file; an int is stored as a float where a float
+        # belongs, a numpy integer as an int
+        for name, kind in _FIELD_KINDS.items():
+            object.__setattr__(self, name, get_field(vars(self), name, "search", kind))
         for name, low in (("omega_count", 3), ("samples", 1), ("refine_rounds", 0),
                           ("refine_samples", 0), ("pool", 1), ("top_k", 1)):
-            # the reader of a count in a file; a numpy integer is stored as an int
-            object.__setattr__(self, name, get_field(vars(self), name, "search", integer))
             if not low <= getattr(self, name) <= MAX_COUNT:
                 where = name.replace("omega_", "omega_grid.")
                 raise ConfigError(f"search.{where} must be >= {low} and <= {MAX_COUNT}")
@@ -200,6 +206,9 @@ _SCALAR_FIELDS = {"threshold": number, "samples": integer, "refine_rounds": inte
                   "refine_samples": integer, "pool": integer, "shrink": number,
                   "top_k": integer}
 _SECTION_FIELDS = ("objective", "vary", "lock", "omega_grid", *_SCALAR_FIELDS)
+# The reader of each number field of a SearchSpec
+_FIELD_KINDS = {**{f"omega_{k}": kind for k, kind in _GRID_FIELDS.items()},
+                **_SCALAR_FIELDS}
 _VARY_FIELDS = ("min", "max", "scale")
 
 

@@ -8,9 +8,10 @@ and the sidebands along a drive x hot-center map, say) is computed once
 per row or column of a tile.  Cells whose parameters violate
 preconditions (temperature ordering, drive range, positive peak
 frequencies) are emitted as error cells carrying NaN values and an error
-code, so maps keep their rectangular shape; the kernel never sees them.
-A valid cell whose kernel values come out nonfinite becomes an error cell
-too, with its own code.  The tiles run under
+code, so maps keep their rectangular shape.  A valid cell whose kernel
+values come out nonfinite becomes an error cell too, with its own code.
+Tiles go to the kernel whole; one rule after it blanks both kinds of
+error cell.  The tiles run under
 :func:`tritherm._kernels.map_blocks` and each writes only its own cells.
 Every cell is bitwise identical to a single-point evaluation at the same
 parameters, whatever the thread count.  :func:`mode_sequence_along_omega`
@@ -43,7 +44,8 @@ import numpy as np
 from . import _kernels
 from ._kernels import (COL_JC, COL_JH, COL_JM, COL_P, COL_SNEG, COL_SPOS, NCOLS,
                        thermo_batch)
-from .core import MAX_COUNT, ConfigError, MachineConfig, TrithermError, get_field, integer
+from .core import (MAX_COUNT, ConfigError, MachineConfig, TrithermError, get_field,
+                   integer, names, number)
 from .currents import (KERNEL_PATHS, VALIDITY_MESSAGES, _drive_table, config_args,
                        finite_rows, validity_codes)
 from .modes import (ERROR_CODE, MODE_BY_CODE, classify_coupled_arrays,
@@ -108,9 +110,11 @@ class Axis:
         if self.param not in AXIS_PARAMS:
             raise ConfigError(f"unknown sweep parameter {self.param!r}; "
                               f"expected one of {sorted(AXIS_PARAMS)}", "param")
-        # the reader of a count in a file; a numpy integer is stored as an int
-        object.__setattr__(self, "count",
-                           get_field(vars(self), "count", f"axis {self.param}", integer))
+        # the readers of a file; an int start is stored as a float, a numpy
+        # integer count as an int
+        for name, kind in (("start", number), ("stop", number), ("count", integer)):
+            object.__setattr__(self, name,
+                               get_field(vars(self), name, f"axis {self.param}", kind))
         for key, bad, why in (
                 ("count", self.count < 2, "count must be >= 2"),
                 ("count", self.count > MAX_COUNT, f"count must be <= {MAX_COUNT}"),
@@ -135,7 +139,8 @@ class SweepSpec:
     outputs: frozenset = field(default_factory=lambda: frozenset({"currents", "mode", "exergy"}))
 
     def __post_init__(self):
-        unknown = set(self.outputs) - OUTPUT_KINDS
+        object.__setattr__(self, "outputs", get_field(vars(self), "outputs", "sweep", names))
+        unknown = self.outputs - OUTPUT_KINDS
         if unknown:
             raise ConfigError(f"unknown outputs: {sorted(unknown)}", "outputs")
         w0 = self.template.wm.omega0
@@ -333,17 +338,14 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     Cells are laid out row-major over (axis1, axis2).  Cells violating
     preconditions are marked with an error code and carry NaN values and
     the mode label ``error`` rather than being dropped; so are cells whose
-    kernel values are not finite (``j_mid`` or ``entropy_rate``).  The
-    kernel sees the axes as broadcast vectors, axis1 as a column and axis2
-    as a row, and the grid is evaluated in tiles of at most
-    ``BLOCK_POINTS`` cells, each written straight into the result arrays:
-    terms that depend on one axis only are computed once per row or column
-    of a tile.  A tile with error cells passes only its valid ones to the
-    kernel; an all-error tile is skipped.  Every cell is written once: the
-    tiles write the valid cells, and the error cells get their NaN values
-    and mode code after the last tile.  The tiles run through
+    kernel values are not finite (``currents.finite_rows``).  The kernel
+    sees the axes as broadcast vectors, axis1 as a column and axis2 as a
+    row, and the grid is evaluated in tiles of at most ``BLOCK_POINTS``
+    cells, each written straight into the result arrays, error cells
+    included: terms that depend on one axis only are computed once per row
+    or column of a tile.  The tiles run through
     :func:`tritherm._kernels.map_blocks`, on the calling thread and one
-    helper per further CPU; each tile gathers its own arguments and writes
+    helper per further CPU; each tile slices its own arguments and writes
     only its own cells, so the result does not depend on the thread count.
     """
     template = spec.template
@@ -372,61 +374,41 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     rows = max(1, _kernels.BLOCK_POINTS // cols)
 
     def run(tile):
-        ok = codes[tile] == 0
-        if ok.all():
-            mask = ()
-        elif ok.any():
-            mask = (ok,)   # gather the valid cells only
-        else:
-            return
-        _run_tile([_tile(a, tile, mask) for a in args], template, transistor,
-                  [grid[tile] for grid in grids], codes[tile], mask)
+        # A valid cell that fails ``currents.finite_rows`` gets the nonfinite
+        # code; then every cell with a code gets NaN values, which classify
+        # and score without raising, and the error mode.  The tile's
+        # temporaries are freed on return, before the next tile's kernel call.
+        table = thermo_batch(*(_tile(a, tile) for a in args), slopes=transistor)
+        cells = codes[tile]   # a view: its nonfinite codes reach the result
+        finite = finite_rows(table)
+        if not finite.all():
+            cells[~finite & (cells == 0)] = _NONFINITE_CODE
+        bad = cells != 0
+        blank = bad.any()
+        if blank:
+            table[bad] = np.nan
+        modes = classify_coupled_arrays(
+            template.hot.kappa, template.cold.kappa,
+            *(table[..., c] for c in (COL_JH, COL_JC, COL_JM, COL_P)))
+        if blank:
+            modes[bad] = ERROR_CODE
+        values = [table[..., :NCOLS], modes,
+                  exergy_from_split(table[..., COL_SPOS], table[..., COL_SNEG]),
+                  *(_figures(table) if transistor else ())]
+        for grid, v in zip(grids, values, strict=True):
+            grid[tile] = v
 
     _kernels.map_blocks(run, [(slice(i, i + rows), slice(j, j + cols))
                               for i in range(0, n1, rows) for j in range(0, n2, cols)])
-    codes = codes.reshape(n)
-    if codes.any():
-        bad = codes != 0
-        for a in (thermo, phi, r, g):
-            if a is not None:
-                a[bad] = np.nan
-        mode_codes[bad] = ERROR_CODE
-    return SweepResult(spec, a1, a2, thermo, mode_codes, phi, r, g, codes)
+    return SweepResult(spec, a1, a2, thermo, mode_codes, phi, r, g, codes.reshape(n))
 
 
-def _run_tile(args, template, transistor, grids, codes, mask):
-    """Evaluate one tile and write its cells (those of ``mask``, if given)
-    into the ``grids`` views of thermo, mode codes, phi and, with
-    ``transistor``, r and g.  A cell that fails ``currents.finite_rows``
-    gets the nonfinite code in the tile's ``codes`` and NaN values, which
-    classify and score without raising.  A tile's temporaries are freed on
-    return, before the next tile's kernel call."""
-    table = thermo_batch(*args, slopes=transistor)
-    finite = finite_rows(table)
-    if not finite.all():
-        bad = ~finite
-        table[bad] = np.nan
-        cells = codes[mask]   # a view of the tile without a mask, else a copy
-        cells[bad] = _NONFINITE_CODE
-        codes[mask] = cells
-    values = [table[..., :NCOLS],
-              classify_coupled_arrays(
-                  template.hot.kappa, template.cold.kappa,
-                  *(table[..., c] for c in (COL_JH, COL_JC, COL_JM, COL_P))),
-              exergy_from_split(table[..., COL_SPOS], table[..., COL_SNEG]),
-              *(_figures(table) if transistor else ())]
-    for grid, v in zip(grids, values, strict=True):
-        grid[mask] = v
-
-
-def _tile(arg, tile, mask):
+def _tile(arg, tile):
     """The part over ``tile`` of a kernel argument: a scalar, an axis1
-    column or an axis2 row.  With a ``mask``, ``(ok,)``, the values of the
-    valid cells of the tile, gathered flat."""
+    column or an axis2 row."""
     if np.ndim(arg) == 0:
         return arg
-    part = arg[tile[0]] if arg.shape[1] == 1 else arg[:, tile[1]]
-    return np.broadcast_to(part, mask[0].shape)[mask] if mask else part
+    return arg[tile[0]] if arg.shape[1] == 1 else arg[:, tile[1]]
 
 
 def resonance_lines(spec: SweepSpec) -> tuple[tuple[float, float], tuple[float, float]]:

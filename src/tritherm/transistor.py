@@ -24,7 +24,7 @@ import numpy as np
 
 from ._kernels import COL_DJH, COL_DP, COL_JC, COL_JH, COL_JM, COL_P
 from .core import DomainError, MachineConfig
-from .currents import SIGN_ZERO_BAND, _drive_table, _point_values
+from .currents import SIGN_ZERO_BAND, _drive_table
 
 __all__ = [
     "DEFAULT_THRESHOLD",
@@ -122,10 +122,10 @@ def _figures(table):
 
 def transistor_point(config: MachineConfig) -> TransistorPoint:
     """Evaluate r, g and the underlying derivatives at the config's drive,
-    which must lie in (0, omega0).  DomainError if a kernel value comes
-    out NaN."""
+    which must lie in (0, omega0).  DomainError if a kernel value, a
+    slope included, comes out nonfinite."""
     _, table = _drive_table(config, slopes=True)
-    row = _point_values(table)
+    row = table.tolist()
     r, g = _figures(table)
     return TransistorPoint(
         omega_drive=config.drive_freq, r=float(r), g=float(g),
@@ -137,7 +137,8 @@ def transistor_point(config: MachineConfig) -> TransistorPoint:
 def transistor_trace(config: MachineConfig, omega_grid) -> TransistorTrace:
     """Vectorized :func:`transistor_point` over a drive-frequency grid: 1D,
     non-empty, strictly increasing and inside (0, omega0).  DomainError if
-    a kernel value along it is not finite (``currents.finite_rows``)."""
+    a kernel value along it, a slope included, is not finite
+    (``currents.finite_rows``)."""
     grid, table = _drive_table(config, omega_grid, slopes=True)
     r, g = _figures(table)
     return TransistorTrace(omega=grid, j_hot=table[:, COL_JH],

@@ -202,11 +202,11 @@ class TestOnePoint:
     @pytest.mark.parametrize("case", EXTREME)
     def test_extreme_point_entry_points_raise(self, case, tmp_path, capsys):
         # validate() passes both configs with warnings only; the kernel row
-        # holds NaN, so each one-point entry point refuses it
+        # holds NaN, so each one-point entry point refuses it as nonfinite
         cfg = config_from_params(dict(zip(ARG_NAMES, self.EXTREME[case])))
         assert cfg.validate()
         for entry in (tt.evaluate_point, tt.mode_report, tt.transistor_point):
-            with pytest.warns(RuntimeWarning), pytest.raises(DomainError, match="NaN"):
+            with pytest.warns(RuntimeWarning), pytest.raises(DomainError, match="nonfinite values"):
                 entry(cfg)
         # the command runs with numpy's warnings off (a RuntimeWarning would
         # raise here) and prints the config's warnings and the error only
@@ -217,8 +217,8 @@ class TestOnePoint:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             *(f"warning: {w}" for w in cfg.validate()),
-            "error: the closed forms give NaN at this operating point; its "
-            "parameters over- or underflow double precision"]
+            "error: the closed forms give nonfinite values at this operating point; the "
+            "config's parameters over- or underflow double precision"]
 
 
 class TestSquares:

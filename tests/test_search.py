@@ -172,6 +172,35 @@ class TestSpecValidation:
         value = getattr(dataclasses.replace(window_spec(), **{name: np.int64(5)}), name)
         assert value == 5 and type(value) is int
 
+    @pytest.mark.parametrize("value", ["5", None, True], ids=["str", "none", "bool"])
+    @pytest.mark.parametrize("name", ["omega_start", "omega_stop", "threshold", "shrink"])
+    def test_float_that_is_not_a_number_is_named(self, name, value):
+        with pytest.raises(ConfigError,
+                           match=rf"^field search\.{name} has an invalid value"):
+            dataclasses.replace(window_spec(), **{name: value})
+
+    def test_int_floats_are_stored_as_floats(self):
+        # an int given in code writes the same manifest as the float
+        spec = dataclasses.replace(window_spec(), threshold=5, shrink=1)
+        assert type(spec.threshold) is type(spec.shrink) is float
+        assert tt.SearchSpec.from_dict(spec.to_dict()) == spec
+        assert json.dumps(spec.to_dict()) == json.dumps(dataclasses.replace(
+            window_spec(), threshold=5.0, shrink=1.0).to_dict())
+
+    @pytest.mark.parametrize("make,field", [
+        (lambda v: tt.VaryRange(v, 2.0), r"range\.low"),
+        (lambda v: tt.VaryRange(1.0, v), r"range\.high"),
+        (lambda v: tt.LockRule("hot.center", v), r"lock\.offset")])
+    @pytest.mark.parametrize("value", ["1", None, True], ids=["str", "none", "bool"])
+    def test_range_and_lock_number_is_named(self, make, field, value):
+        with pytest.raises(ConfigError, match=rf"^field {field} has an invalid value"):
+            make(value)
+
+    def test_range_and_lock_store_ints_as_floats(self):
+        rng, rule = tt.VaryRange(1, 2), tt.LockRule("hot.center", 0)
+        assert type(rng.low) is type(rng.high) is type(rule.offset) is float
+        assert (rng, rule) == (tt.VaryRange(1.0, 2.0), tt.LockRule("hot.center", 0.0))
+
     @pytest.mark.parametrize("name,low", [("hot.temperature", 0.0),
                                           ("hot.center", -0.5), ("hot.kappa", -1e-3)])
     def test_range_below_the_parameter_domain_is_named(self, name, low):

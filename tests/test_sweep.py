@@ -14,7 +14,7 @@ import yaml
 import tritherm as tt
 from tritherm import _kernels, sweep
 from tritherm.cli import main
-from tritherm.core import ConfigError, DomainError, TrithermError
+from tritherm.core import ConfigError, ConsistencyError, DomainError, TrithermError
 from tritherm._kernels import thermo_batch
 from tritherm.currents import KERNEL_PATHS, ThermoPoint, config_args, validity_codes
 from tritherm.modes import (ERROR_CODE, MODE_BY_CODE, OperatingMode,
@@ -130,6 +130,28 @@ class TestRunSweep:
         got.to_json(tmp_path / "got.json")
         want.to_json(tmp_path / "want.json")
         assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    @pytest.mark.parametrize("value", ["0.1", None, True], ids=["str", "none", "bool"])
+    @pytest.mark.parametrize("name", ["start", "stop"])
+    def test_axis_bound_that_is_not_a_number_is_named(self, name, value):
+        bounds = {"start": 0.1, "stop": 0.5, name: value}
+        with pytest.raises(ConfigError, match=rf"^field axis drive_freq\.{name} has an "
+                                              "invalid value"):
+            tt.Axis("drive_freq", bounds["start"], bounds["stop"], 5)
+
+    def test_int_axis_bounds_write_the_float_json(self, default_config, tmp_path):
+        axis = tt.Axis("hot.center", 1, 2, 3)
+        assert type(axis.start) is type(axis.stop) is float
+        for name, a in (("int", axis), ("float", tt.Axis("hot.center", 1.0, 2.0, 3))):
+            tt.run_sweep(tt.SweepSpec(template=default_config, axis1=a)).to_json(
+                tmp_path / f"{name}.json")
+        assert (tmp_path / "int.json").read_bytes() == (tmp_path / "float.json").read_bytes()
+
+    @pytest.mark.parametrize("outputs", ["transistor", ["mode", 1], None])
+    def test_outputs_that_are_not_names_are_named(self, default_config, outputs):
+        with pytest.raises(ConfigError, match=r"^field sweep\.outputs has an invalid value"):
+            tt.SweepSpec(template=default_config,
+                         axis1=tt.Axis("drive_freq", 0.1, 0.5, 5), outputs=outputs)
 
     @pytest.mark.parametrize("start,stop", [(1.0, np.inf), (1.0, np.nan),
                                             (-np.inf, 2.0), (np.nan, 2.0)])
@@ -260,7 +282,9 @@ class TestBlocks:
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
-    def test_all_error_tile_makes_no_kernel_call(self, monkeypatch):
+    def test_each_tile_is_one_whole_kernel_call(self, monkeypatch):
+        # error cells go to the kernel with their tile: one call per tile,
+        # of the tile's own shape, all-error tiles included
         template, axis1, axis2 = _BLOCK_CASES["temperatures"]
         spec = tt.SweepSpec(template=template, axis1=axis1, axis2=axis2)
         monkeypatch.setattr(_kernels, "BLOCK_POINTS", 7)
@@ -275,12 +299,11 @@ class TestBlocks:
         result = tt.run_sweep(spec)
         kinds = _tile_kinds(result.error_codes, axis2.count, 7)
         assert {"valid", "mixed", "error"} <= set(kinds)
-        assert len(seen) == len(kinds) - kinds.count("error")
-        # full tiles keep their 2D shape, mixed ones pass their valid cells
-        assert sorted(len(shape) for shape in seen) == sorted(
-            2 if k == "valid" else 1 for k in kinds if k != "error")
-        assert sum(int(np.prod(shape)) for shape in seen) == np.count_nonzero(
-            result.error_codes == 0)
+        # tiles of one row: seven cells, then the six left of the row
+        n1, n2 = axis1.count, axis2.count
+        assert sorted(seen) == sorted((1, min(7, n2 - j))
+                                      for _ in range(n1) for j in range(0, n2, 7))
+        assert sum(int(np.prod(shape)) for shape in seen) == result.size
 
     @pytest.mark.parametrize("transistor", [False, True])
     def test_block_memory_is_bounded(self, transistor):
@@ -382,6 +405,45 @@ class TestCellErrors:
         assert tt.sweep.ERROR_MESSAGES[4] == "nonfinite or nonpositive parameter"
 
 
+class TestErrorCellsAfterTheKernel:
+    """Hot and cold temperatures swapped: the kernel puts some of these
+    error cells in the forbidden octant, which the classifier raises on."""
+
+    TEMPLATE = make_config(drive=0.4, th=1.5, tm=0.8, tc=0.25, wh=0.2, wc=1.6)
+    AXES = (tt.Axis("hot.temperature", 0.25, 1.5, 6),
+            tt.Axis("cold.temperature", 0.25, 1.5, 6))
+
+    def test_forbidden_octant_error_cells_do_not_raise(self, monkeypatch):
+        args = list(config_args(self.TEMPLATE))
+        args[3] = self.AXES[0].values()[:, None]
+        args[5] = self.AXES[1].values()[None, :]
+        raw = thermo_batch(*args)
+        with pytest.raises(ConsistencyError, match="forbidden octant"):
+            classify_coupled_arrays(0.01, 0.01, *(raw[..., c] for c in range(4)))
+        seen = []
+
+        def spy(fn):
+            def wrapped(*args):   # the array arguments, one row per cell
+                seen.append(np.stack([a for a in args if np.ndim(a)], axis=-1))
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(tt.sweep, "classify_coupled_arrays",
+                            spy(classify_coupled_arrays))
+        monkeypatch.setattr(tt.sweep, "exergy_from_split", spy(exergy_from_split))
+        result = tt.run_sweep(tt.SweepSpec(template=self.TEMPLATE, axis1=self.AXES[0],
+                                           axis2=self.AXES[1]))
+        bad = result.error_codes != 0
+        assert 0 < bad.sum() < result.size and set(result.error_codes[bad]) == {2}
+        assert set(np.array(result.mode_labels())[bad]) == {"error"}
+        assert np.isnan(result.thermo[bad]).all() and np.isnan(result.phi[bad]).all()
+        # the classifier and exergy saw the error cells as NaN rows only
+        assert len(seen) == 2
+        for rows in seen:
+            rows = rows.reshape(result.size, -1)
+            assert np.isnan(rows[bad]).all() and np.isfinite(rows[~bad]).all()
+
+
 class TestNonfiniteCells:
     """Valid parameters whose kernel values overflow to NaN: a hot peak
     center (and so its Lorentzian) near 1e200 gives inf / inf."""
@@ -418,8 +480,8 @@ class TestNonfiniteCells:
 
     def test_tiles_with_error_cells_equal_one_tile(self, monkeypatch):
         # hot.temperature 0.3 breaks the ordering, so in tiles of 2 cells,
-        # (i, 0:2), the kernel gets the gathered valid cells of a row, one
-        # of them nonfinite below the first row
+        # (i, 0:2), the kernel gets an error cell and a valid one, the valid
+        # one nonfinite below the first row
         axis2 = tt.Axis("hot.temperature", 0.3, 1.0, 3)
         monkeypatch.setattr(_kernels, "BLOCK_POINTS", 10**9)
         _, whole = self._run(axis2)

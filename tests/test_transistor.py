@@ -1,10 +1,13 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
+import yaml
 
 import tritherm as tt
+from tritherm.cli import main
 from tritherm.core import DomainError
 from tritherm.transistor import _ratio, _runs, _window_runs, window_mask
 
@@ -218,3 +221,58 @@ class TestWindows:
             tt.find_windows(cfg, np.array([0.2, 0.3]))
         with pytest.raises(DomainError):
             tt.find_windows(cfg, np.linspace(0.5, 1.2, 11))
+
+
+class TestNonfiniteSlopes:
+    """A hot bath at 1e154 barely coupled (kappa 2.5e-150): the currents
+    are finite, but the drive slope of j_hot overflows, so g is NaN."""
+
+    CONFIG = pathlib.Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+    SET = {"hot.temperature": 1.6574392628797557e+154,
+           "hot.kappa": 2.5236352017280125e-150}
+
+    def config(self):
+        return tt.apply_params(
+            tt.MachineConfig.from_dict(yaml.safe_load(self.CONFIG.read_text())), self.SET)
+
+    def test_point_and_trace_raise(self):
+        config = self.config()
+        tt.evaluate_point(config)   # no slopes: every value is finite
+        with pytest.raises(DomainError, match="nonfinite values at this operating point"):
+            tt.transistor_point(config)
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(DomainError, match="nonfinite values along the omega grid"):
+            tt.transistor_trace(config, np.linspace(0.02, 0.98, 5))
+
+    def test_sweep_cells_are_error_cells(self):
+        config = self.config()
+        axes = (tt.Axis("hot.temperature", 1e154, 2e154, 3),
+                tt.Axis("drive_freq", 0.1, 0.9, 3))
+        spec = tt.SweepSpec(template=config, axis1=axes[0], axis2=axes[1],
+                            outputs=frozenset({"transistor"}))
+        with pytest.warns(RuntimeWarning):
+            result = tt.run_sweep(spec)
+        assert result.error_codes.tolist() == [0] + [5] * 8
+        assert np.isnan(result.g[1:]).all() and np.isnan(result.thermo[1:]).all()
+        point = tt.transistor_point(tt.apply_params(
+            config, {"hot.temperature": 1e154, "drive_freq": 0.1}))
+        assert (result.r[0], result.g[0]) == (point.r, point.g)
+        # without the transistor columns no slope is computed or checked
+        plain = tt.run_sweep(tt.SweepSpec(template=config, axis1=axes[0], axis2=axes[1]))
+        assert not plain.error_codes.any()
+
+    def test_search_candidates_score_minus_inf(self):
+        spec = tt.SearchSpec("transistor_window",
+                             {"hot.temperature": tt.VaryRange(1e154, 2e154)},
+                             samples=4, refine_rounds=0, omega_count=5)
+        with pytest.warns(RuntimeWarning):
+            assert tt.run_search(self.config(), spec, 0) == []
+
+    def test_cli_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        flags = [f"--set={k}={v!r}" for k, v in self.SET.items()]
+        assert main(["transistor", "--config", str(self.CONFIG), *flags,
+                     "--points", "5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "error: the closed forms give nonfinite values along the omega grid")
+        assert not out.exists() and not (tmp_path / "t.csv.manifest.json").exists()
