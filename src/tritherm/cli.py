@@ -143,10 +143,13 @@ def _run(args, command: str, from_flags, run) -> int:
         section, seed, write = run(config, manifest, warnings)
     write(args)
     if args.out:
+        outputs = [os.path.basename(args.out)]
+        if getattr(args, "json", False):   # sweep --json also writes <out>.json
+            outputs.append(outputs[0] + ".json")
         with open(args.out + ".manifest.json", "w") as fh:
             json.dump({"artifact": "tritherm", "version": __version__,
                        "command": command, "config": config.to_dict(), "seed": seed,
-                       "outputs": [os.path.basename(args.out)],
+                       "outputs": outputs,
                        "timestamp": datetime.datetime.now(datetime.timezone.utc)
                        .isoformat(), command: section}, fh, indent=1)
     return 0

@@ -88,7 +88,7 @@ def check_drive(drive_freq, omega0) -> None:
 
 # Message of each code of validity_codes; 0 marks a valid point.  Where
 # several checks fail, the one listed first wins.  The last code is set
-# after the kernel, by a sweep, on a valid point whose values are not finite.
+# after the kernel, by _blank_errors, on a valid point with nonfinite values.
 VALIDITY_MESSAGES = (None, "drive_freq outside (0, omega0)", "temperature ordering violated",
                      "nonpositive spectral peak frequency",
                      "nonfinite or nonpositive parameter", "nonfinite kernel result")
@@ -122,6 +122,20 @@ def finite_rows(table) -> np.ndarray:
     if table.shape[-1] > NCOLS:
         finite &= np.isfinite(table[..., COL_DJH]) & np.isfinite(table[..., COL_DP])
     return finite
+
+
+def _blank_errors(table, codes) -> np.ndarray:
+    """The one rule after the kernel: a point of ``codes`` with code 0 that
+    fails :func:`finite_rows` gets the last code of VALIDITY_MESSAGES, then
+    every point with a code gets NaN values in ``table``; both are written
+    in place.  Returns the mask of those points."""
+    finite = finite_rows(table)
+    if not finite.all():
+        codes[~finite & (codes == 0)] = len(VALIDITY_MESSAGES) - 1
+    bad = codes != 0
+    if bad.any():
+        table[bad] = np.nan
+    return bad
 
 
 def _drive_table(config: MachineConfig, grid=None, slopes: bool = False):

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import COL_JC, COL_JH, COL_JM, COL_P
 from .core import ConsistencyError, MachineConfig
 from .currents import SIGN_ZERO_BAND, ThermoPoint, evaluate_point
 
@@ -32,6 +33,7 @@ __all__ = [
     "ModeReport",
     "classify_arrays",
     "classify_coupled_arrays",
+    "classify_table",
     "exergy_from_split",
     "mode_report",
     "MODE_BY_CODE",
@@ -114,6 +116,13 @@ def classify_coupled_arrays(hot_kappa, cold_kappa, j_hot, j_cold, j_mid,
             f"{np.count_nonzero(codes < 0)} point(s) fall in the entropically "
             f"forbidden octant (j_hot<0, j_cold>0, power<0)")
     return codes
+
+
+def classify_table(table, hot_kappa, cold_kappa) -> np.ndarray:
+    """Mode codes of each point of a kernel table, by
+    :func:`classify_coupled_arrays` on its current and power columns."""
+    return classify_coupled_arrays(hot_kappa, cold_kappa, *(
+        table[..., c] for c in (COL_JH, COL_JC, COL_JM, COL_P)))
 
 
 def classify_arrays(j_hot, j_cold, power) -> np.ndarray:

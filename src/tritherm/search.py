@@ -23,12 +23,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import _kernels
-from ._kernels import COL_JC, COL_JH, COL_JM, COL_P, NCOLS, thermo_batch
+from ._kernels import NCOLS, thermo_batch
 from .core import (MAX_COUNT, ConfigError, MachineConfig, PARAM_PATHS, apply_params,
                    as_mapping, check_fields, construct, from_fields, get_field, integer,
                    number, parameter_bound, parameter_ok, string)
-from .currents import KERNEL_PATHS, finite_rows, validity_codes
-from .modes import OperatingMode, classify_coupled_arrays
+from .currents import KERNEL_PATHS, _blank_errors, validity_codes
+from .modes import OperatingMode, classify_table
 from .sweep import mode_sequence_along_omega
 from .transistor import (DEFAULT_THRESHOLD, _figures, _window_runs, transistor_trace,
                          window_mask, windows_from_arrays)
@@ -253,16 +253,16 @@ def _scores(spec: SearchSpec, grid, args, rows, out) -> np.ndarray:
     the ``_columns`` arguments ``args``, whose kernel table along ``grid``
     is written into ``out``: the widest window and the soft score, or the
     distinct modes and the capped switches.  A candidate with a grid point
-    that fails ``currents.finite_rows`` scores ``-inf``, as an invalid one
+    that ``currents._blank_errors`` blanks scores ``-inf``, as an invalid one
     does."""
     # (C, 1) columns and template scalars; all but mid.gamma_m
     block = [a[rows, None] if isinstance(a, np.ndarray) else a for a in args[:-1]]
     block[2] = grid
     window = spec.objective == "transistor_window"
     table = thermo_batch(*block, slopes=window, out=out)
+    bad = _blank_errors(table, np.zeros(table.shape[:-1], dtype=np.int8))
     if not window:
-        codes = classify_coupled_arrays(block[8], block[11], *(
-            table[..., c] for c in (COL_JH, COL_JC, COL_JM, COL_P)))
+        codes = classify_table(table, block[8], block[11])
         distinct = (codes[..., None] == _USEFUL_CODES).any(axis=1).sum(axis=1)
         switches = np.count_nonzero(codes[:, 1:] != codes[:, :-1], axis=1)
         scores = np.stack([distinct, np.minimum(switches, 999)], axis=1)
@@ -273,7 +273,7 @@ def _scores(spec: SearchSpec, grid, args, rows, out) -> np.ndarray:
         np.maximum.at(width, runs, grid[stops - 1] - grid[starts])
         soft = np.where(np.isfinite(r) & np.isfinite(g), np.minimum(r, g), 0.0)
         scores = np.stack([width, np.minimum(soft.max(axis=1), _SOFT_CAP)], axis=1)
-    return np.where(finite_rows(table).all(axis=1)[:, None], scores, -np.inf)
+    return np.where(bad.any(axis=1)[:, None], -np.inf, scores)
 
 
 def _detail(config: MachineConfig, spec: SearchSpec, grid) -> dict:

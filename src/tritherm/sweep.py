@@ -10,8 +10,8 @@ preconditions (temperature ordering, drive range, positive peak
 frequencies) are emitted as error cells carrying NaN values and an error
 code, so maps keep their rectangular shape.  A valid cell whose kernel
 values come out nonfinite becomes an error cell too, with its own code.
-Tiles go to the kernel whole; one rule after it blanks both kinds of
-error cell.  The tiles run under
+Tiles go to the kernel whole; one rule after it, shared with the search's
+blocks, blanks both kinds of error cell.  The tiles run under
 :func:`tritherm._kernels.map_blocks` and each writes only its own cells.
 Every cell is bitwise identical to a single-point evaluation at the same
 parameters, whatever the thread count.  :func:`mode_sequence_along_omega`
@@ -42,14 +42,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import _kernels
-from ._kernels import (COL_JC, COL_JH, COL_JM, COL_P, COL_SNEG, COL_SPOS, NCOLS,
-                       thermo_batch)
+from ._kernels import COL_SNEG, COL_SPOS, NCOLS, thermo_batch
 from .core import (MAX_COUNT, ConfigError, MachineConfig, TrithermError, get_field,
                    integer, names, number)
-from .currents import (KERNEL_PATHS, VALIDITY_MESSAGES, _drive_table, config_args,
-                       finite_rows, validity_codes)
-from .modes import (ERROR_CODE, MODE_BY_CODE, classify_coupled_arrays,
-                    exergy_from_split)
+from .currents import (KERNEL_PATHS, VALIDITY_MESSAGES, _blank_errors, _drive_table,
+                       config_args, validity_codes)
+from .modes import ERROR_CODE, MODE_BY_CODE, classify_table, exergy_from_split
 from .transistor import _figures, _runs
 
 __all__ = [
@@ -75,8 +73,6 @@ OUTPUT_KINDS = frozenset({"currents", "mode", "exergy", "transistor"})
 
 # Message of each error code of SweepResult.error_codes; 0 marks a valid cell.
 ERROR_MESSAGES = VALIDITY_MESSAGES
-# a cell that passes the validity checks but whose kernel values are not finite
-_NONFINITE_CODE = len(ERROR_MESSAGES) - 1
 
 _MODE_LABELS = tuple(m.value for m in MODE_BY_CODE[:ERROR_CODE]) + ("error",)
 
@@ -148,11 +144,19 @@ class SweepSpec:
             if axis is not None and axis.param == "drive_freq" and axis.stop >= w0:
                 raise ConfigError(f"axis drive_freq must stay below omega0 = {w0}",
                                   f"{name}.stop")
-        if self.axis2 is not None and self.axis2.param == self.axis1.param:
-            raise ConfigError("the two axes must sweep different parameters",
-                              "axis2.param")
+        common = (_targets(self.axis1.param) & _targets(self.axis2.param)
+                  if self.axis2 is not None else None)
+        if common:
+            raise ConfigError(f"the two axes must sweep different parameters: "
+                              f"{self.axis1.param} and {self.axis2.param} both set "
+                              f"{' and '.join(sorted(common))}", "axis2.param")
         if self.axis2 is not None and self.axis1.count * self.axis2.count > MAX_COUNT:
             raise ConfigError(f"the grid must have <= {MAX_COUNT} cells", "axis2.count")
+
+
+def _targets(param: str) -> set:
+    """The kernel arguments an axis of ``param`` sets."""
+    return {"hot.center", "cold.center"} if param == "hot.center_locked" else {param}
 
 
 def _apply_axis(cols: list[np.ndarray], param: str, values: np.ndarray,
@@ -374,24 +378,14 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     rows = max(1, _kernels.BLOCK_POINTS // cols)
 
     def run(tile):
-        # A valid cell that fails ``currents.finite_rows`` gets the nonfinite
-        # code; then every cell with a code gets NaN values, which classify
-        # and score without raising, and the error mode.  The tile's
-        # temporaries are freed on return, before the next tile's kernel call.
+        # ``currents._blank_errors`` gives the error cells, nonfinite ones
+        # included, NaN rows, which classify and score without raising; it
+        # writes the nonfinite codes through the ``codes[tile]`` view.  The
+        # tile's temporaries are freed on return, before the next kernel call.
         table = thermo_batch(*(_tile(a, tile) for a in args), slopes=transistor)
-        cells = codes[tile]   # a view: its nonfinite codes reach the result
-        finite = finite_rows(table)
-        if not finite.all():
-            cells[~finite & (cells == 0)] = _NONFINITE_CODE
-        bad = cells != 0
-        blank = bad.any()
-        if blank:
-            table[bad] = np.nan
-        modes = classify_coupled_arrays(
-            template.hot.kappa, template.cold.kappa,
-            *(table[..., c] for c in (COL_JH, COL_JC, COL_JM, COL_P)))
-        if blank:
-            modes[bad] = ERROR_CODE
+        bad = _blank_errors(table, codes[tile])
+        modes = classify_table(table, template.hot.kappa, template.cold.kappa)
+        modes[bad] = ERROR_CODE
         values = [table[..., :NCOLS], modes,
                   exergy_from_split(table[..., COL_SPOS], table[..., COL_SNEG]),
                   *(_figures(table) if transistor else ())]
@@ -437,8 +431,7 @@ def mode_sequence_along_omega(config: MachineConfig, omega_grid) -> list:
     :func:`tritherm.transistor.transistor_trace`.
     """
     grid, table = _drive_table(config, omega_grid)
-    codes = classify_coupled_arrays(config.hot.kappa, config.cold.kappa, *(
-        table[:, c] for c in (COL_JH, COL_JC, COL_JM, COL_P)))
+    codes = classify_table(table, config.hot.kappa, config.cold.kappa)
     _, starts, stops = _runs(codes)
     return [((float(grid[start]), float(grid[stop - 1])), MODE_BY_CODE[codes[start]])
             for start, stop in zip(starts.tolist(), stops.tolist())]

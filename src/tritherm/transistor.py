@@ -153,12 +153,15 @@ def windows_from_arrays(omega, r, g,
 
     +inf values pass the threshold; windows containing them are flagged and
     report minima over their finite points.  Returned windows are disjoint
-    and sorted by frequency.  A threshold that is not > 0 (NaN included)
-    raises DomainError.
+    and sorted by frequency.  DomainError unless the threshold is finite
+    and > 0, and ``omega``, ``r`` and ``g`` are 1D arrays of one length.
     """
-    if not threshold > 0:
-        raise DomainError(f"threshold must be > 0, got {threshold}")
+    if not 0 < threshold < math.inf:
+        raise DomainError(f"threshold must be finite and > 0, got {threshold}")
     omega, r, g = np.asarray(omega), np.asarray(r), np.asarray(g)
+    if omega.ndim != 1 or not omega.shape == r.shape == g.shape:
+        raise DomainError(f"omega, r and g must be 1D arrays of one length, got "
+                          f"shapes {omega.shape}, {r.shape} and {g.shape}")
     windows = []
     _, starts, stops = _window_runs(r, g, threshold)
     for start, stop in zip(starts.tolist(), stops.tolist()):

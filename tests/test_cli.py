@@ -153,6 +153,25 @@ class TestSweep:
         assert manifest["command"] == "sweep"
         assert manifest["sweep"]["axis1"]["param"] == "drive_freq"
 
+    @pytest.mark.parametrize("json_flag,outputs", [
+        ((), ["map.csv"]), (("--json",), ["map.csv", "map.csv.json"])])
+    def test_manifest_lists_every_file_written(self, tmp_path, json_flag, outputs):
+        self.run_sweep(tmp_path, "map.csv", json_flag)
+        manifest = json.loads((tmp_path / "map.csv.manifest.json").read_text())
+        assert manifest["outputs"] == outputs
+        assert all((tmp_path / name).exists() for name in outputs)
+
+    @pytest.mark.parametrize("axes", [
+        ("hot.center:1.0:2.0:3", "hot.center_locked:1.2:1.8:4"),
+        ("hot.center_locked:1.2:1.8:4", "cold.center:0.5:1.0:3")])
+    def test_overlapping_axes_exit_one_and_write_nothing(self, tmp_path, capsys, axes):
+        path = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "ov.csv"
+        assert main(["sweep", "--config", path, "--axis1", axes[0], "--axis2", axes[1],
+                     "--json", "--out", str(out)]) == 1
+        assert "sweep.axis2.param" in capsys.readouterr().err
+        assert not list(tmp_path.glob("ov.csv*"))
+
     def test_threads_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             self.run_sweep(tmp_path, "a.csv", ("--threads", "1"))
@@ -312,6 +331,20 @@ class TestSearch:
                      "--set", "cold.kappa=0"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["objective"] == "transistor_window"
+
+    @pytest.mark.parametrize("objective", ["mode_sequence", "transistor_window"])
+    def test_overflowing_candidates_score_minus_inf(self, tmp_path, capsys, objective):
+        # hot centers up to 1e200 against a cold peak at 0.05: NaN j_hot and
+        # power beside a positive j_cold once exited 2 (forbidden octant)
+        config = {**BASE_CONFIG, "cold": {**BASE_CONFIG["cold"], "center": 0.05},
+                  "search": {"objective": objective, "samples": 20, "refine_rounds": 0,
+                             "vary": {"hot.center": {"min": 1.0, "max": 1.0e+200,
+                                                     "scale": "log"}}}}
+        path = write_config(tmp_path, config)
+        assert main(["search", "--config", path, "--seed", "1"]) == 0
+        candidates = json.loads(capsys.readouterr().out)["candidates"]
+        assert len(candidates) == 5
+        assert all(math.isfinite(c["score"]) for c in candidates)
 
     def test_missing_search_section(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE_CONFIG)

@@ -10,7 +10,9 @@ import pytest
 import tritherm as tt
 from tritherm import _kernels, search
 from tritherm.core import ConfigError, DomainError
-from tritherm.currents import KERNEL_PATHS, config_args, validity_codes
+from tritherm._kernels import NCOLS
+from tritherm.currents import (KERNEL_PATHS, VALIDITY_MESSAGES, _blank_errors,
+                               config_args, validity_codes)
 
 from conftest import config_from_params, make_config, random_valid_batch
 
@@ -79,6 +81,29 @@ class TestDomain:
     def test_drive_above_omega0_rejected(self):
         with pytest.raises(DomainError):
             tt.evaluate_point(make_config(drive=1.2))
+
+
+class TestBlankErrors:
+    """The one rule after the kernel, on a hand-made table with slopes."""
+
+    def test_codes_and_blanks_in_place(self):
+        table = np.arange(4 * (NCOLS + 2), dtype=float).reshape(4, NCOLS + 2)
+        table[1, -1] = np.inf   # a valid point with a nonfinite drive slope
+        table[2, 0] = np.nan    # an invalid point that is also nonfinite
+        codes = np.array([0, 0, 2, 3], dtype=np.int8)
+        first_row = table[0].copy()
+        bad = _blank_errors(table, codes)
+        assert bad.tolist() == [False, True, True, True]
+        assert codes.tolist() == [0, len(VALIDITY_MESSAGES) - 1, 2, 3]
+        assert VALIDITY_MESSAGES[codes[1]] == "nonfinite kernel result"
+        assert np.isnan(table[1:]).all()
+        assert table[0].tobytes() == first_row.tobytes()
+
+    def test_a_clean_table_is_left_alone(self):
+        table = np.ones((2, 3, NCOLS))
+        codes = np.zeros((2, 3), dtype=np.int8)
+        assert not _blank_errors(table, codes).any()
+        assert (table == 1.0).all() and not codes.any()
 
 
 class TestParameterRule:

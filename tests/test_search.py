@@ -470,6 +470,21 @@ class TestBatchedSearch:
         assert out and len(out) < spec.top_k
         assert all(np.isfinite(c.score) for c in out)
 
+    @pytest.mark.parametrize("objective", search.OBJECTIVES)
+    def test_nonfinite_signs_are_not_classified(self, objective):
+        # with the cold peak at 0.05, hot centers along the log range give
+        # grid points with NaN j_hot and power but a positive j_cold; read
+        # as signs, they fall in the forbidden octant, which once raised
+        spec = tt.SearchSpec(objective=objective, samples=20, refine_rounds=0,
+                             vary={"hot.center": tt.VaryRange(1.0, 1e200, "log")})
+        template = make_config(wc=0.05)
+        evaluated = []
+        with np.errstate(all="ignore"):
+            out = tt.run_search(template, spec, 1)
+            assert dumps(out) == dumps(reference_search(template, spec, 1, evaluated))
+        assert any(not np.isfinite(e[0][0]) for e in evaluated)
+        assert len(out) == spec.top_k and all(np.isfinite(c.score) for c in out)
+
     def test_fixed_omega0_below_grid_raises(self):
         template = tt.apply_params(transistor_template(), {"wm.omega0": 0.9})
         with pytest.raises(ConfigError, match="grid must stay below omega0"):

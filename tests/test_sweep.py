@@ -101,6 +101,19 @@ class TestRunSweep:
         assert result.r[0] == tp.r
         assert result.g[0] == tp.g
 
+    @pytest.mark.parametrize("first,second", [
+        ("hot.center", "hot.center_locked"), ("hot.center_locked", "hot.center"),
+        ("hot.center_locked", "cold.center"), ("cold.center", "hot.center_locked"),
+        ("cold.center", "cold.center")])
+    def test_axes_that_set_one_parameter_are_rejected(self, default_config, first,
+                                                      second):
+        # hot.center_locked sets hot.center and cold.center, so either other
+        # axis would be overwritten by it, or break its lock
+        with pytest.raises(ConfigError, match="both set") as exc:
+            tt.SweepSpec(template=default_config, axis1=tt.Axis(first, 1.0, 2.0, 3),
+                         axis2=tt.Axis(second, 1.2, 1.8, 4))
+        assert exc.value.key == "axis2.param"
+
     def test_axis_validation(self, default_config):
         with pytest.raises(ConfigError):
             tt.Axis("hot.flux", 0.1, 0.2, 5)
@@ -428,7 +441,7 @@ class TestErrorCellsAfterTheKernel:
                 return fn(*args)
             return wrapped
 
-        monkeypatch.setattr(tt.sweep, "classify_coupled_arrays",
+        monkeypatch.setattr(tt.modes, "classify_coupled_arrays",
                             spy(classify_coupled_arrays))
         monkeypatch.setattr(tt.sweep, "exergy_from_split", spy(exergy_from_split))
         result = tt.run_sweep(tt.SweepSpec(template=self.TEMPLATE, axis1=self.AXES[0],

@@ -204,7 +204,7 @@ class TestWindows:
         for w in windows:
             assert w.min_r > 10.0 and w.min_g > 10.0
 
-    @pytest.mark.parametrize("threshold", [float("nan"), -1.0, 0.0])
+    @pytest.mark.parametrize("threshold", [float("nan"), -1.0, 0.0, float("inf")])
     def test_threshold_must_be_positive(self, threshold):
         grid = np.linspace(0.02, 0.98, 11)
         with pytest.raises(DomainError, match="threshold"):
@@ -212,6 +212,15 @@ class TestWindows:
         with pytest.raises(DomainError, match="threshold"):
             tt.windows_from_arrays(grid, np.full(11, 20.0), np.full(11, 20.0),
                                    threshold)
+
+    @pytest.mark.parametrize("omega,r,g", [
+        ([0.1, 0.2], [1, 2], [1, 2, 3]),
+        ([0.1, 0.2, 0.3], [20, 20], [20, 20, 20]),
+        (np.ones((2, 3)), np.full((2, 3), 20.0), np.full((2, 3), 20.0)),
+        (0.1, 20.0, 20.0)], ids=["g_longer", "r_shorter", "2d", "0d"])
+    def test_arrays_must_be_1d_of_one_length(self, omega, r, g):
+        with pytest.raises(DomainError, match="1D arrays of one length"):
+            tt.windows_from_arrays(omega, r, g, 1.0)
 
     def test_grid_validation(self):
         cfg = transistor_config()
