@@ -49,6 +49,11 @@ from .transistor import (DEFAULT_THRESHOLD, transistor_trace, window_mask,
                          windows_from_arrays)
 
 
+# libyaml's parser where PyYAML was built with it; both loaders share the
+# safe resolver and constructor, so they build equal dicts
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _parse(path: str, kind: str, parse):
     """``parse`` of the text of the ``kind`` file ``path``; ConfigError naming
     the file if it is missing, unreadable, not UTF-8 or malformed."""
@@ -126,7 +131,8 @@ def _run(args, command: str, from_flags, run) -> int:
                                   f"--from-manifest: the manifest fixes the run")
         manifest = _load_manifest(args.from_manifest, command)
     elif args.config:
-        raw = _parse(args.config, "config", yaml.safe_load)
+        raw = _parse(args.config, "config",
+                     lambda text: yaml.load(text, Loader=_YAML_LOADER))
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {args.config} must contain a mapping")
         config = apply_params(MachineConfig.from_dict(raw), _parse_overrides(args.set))

@@ -312,7 +312,7 @@ class SweepResult:
             cols += [_float_texts(c[chunk]) for c in figures]
             cols.append([t[self.error_codes[chunk]].tolist() for t in _ERROR_TEXT])
             csv_cols, json_cols = zip(*cols)
-            yield ("".join(",".join(r) + "\r\n" for r in zip(*csv_cols)).encode()
+            yield (("\r\n".join(map(",".join, zip(*csv_cols))) + "\r\n").encode()
                    if want_csv else None,
                    (("," if start else "") + "[" + "],[".join(
                        map(",".join, zip(*json_cols))) + "]").encode()
@@ -329,8 +329,18 @@ def _write_chunks(chunks, files) -> None:
 
 
 def _float_texts(values) -> tuple[list[str], list[str]]:
-    """CSV text (``repr``) and JSON text of each element of a float array."""
-    text = list(map(float.__repr__, values.tolist()))
+    """CSV text (``repr``) and JSON text of each element of a float array.
+
+    A run of bit-identical neighbours (compared on the ``int64`` view, so
+    ``0.0`` and ``-0.0``, or two NaN payloads, stay apart) is formatted once."""
+    bits = values.view(np.int64)
+    new = bits[1:] != bits[:-1]
+    if new.all():
+        text = list(map(float.__repr__, values.tolist()))
+    else:
+        starts = np.flatnonzero(np.concatenate(([True], new)))
+        runs = np.array(list(map(float.__repr__, values[starts].tolist())), dtype=object)
+        text = runs.repeat(np.diff(starts, append=len(values))).tolist()
     if np.isfinite(values).all():
         return text, text
     return text, [_JSON_NONFINITE.get(t, t) for t in text]

@@ -12,6 +12,7 @@ import pytest
 import yaml
 
 import tritherm as tt
+from tritherm import cli
 from tritherm.cli import main
 from tritherm.core import MAX_COUNT
 from tritherm.transistor import (DEFAULT_THRESHOLD, window_mask,
@@ -799,6 +800,44 @@ class TestMalformedConfigs:
                 failures.append(f"{'.'.join(field)} {label}: exit {code}, {err.strip()!r}")
         assert count > 100
         assert not failures, "\n".join(failures)
+
+
+# The YAML loaders PyYAML has here: the pure-Python one, and libyaml's
+_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+
+
+class TestYamlLoader:
+    """Configs are parsed by libyaml where PyYAML was built with it, by the
+    pure-Python parser otherwise, with the same results."""
+
+    def test_libyaml_is_used_where_present(self):
+        assert cli._YAML_LOADER is _LOADERS[-1]
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
+    def test_loaders_build_equal_dicts(self, path):
+        text = path.read_text()
+        loaded = [yaml.load(text, Loader=loader) for loader in _LOADERS]
+        # repr, so an int read as a float (or the reverse) differs too
+        assert all(repr(x) == repr(loaded[0]) for x in loaded)
+        assert loaded[0]["hot"]["temperature"] > 0
+
+    @pytest.mark.parametrize("loader", _LOADERS, ids=lambda x: x.__name__)
+    def test_point_runs_under_each_loader(self, monkeypatch, capsys, loader):
+        assert main(["point", "--config", str(CONFIGS / "default.yaml")]) == 0
+        want = capsys.readouterr().out
+        monkeypatch.setattr(cli, "_YAML_LOADER", loader)
+        assert main(["point", "--config", str(CONFIGS / "default.yaml")]) == 0
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("loader", _LOADERS, ids=lambda x: x.__name__)
+    def test_malformed_yaml_exits_one_under_each_loader(self, monkeypatch, tmp_path,
+                                                        capsys, loader):
+        monkeypatch.setattr(cli, "_YAML_LOADER", loader)
+        path = _text_file(tmp_path, "bad.yaml", "hot: {temperature: [\n")
+        assert main(["point", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot parse config {path}: ")
+        assert "Traceback" not in err
 
 
 class TestUnknownConfigFields:

@@ -19,7 +19,7 @@ from tritherm._kernels import thermo_batch
 from tritherm.currents import KERNEL_PATHS, ThermoPoint, config_args, validity_codes
 from tritherm.modes import (ERROR_CODE, MODE_BY_CODE, OperatingMode,
                             classify_coupled_arrays, exergy_from_split)
-from tritherm.sweep import _CHUNK_ROWS
+from tritherm.sweep import _CHUNK_ROWS, _float_texts
 from tritherm.transistor import _figures
 
 from conftest import make_config
@@ -697,6 +697,45 @@ class TestSerialization:
             result.thermo[0, 0]
 
 
+_NAN_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+
+
+class TestFloatTexts:
+    """``_float_texts`` formats each run of bit-identical neighbours once."""
+
+    CASES = {
+        "empty": [],
+        "one": [0.1],
+        "two_equal": [0.1, 0.1],
+        "two_zeros": [0.0, -0.0],
+        "adjacent_zeros": [0.0, 0.0, -0.0, -0.0, 0.0, -0.0, 1.0, 1.0],
+        "nan_runs": [np.nan, np.nan, 1.0, np.nan, _NAN_PAYLOAD, _NAN_PAYLOAD, -np.nan],
+        "inf_runs": [np.inf, np.inf, -np.inf, -np.inf, np.inf, 2.5, 2.5, -np.inf],
+        "subnormal": [5e-324, 5e-324, -5e-324, -5e-324, 0.0, 5e-324, 1e-320],
+        "one_run": [1.0 / 3.0] * 40,
+        "no_runs": np.linspace(0.02, 0.9, 41),
+    }
+
+    @staticmethod
+    def _check(values):
+        csv_text, json_text = _float_texts(values)
+        assert csv_text == [repr(float(v)) for v in values]
+        assert json_text == [json.dumps(float(v)) for v in values]
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_each_text_is_the_repr_of_its_value(self, name):
+        self._check(np.array(self.CASES[name], dtype=np.float64))
+
+    def test_strided_columns(self):
+        result = _writer_case("one_run_column")
+        assert not result.thermo[:, 1].flags.contiguous
+        for c in range(5):
+            self._check(result.thermo[:, c])
+        for column in (result.phi, result.r, result.g):
+            self._check(column)
+        assert len(set(result.thermo[:, 1].tolist())) == 1
+
+
 # Reference writers: the original per-cell export, one repr per numpy
 # scalar, with JSON re-parsed from the CSV strings and written by json.dump.
 def _reference_rows(result):
@@ -787,6 +826,10 @@ def _writer_case(name):
         "several_chunks": tt.SweepSpec(
             template=cfg, axis1=tt.Axis("drive_freq", 0.02, 0.9, 97),
             axis2=tt.Axis("hot.center", 1.0, 2.0, 91), outputs=transistor),
+        # j_cold does not depend on the hot bath: one run over the whole grid
+        "one_run_column": tt.SweepSpec(
+            template=cfg, axis1=tt.Axis("hot.temperature", 0.6, 1.5, 9),
+            axis2=tt.Axis("hot.center", 1.0, 2.0, 7), outputs=transistor),
     }[name]
     return tt.run_sweep(spec)
 
@@ -794,7 +837,7 @@ def _writer_case(name):
 class TestWriterBytes:
     @pytest.mark.parametrize("name", ["2d_transistor", "1d_plain", "error_cells",
                                       "drive_error_cells", "hand_built",
-                                      "several_chunks"])
+                                      "several_chunks", "one_run_column"])
     def test_csv_and_json_match_reference(self, tmp_path, name):
         result = _writer_case(name)
         if name == "several_chunks":
@@ -864,10 +907,14 @@ class TestForkedWriter:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("name", ["1d_plain", "2d_transistor", "below_one_chunk",
-                                      "error_boundaries"])
+                                      "error_boundaries", "one_run_column"])
     def test_bytes_do_not_depend_on_the_writer_count(self, monkeypatch, tmp_path,
                                                      workers, name):
         result = _fork_case(name)
+        if name == "one_run_column":
+            # the run crosses every chunk and every range boundary
+            assert len(set(result.thermo[:, 1].tolist())) == 1
+            assert result.size > 3 * self.CHUNK and not result.error_codes.any()
         _reference_csv(result, tmp_path / "want.csv")
         _reference_json(result, tmp_path / "want.json")
         monkeypatch.setattr(sweep, "_CHUNK_ROWS", self.CHUNK)
