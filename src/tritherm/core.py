@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+import reprlib
 from dataclasses import MISSING, asdict, dataclass, field, replace
 from functools import partial
 
@@ -99,6 +100,16 @@ def names(value) -> frozenset:
             and all(isinstance(v, str) for v in value)):
         return frozenset(value)
     raise TypeError(value)
+
+
+def check_real(value, name: str) -> np.ndarray:
+    """``value`` as a float64 array, if it holds real numbers: Python or
+    numpy ints and floats, one or an array of them; DomainError naming the
+    argument ``name`` for anything else, strings and bools included."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be numeric, got {reprlib.repr(value)}")
+    return array.astype(np.float64, copy=False)
 
 
 def as_mapping(value, path: str) -> dict:
@@ -399,8 +410,10 @@ def bose_occupation(x: float) -> float:
     Raises
     ------
     DomainError
-        Unless ``x > 0`` (the occupation diverges at 0); NaN included.
+        Unless ``x`` is a number > 0 (the occupation diverges at 0); NaN
+        included.
     """
+    check_real(x, "x")
     if not x > 0.0:
         raise DomainError(f"bose_occupation requires x > 0, got {x}")
     with np.errstate(over="ignore"):
@@ -416,6 +429,7 @@ def spectral_lorentzian(bath: LorentzianBath, wm: WorkingMedium, omega: float) -
     kernel's own arithmetic, so it equals the kernel's value at a sideband
     to the last bit.
     """
+    check_real(omega, "omega")
     if not 0.0 <= omega < math.inf:
         raise DomainError(f"spectral density requires a finite omega >= 0, got {omega}")
     dmg = amplitude(wm.omega0, wm.mass, bath.center, bath.width, bath.kappa)

@@ -21,8 +21,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._kernels import COL_DJH, COL_DP, COL_JM, COL_S, NCOLS, thermo_batch
-from .core import (DomainError, MachineConfig, drive_ok, ordering_ok, parameter_bound,
-                   parameter_ok)
+from .core import (DomainError, MachineConfig, check_real, drive_ok, ordering_ok,
+                   parameter_bound, parameter_ok)
 
 __all__ = [
     "SIGN_ZERO_BAND",
@@ -76,6 +76,14 @@ _KERNEL_ARGS = operator.attrgetter(*KERNEL_PATHS)
 def config_args(config: MachineConfig) -> tuple[float, ...]:
     """The twelve kernel arguments of a config, in batch-call order."""
     return _KERNEL_ARGS(config)
+
+
+def _kernel_args(config: MachineConfig, columns) -> dict:
+    """The twelve kernel arguments of ``config`` by dotted path, in
+    ``KERNEL_PATHS`` order; a path of the mapping ``columns`` takes its
+    value there instead (an axis vector, a candidate column, a drive grid)."""
+    return {path: columns.get(path, value)
+            for path, value in zip(KERNEL_PATHS, config_args(config))}
 
 
 def check_drive(drive_freq, omega0) -> None:
@@ -139,10 +147,11 @@ def _blank_errors(table, codes) -> np.ndarray:
 
 
 def _drive_table(config: MachineConfig, grid=None, slopes: bool = False):
-    """The drives and kernel table of ``config`` along ``grid``, a 1D,
-    non-empty, strictly increasing grid, or at its own drive if ``grid`` is
-    None.  DomainError unless every drive lies in (0, omega0), and unless
-    every value of the table is finite (a grid's by :func:`finite_rows`):
+    """The drives and kernel table of ``config`` along ``grid``, a float64
+    array (:func:`tritherm.core.check_real`) that must be 1D, non-empty and
+    strictly increasing, or at its own drive if ``grid`` is None.
+    DomainError unless every drive lies in (0, omega0), and unless every
+    value of the table is finite (a grid's by :func:`finite_rows`):
     the closed forms can over- or underflow at a config that
     ``MachineConfig.validate`` passes (an omega0 of 1e-300, say)."""
     if grid is None:
@@ -150,7 +159,7 @@ def _drive_table(config: MachineConfig, grid=None, slopes: bool = False):
         if not drive_ok(drive, config.wm.omega0):   # two floats: a bool
             check_drive(drive, config.wm.omega0)
     else:
-        drive = np.asarray(grid, dtype=np.float64)
+        drive = grid
         if drive.ndim != 1 or drive.size < 1 or np.any(np.diff(drive) <= 0):
             raise DomainError("omega grid must be a non-empty, strictly increasing 1D array")
         check_drive(drive, config.wm.omega0)
@@ -184,15 +193,16 @@ def evaluate_arrays(omega0, mass, drive_freq, hot_temperature, mid_temperature,
     """Batched :func:`evaluate_point` over broadcastable parameter arrays.
 
     All arguments broadcast; scalars are allowed.  DomainError names the
-    first argument with an element that fails the parameter rule, or the
-    drive rule (:mod:`tritherm.core`); the ordering is not checked.
-    DomainError also if a point's values fail :func:`finite_rows`, giving
-    the number of such points.  Returns a :class:`ThermoPoint` whose fields
-    are arrays, with one entry per broadcast element.
+    first argument that is not numeric, or has an element that fails the
+    parameter rule or the drive rule (:mod:`tritherm.core`); the ordering
+    is not checked.  DomainError also if a point's values fail
+    :func:`finite_rows`, giving the number of such points.  Returns a
+    :class:`ThermoPoint` whose fields are arrays, with one entry per
+    broadcast element.
     """
     args = dict(locals())   # the twelve arguments, in kernel order
     for name, value in args.items():
-        if not parameter_ok(name, np.asarray(value, dtype=np.float64)).all():
+        if not parameter_ok(name, check_real(value, name)).all():
             raise DomainError(f"{name} must be finite and {parameter_bound(name)}")
     check_drive(drive_freq, omega0)
     table = thermo_batch(*args.values())

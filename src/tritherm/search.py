@@ -17,7 +17,6 @@ log scale) and can lock other parameters to sampled ones (e.g.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -27,7 +26,7 @@ from ._kernels import NCOLS, thermo_batch
 from .core import (MAX_COUNT, ConfigError, MachineConfig, PARAM_PATHS, apply_params,
                    as_mapping, check_fields, construct, from_fields, get_field, integer,
                    number, parameter_bound, parameter_ok, string)
-from .currents import KERNEL_PATHS, _blank_errors, validity_codes
+from .currents import _blank_errors, _kernel_args, validity_codes
 from .modes import OperatingMode, classify_table
 from .sweep import mode_sequence_along_omega
 from .transistor import (DEFAULT_THRESHOLD, _figures, _window_runs, transistor_trace,
@@ -39,8 +38,6 @@ OBJECTIVES = ("transistor_window", "mode_sequence")
 
 _SOFT_CAP = 1e9
 
-# The kernel arguments, then mid.gamma_m, which must only be positive
-_ARG_PATHS = KERNEL_PATHS + ("mid.gamma_m",)
 _USEFUL_CODES = np.array([i for i, m in enumerate(OperatingMode)
                           if m is not OperatingMode.DEGENERATE])
 
@@ -115,6 +112,11 @@ class SearchSpec:
         if self.objective not in OBJECTIVES:
             raise ConfigError(f"unknown search.objective {self.objective!r}; "
                               f"expected one of {OBJECTIVES}")
+        for key, kind in (("vary", VaryRange), ("lock", LockRule)):
+            for name, value in as_mapping(getattr(self, key), f"search.{key}").items():
+                if not isinstance(value, kind):
+                    raise ConfigError(f"search.{key}.{name} must be a {kind.__name__}, "
+                                      f"got {value!r}")
         if not self.vary:
             raise ConfigError("search.vary needs at least one varied parameter")
         for name in list(self.vary) + list(self.lock):
@@ -171,7 +173,7 @@ class SearchSpec:
                 for name, rng, where in _entries(section, "vary", path)}
         lock = {name: from_fields(LockRule, rule, where)
                 for name, rule, where in _entries(section, "lock", path)}
-        grid = as_mapping(section.get("omega_grid") or {}, f"{path}.omega_grid")
+        grid = as_mapping(_optional(section, "omega_grid"), f"{path}.omega_grid")
         options = {f"omega_{k}": get_field(grid, k, f"{path}.omega_grid", kind)
                    for k, kind in _GRID_FIELDS.items() if k in grid}
         options.update({k: get_field(section, k, path, kind)
@@ -212,9 +214,15 @@ _FIELD_KINDS = {**{f"omega_{k}": kind for k, kind in _GRID_FIELDS.items()},
 _VARY_FIELDS = ("min", "max", "scale")
 
 
+def _optional(section: dict, key: str):
+    """``section[key]``, or an empty mapping if it is absent or null."""
+    value = section.get(key)
+    return {} if value is None else value
+
+
 def _entries(section: dict, key: str, path: str):
     """``(name, mapping, dotted path)`` for each entry of ``section[key]``."""
-    for name, value in as_mapping(section.get(key) or {}, f"{path}.{key}").items():
+    for name, value in as_mapping(_optional(section, key), f"{path}.{key}").items():
         where = f"{path}.{key}.{name}"
         yield name, as_mapping(value, where), where
 
@@ -234,18 +242,19 @@ class Candidate:
 def _columns(template: MachineConfig, spec: SearchSpec, units, grid) -> tuple:
     """The columns of the unit-cube samples ``units`` (one row each): the
     values of the varied parameters, decoded, then of the locked ones; the
-    thirteen values of ``_ARG_PATHS``, such a column where the spec varies
-    or locks the parameter and the template's scalar elsewhere; and the
-    mask of the candidates that ``apply_params`` and
+    kernel arguments by path (``currents._kernel_args``), such a column
+    where the spec varies or locks the parameter and the template's scalar
+    elsewhere; and the mask of the candidates that ``apply_params`` and
     ``MachineConfig.validate`` accept and whose omega0 is above the grid."""
     values = {name: rng.decode(units[:, i])
               for i, (name, rng) in enumerate(spec.vary.items())}
     for target, rule in spec.lock.items():
         values[target] = values[rule.source] + rule.offset
-    base = operator.attrgetter(*_ARG_PATHS)(template)
-    args = [values.get(path, b) for path, b in zip(_ARG_PATHS, base)]
-    return values, args, ((validity_codes(args[:-1], len(units)) == 0)
-                          & parameter_ok("mid.gamma_m", args[-1]) & (grid[-1] < args[0]))
+    args = _kernel_args(template, values)
+    gamma_m = values.get("mid.gamma_m", template.mid.gamma_m)
+    return values, args, ((validity_codes([*args.values()], len(units)) == 0)
+                          & parameter_ok("mid.gamma_m", gamma_m)
+                          & (grid[-1] < args["wm.omega0"]))
 
 
 def _scores(spec: SearchSpec, grid, args, rows, out) -> np.ndarray:
@@ -255,14 +264,15 @@ def _scores(spec: SearchSpec, grid, args, rows, out) -> np.ndarray:
     distinct modes and the capped switches.  A candidate with a grid point
     that ``currents._blank_errors`` blanks scores ``-inf``, as an invalid one
     does."""
-    # (C, 1) columns and template scalars; all but mid.gamma_m
-    block = [a[rows, None] if isinstance(a, np.ndarray) else a for a in args[:-1]]
-    block[2] = grid
+    # (C, 1) columns and template scalars, against the grid
+    block = {path: a[rows, None] if isinstance(a, np.ndarray) else a
+             for path, a in args.items()}
+    block["drive_freq"] = grid
     window = spec.objective == "transistor_window"
-    table = thermo_batch(*block, slopes=window, out=out)
+    table = thermo_batch(*block.values(), slopes=window, out=out)
     bad = _blank_errors(table, np.zeros(table.shape[:-1], dtype=np.int8))
     if not window:
-        codes = classify_table(table, block[8], block[11])
+        codes = classify_table(table, block["hot.kappa"], block["cold.kappa"])
         distinct = (codes[..., None] == _USEFUL_CODES).any(axis=1).sum(axis=1)
         switches = np.count_nonzero(codes[:, 1:] != codes[:, :-1], axis=1)
         scores = np.stack([distinct, np.minimum(switches, 999)], axis=1)
@@ -351,6 +361,7 @@ def run_search(template: MachineConfig, spec: SearchSpec, seed: int) -> list[Can
     bit (the sample takes ``seed``, the refinements ``seed + 1001``
     onwards), so results do not depend on whether SciPy is installed.
     """
+    seed = get_field({"seed": seed}, "seed", "", integer)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     dim = len(spec.vary)

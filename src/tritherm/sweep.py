@@ -43,10 +43,10 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import COL_SNEG, COL_SPOS, NCOLS, thermo_batch
-from .core import (MAX_COUNT, ConfigError, MachineConfig, TrithermError, get_field,
-                   integer, names, number)
-from .currents import (KERNEL_PATHS, VALIDITY_MESSAGES, _blank_errors, _drive_table,
-                       config_args, validity_codes)
+from .core import (MAX_COUNT, ConfigError, MachineConfig, TrithermError, check_real,
+                   get_field, integer, names, number)
+from .currents import (VALIDITY_MESSAGES, _blank_errors, _drive_table, _kernel_args,
+                       validity_codes)
 from .modes import ERROR_CODE, MODE_BY_CODE, classify_table, exergy_from_split
 from .transistor import _figures, _runs
 
@@ -60,14 +60,10 @@ __all__ = [
     "mode_sequence_along_omega",
 ]
 
-# Index of each sweepable parameter in the kernel argument list
-_ARG_INDEX = {path: KERNEL_PATHS.index(path) for path in (
-    "drive_freq", "hot.temperature", "mid.temperature", "cold.temperature",
-    "hot.center", "cold.center")}
-
 # hot.center_locked moves cold.center together with hot.center so the
 # detuning of the template is preserved across the axis.
-AXIS_PARAMS = frozenset(_ARG_INDEX) | {"hot.center_locked"}
+AXIS_PARAMS = frozenset({"drive_freq", "hot.center", "cold.center", "hot.center_locked",
+                         "hot.temperature", "mid.temperature", "cold.temperature"})
 
 OUTPUT_KINDS = frozenset({"currents", "mode", "exergy", "transistor"})
 
@@ -120,6 +116,12 @@ class Axis:
                 ("start", self.start <= 0, "values must be positive")):
             if bad:
                 raise ConfigError(f"axis {self.param}: {why}", key)
+        # a step above 4 ulps of stop keeps the values strictly increasing;
+        # only a denser axis is computed to be checked
+        if ((self.stop - self.start) / (self.count - 1) <= 4 * np.spacing(self.stop)
+                and np.any(np.diff(self.values()) <= 0)):
+            raise ConfigError(f"axis {self.param}: start {self.start} and stop "
+                              f"{self.stop} are too close for {self.count} points", "count")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
@@ -135,6 +137,12 @@ class SweepSpec:
     outputs: frozenset = field(default_factory=lambda: frozenset({"currents", "mode", "exergy"}))
 
     def __post_init__(self):
+        for name, kind, what in (("template", MachineConfig, "a MachineConfig"),
+                                 ("axis1", Axis, "an Axis"),
+                                 ("axis2", (Axis, type(None)), "an Axis or None")):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"sweep.{name} must be {what}, "
+                                  f"got {getattr(self, name)!r}")
         object.__setattr__(self, "outputs", get_field(vars(self), "outputs", "sweep", names))
         unknown = self.outputs - OUTPUT_KINDS
         if unknown:
@@ -144,7 +152,8 @@ class SweepSpec:
             if axis is not None and axis.param == "drive_freq" and axis.stop >= w0:
                 raise ConfigError(f"axis drive_freq must stay below omega0 = {w0}",
                                   f"{name}.stop")
-        common = (_targets(self.axis1.param) & _targets(self.axis2.param)
+        common = (_axis_columns(self.axis1.param, 0.0, self.template).keys()
+                  & _axis_columns(self.axis2.param, 0.0, self.template).keys()
                   if self.axis2 is not None else None)
         if common:
             raise ConfigError(f"the two axes must sweep different parameters: "
@@ -154,18 +163,13 @@ class SweepSpec:
             raise ConfigError(f"the grid must have <= {MAX_COUNT} cells", "axis2.count")
 
 
-def _targets(param: str) -> set:
-    """The kernel arguments an axis of ``param`` sets."""
-    return {"hot.center", "cold.center"} if param == "hot.center_locked" else {param}
-
-
-def _apply_axis(cols: list[np.ndarray], param: str, values: np.ndarray,
-                template: MachineConfig):
+def _axis_columns(param: str, values, template: MachineConfig) -> dict:
+    """The kernel arguments, by config path, that an axis of ``param`` sets
+    to ``values``: hot.center_locked sets hot.center and cold.center, the
+    latter at the template's detuning below it."""
     if param == "hot.center_locked":
-        cols[_ARG_INDEX["hot.center"]] = values
-        cols[_ARG_INDEX["cold.center"]] = values - template.detuning
-    else:
-        cols[_ARG_INDEX[param]] = values
+        return {"hot.center": values, "cold.center": values - template.detuning}
+    return {param: values}
 
 
 @dataclass(eq=False)
@@ -370,10 +374,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     n = n1 * n2
 
     # template values stay scalars; axis1 varies along rows, axis2 along columns
-    args = [np.float64(v) for v in config_args(template)]
-    _apply_axis(args, spec.axis1.param, a1[:, None], template)
+    columns = _axis_columns(spec.axis1.param, a1[:, None], template)
     if a2 is not None:
-        _apply_axis(args, spec.axis2.param, a2[None, :], template)
+        columns.update(_axis_columns(spec.axis2.param, a2[None, :], template))
+    args = [*_kernel_args(template, columns).values()]
 
     codes = validity_codes(args, (n1, n2))
     transistor = "transistor" in spec.outputs
@@ -440,7 +444,7 @@ def mode_sequence_along_omega(config: MachineConfig, omega_grid) -> list:
     along it finite; DomainError otherwise, as for
     :func:`tritherm.transistor.transistor_trace`.
     """
-    grid, table = _drive_table(config, omega_grid)
+    grid, table = _drive_table(config, check_real(omega_grid, "omega grid"))
     codes = classify_table(table, config.hot.kappa, config.cold.kappa)
     _, starts, stops = _runs(codes)
     return [((float(grid[start]), float(grid[stop - 1])), MODE_BY_CODE[codes[start]])

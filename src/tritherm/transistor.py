@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._kernels import COL_DJH, COL_DP, COL_JC, COL_JH, COL_JM, COL_P
-from .core import DomainError, MachineConfig
+from .core import DomainError, MachineConfig, check_real
 from .currents import SIGN_ZERO_BAND, _drive_table
 
 __all__ = [
@@ -139,7 +139,7 @@ def transistor_trace(config: MachineConfig, omega_grid) -> TransistorTrace:
     non-empty, strictly increasing and inside (0, omega0).  DomainError if
     a kernel value along it, a slope included, is not finite
     (``currents.finite_rows``)."""
-    grid, table = _drive_table(config, omega_grid, slopes=True)
+    grid, table = _drive_table(config, check_real(omega_grid, "omega grid"), slopes=True)
     r, g = _figures(table)
     return TransistorTrace(omega=grid, j_hot=table[:, COL_JH],
                            j_cold=table[:, COL_JC], j_mid=table[:, COL_JM],
@@ -153,9 +153,10 @@ def windows_from_arrays(omega, r, g,
 
     +inf values pass the threshold; windows containing them are flagged and
     report minima over their finite points.  Returned windows are disjoint
-    and sorted by frequency.  DomainError unless the threshold is finite
-    and > 0, and ``omega``, ``r`` and ``g`` are 1D arrays of one length.
+    and sorted by frequency.  DomainError unless the threshold is a finite
+    number > 0, and ``omega``, ``r`` and ``g`` are 1D arrays of one length.
     """
+    check_real(threshold, "threshold")
     if not 0 < threshold < math.inf:
         raise DomainError(f"threshold must be finite and > 0, got {threshold}")
     omega, r, g = np.asarray(omega), np.asarray(r), np.asarray(g)

@@ -930,6 +930,17 @@ FAILING_RUNS = {
         "search", "--config",
         _search_config(tmp, vary={"hot.temp": {"min": 0.5, "max": 0.6}})],
         1, "unknown parameter"),
+    "search_omega_grid_an_empty_list": (lambda tmp: [
+        "search", "--config", _search_config(tmp, omega_grid=[])],
+        1, "search.omega_grid must be a mapping"),
+    "search_lock_zero": (lambda tmp: [
+        "search", "--config", _search_config(tmp, lock=0)],
+        1, "search.lock must be a mapping"),
+    "sweep_axis_too_dense": (lambda tmp: [
+        "sweep", "--config", write_config(tmp, BASE_CONFIG),
+        "--axis1", "drive_freq:0.5:0.5000000000000001:5", "--out", str(tmp / "a.csv")],
+        1, "field sweep.axis1.count: axis drive_freq: start 0.5 and stop "
+           "0.5000000000000001 are too close for 5 points"),
     "varied_and_locked": (lambda tmp: [
         "search", "--config",
         _search_config(tmp, lock={"hot.center": {"source": "hot.temperature"}})],

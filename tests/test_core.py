@@ -231,3 +231,38 @@ class TestConfig:
     def test_apply_params_unknown_path(self, default_config):
         with pytest.raises(ConfigError, match="unknown parameter"):
             tt.apply_params(default_config, {"hot.flux": 1.0})
+
+
+# Library calls with one argument that is not numeric, and the name that the
+# DomainError gives it
+_GRID = np.linspace(0.1, 0.5, 5)
+_NON_NUMERIC_CALLS = {
+    "windows_threshold": (lambda c, v: tt.windows_from_arrays(_GRID, _GRID, _GRID, v),
+                          "threshold"),
+    "find_windows_threshold": (lambda c, v: tt.find_windows(c, _GRID, v), "threshold"),
+    "bose_occupation": (lambda c, v: tt.bose_occupation(v), "x"),
+    "spectral_lorentzian": (lambda c, v: tt.spectral_lorentzian(c.hot, c.wm, v), "omega"),
+    "transistor_trace": (lambda c, v: tt.transistor_trace(c, v), "omega grid"),
+    "mode_sequence": (lambda c, v: tt.mode_sequence_along_omega(c, v), "omega grid"),
+    "evaluate_arrays": (lambda c, v: tt.evaluate_arrays(
+        1.0, 1.0, 0.5, 0.8, 0.5, 0.2, 1.5, 0.05, v, 0.75, 0.05, 0.01), "hot_kappa"),
+}
+
+
+class TestNonNumericArguments:
+    @pytest.mark.parametrize("value", ["5", "abc", True, None, [0.1, "0.2"]],
+                             ids=["numeric_str", "str", "bool", "none", "mixed_list"])
+    @pytest.mark.parametrize("call", _NON_NUMERIC_CALLS)
+    def test_argument_is_named(self, default_config, call, value):
+        run, name = _NON_NUMERIC_CALLS[call]
+        with pytest.raises(DomainError, match=f"^{name} must be numeric, got "):
+            run(default_config, value)
+
+    @pytest.mark.parametrize("call", ["bose_occupation", "spectral_lorentzian",
+                                      "evaluate_arrays"])
+    def test_numpy_numbers_keep_working(self, default_config, call):
+        run, _ = _NON_NUMERIC_CALLS[call]
+        want = run(default_config, 0.5)
+        for value in (np.float64(0.5), np.array(0.5)):
+            assert run(default_config, value) == want
+        assert run(default_config, np.int64(1)) == run(default_config, 1)

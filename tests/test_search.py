@@ -217,6 +217,22 @@ class TestSpecValidation:
         log = tt.VaryRange(0.01, 1.0, scale="log")
         assert log.decode(np.array([0.5]))[0] == pytest.approx(0.1, rel=1e-12)
 
+    @pytest.mark.parametrize("key,value", [
+        ("vary", (1.2, 1.6)), ("vary", {"min": 1.2, "max": 1.6}),
+        ("lock", {"source": "hot.center"}), ("lock", "hot.center")])
+    def test_entry_that_is_not_a_record_is_named(self, key, value):
+        entries = {"vary": {"hot.center": tt.VaryRange(1.2, 1.6)}, "lock": {}}
+        entries[key] = {**entries[key], "cold.center": value}
+        with pytest.raises(ConfigError, match=rf"^search\.{key}\.cold\.center must be a "):
+            tt.SearchSpec("transistor_window", **entries)
+
+    @pytest.mark.parametrize("key,value", [
+        ("vary", [("hot.center", tt.VaryRange(1.2, 1.6))]), ("lock", None), ("lock", [])])
+    def test_entries_that_are_not_a_mapping_are_named(self, key, value):
+        entries = {"vary": {"hot.center": tt.VaryRange(1.2, 1.6)}, key: value}
+        with pytest.raises(ConfigError, match=rf"^search\.{key} must be a mapping$"):
+            tt.SearchSpec("transistor_window", **entries)
+
     def test_grid_that_does_not_increase_is_named(self):
         # np.linspace repeats values when start and stop are this close
         with pytest.raises(ConfigError, match=r"search\.omega_grid must be strictly"):
@@ -249,6 +265,23 @@ class TestSpecDict:
         data["omega_grid"]["count"] = "many"
         with pytest.raises(ConfigError, match=r"search\.omega_grid\.count"):
             tt.SearchSpec.from_dict(data)
+
+    @pytest.mark.parametrize("value", [[], 0, False, ""], ids=["list", "zero", "false", "str"])
+    @pytest.mark.parametrize("key", ["vary", "lock", "omega_grid"])
+    def test_empty_value_that_is_not_a_mapping_is_named(self, key, value):
+        # once read as an empty mapping: the default grid, or no lock
+        data = window_spec().to_dict()
+        data[key] = value
+        with pytest.raises(ConfigError, match=rf"^search\.{key} must be a mapping$"):
+            tt.SearchSpec.from_dict(data)
+
+    @pytest.mark.parametrize("key", ["lock", "omega_grid"])
+    def test_absent_or_null_section_is_empty(self, key):
+        data = window_spec().to_dict()
+        del data[key]
+        absent = tt.SearchSpec.from_dict(data)
+        assert tt.SearchSpec.from_dict({**data, key: None}) == absent
+        assert tt.SearchSpec.from_dict({**data, key: {}}) == absent
 
     # misspellings that once fell back to a default or were dropped silently
     @pytest.mark.parametrize("where,value", [
@@ -283,6 +316,17 @@ class TestRunSearch:
                            refine_samples=np.int64(6))
         assert dumps(tt.run_search(template, spec, 3)) == \
             dumps(tt.run_search(template, window_spec(10, 1, 6), 3))
+
+    @pytest.mark.parametrize("seed", [1.5, "3", True, None, np.float64(3.0)],
+                             ids=["float", "str", "bool", "none", "float64"])
+    def test_seed_that_is_not_an_integer_is_named(self, seed):
+        with pytest.raises(ConfigError, match="^field seed has an invalid value"):
+            tt.run_search(transistor_template(), window_spec(3, 0), seed)
+
+    def test_seed_may_be_a_numpy_integer(self):
+        template, spec = transistor_template(), window_spec(6, 1, 4)
+        assert dumps(tt.run_search(template, spec, np.int64(3))) == \
+            dumps(tt.run_search(template, spec, 3))
 
     def test_same_seed_is_deterministic(self):
         template = transistor_template()
@@ -561,7 +605,7 @@ class TestStage:
         # the kernel gets those columns; what the spec leaves alone stays a
         # template scalar
         varied = {**spec.vary, **spec.lock}
-        for path, arg in zip(search._ARG_PATHS, args):
+        for path, arg in args.items():
             assert (arg is values[path]) if path in varied else type(arg) is float
 
     @pytest.mark.parametrize("objective", search.OBJECTIVES)

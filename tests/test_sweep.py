@@ -173,6 +173,50 @@ class TestRunSweep:
                            match="axis hot.center: start and stop must be finite"):
             tt.Axis("hot.center", start, stop, 3)
 
+    @pytest.mark.parametrize("param", sorted(sweep.AXIS_PARAMS))
+    def test_axis_too_dense_for_its_span_names_count(self, param):
+        # np.linspace repeats values when start and stop are this close
+        with pytest.raises(ConfigError) as exc:
+            tt.Axis(param, 0.5, 0.5000000000000001, 5)
+        assert str(exc.value) == (f"axis {param}: start 0.5 and stop 0.5000000000000001 "
+                                  "are too close for 5 points")
+        assert exc.value.key == "count"
+
+    def test_axis_is_rejected_exactly_when_its_values_repeat(self):
+        # spans a few ulps wide, where the step is near the spacing of the
+        # floats, and wider ones, where no value repeats
+        rng = np.random.default_rng(11)
+        kinds = set()
+        for _ in range(3000):
+            start = float(10 ** rng.uniform(-3, 3))
+            if rng.random() < 0.5:
+                stop = start
+                for _ in range(int(rng.integers(1, 40))):
+                    stop = float(np.nextafter(stop, np.inf))
+            else:
+                stop = start * (1 + float(rng.uniform(1e-15, 1e-12)))
+            count = int(rng.integers(2, 300))
+            values = np.linspace(start, stop, count)
+            increasing = bool(np.all(np.diff(values) > 0))
+            try:
+                axis = tt.Axis("hot.center", start, stop, count)
+            except ConfigError as exc:
+                assert not increasing and exc.key == "count"
+            else:
+                assert increasing and axis.values().tobytes() == values.tobytes()
+            kinds.add(increasing)
+        assert kinds == {True, False}
+
+    @pytest.mark.parametrize("field,value", [
+        ("template", {}), ("template", None), ("axis1", None),
+        ("axis1", {"param": "drive_freq", "start": 0.1, "stop": 0.5, "count": 3}),
+        ("axis2", 3), ("axis2", "hot.center")])
+    def test_spec_of_the_wrong_type_is_named(self, default_config, field, value):
+        fields = {"template": default_config, "axis1": tt.Axis("drive_freq", 0.1, 0.5, 3),
+                  field: value}
+        with pytest.raises(ConfigError, match=rf"^sweep\.{field} must be"):
+            tt.SweepSpec(**fields)
+
 def _outputs(transistor: bool) -> frozenset:
     extra = {"transistor"} if transistor else set()
     return frozenset({"currents", "mode", "exergy"} | extra)
