@@ -13,6 +13,13 @@ the per-operation overhead of numpy scalars.  Squares are written
 ``x * x``: on a scalar ``x ** 2`` calls ``pow``, which differs from the
 array square in the last bit on some arguments.
 
+The two baths share one spectrum, the Lorentzian and its slope at each
+sideband, when their center, width and kappa hold the same bits: one
+object, equal floats of one sign, or equal arrays of one shape
+(:func:`_same_bits`), as at zero detuning.  Sharing cannot change a bit;
+``0.0`` and ``-0.0`` compare equal but give zero currents of different
+signs, so they are not shared.
+
 Each call returns a table of shape ``broadcast_shape + (7,)`` whose last
 axis holds ``j_hot, j_cold, j_mid, power, entropy_rate, entropy_pos,
 entropy_neg``.  With ``slopes=True`` two more columns hold the exact
@@ -69,10 +76,11 @@ def bose_pos(x):
         # numpy's expm1, not math's: a point gets the array's last bit
         return 1.0 / x - 0.5 + x / 12.0 if x < _BOSE_CUTOFF else 1.0 / float(np.expm1(x))
     small = x < _BOSE_CUTOFF
+    if not small.any():   # the common case: no select
+        return 1.0 / np.expm1(x)
     n = 1.0 / np.expm1(np.where(small, 1.0, x))
-    if small.any():   # rare: the series only where it is used
-        xs = x[small]
-        n[small] = 1.0 / xs - 0.5 + xs / 12.0
+    xs = x[small]   # the series only where it is used
+    n[small] = 1.0 / xs - 0.5 + xs / 12.0
     return n
 
 
@@ -93,35 +101,59 @@ def lorentzian(s, w, g, dmg):
     return dmg * s / den, q, gss, den
 
 
-def _sideband(s, t, nbm, w, g, dmg, slopes):
-    """``L(s)`` (:func:`lorentzian`), ``dn = n(s/t) - nbm`` and, with
-    ``slopes``, the derivative ``H'(s)`` of ``H = L dn`` at one sideband ``s``."""
-    n = bose_pos(s / t)
-    dn = n - nbm
-    lor, q, gss, den = lorentzian(s, w, g, dmg)
+def _spectrum(sp, sm, w0, m, w, g, k, slopes):
+    """``L(sp), L(sm)`` of the Lorentzian bath ``(w, g, k)``
+    (:func:`lorentzian`) and, with ``slopes``, their derivatives ``L'(s)``
+    (else None)."""
+    dmg = amplitude(w0, m, w, g, k)
+    lp, qp, gssp, denp = lorentzian(sp, w, g, dmg)
+    lm, qm, gssm, denm = lorentzian(sm, w, g, dmg)
     if not slopes:
-        return lor, dn, None
-    dlor = lor * (-q * (3.0 * s * s + w * w) - gss) / (s * den)
-    return lor, dn, dlor * dn - lor * (n * (n + 1.0) / t)
+        return lp, lm, None, None
+    return (lp, lm, _lorentzian_slope(sp, w, lp, qp, gssp, denp),
+            _lorentzian_slope(sm, w, lm, qm, gssm, denm))
 
 
-def _bath(sp, sm, drv, pref, nbm, w0, m, t, w, g, k, slopes, with_dj):
+def _lorentzian_slope(s, w, lor, q, gss, den):
+    """``L'(s)`` from the terms of ``lorentzian(s, w, ...)``."""
+    return lor * (-q * (3.0 * s * s + w * w) - gss) / (s * den)
+
+
+def _same_bits(a, b) -> bool:
+    """Whether two kernel arguments hold the same bits: one object, two
+    floats equal with the same sign (``0.0`` and ``-0.0`` differ), or two
+    arrays of one shape whose int64 views are equal.  NaN is never the same."""
+    if a is b:
+        return True
+    if isinstance(a, float) and isinstance(b, float):
+        return a == b and (a != 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b))
+    return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+            and a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64)))
+
+
+def _bath(sp, sm, drv, pref, nbm, t, spectra, slopes, with_dj):
     """Heat current and power share of one dynamically coupled bath, and
     with ``slopes`` the drive derivative of the power share and, if
     ``with_dj``, of the current (each else None).
 
     The bath exchanges quanta at both sidebands ``sp = w0 + drv`` and
-    ``sm = w0 - drv``, weighted by its Lorentzian spectral density there and
-    by its Bose imbalance ``nbm`` against the static bath.
+    ``sm = w0 - drv``, weighted by its Lorentzian spectral density there
+    (``spectra``, from :func:`_spectrum`) and by its Bose imbalance
+    ``dn = n(s/t) - nbm`` against the static bath.
     """
-    dmg = amplitude(w0, m, w, g, k)
-    lp, dnp_, dhp = _sideband(sp, t, nbm, w, g, dmg, slopes)
-    lm, dnm_, dhm = _sideband(sm, t, nbm, w, g, dmg, slopes)
+    lp, lm, dlp, dlm = spectra
+    n_p = bose_pos(sp / t)
+    n_m = bose_pos(sm / t)
+    dnp_ = n_p - nbm
+    dnm_ = n_m - nbm
     j = pref * (sp * lp * dnp_ + sm * lm * dnm_)
-    hp, hm = lp * dnp_, lm * dnm_   # H at each sideband
+    hp, hm = lp * dnp_, lm * dnm_   # H = L dn at each sideband
     p = -(drv * pref) * (hp - hm)
     if not slopes:
         return j, p, None, None
+    # H'(s) = L' dn + L dn'(s), with dn'(s) = -n (n + 1) / t
+    dhp = dlp * dnp_ - lp * (n_p * (n_p + 1.0) / t)
+    dhm = dlm * dnm_ - lm * (n_m * (n_m + 1.0) / t)
     # dsp/ddrv = 1, dsm/ddrv = -1
     dj = pref * ((hp + sp * dhp) - (hm + sm * dhm)) if with_dj else None
     dp = -pref * ((hp - hm) + drv * (dhp + dhm))
@@ -137,10 +169,11 @@ def _thermo(w0, m, drv, th, tm, tc, wh, gh, kh, wc, gc, kc, out):
         sm = w0 - drv
         pref = 1.0 / (4.0 * m * w0)
         nbm = bose_pos(w0 / tm)
-        j_hot, p_hot, dj_hot, dp_hot = _bath(
-            sp, sm, drv, pref, nbm, w0, m, th, wh, gh, kh, slopes, True)
-        j_cold, p_cold, _, dp_cold = _bath(
-            sp, sm, drv, pref, nbm, w0, m, tc, wc, gc, kc, slopes, False)
+        hot = _spectrum(sp, sm, w0, m, wh, gh, kh, slopes)
+        same = _same_bits(wh, wc) and _same_bits(gh, gc) and _same_bits(kh, kc)
+        cold = hot if same else _spectrum(sp, sm, w0, m, wc, gc, kc, slopes)
+        j_hot, p_hot, dj_hot, dp_hot = _bath(sp, sm, drv, pref, nbm, th, hot, slopes, True)
+        j_cold, p_cold, _, dp_cold = _bath(sp, sm, drv, pref, nbm, tc, cold, slopes, False)
         if slopes:
             out[COL_DJH] = dj_hot
             out[COL_DP] = dp_hot + dp_cold
@@ -161,11 +194,19 @@ def entropy_split(power, j_hot, j_cold, t_hot, t_mid, t_cold):
     its split into the positive and the negative terms.
 
     Works on floats and arrays alike.  A term of the other sign enters a
-    split as a signed zero, which the leading ``0.0 +`` makes ``+0.0``.
+    split as a signed zero, which the leading ``0.0 +`` makes ``+0.0``.  On
+    arrays the terms are clipped at zero (``np.maximum``/``np.minimum``, no
+    select), which gives the same bits as the float path's products with a
+    comparison wherever the terms are finite; an infinite term, in a row
+    that ``currents.finite_rows`` refuses anyway, may differ.
     """
     t1 = power / t_mid
     t2 = (j_cold / t_mid) * (1.0 - t_mid / t_cold)
     t3 = (j_hot / t_mid) * (1.0 - t_mid / t_hot)
+    if isinstance(t1, np.ndarray):
+        return (t1 + t2 + t3,
+                0.0 + np.maximum(t1, 0.0) + np.maximum(t2, 0.0) + np.maximum(t3, 0.0),
+                0.0 + np.minimum(t1, 0.0) + np.minimum(t2, 0.0) + np.minimum(t3, 0.0))
     return (t1 + t2 + t3,
             0.0 + t1 * (t1 > 0.0) + t2 * (t2 > 0.0) + t3 * (t3 > 0.0),
             0.0 + t1 * (t1 < 0.0) + t2 * (t2 < 0.0) + t3 * (t3 < 0.0))

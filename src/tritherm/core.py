@@ -112,6 +112,17 @@ def check_real(value, name: str) -> np.ndarray:
     return array.astype(np.float64, copy=False)
 
 
+def real_number(value, name: str) -> float:
+    """``value`` as a Python float, if it is one real number (a 0-d
+    :func:`check_real` value); DomainError naming the argument ``name`` for
+    anything else, an array of any shape included."""
+    array = check_real(value, name)
+    if array.ndim:
+        raise DomainError(f"{name} must be a single number, got an array of shape "
+                          f"{array.shape}")
+    return float(array)
+
+
 def as_mapping(value, path: str) -> dict:
     """``value`` itself; ConfigError naming ``path`` unless it is a mapping."""
     if not isinstance(value, dict):
@@ -410,26 +421,27 @@ def bose_occupation(x: float) -> float:
     Raises
     ------
     DomainError
-        Unless ``x`` is a number > 0 (the occupation diverges at 0); NaN
-        included.
+        Unless ``x`` is one real number > 0 (the occupation diverges at
+        0); NaN and arrays included.
     """
-    check_real(x, "x")
+    x = real_number(x, "x")
     if not x > 0.0:
         raise DomainError(f"bose_occupation requires x > 0, got {x}")
     with np.errstate(over="ignore"):
-        return float(bose_pos(np.float64(x)))
+        return bose_pos(x)
 
 
 def spectral_lorentzian(bath: LorentzianBath, wm: WorkingMedium, omega: float) -> float:
     """Lorentzian spectral density of a dynamically coupled bath at a
-    finite frequency ``omega >= 0`` (DomainError otherwise; 0 at 0).
+    finite frequency ``omega >= 0``, one real number taken as a Python
+    float (DomainError otherwise, an array included; 0 at 0).
 
     Evaluates ``d * M * gamma * omega / ((omega^2 - center^2)^2 +
     gamma^2 omega^2)`` with ``d = kappa * center**2 * omega0**2``, by the
     kernel's own arithmetic, so it equals the kernel's value at a sideband
     to the last bit.
     """
-    check_real(omega, "omega")
+    omega = real_number(omega, "omega")
     if not 0.0 <= omega < math.inf:
         raise DomainError(f"spectral density requires a finite omega >= 0, got {omega}")
     dmg = amplitude(wm.omega0, wm.mass, bath.center, bath.width, bath.kappa)

@@ -27,7 +27,7 @@ from .core import (MAX_COUNT, ConfigError, MachineConfig, PARAM_PATHS, apply_par
                    as_mapping, check_fields, construct, from_fields, get_field, integer,
                    number, parameter_bound, parameter_ok, string)
 from .currents import _blank_errors, _kernel_args, validity_codes
-from .modes import OperatingMode, classify_table
+from .modes import MODE_BY_CODE, OperatingMode, classify_table
 from .sweep import mode_sequence_along_omega
 from .transistor import (DEFAULT_THRESHOLD, _figures, _window_runs, transistor_trace,
                          window_mask, windows_from_arrays)
@@ -257,6 +257,16 @@ def _columns(template: MachineConfig, spec: SearchSpec, units, grid) -> tuple:
                           & (grid[-1] < args["wm.omega0"]))
 
 
+def _distinct_modes(codes) -> np.ndarray:
+    """The number of distinct modes other than ``DEGENERATE`` in each row
+    of the mode codes ``codes`` (into ``MODE_BY_CODE``), counted by one
+    ``bincount`` over ``row * len(MODE_BY_CODE) + code``."""
+    nbins = len(MODE_BY_CODE)
+    keys = np.arange(len(codes))[:, None] * nbins + codes
+    seen = np.bincount(keys.ravel(), minlength=len(codes) * nbins).reshape(-1, nbins)
+    return np.count_nonzero(seen[:, _USEFUL_CODES], axis=1)
+
+
 def _scores(spec: SearchSpec, grid, args, rows, out) -> np.ndarray:
     """``(len(rows), 2)`` ranking scores of the valid candidates ``rows`` of
     the ``_columns`` arguments ``args``, whose kernel table along ``grid``
@@ -273,7 +283,7 @@ def _scores(spec: SearchSpec, grid, args, rows, out) -> np.ndarray:
     bad = _blank_errors(table, np.zeros(table.shape[:-1], dtype=np.int8))
     if not window:
         codes = classify_table(table, block["hot.kappa"], block["cold.kappa"])
-        distinct = (codes[..., None] == _USEFUL_CODES).any(axis=1).sum(axis=1)
+        distinct = _distinct_modes(codes)
         switches = np.count_nonzero(codes[:, 1:] != codes[:, :-1], axis=1)
         scores = np.stack([distinct, np.minimum(switches, 999)], axis=1)
     else:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import hypothesis
 import hypothesis.strategies as st
@@ -130,6 +131,15 @@ class TestSpectralDensities:
         with pytest.raises(DomainError, match="finite omega >= 0"):
             tt.spectral_lorentzian(default_config.hot, default_config.wm, omega)
 
+    def test_float32_frequency_is_taken_as_a_double(self, default_config):
+        # the float32 0.5 is exactly 0.5, so the value is the double's
+        hot, wm = default_config.hot, default_config.wm
+        got = tt.spectral_lorentzian(hot, wm, np.float32(0.5))
+        assert type(got) is float
+        assert got == tt.spectral_lorentzian(hot, wm, 0.5) == 0.00014060303077644115
+        assert type(tt.bose_occupation(np.float32(0.5))) is float
+        assert tt.bose_occupation(np.float32(0.5)) == tt.bose_occupation(0.5)
+
 
 class TestConfig:
     def test_detuning_accessor(self, default_config):
@@ -256,6 +266,16 @@ class TestNonNumericArguments:
     def test_argument_is_named(self, default_config, call, value):
         run, name = _NON_NUMERIC_CALLS[call]
         with pytest.raises(DomainError, match=f"^{name} must be numeric, got "):
+            run(default_config, value)
+
+    @pytest.mark.parametrize("value", [np.array([0.5, 0.6]), [[0.5]], np.array([0.5]), [],
+                                       np.zeros((2, 0))],
+                             ids=["pair", "nested_list", "one_element", "empty", "empty_2d"])
+    @pytest.mark.parametrize("call", ["bose_occupation", "spectral_lorentzian"])
+    def test_array_for_a_number_is_named(self, default_config, call, value):
+        run, name = _NON_NUMERIC_CALLS[call]
+        with pytest.raises(DomainError, match=re.escape(
+                f"{name} must be a single number, got an array of shape {np.shape(value)}")):
             run(default_config, value)
 
     @pytest.mark.parametrize("call", ["bose_occupation", "spectral_lorentzian",

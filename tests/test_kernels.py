@@ -232,14 +232,133 @@ class TestSquares:
         hit = [k for k in range(q.size) if np.float64(q[k]) ** 2 != q[k] * q[k]]
         assert hit
         k = hit[0]
-        args = (0.3, 0.1, w[k], 0.05, 2e-4)   # t, nbm, w, g, dmg
-        scalar = _kernels._sideband(np.float64(s[k]), *map(np.float64, args), True)
-        array = _kernels._sideband(s[k:k + 1], *(np.array([a]) for a in args), True)
+        args = (1.0, 1.0, w[k], 0.05, 0.01)   # w0, m, w, g, kappa
+        scalar = _kernels._spectrum(*[np.float64(s[k])] * 2, *map(np.float64, args), True)
+        array = _kernels._spectrum(*[s[k:k + 1]] * 2, *(np.array([a]) for a in args), True)
         for got, want in zip(scalar, array):
             assert np.float64(got).tobytes() == want.tobytes()
 
 
+def zero_detuning(candidates: dict) -> dict:
+    """The candidates with the cold bath's spectrum made the hot one's."""
+    return {**candidates, **{f"cold_{a}": candidates[f"hot_{a}"].copy()
+                             for a in ("center", "width", "kappa")}}
+
+
+def unshared(monkeypatch):
+    """Make every later kernel call compute each bath's spectrum itself."""
+    monkeypatch.setattr(_kernels, "_same_bits", lambda a, b: False)
+
+
+@pytest.mark.parametrize("slopes", [False, True])
+class TestSharedSpectrum:
+    """Baths with the same bits of center, width and kappa share one
+    spectrum, and the table keeps the bits of two separate ones."""
+
+    def test_block_equals_points_and_unshared_block(self, slopes, monkeypatch):
+        candidates = zero_detuning(random_valid_batch(60, seed=8))
+        drives = np.linspace(0.02, 0.98, 41)
+        args = block_args(candidates, drives)
+        shared = _kernels.thermo_batch(*args, slopes=slopes)
+        assert_layouts_agree(candidates, drives, slopes, cells=100)
+        unshared(monkeypatch)
+        assert_bitwise(shared, _kernels.thermo_batch(*args, slopes=slopes))
+
+    @pytest.mark.parametrize("kappas", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zero_kappas_are_not_shared(self, slopes, kappas, monkeypatch):
+        # 0.0 == -0.0, but a bath with kappa -0.0 gives -0.0 currents
+        candidates = zero_detuning(random_valid_batch(20, seed=9))
+        candidates["hot_kappa"][:] = kappas[0]
+        candidates["cold_kappa"][:] = kappas[1]
+        args = block_args(candidates, np.linspace(0.02, 0.98, 9))
+        point = [float(a[0, 0]) for a in args]
+        point[DRIVE] = 0.3
+        got = (_kernels.thermo_batch(*args, slopes=slopes),
+               _kernels.thermo_batch(*point, slopes=slopes))
+        unshared(monkeypatch)
+        for table, want in zip(got, (_kernels.thermo_batch(*args, slopes=slopes),
+                                     _kernels.thermo_batch(*point, slopes=slopes))):
+            assert_bitwise(table, want)
+        # sharing by value would change the sign of some zero
+        monkeypatch.setattr(_kernels, "_same_bits", lambda a, b: np.array_equal(a, b))
+        assert (_kernels.thermo_batch(*args, slopes=slopes).tobytes()
+                != got[0].tobytes())
+
+    @pytest.mark.parametrize("detuned, calls", [(False, 2), (True, 4)])
+    def test_one_lorentzian_per_sideband_and_spectrum(self, slopes, detuned, calls,
+                                                      monkeypatch):
+        candidates = zero_detuning(random_valid_batch(30, seed=10))
+        if detuned:
+            candidates["cold_center"] = candidates["cold_center"] * 0.5
+        seen = []
+
+        def counted(*a):
+            seen.append(1)
+            return lorentzian(*a)
+
+        lorentzian = _kernels.lorentzian
+        monkeypatch.setattr(_kernels, "lorentzian", counted)
+        args = block_args(candidates, np.linspace(0.02, 0.98, 17))
+        _kernels.thermo_batch(*args, slopes=slopes)
+        assert len(seen) == calls
+        # a point with equal floats, and a block with one argument object
+        # for both baths
+        del seen[:]
+        _kernels.thermo_batch(*(float(a[0, 0]) for a in args), slopes=slopes)
+        assert len(seen) == calls
+        if not detuned:
+            del seen[:]
+            args[ARG_NAMES.index("cold_center")] = args[ARG_NAMES.index("hot_center")]
+            _kernels.thermo_batch(*args, slopes=slopes)
+            assert len(seen) == 2
+
+
+class TestSameBits:
+    @pytest.mark.parametrize("a, b, same", [
+        (0.5, 0.5, True), (0.0, 0.0, True), (0.0, -0.0, False), (-0.0, -0.0, True),
+        (0.5, 0.25, False), (float("nan"), float("nan"), False),
+        (np.float64(-0.0), 0.0, False), (0.5, np.array([0.5]), False),
+        (np.array([[0.0, 1.0]]), np.array([[0.0, 1.0]]), True),
+        (np.array([[0.0, 1.0]]), np.array([[-0.0, 1.0]]), False),
+        (np.array([0.5, 0.5]), np.array([[0.5, 0.5]]), False)])
+    def test_bits_not_values(self, a, b, same):
+        assert _kernels._same_bits(a, b) is same
+        assert _kernels._same_bits(b, a) is same
+
+
+class TestBose:
+    @staticmethod
+    def select_form(x):
+        small = x < _kernels._BOSE_CUTOFF
+        n = 1.0 / np.expm1(np.where(small, 1.0, x))
+        n[small] = 1.0 / x[small] - 0.5 + x[small] / 12.0
+        return n
+
+    @pytest.mark.parametrize("x", [np.geomspace(1e-3, 800.0, 1001),
+                                   np.geomspace(1e-8, 800.0, 1001),
+                                   np.geomspace(1e-12, 9e-6, 1001)],
+                             ids=["all_large", "mixed", "all_small"])
+    def test_bits_of_the_select_form_and_of_points(self, x):
+        with np.errstate(over="ignore"):
+            got = _kernels.bose_pos(x)
+            assert_bitwise(got, self.select_form(x))
+            assert_bitwise(got[None, :], _kernels.bose_pos(x[None, :]))
+            assert bits(*(_kernels.bose_pos(v) for v in x.tolist())) == got.tobytes()
+
+
 class TestEntropySplit:
+    def test_arrays_equal_the_float_path_bitwise(self):
+        # finite terms of both signs and signed zeros, clipped on arrays and
+        # multiplied by a comparison on floats
+        rng = np.random.default_rng(4)
+        values = rng.choice([-1.5e-3, -0.0, 0.0, 2e-4, 7e-3], size=(3, 2000))
+        values *= rng.uniform(0.5, 2.0, size=values.shape)
+        temps = (0.9, 0.5, 0.2)
+        table = _kernels.entropy_split(*values, *temps)
+        for k in range(values.shape[1]):
+            point = _kernels.entropy_split(*values[:, k].tolist(), *temps)
+            assert bits(*point) == bits(*(column[k] for column in table))
+
     def test_equals_the_where_form_bitwise(self):
         # kappa = 0 rows give -0.0 balance terms, which must split as +0.0
         batch = random_valid_batch(20000, seed=41)

@@ -16,7 +16,7 @@ from scipy.stats import qmc
 import tritherm as tt
 from tritherm import _kernels, search
 from tritherm.core import ConfigError, DomainError
-from tritherm.modes import OperatingMode
+from tritherm.modes import ERROR_CODE, OperatingMode
 from tritherm.transistor import window_mask
 
 from conftest import make_config
@@ -576,6 +576,23 @@ class TestBatchedSearch:
         blocks = sum(-(-n // rows) for n in stages)
         assert len(calls) <= blocks + 1
         assert all(n * m <= _kernels.BLOCK_POINTS for n, m in calls)
+
+
+def test_distinct_modes_equal_the_membership_count():
+    # every code, ERROR_CODE included, in some row, a row of one useful
+    # mode, and a row that is all DEGENERATE (0 distinct modes)
+    degenerate = list(OperatingMode).index(OperatingMode.DEGENERATE)
+    rng = np.random.default_rng(6)
+    codes = rng.integers(0, ERROR_CODE + 1, size=(40, 481)).astype(np.int8)
+    codes[3] = degenerate
+    codes[5, :] = search._USEFUL_CODES[0]
+    codes[7, :ERROR_CODE + 1] = np.arange(ERROR_CODE + 1)
+    codes[7, ERROR_CODE + 1:] = ERROR_CODE
+    want = (codes[..., None] == search._USEFUL_CODES).any(axis=1).sum(axis=1)
+    got = search._distinct_modes(codes)
+    assert got.tolist() == want.tolist()
+    assert got[3] == 0 and got[5] == 1 and got[7] == len(search._USEFUL_CODES)
+    assert set(np.unique(codes)) == set(range(ERROR_CODE + 1))
 
 
 class TestStage:
