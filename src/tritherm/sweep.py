@@ -19,12 +19,15 @@ traces one machine along the drive; it checks its grid and calls the
 kernel as ``transistor_trace`` does.
 
 The text exports (:meth:`SweepResult.to_csv`, :meth:`SweepResult.to_json`
-and the CLI's pair of both) spend nearly all their time in ``float.__repr__``,
-which holds the GIL, so they run on processes rather than threads: the
-rows are cut into one contiguous range per CPU, by the thread count of
-``map_blocks``, the calling process formats the first range, and one
-forked child per further CPU formats each other range.  The bytes do not
-depend on that count; ``taskset -c 0`` keeps the export in one process.
+and the CLI's pair of both) format floats with
+:func:`tritherm._floattext.float_texts`, which computes the bytes of
+``float.__repr__`` with numpy integer arithmetic.  Building the strings and
+joining them into rows holds the GIL, so the exports run on processes
+rather than threads: the rows are cut into one contiguous range per CPU,
+by the thread count of ``map_blocks``, the calling process formats the
+first range, and one forked child per further CPU formats each other
+range.  The bytes do not depend on that count; ``taskset -c 0`` keeps the
+export in one process.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import _kernels
+from ._floattext import float_texts
 from ._kernels import COL_SNEG, COL_SPOS, NCOLS, thermo_batch
 from .core import (MAX_COUNT, ConfigError, MachineConfig, TrithermError, check_real,
                    get_field, integer, names, number)
@@ -333,17 +337,18 @@ def _write_chunks(chunks, files) -> None:
 
 
 def _float_texts(values) -> tuple[list[str], list[str]]:
-    """CSV text (``repr``) and JSON text of each element of a float array.
+    """CSV text (``repr``) and JSON text of each element of a float array,
+    from :func:`tritherm._floattext.float_texts`.
 
     A run of bit-identical neighbours (compared on the ``int64`` view, so
     ``0.0`` and ``-0.0``, or two NaN payloads, stay apart) is formatted once."""
     bits = values.view(np.int64)
     new = bits[1:] != bits[:-1]
     if new.all():
-        text = list(map(float.__repr__, values.tolist()))
+        text = float_texts(values)
     else:
         starts = np.flatnonzero(np.concatenate(([True], new)))
-        runs = np.array(list(map(float.__repr__, values[starts].tolist())), dtype=object)
+        runs = np.array(float_texts(values[starts]), dtype=object)
         text = runs.repeat(np.diff(starts, append=len(values))).tolist()
     if np.isfinite(values).all():
         return text, text

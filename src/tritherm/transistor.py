@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._kernels import COL_DJH, COL_DP, COL_JC, COL_JH, COL_JM, COL_P
-from .core import DomainError, MachineConfig, check_real
+from .core import DomainError, MachineConfig, check_real, real_number
 from .currents import SIGN_ZERO_BAND, _drive_table
 
 __all__ = [
@@ -156,7 +156,7 @@ def windows_from_arrays(omega, r, g,
     and sorted by frequency.  DomainError unless the threshold is a finite
     number > 0, and ``omega``, ``r`` and ``g`` are 1D arrays of one length.
     """
-    check_real(threshold, "threshold")
+    threshold = real_number(threshold, "threshold")
     if not 0 < threshold < math.inf:
         raise DomainError(f"threshold must be finite and > 0, got {threshold}")
     omega, r, g = np.asarray(omega), np.asarray(r), np.asarray(g)

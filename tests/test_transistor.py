@@ -204,7 +204,9 @@ class TestWindows:
         for w in windows:
             assert w.min_r > 10.0 and w.min_g > 10.0
 
-    @pytest.mark.parametrize("threshold", [float("nan"), -1.0, 0.0, float("inf")])
+    # an array, flat or nested, is named too, not left to numpy's errors
+    @pytest.mark.parametrize("threshold", [float("nan"), -1.0, 0.0, float("inf"),
+                                           np.array([10.0, 20.0]), [[10.0]]])
     def test_threshold_must_be_positive(self, threshold):
         grid = np.linspace(0.02, 0.98, 11)
         with pytest.raises(DomainError, match="threshold"):
