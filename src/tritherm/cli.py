@@ -21,7 +21,8 @@ that chooses the run given beside ``--from-manifest`` (only ``--out`` and
 A sweep runs in tiles of at most ``_kernels.BLOCK_POINTS`` cells, and a
 search stage in blocks of as many points, under
 :func:`tritherm._kernels.map_blocks`, whose thread model leaves every output
-independent of the thread count.
+independent of the thread count.  The sweep and search layers are imported
+by the commands that run them, so ``point`` starts without them.
 
 Exit codes: 0 success, 1 validation/parse error, 2 runtime error.
 """
@@ -43,8 +44,6 @@ from .core import (MAX_COUNT, ConfigError, DomainError, MachineConfig, TrithermE
                    apply_params, as_mapping, check_fields, construct, from_fields,
                    get_field, integer, names, number)
 from .modes import mode_report
-from .search import SearchSpec, run_search
-from .sweep import Axis, SweepSpec, _float_texts, run_sweep
 from .transistor import (DEFAULT_THRESHOLD, transistor_trace, window_mask,
                          windows_from_arrays)
 
@@ -205,6 +204,7 @@ def _sweep_from_flags(args, raw) -> dict:
 
 
 def cmd_sweep(config, manifest, warnings):
+    from .sweep import Axis, SweepSpec, run_sweep
     grid = manifest["sweep"]
     axis1 = from_fields(Axis, grid.get("axis1"), "sweep.axis1")
     # a 1D sweep records its second axis as null
@@ -237,6 +237,7 @@ def _transistor_from_flags(args, raw) -> dict:
 
 
 def cmd_transistor(config, manifest, warnings):
+    from .sweep import _float_texts
     t = manifest["transistor"]
     section = {key: get_field(t, key, "transistor", integer if key == "points" else number)
                for key in _TRANSISTOR_DEFAULTS}
@@ -285,6 +286,7 @@ def _search_from_flags(args, raw) -> dict:
 
 
 def cmd_search(config, manifest, warnings):
+    from .search import SearchSpec, run_search
     spec = SearchSpec.from_dict(manifest["search"])
     seed = get_field(manifest, "seed", "manifest", integer)
     candidates = run_search(config, spec, seed)

@@ -14,6 +14,7 @@ first law holds to the last bit by construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import asdict, dataclass
@@ -195,15 +196,31 @@ def evaluate_arrays(omega0, mass, drive_freq, hot_temperature, mid_temperature,
     All arguments broadcast; scalars are allowed.  DomainError names the
     first argument that is not numeric, or has an element that fails the
     parameter rule or the drive rule (:mod:`tritherm.core`); the ordering
-    is not checked.  DomainError also if a point's values fail
+    is not checked.  DomainError names two arguments whose shapes do not
+    broadcast together.  DomainError also if a point's values fail
     :func:`finite_rows`, giving the number of such points.  Returns a
     :class:`ThermoPoint` whose fields are arrays, with one entry per
     broadcast element.
     """
     args = dict(locals())   # the twelve arguments, in kernel order
+    shapes = {}
     for name, value in args.items():
-        if not parameter_ok(name, check_real(value, name)).all():
+        value = check_real(value, name)
+        if not parameter_ok(name, value).all():
             raise DomainError(f"{name} must be finite and {parameter_bound(name)}")
+        shapes[name] = value.shape
+    try:
+        np.broadcast_shapes(*shapes.values())
+    except ValueError:
+        # shapes broadcast together if and only if every pair of them does:
+        # name the first pair with two sizes, neither 1, on one axis
+        for first, second in itertools.combinations(shapes, 2):
+            if any(m != n and 1 not in (m, n) for m, n
+                   in zip(shapes[first][::-1], shapes[second][::-1])):
+                raise DomainError(f"{first} of shape {shapes[first]} and {second} of "
+                                  f"shape {shapes[second]} do not broadcast "
+                                  f"together") from None
+        raise
     check_drive(drive_freq, omega0)
     table = thermo_batch(*args.values())
     finite = finite_rows(table)

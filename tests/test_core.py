@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import hypothesis
 import hypothesis.strategies as st
@@ -286,3 +290,49 @@ class TestNonNumericArguments:
         for value in (np.float64(0.5), np.array(0.5)):
             assert run(default_config, value) == want
         assert run(default_config, np.int64(1)) == run(default_config, 1)
+
+
+def test_point_call_loads_only_the_point_layers():
+    # the transistor, sweep and search layers, the float-text exporter and
+    # the CLI load on first use, so a process that evaluates one point
+    # starts without them
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code = """
+import importlib, json, sys
+import tritherm as tt
+
+LAZY = ("transistor", "sweep", "search", "_floattext", "cli")
+def loaded():
+    return [name for name in LAZY if "tritherm." + name in sys.modules]
+
+config = tt.MachineConfig.from_dict({"drive_freq": 0.5,
+    "hot": {"temperature": 0.8, "center": 1.5, "width": 0.05, "kappa": 0.01},
+    "cold": {"temperature": 0.2, "center": 0.75, "width": 0.05, "kappa": 0.01},
+    "mid": {"temperature": 0.5}})
+tt.mode_report(config)
+tt.evaluate_point(config)
+after_point = loaded()
+tt.transistor_point(config)
+after_transistor = loaded()
+objectives = list(tt.search.OBJECTIVES)
+missing = getattr(tt, "no_such_name", None)
+layers = [importlib.import_module("tritherm." + name) for name in
+          ("core", "currents", "modes", "transistor", "sweep", "search")]
+unbound, moved = [], []
+for name in tt.__all__[1:]:          # all but __version__
+    value = getattr(tt, name)
+    owners = [m for m in layers if name in vars(m)]
+    unbound += [] if owners else [name]
+    moved += [name for m in owners if vars(m)[name] is not value]
+print(json.dumps({"after_point": after_point, "after_transistor": after_transistor,
+                  "objectives": objectives, "missing": missing, "unbound": unbound,
+                  "moved": moved, "undir": sorted(set(tt.__all__) - set(dir(tt)))}))
+"""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "after_point": [], "after_transistor": ["transistor"],
+        "objectives": ["transistor_window", "mode_sequence"], "missing": None,
+        "unbound": [], "moved": [], "undir": []}

@@ -223,6 +223,18 @@ class TestBatch:
         with pytest.raises(DomainError, match=name):
             tt.evaluate_arrays(**batch)
 
+    @pytest.mark.parametrize("first, second", [("drive_freq", "hot_temperature"),
+                                               ("omega0", "drive_freq")])
+    def test_unbroadcastable_arguments_are_named(self, first, second):
+        # the drive check broadcasts omega0 with drive_freq, so the shapes
+        # must be checked before it
+        batch = {name: v[0] for name, v in random_valid_batch(1, seed=3).items()}
+        batch[first] = np.full(2, batch[first])
+        batch[second] = np.full(3, batch[second])
+        with pytest.raises(DomainError, match=re.escape(
+                f"{first} of shape (2,) and {second} of shape (3,) do not broadcast")):
+            tt.evaluate_arrays(**batch)
+
     @pytest.mark.parametrize("hot_center, bad", [
         (1e200, 1), (np.array([1.5, 1e200, 2.0, 1e200]), 2)], ids=["scalar", "array"])
     def test_nonfinite_values_raise_counting_points(self, default_config, hot_center, bad):
