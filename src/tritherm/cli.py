@@ -21,8 +21,8 @@ that chooses the run given beside ``--from-manifest`` (only ``--out`` and
 A sweep runs in tiles of at most ``_kernels.BLOCK_POINTS`` cells, and a
 search stage in blocks of as many points, under
 :func:`tritherm._kernels.map_blocks`, whose thread model leaves every output
-independent of the thread count.  The sweep and search layers are imported
-by the commands that run them, so ``point`` starts without them.
+independent of the thread count.  The transistor, sweep and search layers
+are imported by the commands that run them, so ``point`` starts without them.
 
 Exit codes: 0 success, 1 validation/parse error, 2 runtime error.
 """
@@ -40,12 +40,11 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .core import (MAX_COUNT, ConfigError, DomainError, MachineConfig, TrithermError,
-                   apply_params, as_mapping, check_fields, construct, from_fields,
-                   get_field, integer, names, number)
+from .core import (DEFAULT_DRIVE_GRID, DEFAULT_THRESHOLD, MAX_COUNT, ConfigError,
+                   DomainError, MachineConfig, TrithermError, apply_params, as_mapping,
+                   check_fields, construct, from_fields, get_field, grid_repeats, integer,
+                   names, number)
 from .modes import mode_report
-from .transistor import (DEFAULT_THRESHOLD, transistor_trace, window_mask,
-                         windows_from_arrays)
 
 
 # libyaml's parser where PyYAML was built with it; both loaders share the
@@ -226,8 +225,8 @@ def cmd_sweep(config, manifest, warnings):
 
 
 # The transistor flags' defaults, filled in when the flags become a section
-_TRANSISTOR_DEFAULTS = {"omega_min": 0.02, "omega_max": 0.98, "points": 481,
-                        "threshold": DEFAULT_THRESHOLD}
+_TRANSISTOR_DEFAULTS = dict(zip(("omega_min", "omega_max", "points", "threshold"),
+                                (*DEFAULT_DRIVE_GRID, DEFAULT_THRESHOLD)))
 
 
 def _transistor_from_flags(args, raw) -> dict:
@@ -238,6 +237,7 @@ def _transistor_from_flags(args, raw) -> dict:
 
 def cmd_transistor(config, manifest, warnings):
     from .sweep import _float_texts
+    from .transistor import transistor_trace, window_mask, windows_from_arrays
     t = manifest["transistor"]
     section = {key: get_field(t, key, "transistor", integer if key == "points" else number)
                for key in _TRANSISTOR_DEFAULTS}
@@ -254,11 +254,11 @@ def cmd_transistor(config, manifest, warnings):
         if bad:
             raise ConfigError(f"transistor.{key} {why}, got {t[key]!r}")
 
-    grid = np.linspace(omega_min, omega_max, points)
-    if np.any(np.diff(grid) <= 0):
+    if grid_repeats(omega_min, omega_max, points):
         raise ConfigError(f"transistor.points must give a strictly increasing grid: "
                           f"omega_min {omega_min} and omega_max {omega_max} are too "
                           f"close for {points} points")
+    grid = np.linspace(omega_min, omega_max, points)
     trace = transistor_trace(config, grid)
     windows = windows_from_arrays(trace.omega, trace.r, trace.g, threshold)
     cols = [_float_texts(c)[0] for c in (trace.omega, trace.j_hot, trace.j_cold,
@@ -357,8 +357,8 @@ def main(argv=None) -> int:
     except TrithermError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:   # a grid too large to allocate, say
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -40,6 +40,11 @@ __all__ = [
 # from one count (np.linspace, the Latin hypercube, the kernel tables).
 MAX_COUNT = np.iinfo(np.intp).max // 128
 
+# The transistor windows' default threshold on r and g, and the default drive
+# grid (start, stop, count) of a transistor trace and of a search
+DEFAULT_THRESHOLD = 10.0
+DEFAULT_DRIVE_GRID = (0.02, 0.98, 481)
+
 # Validity-warning thresholds (warnings, not errors; see MachineConfig.validate)
 KAPPA_WARN_THRESHOLD = 0.1
 WIDTH_WARN_FRACTION = 0.5
@@ -210,6 +215,14 @@ def ordering_ok(t_hot, t_mid, t_cold):
     """The ordering rule ``t_hot > t_mid > t_cold > 0`` that the mode
     taxonomy assumes."""
     return (t_hot > t_mid) & (t_mid > t_cold) & (t_cold > 0.0)
+
+
+def grid_repeats(start: float, stop: float, count: int) -> bool:
+    """Whether ``np.linspace(start, stop, count)`` repeats a value, for finite
+    ``start < stop``; only a step within 4 ulps of ``stop`` can, so only then
+    is the grid computed."""
+    return (count > 1 and (stop - start) / (count - 1) <= 4 * np.spacing(stop)
+            and bool(np.any(np.diff(np.linspace(start, stop, count)) <= 0)))
 
 
 def _check_params(obj) -> None:

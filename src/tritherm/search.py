@@ -23,14 +23,15 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import NCOLS, thermo_batch
-from .core import (MAX_COUNT, ConfigError, MachineConfig, PARAM_PATHS, apply_params,
-                   as_mapping, check_fields, construct, from_fields, get_field, integer,
-                   number, parameter_bound, parameter_ok, string)
+from .core import (DEFAULT_DRIVE_GRID, DEFAULT_THRESHOLD, MAX_COUNT, ConfigError,
+                   MachineConfig, PARAM_PATHS, apply_params, as_mapping, check_fields,
+                   construct, from_fields, get_field, grid_repeats, integer, number,
+                   parameter_bound, parameter_ok, string)
 from .currents import _blank_errors, _kernel_args, validity_codes
 from .modes import MODE_BY_CODE, OperatingMode, classify_table
 from .sweep import mode_sequence_along_omega
-from .transistor import (DEFAULT_THRESHOLD, _figures, _window_runs, transistor_trace,
-                         window_mask, windows_from_arrays)
+from .transistor import (_figures, _window_runs, transistor_trace, window_mask,
+                         windows_from_arrays)
 
 __all__ = ["VaryRange", "LockRule", "SearchSpec", "Candidate", "run_search"]
 
@@ -97,9 +98,9 @@ class SearchSpec:
     objective: str
     vary: dict
     lock: dict = field(default_factory=dict)
-    omega_start: float = 0.02
-    omega_stop: float = 0.98
-    omega_count: int = 481
+    omega_start: float = DEFAULT_DRIVE_GRID[0]
+    omega_stop: float = DEFAULT_DRIVE_GRID[1]
+    omega_count: int = DEFAULT_DRIVE_GRID[2]
     threshold: float = DEFAULT_THRESHOLD
     samples: int = 200
     refine_rounds: int = 2
@@ -147,7 +148,7 @@ class SearchSpec:
                                  ("omega_grid.stop", self.omega_start, self.omega_stop)):
             if not low < value < np.inf:
                 raise ConfigError(f"search.{name} must be finite and > {low}")
-        if np.any(np.diff(self.grid) <= 0):
+        if grid_repeats(self.omega_start, self.omega_stop, self.omega_count):
             raise ConfigError("search.omega_grid must be strictly increasing: "
                               f"start {self.omega_start} and stop {self.omega_stop} "
                               f"are too close for {self.omega_count} points")

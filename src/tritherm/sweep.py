@@ -1,33 +1,26 @@
 """Parameter sweeps: mode maps, exergy maps, and transistor traces.
 
-A grid is evaluated in rectangular axis1 x axis2 tiles of at most
-``_kernels.BLOCK_POINTS`` cells.  The kernel receives the axis values as
-broadcast vectors, an axis1 column against an axis2 row, with the template
-values as scalars, so a term that depends on one axis only (the cold bath
-and the sidebands along a drive x hot-center map, say) is computed once
-per row or column of a tile.  Cells whose parameters violate
-preconditions (temperature ordering, drive range, positive peak
-frequencies) are emitted as error cells carrying NaN values and an error
-code, so maps keep their rectangular shape.  A valid cell whose kernel
-values come out nonfinite becomes an error cell too, with its own code.
-Tiles go to the kernel whole; one rule after it, shared with the search's
-blocks, blanks both kinds of error cell.  The tiles run under
-:func:`tritherm._kernels.map_blocks` and each writes only its own cells.
-Every cell is bitwise identical to a single-point evaluation at the same
+An axis sweeps any kernel argument (a path of ``currents.KERNEL_PATHS``)
+or ``hot.center_locked``.  A grid is evaluated in rectangular axis1 x axis2
+tiles of at most ``_kernels.BLOCK_POINTS`` cells, under
+:func:`tritherm._kernels.map_blocks`.  Each tile builds its kernel arguments
+from its slices of the axes, an axis1 column against an axis2 row, with the
+template values as scalars, so a term of one axis only is computed once per
+row or column of the tile; it classifies its cells with its own couplings.
+Cells whose parameters violate preconditions, or whose kernel values come
+out nonfinite, are error cells carrying NaN values and an error code, so
+maps keep their rectangular shape.  Tiles go to the kernel whole; one rule
+after it, shared with the search's blocks, blanks the error cells.  Every
+cell is bitwise identical to a single-point evaluation at the same
 parameters, whatever the thread count.  :func:`mode_sequence_along_omega`
 traces one machine along the drive; it checks its grid and calls the
 kernel as ``transistor_trace`` does.
 
 The text exports (:meth:`SweepResult.to_csv`, :meth:`SweepResult.to_json`
 and the CLI's pair of both) format floats with
-:func:`tritherm._floattext.float_texts`, which computes the bytes of
-``float.__repr__`` with numpy integer arithmetic.  Building the strings and
-joining them into rows holds the GIL, so the exports run on processes
-rather than threads: the rows are cut into one contiguous range per CPU,
-by the thread count of ``map_blocks``, the calling process formats the
-first range, and one forked child per further CPU formats each other
-range.  The bytes do not depend on that count; ``taskset -c 0`` keeps the
-export in one process.
+:func:`tritherm._floattext.float_texts`, the bytes of ``float.__repr__``
+computed with numpy integer arithmetic, on one process per CPU
+(:meth:`SweepResult._write_text`); the bytes do not depend on that count.
 """
 
 from __future__ import annotations
@@ -48,9 +41,10 @@ from . import _kernels
 from ._floattext import float_texts
 from ._kernels import COL_SNEG, COL_SPOS, NCOLS, thermo_batch
 from .core import (MAX_COUNT, ConfigError, MachineConfig, TrithermError, check_real,
-                   get_field, integer, names, number)
-from .currents import (VALIDITY_MESSAGES, _blank_errors, _drive_table, _kernel_args,
-                       validity_codes)
+                   get_field, grid_repeats, integer, names, number, parameter_bound,
+                   parameter_ok)
+from .currents import (KERNEL_PATHS, VALIDITY_MESSAGES, _blank_errors, _drive_table,
+                       _kernel_args, validity_codes)
 from .modes import ERROR_CODE, MODE_BY_CODE, classify_table, exergy_from_split
 from .transistor import _figures, _runs
 
@@ -64,10 +58,9 @@ __all__ = [
     "mode_sequence_along_omega",
 ]
 
-# hot.center_locked moves cold.center together with hot.center so the
-# detuning of the template is preserved across the axis.
-AXIS_PARAMS = frozenset({"drive_freq", "hot.center", "cold.center", "hot.center_locked",
-                         "hot.temperature", "mid.temperature", "cold.temperature"})
+# Every kernel argument (mid.gamma_m is none), and hot.center_locked, which
+# moves cold.center with hot.center to keep the template's detuning.
+AXIS_PARAMS = frozenset(KERNEL_PATHS) | {"hot.center_locked"}
 
 OUTPUT_KINDS = frozenset({"currents", "mode", "exergy", "transistor"})
 
@@ -117,13 +110,11 @@ class Axis:
                 ("start", not np.isfinite(self.start), "start and stop must be finite"),
                 ("stop", not np.isfinite(self.stop), "start and stop must be finite"),
                 ("stop", not self.start < self.stop, "start must be < stop"),
-                ("start", self.start <= 0, "values must be positive")):
+                ("start", not parameter_ok(self.param, self.start),
+                 f"values must be {parameter_bound(self.param)}")):
             if bad:
                 raise ConfigError(f"axis {self.param}: {why}", key)
-        # a step above 4 ulps of stop keeps the values strictly increasing;
-        # only a denser axis is computed to be checked
-        if ((self.stop - self.start) / (self.count - 1) <= 4 * np.spacing(self.stop)
-                and np.any(np.diff(self.values()) <= 0)):
+        if grid_repeats(self.start, self.stop, self.count):
             raise ConfigError(f"axis {self.param}: start {self.start} and stop "
                               f"{self.stop} are too close for {self.count} points", "count")
 
@@ -151,9 +142,12 @@ class SweepSpec:
         unknown = self.outputs - OUTPUT_KINDS
         if unknown:
             raise ConfigError(f"unknown outputs: {sorted(unknown)}", "outputs")
+        # a swept omega0 is checked against the drive per cell, by validity_codes
         w0 = self.template.wm.omega0
+        params = (self.axis1.param, getattr(self.axis2, "param", None))
         for name, axis in (("axis1", self.axis1), ("axis2", self.axis2)):
-            if axis is not None and axis.param == "drive_freq" and axis.stop >= w0:
+            if (axis is not None and axis.param == "drive_freq" and axis.stop >= w0
+                    and "wm.omega0" not in params):
                 raise ConfigError(f"axis drive_freq must stay below omega0 = {w0}",
                                   f"{name}.stop")
         common = (_axis_columns(self.axis1.param, 0.0, self.template).keys()
@@ -361,15 +355,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     Cells are laid out row-major over (axis1, axis2).  Cells violating
     preconditions are marked with an error code and carry NaN values and
     the mode label ``error`` rather than being dropped; so are cells whose
-    kernel values are not finite (``currents.finite_rows``).  The kernel
-    sees the axes as broadcast vectors, axis1 as a column and axis2 as a
-    row, and the grid is evaluated in tiles of at most ``BLOCK_POINTS``
-    cells, each written straight into the result arrays, error cells
-    included: terms that depend on one axis only are computed once per row
-    or column of a tile.  The tiles run through
-    :func:`tritherm._kernels.map_blocks`, on the calling thread and one
-    helper per further CPU; each tile slices its own arguments and writes
-    only its own cells, so the result does not depend on the thread count.
+    kernel values are not finite (``currents.finite_rows``).  The grid is
+    evaluated in tiles of at most ``BLOCK_POINTS`` cells (see the module
+    docstring) through :func:`tritherm._kernels.map_blocks`, on the calling
+    thread and one helper per further CPU; each tile builds its own
+    arguments and writes only its own cells, error cells included, so the
+    result does not depend on the thread count.
     """
     template = spec.template
     a1 = spec.axis1.values()
@@ -378,13 +369,15 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     n2 = 1 if a2 is None else len(a2)
     n = n1 * n2
 
-    # template values stay scalars; axis1 varies along rows, axis2 along columns
-    columns = _axis_columns(spec.axis1.param, a1[:, None], template)
-    if a2 is not None:
-        columns.update(_axis_columns(spec.axis2.param, a2[None, :], template))
-    args = [*_kernel_args(template, columns).values()]
+    def kernel_args(tile=(slice(None), slice(None))):
+        # by path: the axes' values over the tile (by default the grid), axis1
+        # as a column and axis2 as a row, and the template's scalars
+        columns = _axis_columns(spec.axis1.param, a1[tile[0], None], template)
+        if a2 is not None:
+            columns.update(_axis_columns(spec.axis2.param, a2[None, tile[1]], template))
+        return _kernel_args(template, columns)
 
-    codes = validity_codes(args, (n1, n2))
+    codes = validity_codes([*kernel_args().values()], (n1, n2))
     transistor = "transistor" in spec.outputs
     thermo = np.empty((n, NCOLS))
     mode_codes = np.empty(n, dtype=np.int8)
@@ -401,9 +394,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         # included, NaN rows, which classify and score without raising; it
         # writes the nonfinite codes through the ``codes[tile]`` view.  The
         # tile's temporaries are freed on return, before the next kernel call.
-        table = thermo_batch(*(_tile(a, tile) for a in args), slopes=transistor)
+        args = kernel_args(tile)
+        table = thermo_batch(*args.values(), slopes=transistor)
         bad = _blank_errors(table, codes[tile])
-        modes = classify_table(table, template.hot.kappa, template.cold.kappa)
+        modes = classify_table(table, args["hot.kappa"], args["cold.kappa"])
         modes[bad] = ERROR_CODE
         values = [table[..., :NCOLS], modes,
                   exergy_from_split(table[..., COL_SPOS], table[..., COL_SNEG]),
@@ -414,14 +408,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     _kernels.map_blocks(run, [(slice(i, i + rows), slice(j, j + cols))
                               for i in range(0, n1, rows) for j in range(0, n2, cols)])
     return SweepResult(spec, a1, a2, thermo, mode_codes, phi, r, g, codes.reshape(n))
-
-
-def _tile(arg, tile):
-    """The part over ``tile`` of a kernel argument: a scalar, an axis1
-    column or an axis2 row."""
-    if np.ndim(arg) == 0:
-        return arg
-    return arg[tile[0]] if arg.shape[1] == 1 else arg[:, tile[1]]
 
 
 def resonance_lines(spec: SweepSpec) -> tuple[tuple[float, float], tuple[float, float]]:

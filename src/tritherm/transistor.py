@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._kernels import COL_DJH, COL_DP, COL_JC, COL_JH, COL_JM, COL_P
-from .core import DomainError, MachineConfig, check_real, real_number
+from .core import DEFAULT_THRESHOLD, DomainError, MachineConfig, check_real, real_number
 from .currents import SIGN_ZERO_BAND, _drive_table
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "window_mask",
 ]
 
-DEFAULT_THRESHOLD = 10.0
 GAIN_RELIABLE_BAND = 1e-10   # |dP/dW| below this flags g as unreliable
 
 

@@ -258,6 +258,17 @@ class TestTransistor:
                       str(int(in_window[k]))]) + "\n" for k in range(grid.size))
         assert out.read_bytes() == want.encode()
 
+    def test_transistor_and_search_share_one_default_grid_and_threshold(self):
+        # one definition each, in core; the transistor layer re-exports the
+        # threshold
+        spec = tt.SearchSpec(objective="transistor_window",
+                             vary={"hot.center": tt.VaryRange(1.0, 2.0)})
+        assert ((spec.omega_start, spec.omega_stop, spec.omega_count)
+                == tuple(cli._TRANSISTOR_DEFAULTS.values())[:3]
+                == tt.core.DEFAULT_DRIVE_GRID == (0.02, 0.98, 481))
+        assert DEFAULT_THRESHOLD is tt.core.DEFAULT_THRESHOLD
+        assert spec.threshold == cli._TRANSISTOR_DEFAULTS["threshold"] == 10.0
+
     @pytest.mark.parametrize("threshold", ["nan", "-1", "0", "inf", "1e400"])
     def test_nonpositive_threshold_exits_one_naming_it(self, tmp_path, capsys,
                                                        threshold):
@@ -1099,12 +1110,21 @@ class TestEntryPoint:
 
     SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-    def _run(self, *argv, cwd):
+    def _run(self, *argv, cwd, python=("-m", "tritherm"), limit=None):
+        """The command ``argv`` in a fresh interpreter started with the
+        arguments ``python``, its address space capped at ``limit`` bytes."""
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(self.SRC), env.get("PYTHONPATH")) if p)
-        return subprocess.run([sys.executable, "-m", "tritherm", *argv], cwd=cwd,
-                              env=env, capture_output=True, text=True, timeout=120)
+        if limit:   # OpenBLAS reserves address space per thread
+            env["OPENBLAS_NUM_THREADS"] = "1"
+
+        def cap():
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        return subprocess.run([sys.executable, *python, *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120,
+                              preexec_fn=cap if limit else None)
 
     def test_point_exits_zero(self, tmp_path):
         proc = self._run("point", "--config", str(CONFIGS / "default.yaml"),
@@ -1130,3 +1150,32 @@ class TestEntryPoint:
                          "--threshold", "nan", "--out", "trace.csv", cwd=tmp_path)
         assert proc.returncode == 1
         assert "threshold" in proc.stderr
+
+    def test_point_loads_no_transistor_sweep_or_search_layer(self, tmp_path):
+        # the CLI imports each layer in the command that runs it
+        code = """
+import sys
+import tritherm.cli
+assert tritherm.cli.main(["point", "--config", sys.argv[1]]) == 0
+lazy = ("tritherm.transistor", "tritherm.sweep", "tritherm.search", "tritherm._floattext")
+print([name for name in lazy if name in sys.modules], file=sys.stderr)
+"""
+        proc = self._run(str(CONFIGS / "default.yaml"), cwd=tmp_path, python=("-c", code))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "[]\n"
+
+    @pytest.mark.parametrize("command", ["transistor", "sweep", "search"])
+    def test_grid_too_large_to_allocate_exits_two(self, tmp_path, command):
+        # 2**40 points are below MAX_COUNT, but their 8 TiB exceed the
+        # address-space cap on any host, whatever its overcommit setting
+        count = 2**40
+        config = write_config(tmp_path, {**BASE_CONFIG, "search": {
+            **SEARCH_SECTION, "omega_grid": {"start": 0.02, "stop": 0.98, "count": count}}})
+        argv = {"transistor": ["--points", str(count)],
+                "sweep": ["--axis1", f"drive_freq:0.1:0.5:{count}"],
+                "search": []}[command]
+        proc = self._run(command, "--config", config, *argv, "--out", "out.x",
+                         cwd=tmp_path, limit=3 * 2**30)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        assert not list(tmp_path.glob("out.x*"))

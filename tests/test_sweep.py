@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 import tritherm as tt
-from tritherm import _kernels, sweep
+from tritherm import _kernels, cli, sweep
 from tritherm.cli import main
 from tritherm.core import ConfigError, ConsistencyError, DomainError, TrithermError
 from tritherm._kernels import thermo_batch
@@ -184,9 +184,12 @@ class TestRunSweep:
 
     def test_axis_is_rejected_exactly_when_its_values_repeat(self):
         # spans a few ulps wide, where the step is near the spacing of the
-        # floats, and wider ones, where no value repeats
+        # floats, and wider ones, where no value repeats; the search's drive
+        # grid and the transistor command's follow the same rule
         rng = np.random.default_rng(11)
         kinds = set()
+        config = make_config(omega0=1e4)   # above every stop
+        vary = {"hot.center": tt.VaryRange(1.0, 2.0)}
         for _ in range(3000):
             start = float(10 ** rng.uniform(-3, 3))
             if rng.random() < 0.5:
@@ -204,6 +207,24 @@ class TestRunSweep:
                 assert not increasing and exc.key == "count"
             else:
                 assert increasing and axis.values().tobytes() == values.tobytes()
+            if count >= 3:   # the search's least count
+                try:
+                    tt.SearchSpec(objective="transistor_window", vary=vary,
+                                  omega_start=start, omega_stop=stop, omega_count=count)
+                except ConfigError as exc:
+                    assert not increasing and str(exc).startswith(
+                        "search.omega_grid must be strictly increasing")
+                else:
+                    assert increasing
+            try:
+                cli.cmd_transistor(config, {"transistor": {
+                    "omega_min": start, "omega_max": stop, "points": count,
+                    "threshold": 10.0}}, [])
+            except ConfigError as exc:
+                assert not increasing and str(exc).startswith(
+                    "transistor.points must give a strictly increasing grid")
+            else:
+                assert increasing
             kinds.add(increasing)
         assert kinds == {True, False}
 
@@ -649,6 +670,134 @@ class TestTwoTerminalReduction:
             template=tt.apply_params(template, {"hot.kappa": 0.0}),
             axis1=axis1, axis2=axis2)).mode_set()
         assert (m1 | m2) - {OperatingMode.DEGENERATE} <= full
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def _assert_cells_equal_points(result):
+    """Every cell of a two-axis ``result`` with transistor outputs equals the
+    per-point calls at its parameters bit for bit: ``mode_report`` (the
+    seven kernel columns, phi and the mode) and ``transistor_point`` (r and
+    g); a cell that ``MachineConfig.validate`` rejects is an error cell.
+    Returns the error codes as an (n1, n2) array."""
+    spec = result.spec
+    codes = result.error_codes.reshape(result.shape)
+    for k, (v1, v2) in enumerate((v1, v2) for v1 in result.axis1_values.tolist()
+                                 for v2 in result.axis2_values.tolist()):
+        config = tt.apply_params(spec.template, {spec.axis1.param: v1,
+                                                 spec.axis2.param: v2})
+        try:
+            config.validate()
+        except ConfigError:
+            assert result.error_codes[k] != 0
+            assert result.mode_codes[k] == ERROR_CODE
+            assert np.isnan(result.thermo[k]).all() and np.isnan(result.phi[k])
+            continue
+        report, tp = tt.mode_report(config), tt.transistor_point(config)
+        assert result.error_codes[k] == 0
+        assert result.thermo[k].tobytes() == np.array(
+            [*report.point.to_dict().values()]).tobytes()
+        assert MODE_BY_CODE[result.mode_codes[k]] is report.mode
+        assert [_bits(x) for x in (result.phi[k], result.r[k], result.g[k])] == [
+            _bits(x) for x in (report.exergy, tp.r, tp.g)]
+    return codes
+
+
+# The axes beyond the temperatures, the centers and the drive: each kernel
+# argument against the drive, with transistor outputs
+# (start, stop, count) of the axis, and the count of the drive axis
+_KERNEL_AXES = {
+    "hot.kappa": (0.0, 0.04, 23, 19),
+    "cold.kappa": (0.0, 0.04, 7, 6),
+    "hot.width": (0.01, 0.3, 7, 6),
+    "cold.width": (0.01, 0.3, 7, 6),
+    "wm.omega0": (1.05, 2.0, 7, 6),
+    "wm.mass": (0.5, 2.0, 7, 6),
+}
+
+
+class TestKernelArgumentAxes:
+    """Every kernel argument is an axis; each tile classifies its cells with
+    its own couplings."""
+
+    def test_axis_params_are_the_kernel_paths(self):
+        assert sweep.AXIS_PARAMS == set(KERNEL_PATHS) | {"hot.center_locked"}
+        assert set(_KERNEL_AXES) == sweep.AXIS_PARAMS - {
+            "hot.center_locked", "drive_freq", "hot.center", "cold.center",
+            "hot.temperature", "mid.temperature", "cold.temperature"}
+
+    @pytest.mark.parametrize("param", list(_KERNEL_AXES))
+    def test_map_equals_per_point_calls(self, monkeypatch, param):
+        start, stop, n1, count = _KERNEL_AXES[param]
+        spec = tt.SweepSpec(template=make_config(), axis1=tt.Axis(param, start, stop, n1),
+                            axis2=tt.Axis("drive_freq", 0.05, 0.9, count),
+                            outputs=_outputs(True))
+        # tiles of a few rows, so that each tile has its own couplings
+        monkeypatch.setattr(_kernels, "BLOCK_POINTS", 2 * count + 1)
+        result = _same_for_worker_counts(monkeypatch, lambda: tt.run_sweep(spec))
+        assert not _assert_cells_equal_points(result).any()
+
+    @pytest.mark.parametrize("off", ["hot", "cold"])
+    def test_decoupled_cells_take_the_two_terminal_taxonomy(self, off):
+        spec = tt.SweepSpec(template=make_config(),
+                            axis1=tt.Axis(f"{off}.kappa", 0.0, 0.04, 5),
+                            axis2=tt.Axis("drive_freq", 0.02, 0.98, 49),
+                            outputs=_outputs(True))
+        result = tt.run_sweep(spec)
+        modes = result.mode_codes.reshape(result.shape)
+        decoupled = {MODE_BY_CODE[c] for c in modes[0].tolist()}
+        # the full taxonomy reads the zero current of the decoupled bath as
+        # degenerate; the reduced one reaches four modes
+        assert decoupled <= {OperatingMode.ENGINE, OperatingMode.HEAT_PUMP,
+                             OperatingMode.REFRIGERATOR_PUMP, OperatingMode.WASTEFUL}
+        assert len(decoupled) >= 2
+        table = np.stack([result.thermo[:, c] for c in range(4)], axis=-1)
+        full = classify_coupled_arrays(1.0, 1.0, *table.T).reshape(result.shape)
+        assert (full[0] == MODE_BY_CODE.index(OperatingMode.DEGENERATE)).all()
+        _assert_cells_equal_points(result)
+
+    def test_omega0_axis_lets_the_drive_pass_the_template_omega0(self):
+        # the drive runs to 1.8, beyond the template's omega0 of 1.0; a cell
+        # whose drive is not below its own omega0 is an error cell, code 1
+        spec = tt.SweepSpec(template=make_config(),
+                            axis1=tt.Axis("wm.omega0", 0.5, 2.0, 7),
+                            axis2=tt.Axis("drive_freq", 0.1, 1.8, 9),
+                            outputs=_outputs(True))
+        result = tt.run_sweep(spec)
+        w0, drive = np.meshgrid(spec.axis1.values(), spec.axis2.values(), indexing="ij")
+        assert np.array_equal(_assert_cells_equal_points(result),
+                              np.where(drive < w0, 0, 1))
+        assert 0 < np.count_nonzero(result.error_codes) < result.size
+        # without an omega0 axis the drive axis is checked against the template
+        with pytest.raises(ConfigError, match="must stay below omega0 = 1.0") as exc:
+            tt.SweepSpec(template=make_config(), axis1=tt.Axis("wm.mass", 0.5, 2.0, 3),
+                         axis2=spec.axis2)
+        assert exc.value.key == "axis2.stop"
+
+    @pytest.mark.parametrize("param", ["hot.kappa", "cold.kappa"])
+    def test_coupling_axis_may_start_at_zero(self, param):
+        assert tt.Axis(param, 0.0, 0.04, 5).values()[0] == 0.0
+        with pytest.raises(ConfigError, match=rf"^axis {param}: values must be >= 0$"):
+            tt.Axis(param, -0.01, 0.04, 5)
+
+    @pytest.mark.parametrize("param", ["hot.width", "wm.omega0", "wm.mass", "drive_freq"])
+    def test_other_axes_start_above_zero(self, param):
+        with pytest.raises(ConfigError, match=rf"^axis {param}: values must be > 0$") as exc:
+            tt.Axis(param, 0.0, 0.5, 5)
+        assert exc.value.key == "start"
+
+    def test_gamma_m_is_not_an_axis(self):
+        # the static bath's damping does not enter the kernel
+        with pytest.raises(ConfigError, match=r"^unknown sweep parameter 'mid.gamma_m'"):
+            tt.Axis("mid.gamma_m", 0.05, 0.2, 3)
+
+    def test_one_coupling_on_both_axes_is_rejected(self, default_config):
+        with pytest.raises(ConfigError, match="both set hot.kappa") as exc:
+            tt.SweepSpec(template=default_config, axis1=tt.Axis("hot.kappa", 0.0, 0.02, 3),
+                         axis2=tt.Axis("hot.kappa", 0.01, 0.03, 4))
+        assert exc.value.key == "axis2.param"
 
 
 class TestResonanceLines:
