@@ -29,14 +29,16 @@ returned as a ``broadcast_shape + (ncols,)`` view, so each column
 ``table[..., c]`` is written and read without a stride; a one-point
 table is the plain 1-D ``(ncols,)`` array.
 
-Large batches are cut into blocks of ``BLOCK_POINTS`` points by the
-callers (sweeps, searches), which keeps the temporaries of one call in
-cache.  Sweeps pass axis vectors, an axis1 column against an axis2 row,
-not expanded columns, so a term of one axis is computed once per row or
-column of a tile.  :func:`map_blocks` runs the blocks of one sweep or
-search stage (its thread model is described there); they write into
-results allocated once for all of them: a sweep's result arrays, a search
-stage's table (``thermo_batch(..., out=)``).
+Large batches are cut by the callers: a search stage into blocks of
+``BLOCK_POINTS`` points, which keeps the temporaries of one call in
+cache, and a sweep into tiles of ``TILE_POINTS`` cells, long enough for
+the threads of :func:`map_blocks` to overlap.  Sweeps pass axis vectors,
+an axis1 column against an axis2 row, not expanded columns, so a term of
+one axis is computed once per row or column of a tile.
+:func:`map_blocks` runs the blocks of one sweep or search stage (its
+thread model is described there); they write into results allocated
+once for all of them: a sweep's result arrays, a search stage's table
+(``thermo_batch(..., out=)``).
 """
 
 from __future__ import annotations
@@ -52,9 +54,14 @@ NCOLS = 7
 COL_JH, COL_JC, COL_JM, COL_P, COL_S, COL_SPOS, COL_SNEG = range(NCOLS)
 COL_DJH, COL_DP = NCOLS, NCOLS + 1   # present only with slopes=True
 
-# Points per kernel call of a sweep or search block: a 9-column table is
-# then 1.2 MB, so a block's temporaries stay in a 2-4 MB L2 cache.
+# Points per kernel call of a search block: a 9-column table is then
+# 1.2 MB, so a block's temporaries stay in a 2-4 MB L2 cache.
 BLOCK_POINTS = 16384
+
+# Cells per kernel call of a sweep tile.  Each numpy operation on a tile
+# then lasts about 40 us, long enough for map_blocks' threads to overlap;
+# at BLOCK_POINTS they mostly take turns on the GIL.
+TILE_POINTS = 65536
 
 # Threads of one map_blocks call: the CPUs this process may use, at most 4.
 # The cap bounds memory, not speed: each running block holds about 3.5 MB
@@ -270,9 +277,12 @@ def map_blocks(fn, items) -> list:
     when tritherm is imported, capped by the number of items and by 4;
     nothing above 2 CPUs has been measured.  ``taskset`` limits it, a
     cgroup CPU quota does not, and there is no option for it.  numpy
-    releases the GIL inside each operation, so the items' arithmetic
-    overlaps.  Each item of a sweep or search writes only its own results,
-    so their outputs do not depend on the thread count.  Every
+    releases the GIL inside each operation on large arrays, so the items'
+    arithmetic overlaps when each operation lasts about 40 us or more (a
+    sweep tile of ``TILE_POINTS`` cells); at about 10 us (16384 points)
+    the threads mostly take turns on the GIL.  Each item of a sweep or
+    search writes only its own results, so their outputs do not depend on
+    the thread count.  Every
     thread takes the next index from one shared counter until none is left,
     so items start in order.  Each helper runs under the caller's numpy
     ``errstate``, set explicitly: numpy 2 keeps it in a context variable and

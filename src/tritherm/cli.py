@@ -18,8 +18,8 @@ that chooses the run given beside ``--from-manifest`` (only ``--out`` and
 ``--json`` may be).  Manifests keep their key order: that of
 ``search.vary`` fixes the Latin-hypercube dimensions.
 
-A sweep runs in tiles of at most ``_kernels.BLOCK_POINTS`` cells, and a
-search stage in blocks of as many points, under
+A sweep runs in tiles of at most ``_kernels.TILE_POINTS`` cells, and a
+search stage in blocks of at most ``_kernels.BLOCK_POINTS`` points, under
 :func:`tritherm._kernels.map_blocks`, whose thread model leaves every output
 independent of the thread count.  The transistor, sweep and search layers
 are imported by the commands that run them, so ``point`` starts without them.
@@ -213,6 +213,8 @@ def cmd_sweep(config, manifest, warnings):
     check_fields(grid, ("axis1", "axis2", "outputs"), "sweep")
     spec = construct(SweepSpec, "sweep", template=config, axis1=axis1, axis2=axis2,
                      outputs=outputs)
+    for w in spec.axis_warnings():
+        print(f"warning: {w}", file=sys.stderr)
     result = run_sweep(spec)
 
     def write(args):

@@ -45,7 +45,7 @@ MAX_COUNT = np.iinfo(np.intp).max // 128
 DEFAULT_THRESHOLD = 10.0
 DEFAULT_DRIVE_GRID = (0.02, 0.98, 481)
 
-# Validity-warning thresholds (warnings, not errors; see MachineConfig.validate)
+# Validity-warning thresholds (warnings, not errors; see regime_warnings)
 KAPPA_WARN_THRESHOLD = 0.1
 WIDTH_WARN_FRACTION = 0.5
 
@@ -217,6 +217,37 @@ def ordering_ok(t_hot, t_mid, t_cold):
     return (t_hot > t_mid) & (t_mid > t_cold) & (t_cold > 0.0)
 
 
+# The parameters that the validity warnings read, in the argument order of
+# regime_warnings
+REGIME_PATHS = ("wm.omega0", "hot.temperature", "hot.kappa", "hot.width", "cold.kappa",
+                "cold.width")
+_REGIME_VALUES = operator.attrgetter(*REGIME_PATHS)
+
+
+def regime_warnings(w0, th, hot_kappa, hot_width, cold_kappa, cold_width) -> dict:
+    """The validity warnings of the parameters of :data:`REGIME_PATHS`
+    (perturbative couplings, underdamped widths, quantum regime), each
+    keyed by the tuple of paths its rule reads.  Each rule is a threshold on
+    one parameter or on a ratio of two.  Nothing else is checked, so a point
+    that breaks the ordering or the drive rule still gets its warnings;
+    nothing raises."""
+    warnings = {}
+    if w0 <= th:
+        warnings["wm.omega0", "hot.temperature"] = (
+            f"quantum regime violated: omega0 = {w0} <= hot.temperature = {th}")
+    for name, kappa, width in (("hot", hot_kappa, hot_width),
+                               ("cold", cold_kappa, cold_width)):
+        if kappa >= KAPPA_WARN_THRESHOLD:
+            warnings[f"{name}.kappa",] = (
+                f"{name}.kappa = {kappa} >= {KAPPA_WARN_THRESHOLD}: outside "
+                f"the perturbative regime, results are uncontrolled")
+        if width >= WIDTH_WARN_FRACTION * w0:
+            warnings[f"{name}.width", "wm.omega0"] = (
+                f"{name}.width = {width} >= {WIDTH_WARN_FRACTION}*omega0: outside "
+                f"the underdamped regime")
+    return warnings
+
+
 def grid_repeats(start: float, stop: float, count: int) -> bool:
     """Whether ``np.linspace(start, stop, count)`` repeats a value, for finite
     ``start < stop``; only a step within 4 ulps of ``stop`` can, so only then
@@ -343,9 +374,9 @@ class MachineConfig:
 
     def validate(self) -> list[str]:
         """ConfigError unless the config passes the ordering rule and the
-        drive rule; else the validity warnings (perturbative couplings,
-        underdamped widths, quantum regime): such configs evaluate, but may
-        leave the regime in which the closed forms are controlled."""
+        drive rule; else the validity warnings (:func:`regime_warnings`):
+        such configs evaluate, but may leave the regime in which the closed
+        forms are controlled."""
         th, tm, tc = self.hot.temperature, self.mid.temperature, self.cold.temperature
         if not ordering_ok(th, tm, tc):
             raise ConfigError(
@@ -355,21 +386,7 @@ class MachineConfig:
         if not drive_ok(self.drive_freq, w0):
             raise ConfigError(
                 f"drive_freq must lie in (0, omega0) = (0, {w0}), got {self.drive_freq}")
-
-        warnings = []
-        if w0 <= th:
-            warnings.append(
-                f"quantum regime violated: omega0 = {w0} <= hot.temperature = {th}")
-        for name, bath in (("hot", self.hot), ("cold", self.cold)):
-            if bath.kappa >= KAPPA_WARN_THRESHOLD:
-                warnings.append(
-                    f"{name}.kappa = {bath.kappa} >= {KAPPA_WARN_THRESHOLD}: outside "
-                    f"the perturbative regime, results are uncontrolled")
-            if bath.width >= WIDTH_WARN_FRACTION * w0:
-                warnings.append(
-                    f"{name}.width = {bath.width} >= {WIDTH_WARN_FRACTION}*omega0: outside "
-                    f"the underdamped regime")
-        return warnings
+        return list(regime_warnings(*_REGIME_VALUES(self)).values())
 
     def to_dict(self) -> dict:
         return {"drive_freq": self.drive_freq,

@@ -2,11 +2,12 @@
 
 An axis sweeps any kernel argument (a path of ``currents.KERNEL_PATHS``)
 or ``hot.center_locked``.  A grid is evaluated in rectangular axis1 x axis2
-tiles of at most ``_kernels.BLOCK_POINTS`` cells, under
-:func:`tritherm._kernels.map_blocks`.  Each tile builds its kernel arguments
-from its slices of the axes, an axis1 column against an axis2 row, with the
-template values as scalars, so a term of one axis only is computed once per
-row or column of the tile; it classifies its cells with its own couplings.
+tiles of at most ``_kernels.TILE_POINTS`` cells, large enough for the
+threads of :func:`tritherm._kernels.map_blocks` to overlap.  Each tile
+builds its kernel arguments from its slices of the axes, an axis1 column
+against an axis2 row, with the template values as scalars, so a term of
+one axis only is computed once per row or column of the tile; it
+classifies its cells with its own couplings.
 Cells whose parameters violate preconditions, or whose kernel values come
 out nonfinite, are error cells carrying NaN values and an error code, so
 maps keep their rectangular shape.  Tiles go to the kernel whole; one rule
@@ -28,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import shutil
@@ -40,9 +42,9 @@ import numpy as np
 from . import _kernels
 from ._floattext import float_texts
 from ._kernels import COL_SNEG, COL_SPOS, NCOLS, thermo_batch
-from .core import (MAX_COUNT, ConfigError, MachineConfig, TrithermError, check_real,
-                   get_field, grid_repeats, integer, names, number, parameter_bound,
-                   parameter_ok)
+from .core import (MAX_COUNT, REGIME_PATHS, ConfigError, MachineConfig, TrithermError,
+                   check_real, get_field, grid_repeats, integer, names, number,
+                   parameter_bound, parameter_ok, regime_warnings)
 from .currents import (KERNEL_PATHS, VALIDITY_MESSAGES, _blank_errors, _drive_table,
                        _kernel_args, validity_codes)
 from .modes import ERROR_CODE, MODE_BY_CODE, classify_table, exergy_from_split
@@ -159,6 +161,37 @@ class SweepSpec:
                               f"{' and '.join(sorted(common))}", "axis2.param")
         if self.axis2 is not None and self.axis1.count * self.axis2.count > MAX_COUNT:
             raise ConfigError(f"the grid must have <= {MAX_COUNT} cells", "axis2.count")
+
+    def axis_warnings(self) -> list[str]:
+        """The validity warnings (:func:`tritherm.core.regime_warnings`) that
+        the axes add to the template's, each rule's once, naming the axis or
+        axes whose parameters the rule reads.  They are checked at the
+        grid's corners: each rule is a threshold on one parameter or on a
+        ratio of two, so a cell outside the regime has a corner outside it
+        too.  A corner that breaks the ordering or drive rule, an error
+        cell, is checked all the same."""
+        axes = [a for a in (self.axis1, self.axis2) if a is not None]
+
+        def warnings(*point):   # at the template with these (axis, value) set
+            columns = {}
+            for axis, value in point:
+                columns.update(_axis_columns(axis.param, value, self.template))
+            args = _kernel_args(self.template, columns)
+            return regime_warnings(*(args[path] for path in REGIME_PATHS))
+
+        known = warnings().values()
+        found = {}
+        for corner in itertools.product(*([(a, a.start), (a, a.stop)] for a in axes)):
+            for rule, message in warnings(*corner).items():
+                if message not in known:
+                    found.setdefault(rule, message)
+        out = []
+        for rule, message in found.items():
+            named = [a.param for a in axes
+                     if _axis_columns(a.param, 0.0, self.template).keys() & set(rule)]
+            out.append(f"{'axes' if len(named) > 1 else 'axis'} {' and '.join(named)}: "
+                       f"{message}")
+        return out
 
 
 def _axis_columns(param: str, values, template: MachineConfig) -> dict:
@@ -356,11 +389,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     preconditions are marked with an error code and carry NaN values and
     the mode label ``error`` rather than being dropped; so are cells whose
     kernel values are not finite (``currents.finite_rows``).  The grid is
-    evaluated in tiles of at most ``BLOCK_POINTS`` cells (see the module
-    docstring) through :func:`tritherm._kernels.map_blocks`, on the calling
-    thread and one helper per further CPU; each tile builds its own
+    evaluated in tiles of at most ``_kernels.TILE_POINTS`` cells (see the
+    module docstring) through :func:`tritherm._kernels.map_blocks`, on the
+    calling thread and one helper per further CPU; each tile builds its own
     arguments and writes only its own cells, error cells included, so the
-    result does not depend on the thread count.
+    result does not depend on the thread count.  The kernel runs with
+    numpy's divide and invalid warnings off: only error cells raise them,
+    and their error codes report them.
     """
     template = spec.template
     a1 = spec.axis1.values()
@@ -386,16 +421,19 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     # (n1, n2) views of the row-major results
     grids = [a.reshape(n1, n2, *a.shape[1:]) for a in (thermo, mode_codes, phi, r, g)
              if a is not None]
-    cols = min(n2, _kernels.BLOCK_POINTS)
-    rows = max(1, _kernels.BLOCK_POINTS // cols)
+    cols = min(n2, _kernels.TILE_POINTS)
+    rows = max(1, _kernels.TILE_POINTS // cols)
 
     def run(tile):
         # ``currents._blank_errors`` gives the error cells, nonfinite ones
         # included, NaN rows, which classify and score without raising; it
-        # writes the nonfinite codes through the ``codes[tile]`` view.  The
-        # tile's temporaries are freed on return, before the next kernel call.
+        # writes the nonfinite codes through the ``codes[tile]`` view, so
+        # numpy's divide and invalid warnings, which only such cells raise,
+        # are off.  The tile's temporaries are freed on return, before the
+        # next kernel call.
         args = kernel_args(tile)
-        table = thermo_batch(*args.values(), slopes=transistor)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            table = thermo_batch(*args.values(), slopes=transistor)
         bad = _blank_errors(table, codes[tile])
         modes = classify_table(table, args["hot.kappa"], args["cold.kappa"])
         modes[bad] = ERROR_CODE

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import tritherm as tt
-from tritherm import _kernels
+from tritherm import _kernels, sweep
+from tritherm._kernels import thermo_batch
 from tritherm.cli import main as cli_main
 from tritherm.modes import (HYBRID_MODES, OperatingMode, classify_arrays,
                             exergy_from_split)
@@ -279,12 +280,20 @@ def test_criterion_11_determinism(tmp_path):
                   "--axis1", "drive_freq:0.05:0.9:41",
                   "--axis2", "hot.center:1.0:2.0:23", "--json"]
     out1, out3, rerun = (tmp_path / n for n in ("t1.csv", "t3.csv", "rr.csv"))
+    tiles = []
+
+    def counting(*args, **kwargs):
+        tiles.append(args)
+        return thermo_batch(*args, **kwargs)
+
     with pytest.MonkeyPatch.context() as mp:
         # tiles of 4 x 23 cells, so three threads share the 11 tiles
-        mp.setattr(_kernels, "BLOCK_POINTS", 100)
+        mp.setattr(_kernels, "TILE_POINTS", 100)
+        mp.setattr(sweep, "thermo_batch", counting)
         for workers, out in ((1, out1), (3, out3)):
             mp.setattr(_kernels, "_WORKERS", workers)
             assert cli_main(sweep_args + ["--out", str(out)]) == 0
+    assert len(tiles) == 2 * 11
     threads_same = (out1.read_bytes() == out3.read_bytes()
                     and (tmp_path / "t1.csv.json").read_bytes()
                     == (tmp_path / "t3.csv.json").read_bytes())

@@ -214,6 +214,47 @@ class TestSweep:
         assert rc == 1
         assert "axis" in capsys.readouterr().err
 
+    def _stderr(self, tmp_path, capsys, *args):
+        out = tmp_path / "w.csv"
+        assert main(["sweep", "--config", str(CONFIGS / "default.yaml"), *args,
+                     "--out", str(out)]) == 0
+        return capsys.readouterr().err.replace(str(out), "w.csv")
+
+    def test_axis_out_of_regime_warns_once_naming_the_axis(self, tmp_path, capsys):
+        # two corners have hot.kappa = 0.5; the template's 0.01 warns nothing
+        err = self._stderr(tmp_path, capsys, "--axis1", "hot.kappa:0.0:0.5:5",
+                           "--axis2", "drive_freq:0.1:0.9:3")
+        assert err == ("warning: axis hot.kappa: hot.kappa = 0.5 >= 0.1: outside the "
+                       "perturbative regime, results are uncontrolled\n"
+                       "sweep: 15 cells (0 error cells) -> w.csv\n")
+
+    def test_a_rule_of_both_axes_names_both(self, tmp_path, capsys):
+        err = self._stderr(tmp_path, capsys, "--axis1", "wm.omega0:1.0:2.0:3",
+                           "--axis2", "hot.temperature:0.6:1.5:4")
+        assert err.splitlines()[0] == (
+            "warning: axes wm.omega0 and hot.temperature: quantum regime violated: "
+            "omega0 = 1.0 <= hot.temperature = 1.5")
+        assert len(err.splitlines()) == 2
+
+    def test_an_error_corner_hides_no_warning(self, tmp_path, capsys):
+        # every cell at omega0 = 0.5 has its drive above omega0, an error
+        # cell, and only there is omega0 below hot.temperature = 0.8
+        err = self._stderr(tmp_path, capsys, "--axis1", "wm.omega0:0.5:2.0:4",
+                           "--axis2", "drive_freq:0.6:0.9:3")
+        assert err == ("warning: axis wm.omega0: quantum regime violated: "
+                       "omega0 = 0.5 <= hot.temperature = 0.8\n"
+                       "sweep: 12 cells (3 error cells) -> w.csv\n")
+
+    @pytest.mark.parametrize("args", [
+        ("--axis1", "drive_freq:0.02:0.9:5", "--axis2", "hot.center:1.0:2.0:4"),
+        ("--axis1", "hot.kappa:0.0:0.05:3", "--axis2", "hot.width:0.01:0.4:3"),
+        # the template's own warning is printed once, as for a point
+        ("--axis1", "drive_freq:0.1:0.9:3", "--set", "hot.kappa=0.5")])
+    def test_inside_the_regime_the_axes_add_no_warning(self, tmp_path, capsys, args):
+        lines = self._stderr(tmp_path, capsys, *args).splitlines()
+        assert lines[-1].startswith("sweep: ")
+        assert len(lines) == 1 + ("--set" in args)
+
 
 class TestTransistor:
     def test_trace_and_summary(self, tmp_path, capsys):

@@ -320,10 +320,24 @@ def _one_call(spec):
 
 
 def _block_sizes(n1, n2):
-    """BLOCK_POINTS above the grid, below one row (columns are split) and
+    """TILE_POINTS above the grid, below one row (columns are split) and
     between the two (several rows per tile, the last tile short)."""
     return {"above": n1 * n2 + 1, "below_row": max(1, n2 // 2 - 1),
             "between": 2 * n2 + 1}
+
+
+def _kernel_calls(monkeypatch) -> list:
+    """The shape of the table of each kernel call ``run_sweep`` makes from
+    now on, in call order."""
+    seen = []
+
+    def counting(*args, **kwargs):
+        table = thermo_batch(*args, **kwargs)
+        seen.append(table.shape[:-1])
+        return table
+
+    monkeypatch.setattr(tt.sweep, "thermo_batch", counting)
+    return seen
 
 
 class TestBlocks:
@@ -333,10 +347,12 @@ class TestBlocks:
         template, axis1, axis2 = _BLOCK_CASES[case]
         spec = tt.SweepSpec(template=template, axis1=axis1, axis2=axis2,
                             outputs=_outputs(transistor))
-        monkeypatch.setattr(_kernels, "BLOCK_POINTS", 10**9)
+        monkeypatch.setattr(_kernels, "TILE_POINTS", 10**9)
         whole = tt.run_sweep(spec)
-        monkeypatch.setattr(_kernels, "BLOCK_POINTS", 7)
+        monkeypatch.setattr(_kernels, "TILE_POINTS", 7)
+        calls = _kernel_calls(monkeypatch)
         blocked = tt.run_sweep(spec)
+        assert len(calls) > 1
         # tiles of 7 cells: some mix valid and error cells, and not all
         # tiles are of one kind
         kinds = set(_tile_kinds(blocked.error_codes, axis2.count, 7))
@@ -353,9 +369,11 @@ class TestBlocks:
         spec = tt.SweepSpec(template=template, axis1=axis1, axis2=axis2,
                             outputs=_outputs(transistor))
         n2 = 1 if axis2 is None else axis2.count
-        monkeypatch.setattr(_kernels, "BLOCK_POINTS",
+        monkeypatch.setattr(_kernels, "TILE_POINTS",
                             _block_sizes(axis1.count, n2)[block])
+        calls = _kernel_calls(monkeypatch)
         result = tt.run_sweep(spec)
+        assert (len(calls) > 1) == (block != "above")
         for got, want in zip(_arrays(result), _one_call(spec), strict=True):
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
@@ -365,15 +383,8 @@ class TestBlocks:
         # of the tile's own shape, all-error tiles included
         template, axis1, axis2 = _BLOCK_CASES["temperatures"]
         spec = tt.SweepSpec(template=template, axis1=axis1, axis2=axis2)
-        monkeypatch.setattr(_kernels, "BLOCK_POINTS", 7)
-        seen = []
-
-        def counting(*args, **kwargs):
-            table = thermo_batch(*args, **kwargs)
-            seen.append(table.shape[:-1])
-            return table
-
-        monkeypatch.setattr(tt.sweep, "thermo_batch", counting)
+        monkeypatch.setattr(_kernels, "TILE_POINTS", 7)
+        seen = _kernel_calls(monkeypatch)
         result = tt.run_sweep(spec)
         kinds = _tile_kinds(result.error_codes, axis2.count, 7)
         assert {"valid", "mixed", "error"} <= set(kinds)
@@ -385,17 +396,17 @@ class TestBlocks:
 
     @pytest.mark.parametrize("transistor", [False, True])
     def test_block_memory_is_bounded(self, transistor):
-        # one block of cells: beside its results, the peak stays below four
+        # one tile of cells: beside its results, the peak stays below four
         # kernel tables; copying the twelve inputs to full size, as columns
         # or as kernel arguments, adds 12/7 or 12/9 of a table each time
         spec = tt.SweepSpec(template=make_config(),
                             axis1=tt.Axis("drive_freq", 0.02, 0.9, 16),
                             axis2=tt.Axis("hot.center", 1.0, 2.0,
-                                          _kernels.BLOCK_POINTS // 16),
+                                          _kernels.TILE_POINTS // 16),
                             outputs=_outputs(transistor))
         extra = _extra_memory(spec)
         ncols = _kernels.NCOLS + 2 if transistor else _kernels.NCOLS
-        assert extra <= 4 * _kernels.BLOCK_POINTS * ncols * 8
+        assert extra <= 4 * _kernels.TILE_POINTS * ncols * 8
 
     def test_memory_beside_results_does_not_grow_with_tiles(self, monkeypatch):
         # one tile against sixteen: a full-size swept column or an index of
@@ -405,9 +416,9 @@ class TestBlocks:
             return tt.SweepSpec(template=make_config(),
                                 axis1=tt.Axis("drive_freq", 0.02, 0.9, rows),
                                 axis2=tt.Axis("hot.center", 1.0, 2.0,
-                                              _kernels.BLOCK_POINTS // 16),
+                                              _kernels.TILE_POINTS // 16),
                                 outputs=_outputs(True))
-        table = _kernels.BLOCK_POINTS * (_kernels.NCOLS + 2) * 8
+        table = _kernels.TILE_POINTS * (_kernels.NCOLS + 2) * 8
         for workers in (1, 2):
             monkeypatch.setattr(_kernels, "_WORKERS", workers)
             one, many = _extra_memory(spec(16)), _extra_memory(spec(16 * 16))
@@ -418,8 +429,10 @@ class TestBlocks:
         template, axis1, axis2 = _BLOCK_CASES["temperatures"]
         spec = tt.SweepSpec(template=template, axis1=axis1, axis2=axis2,
                             outputs=_outputs(transistor))
-        monkeypatch.setattr(_kernels, "BLOCK_POINTS", 7)
+        monkeypatch.setattr(_kernels, "TILE_POINTS", 7)
+        calls = _kernel_calls(monkeypatch)
         result = _same_for_worker_counts(monkeypatch, lambda: tt.run_sweep(spec))
+        assert len(calls) > 3
         kinds = set(_tile_kinds(result.error_codes, axis2.count, 7))
         assert kinds == {"valid", "mixed", "error"}
 
@@ -522,6 +535,41 @@ class TestErrorCellsAfterTheKernel:
             assert np.isnan(rows[bad]).all() and np.isfinite(rows[~bad]).all()
 
 
+class TestAxisWarnings:
+    """The validity warnings the axes add, checked at the grid's corners."""
+
+    def test_one_axis(self):
+        spec = tt.SweepSpec(template=make_config(),
+                            axis1=tt.Axis("hot.width", 0.01, 0.6, 7))
+        assert spec.axis_warnings() == [
+            "axis hot.width: hot.width = 0.6 >= 0.5*omega0: outside the underdamped "
+            "regime"]
+
+    def test_each_rule_once_by_its_first_corner(self):
+        # omega0 = 0.05 is below every drive, so its corners are error
+        # cells; they warn all the same
+        spec = tt.SweepSpec(template=make_config(),
+                            axis1=tt.Axis("cold.kappa", 0.0, 0.3, 4),
+                            axis2=tt.Axis("wm.omega0", 0.05, 2.0, 3))
+        assert spec.axis_warnings() == [
+            "axis wm.omega0: quantum regime violated: omega0 = 0.05 <= "
+            "hot.temperature = 0.8",
+            "axis wm.omega0: hot.width = 0.05 >= 0.5*omega0: outside the "
+            "underdamped regime",
+            "axis wm.omega0: cold.width = 0.05 >= 0.5*omega0: outside the "
+            "underdamped regime",
+            "axis cold.kappa: cold.kappa = 0.3 >= 0.1: outside the perturbative "
+            "regime, results are uncontrolled"]
+
+    def test_centers_read_by_no_rule_add_none(self):
+        # the locked axis takes cold.center below 0 at its start: an error
+        # corner, which warns of nothing new
+        spec = tt.SweepSpec(template=make_config(),
+                            axis1=tt.Axis("hot.center_locked", 0.1, 2.0, 5),
+                            axis2=tt.Axis("drive_freq", 0.1, 0.9, 3))
+        assert spec.axis_warnings() == []
+
+
 class TestNonfiniteCells:
     """Valid parameters whose kernel values overflow to NaN: a hot peak
     center (and so its Lorentzian) near 1e200 gives inf / inf."""
@@ -534,8 +582,9 @@ class TestNonfiniteCells:
             yaml.safe_load((CONFIGS / "default.yaml").read_text()))
         spec = tt.SweepSpec(template=template, axis1=self.CENTERS, axis2=axis2,
                             outputs=self.TRANSISTOR)
-        with pytest.warns(RuntimeWarning):
-            return template, tt.run_sweep(spec)
+        # no RuntimeWarning (an error under this suite's filter): the error
+        # codes report the nonfinite cells
+        return template, tt.run_sweep(spec)
 
     def test_nonfinite_cells_are_error_cells(self):
         template, result = self._run(tt.Axis("drive_freq", 0.1, 0.9, 3))
@@ -561,10 +610,12 @@ class TestNonfiniteCells:
         # (i, 0:2), the kernel gets an error cell and a valid one, the valid
         # one nonfinite below the first row
         axis2 = tt.Axis("hot.temperature", 0.3, 1.0, 3)
-        monkeypatch.setattr(_kernels, "BLOCK_POINTS", 10**9)
+        monkeypatch.setattr(_kernels, "TILE_POINTS", 10**9)
         _, whole = self._run(axis2)
-        monkeypatch.setattr(_kernels, "BLOCK_POINTS", 2)
+        monkeypatch.setattr(_kernels, "TILE_POINTS", 2)
+        calls = _kernel_calls(monkeypatch)
         _, blocked = self._run(axis2)
+        assert len(calls) > 1
         codes = blocked.error_codes.reshape(5, 3)
         assert (codes[:, 0] == 2).all() and (codes[1:, 1:] == 5).all()
         assert not codes[0, 1:].any()
@@ -585,8 +636,10 @@ class TestNonfiniteCells:
     @pytest.mark.parametrize("axis2", [tt.Axis("drive_freq", 0.1, 0.9, 3),
                                        tt.Axis("hot.temperature", 0.3, 1.0, 3)])
     def test_worker_count_does_not_change_output(self, monkeypatch, axis2):
-        monkeypatch.setattr(_kernels, "BLOCK_POINTS", 2)
+        monkeypatch.setattr(_kernels, "TILE_POINTS", 2)
+        calls = _kernel_calls(monkeypatch)
         result = _same_for_worker_counts(monkeypatch, lambda: self._run(axis2)[1])
+        assert len(calls) > 3
         assert (result.error_codes == 5).any()
 
 
@@ -735,9 +788,22 @@ class TestKernelArgumentAxes:
                             axis2=tt.Axis("drive_freq", 0.05, 0.9, count),
                             outputs=_outputs(True))
         # tiles of a few rows, so that each tile has its own couplings
-        monkeypatch.setattr(_kernels, "BLOCK_POINTS", 2 * count + 1)
+        monkeypatch.setattr(_kernels, "TILE_POINTS", 2 * count + 1)
+        calls = _kernel_calls(monkeypatch)
         result = _same_for_worker_counts(monkeypatch, lambda: tt.run_sweep(spec))
+        assert len(calls) > 3
         assert not _assert_cells_equal_points(result).any()
+
+    def test_drive_at_omega0_raises_no_warning(self):
+        # the diagonal cells, drive equal to omega0, divide by zero in the
+        # Bose function; their error code reports it, so no RuntimeWarning
+        # (an error under this suite's filter) leaves the library call
+        spec = tt.SweepSpec(template=make_config(),
+                            axis1=tt.Axis("wm.omega0", 0.5, 2.0, 4),
+                            axis2=tt.Axis("drive_freq", 0.5, 2.0, 4),
+                            outputs=_outputs(True))
+        codes = _assert_cells_equal_points(tt.run_sweep(spec))
+        assert codes.tolist() == np.triu(np.ones((4, 4), dtype=int)).tolist()
 
     @pytest.mark.parametrize("off", ["hot", "cold"])
     def test_decoupled_cells_take_the_two_terminal_taxonomy(self, off):

@@ -261,8 +261,9 @@ class TestNonfiniteSlopes:
                 tt.Axis("drive_freq", 0.1, 0.9, 3))
         spec = tt.SweepSpec(template=config, axis1=axes[0], axis2=axes[1],
                             outputs=frozenset({"transistor"}))
-        with pytest.warns(RuntimeWarning):
-            result = tt.run_sweep(spec)
+        # no RuntimeWarning (an error under this suite's filter): the error
+        # codes report the nonfinite cells
+        result = tt.run_sweep(spec)
         assert result.error_codes.tolist() == [0] + [5] * 8
         assert np.isnan(result.g[1:]).all() and np.isnan(result.thermo[1:]).all()
         point = tt.transistor_point(tt.apply_params(
