@@ -29,10 +29,11 @@ returned as a ``broadcast_shape + (ncols,)`` view, so each column
 ``table[..., c]`` is written and read without a stride; a one-point
 table is the plain 1-D ``(ncols,)`` array.
 
-Large batches are cut by the callers: a search stage into blocks of
-``BLOCK_POINTS`` points, which keeps the temporaries of one call in
-cache, and a sweep into tiles of ``TILE_POINTS`` cells, long enough for
-the threads of :func:`map_blocks` to overlap.  Sweeps pass axis vectors,
+Large batches are cut by the callers, into pieces long enough for the
+threads of :func:`map_blocks` to overlap: a search stage into the fewest
+balanced blocks of at most ``BLOCK_POINTS`` points whose count is a
+multiple of the thread count, and a sweep into tiles of ``TILE_POINTS``
+cells.  Sweeps pass axis vectors,
 an axis1 column against an axis2 row, not expanded columns, so a term of
 one axis is computed once per row or column of a tile.
 :func:`map_blocks` runs the blocks of one sweep or search stage (its
@@ -54,9 +55,11 @@ NCOLS = 7
 COL_JH, COL_JC, COL_JM, COL_P, COL_S, COL_SPOS, COL_SNEG = range(NCOLS)
 COL_DJH, COL_DP = NCOLS, NCOLS + 1   # present only with slopes=True
 
-# Points per kernel call of a search block: a 9-column table is then
-# 1.2 MB, so a block's temporaries stay in a 2-4 MB L2 cache.
-BLOCK_POINTS = 16384
+# Most points per kernel call of a search block.  Each numpy operation on a
+# block then lasts about 20 us, so map_blocks' threads overlap; at 16384
+# they mostly took turns on the GIL, and at 49152 the search benchmark was
+# slower again, its peak memory 15-21% higher (BENCH_search_balance.json).
+BLOCK_POINTS = 32768
 
 # Cells per kernel call of a sweep tile.  Each numpy operation on a tile
 # then lasts about 40 us, long enough for map_blocks' threads to overlap;
@@ -278,9 +281,10 @@ def map_blocks(fn, items) -> list:
     nothing above 2 CPUs has been measured.  ``taskset`` limits it, a
     cgroup CPU quota does not, and there is no option for it.  numpy
     releases the GIL inside each operation on large arrays, so the items'
-    arithmetic overlaps when each operation lasts about 40 us or more (a
-    sweep tile of ``TILE_POINTS`` cells); at about 10 us (16384 points)
-    the threads mostly take turns on the GIL.  Each item of a sweep or
+    arithmetic overlaps when each operation lasts about 20 us or more (a
+    search block of up to ``BLOCK_POINTS`` points, a sweep tile of
+    ``TILE_POINTS`` cells); at about 10 us (16384 points) the threads
+    mostly take turns on the GIL.  Each item of a sweep or
     search writes only its own results, so their outputs do not depend on
     the thread count.  Every
     thread takes the next index from one shared counter until none is left,

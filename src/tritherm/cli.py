@@ -19,10 +19,12 @@ that chooses the run given beside ``--from-manifest`` (only ``--out`` and
 ``search.vary`` fixes the Latin-hypercube dimensions.
 
 A sweep runs in tiles of at most ``_kernels.TILE_POINTS`` cells, and a
-search stage in blocks of at most ``_kernels.BLOCK_POINTS`` points, under
-:func:`tritherm._kernels.map_blocks`, whose thread model leaves every output
-independent of the thread count.  The transistor, sweep and search layers
-are imported by the commands that run them, so ``point`` starts without them.
+search stage in the fewest balanced blocks of at most
+``_kernels.BLOCK_POINTS`` points whose count is a multiple of the thread
+count, under :func:`tritherm._kernels.map_blocks`, whose thread model leaves
+every output independent of the thread count.  The transistor, sweep and
+search layers are imported by the commands that run them, so ``point``
+starts without them.
 
 Exit codes: 0 success, 1 validation/parse error, 2 runtime error.
 """

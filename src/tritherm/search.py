@@ -274,13 +274,15 @@ def _scores(spec: SearchSpec, grid, args, rows, out) -> np.ndarray:
     is written into ``out``: the widest window and the soft score, or the
     distinct modes and the capped switches.  A candidate with a grid point
     that ``currents._blank_errors`` blanks scores ``-inf``, as an invalid one
-    does."""
+    does; only such points raise numpy's divide and invalid warnings, so
+    the kernel call runs with them off."""
     # (C, 1) columns and template scalars, against the grid
     block = {path: a[rows, None] if isinstance(a, np.ndarray) else a
              for path, a in args.items()}
     block["drive_freq"] = grid
     window = spec.objective == "transistor_window"
-    table = thermo_batch(*block.values(), slopes=window, out=out)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = thermo_batch(*block.values(), slopes=window, out=out)
     bad = _blank_errors(table, np.zeros(table.shape[:-1], dtype=np.int8))
     if not window:
         codes = classify_table(table, block["hot.kappa"], block["cold.kappa"])
@@ -317,9 +319,11 @@ def _stage(template, spec, grid, units, first: int) -> list:
     """Entries ``(score, order, u, values)`` of the unit-cube samples
     ``units``, with orders counted from ``first`` and ``values`` those of
     the varied, then the locked parameters.  Valid candidates are scored
-    in ``map_blocks`` blocks of at most ``_kernels.BLOCK_POINTS`` points,
-    which write their kernel rows into one stage table and score them from
-    it; invalid ones, and those with nonfinite kernel values, score
+    in ``map_blocks`` blocks, the fewest of at most ``_kernels.BLOCK_POINTS``
+    points whose count is a multiple of the thread count, their sizes
+    differing by at most one candidate, so the threads get equal work.  The
+    blocks write their kernel rows into one stage table and score them from
+    it; invalid candidates, and those with nonfinite kernel values, score
     ``-inf``.  What the spec neither varies nor locks enters the kernel as
     the template's scalar, so terms without a varied parameter are
     computed once per grid point."""
@@ -328,13 +332,15 @@ def _stage(template, spec, grid, units, first: int) -> list:
     valid = np.flatnonzero(valid)
     slopes = spec.objective == "transistor_window"
     table = np.empty((NCOLS + 2 if slopes else NCOLS, valid.size, grid.size))
-    step = max(_kernels.BLOCK_POINTS // grid.size, 1)
+    n, w = valid.size, _kernels._WORKERS
+    blocks = min(n, w * -(-n * grid.size // (w * _kernels.BLOCK_POINTS)))
 
-    def run(start):
-        rows = valid[start:start + step]
-        scores[rows] = _scores(spec, grid, args, rows, table[:, start:start + step])
+    def run(k):
+        lo, hi = n * k // blocks, n * (k + 1) // blocks
+        rows = valid[lo:hi]
+        scores[rows] = _scores(spec, grid, args, rows, table[:, lo:hi])
 
-    _kernels.map_blocks(run, range(0, valid.size, step))
+    _kernels.map_blocks(run, range(blocks))
     samples = np.stack(list(values.values()), axis=1).tolist()
     return [(score, first + i, u, row) for i, (score, u, row)
             in enumerate(zip(scores.tolist(), units, samples))]

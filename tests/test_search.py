@@ -395,7 +395,7 @@ REFERENCE_CASES = {
         **{"hot.width": tt.VaryRange(0.01, 0.2, "log"),
            "cold.kappa": tt.VaryRange(1e-4, 0.05, "log")})),
     "blocks": (transistor_template(), dataclasses.replace(
-        window_spec(samples=90, refine_rounds=2, refine_samples=30),
+        window_spec(samples=140, refine_rounds=2, refine_samples=36),
         omega_count=481)),
     "invalid": (transistor_template(), _varied(
         window_spec(refine_rounds=2),
@@ -437,13 +437,17 @@ class TestBatchedSearch:
     @pytest.mark.parametrize("seed", [0, 5])
     @pytest.mark.parametrize("objective", search.OBJECTIVES)
     def test_worker_count_does_not_change_result(self, monkeypatch, objective, seed):
+        # the block size changes how a stage is cut (at 5000 points a
+        # 481-point grid leaves 10 candidates a block, at 481 * 29 + 1 it
+        # leaves 29), never its bytes
         template, spec = REFERENCE_CASES["blocks"]
         spec = dataclasses.replace(spec, objective=objective)
-        outs = []
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(_kernels, "_WORKERS", workers)
-            outs.append(dumps(tt.run_search(template, spec, seed)))
-        assert outs[1] == outs[0] and outs[2] == outs[0]
+        want = dumps(tt.run_search(template, spec, seed))
+        for points in (_kernels.BLOCK_POINTS, 16384, 5000, 481 * 29 + 1):
+            monkeypatch.setattr(_kernels, "BLOCK_POINTS", points)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(_kernels, "_WORKERS", workers)
+                assert dumps(tt.run_search(template, spec, seed)) == want, (points, workers)
 
     @pytest.mark.parametrize("objective", search.OBJECTIVES)
     def test_one_candidate_per_block(self, monkeypatch, objective):
@@ -560,22 +564,36 @@ class TestBatchedSearch:
 
     @pytest.mark.parametrize("objective", search.OBJECTIVES)
     def test_kernel_calls_per_block(self, monkeypatch, objective):
-        calls = []
+        # each stage is cut into the fewest balanced blocks of at most
+        # BLOCK_POINTS points whose count is a multiple of the thread count
+        stages = []
 
         def counting(*args, **kwargs):
-            calls.append(np.broadcast_shapes(*(np.shape(a) for a in args)))
+            stages[-1].append(np.broadcast_shapes(*(np.shape(a) for a in args)))
             return real(*args, **kwargs)
 
-        real = search.thermo_batch
+        def stage(*args, **kwargs):
+            stages.append([])
+            return real_stage(*args, **kwargs)
+
+        real, real_stage = search.thermo_batch, search._stage
         monkeypatch.setattr(search, "thermo_batch", counting)
+        monkeypatch.setattr(search, "_stage", stage)
         template, spec = REFERENCE_CASES["blocks"]
         spec = dataclasses.replace(spec, objective=objective)
-        tt.run_search(template, spec, 0)
-        rows = _kernels.BLOCK_POINTS // spec.omega_count
-        stages = [spec.samples] + [spec.pool * spec.refine_samples] * spec.refine_rounds
-        blocks = sum(-(-n // rows) for n in stages)
-        assert len(calls) <= blocks + 1
-        assert all(n * m <= _kernels.BLOCK_POINTS for n, m in calls)
+        sizes = [spec.samples] + [spec.pool * spec.refine_samples] * spec.refine_rounds
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_kernels, "_WORKERS", workers)
+            stages.clear()
+            tt.run_search(template, spec, 0)
+            assert [sum(n for n, _ in calls) for calls in stages] == sizes
+            for calls, size in zip(stages, sizes):
+                rows = [n for n, _ in calls]
+                assert len(calls) % workers == 0 and len(calls) >= 2
+                # workers fewer blocks could not hold the stage
+                assert size * spec.omega_count > (len(calls) - workers) * _kernels.BLOCK_POINTS
+                assert all(n * m <= _kernels.BLOCK_POINTS for n, m in calls)
+                assert max(rows) - min(rows) <= 1
 
 
 def test_distinct_modes_equal_the_membership_count():
@@ -627,10 +645,10 @@ class TestStage:
 
     @pytest.mark.parametrize("objective", search.OBJECTIVES)
     def test_log_search_is_the_same_on_one_and_two_threads(self, monkeypatch, objective):
-        # every stage spans several blocks of 34 candidates
+        # every stage spans several blocks of at most 68 candidates
         template, spec = REFERENCE_CASES["log_range"]
         spec = dataclasses.replace(spec, objective=objective, omega_count=481,
-                                   samples=90, refine_samples=30)
+                                   samples=140, refine_samples=36)
         outs = []
         for workers in (1, 2):
             monkeypatch.setattr(_kernels, "_WORKERS", workers)

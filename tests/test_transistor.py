@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -277,7 +278,10 @@ class TestNonfiniteSlopes:
         spec = tt.SearchSpec("transistor_window",
                              {"hot.temperature": tt.VaryRange(1e154, 2e154)},
                              samples=4, refine_rounds=0, omega_count=5)
-        with pytest.warns(RuntimeWarning):
+        # no RuntimeWarning, raised as an error here: the -inf scores
+        # report the nonfinite candidates
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert tt.run_search(self.config(), spec, 0) == []
 
     def test_cli_exits_one_and_writes_nothing(self, tmp_path, capsys):
