@@ -47,7 +47,7 @@ from .core import (MAX_COUNT, REGIME_PATHS, ConfigError, MachineConfig, Tritherm
                    parameter_bound, parameter_ok, regime_warnings)
 from .currents import (KERNEL_PATHS, VALIDITY_MESSAGES, _blank_errors, _drive_table,
                        _kernel_args, validity_codes)
-from .modes import ERROR_CODE, MODE_BY_CODE, classify_table, exergy_from_split
+from .modes import ERROR_CODE, MODE_BY_CODE, _exergy, classify_table
 from .transistor import _figures, _runs
 
 __all__ = [
@@ -438,7 +438,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         modes = classify_table(table, args["hot.kappa"], args["cold.kappa"])
         modes[bad] = ERROR_CODE
         values = [table[..., :NCOLS], modes,
-                  exergy_from_split(table[..., COL_SPOS], table[..., COL_SNEG]),
+                  _exergy(table[..., COL_SPOS], table[..., COL_SNEG]),
                   *(_figures(table) if transistor else ())]
         for grid, v in zip(grids, values, strict=True):
             grid[tile] = v

@@ -1,9 +1,13 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
 import tritherm as tt
+from tritherm import modes
 from tritherm._kernels import entropy_split
-from tritherm.core import ConsistencyError
+from tritherm.core import ConsistencyError, DomainError
 from tritherm.currents import ThermoPoint
 from tritherm.modes import (MODE_BY_CODE, OperatingMode, classify_arrays,
                             classify_coupled_arrays, exergy_from_split)
@@ -225,3 +229,143 @@ class TestModeReport:
         d = tt.mode_report(default_config).to_dict()
         assert set(d) == {"point", "mode", "exergy"}
         assert isinstance(d["mode"], str)
+
+
+class TestNonfiniteInput:
+    """NaN and infinities have no sign and no place in the entropy split:
+    the public functions name the argument that holds one."""
+
+    NAN, INF = float("nan"), float("inf")
+
+    def test_nan_current_is_rejected(self):
+        with pytest.raises(DomainError, match="j_hot must be finite"):
+            classify_arrays(self.NAN, 1e-3, 1e-3)
+
+    def test_all_nan_input_is_rejected(self):
+        with pytest.raises(DomainError, match="j_hot must be finite, got 3"):
+            classify_arrays(np.full(3, self.NAN), np.full(3, self.NAN), np.full(3, self.NAN))
+
+    @pytest.mark.parametrize("kappa", [NAN, INF])
+    def test_nonfinite_hot_kappa_is_rejected(self, kappa):
+        with pytest.raises(DomainError, match="hot_kappa must be finite"):
+            classify_coupled_arrays(kappa, 0.01, 1.0, -0.5, -0.3, -0.2)
+        with pytest.raises(DomainError, match="hot_kappa must be finite, got 1"):
+            classify_coupled_arrays(np.array([[0.01], [kappa]]), 0.01,
+                                    1.0, -0.5, -0.3, np.array([-0.2, 0.2]))
+
+    def test_nan_negative_split_is_rejected(self):
+        with pytest.raises(DomainError, match="entropy_neg must be finite"):
+            exergy_from_split(1.0, self.NAN)
+
+    def test_infinite_split_is_rejected_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="entropy_pos must be finite"):
+                exergy_from_split(self.INF, -self.INF)
+            with pytest.raises(DomainError, match="entropy_pos must be finite"):
+                exergy_from_split(np.array([1.0, self.INF]), np.array([-0.5, -self.INF]))
+
+    def test_nan_positive_split_names_it_before_the_second_law(self):
+        with pytest.raises(DomainError, match="entropy_pos must be finite"):
+            exergy_from_split(self.NAN, -1.0)
+
+    def test_table_helpers_pass_nan_rows(self):
+        # a sweep's blanked error rows get a code, which the sweep replaces
+        # with ERROR_CODE, and a NaN phi, without an error
+        nan_row = np.full((1, 7), self.NAN)
+        assert modes.classify_table(nan_row, 0.01, 0.01).shape == (1,)
+        assert np.isnan(modes._exergy(nan_row[:, 5], nan_row[:, 6])).all()
+
+
+def _outcome(fn, *args):
+    """``fn(*args)`` as ``(int code or phi bits, None)``, or ``(None, the
+    error's type and message)``."""
+    try:
+        value = fn(*args)
+    except (ConsistencyError, DomainError) as exc:
+        return None, (type(exc), str(exc))
+    value = np.asarray(value).reshape(-1)
+    assert value.size == 1
+    return (int(value[0]) if value.dtype.kind == "i" else value.tobytes()), None
+
+
+def _forms(*values):
+    """One operating point's arguments as Python floats, as numpy scalars,
+    as 0-d arrays and as arrays of one element."""
+    return (tuple(float(v) for v in values), tuple(np.float64(v) for v in values),
+            tuple(np.array(v) for v in values), tuple(np.array([v]) for v in values))
+
+
+_BAND = tt.SIGN_ZERO_BAND
+# the band's edges and one ulp either side, signed zeros and subnormals
+_EDGES = sorted({x for b in (_BAND, -_BAND) for x in
+                 (b, np.nextafter(b, np.inf), np.nextafter(b, -np.inf))}
+                | {0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1.0, -1.0})
+
+
+class TestFloatPathIdentity:
+    """A point's Python floats, numpy scalars, 0-d arrays and arrays of one
+    element take different paths; each gives the same code, ``phi`` bits
+    and error."""
+
+    @pytest.mark.parametrize("kappas", [(0.01, 0.01), (0.01, 0.0), (-0.0, 0.01),
+                                        (0.0, -0.0)])
+    def test_codes_at_band_edges(self, kappas):
+        allowed = []
+        for a, b, p in itertools.product(_EDGES, repeat=3):
+            point = (a, b, -a - b - p, p)   # j_hot, j_cold, j_mid, power
+            outcomes = {_outcome(classify_coupled_arrays, *form)
+                        for form in _forms(*kappas, *point)}
+            assert len(outcomes) == 1, (point, outcomes)
+            (code, error), = outcomes
+            if error is None:
+                allowed.append((point, code))
+        # the allowed points as one block: each gets its code as alone
+        assert allowed
+        codes = classify_coupled_arrays(*kappas, *np.array([p for p, _ in allowed]).T)
+        assert codes.tolist() == [code for _, code in allowed]
+
+    def test_forbidden_octant_message_is_the_same(self):
+        outcomes = {_outcome(classify_arrays, *form) for form in _forms(-0.1, 0.05, -0.01)}
+        assert outcomes == {(None, (ConsistencyError, "1 point(s) fall in the entropically "
+                                    "forbidden octant (j_hot<0, j_cold>0, power<0)"))}
+
+    def test_per_row_kappa_arrays_equal_floats(self):
+        kh = np.array([0.01, 0.0, 0.01, -0.0, 0.0])[:, None]
+        kc = np.array([0.01, 0.01, 0.0, 0.01, -0.0])[:, None]
+        rng = np.random.default_rng(5)
+        jh, jc = rng.normal(size=(2, 5, 40)) * 10.0 ** rng.integers(-16, -12, (2, 5, 40))
+        p = np.abs(rng.normal(size=(5, 40))) * 1e-14   # keeps off the forbidden octant
+        jm = -p - jh - jc
+        codes = classify_coupled_arrays(kh, kc, jh, jc, jm, p)
+        for i, j in np.ndindex(codes.shape):
+            assert codes[i, j] == classify_coupled_arrays(
+                float(kh[i, 0]), float(kc[i, 0]), *(float(x[i, j]) for x in (jh, jc, jm, p)))
+
+    def test_float_path_types(self):
+        code = classify_coupled_arrays(0.01, 0.01, 1.0, -0.5, -0.3, -0.2)
+        phi = exergy_from_split(1.0, -0.5)
+        assert type(code) is np.int8 and type(phi) is np.float64
+
+    @pytest.mark.parametrize("pos", [0.0, -0.0, 5e-324, 1e-14, 1.0, 2.0, -1.0])
+    @pytest.mark.parametrize("neg", [0.0, -0.0, -5e-324, -1e-14, -0.5, -1.0,
+                                     -1.0 - 5e-13, -1.0 - 1e-12, -1.0 - 2e-12, -2.0,
+                                     1.0])
+    def test_exergy_bits_and_errors(self, pos, neg):
+        # a quotient that overflows (-1e-14 / 5e-324) warns on numpy's
+        # arithmetic before "exceeds 1" is raised
+        with np.errstate(over="ignore"):
+            outcomes = {_outcome(exergy_from_split, *form) for form in _forms(pos, neg)}
+        assert len(outcomes) == 1, outcomes
+
+    def test_mode_report_equals_array_path(self, default_config):
+        for config in (default_config, make_config(kh=0.0), make_config(kc=0.0),
+                       make_config(kc=-0.0), make_config(drive=0.9)):
+            point = tt.evaluate_point(config)
+            report = tt.mode_report(config)
+            code = modes._classify(np.array([config.hot.kappa]), np.array([config.cold.kappa]),
+                                   *(np.array([getattr(point, f)]) for f in
+                                     ("j_hot", "j_cold", "j_mid", "power")))
+            phi = modes._exergy(np.array([point.entropy_pos]), np.array([point.entropy_neg]))
+            assert report.mode is MODE_BY_CODE[code[0]]
+            assert np.float64(report.exergy).tobytes() == phi.tobytes()

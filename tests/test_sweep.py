@@ -519,9 +519,9 @@ class TestErrorCellsAfterTheKernel:
                 return fn(*args)
             return wrapped
 
-        monkeypatch.setattr(tt.modes, "classify_coupled_arrays",
-                            spy(classify_coupled_arrays))
-        monkeypatch.setattr(tt.sweep, "exergy_from_split", spy(exergy_from_split))
+        # a sweep calls the helpers without the public finiteness check
+        monkeypatch.setattr(tt.modes, "_classify", spy(tt.modes._classify))
+        monkeypatch.setattr(tt.sweep, "_exergy", spy(tt.modes._exergy))
         result = tt.run_sweep(tt.SweepSpec(template=self.TEMPLATE, axis1=self.AXES[0],
                                            axis2=self.AXES[1]))
         bad = result.error_codes != 0

@@ -29,6 +29,23 @@ class TestPointQuantities:
         assert _ratio(1.0, 0.0) == math.inf
         assert _ratio(1.0, 5e-15) == math.inf
 
+    def test_ratio_arrays_equal_the_two_select_formula(self):
+        band = tt.SIGN_ZERO_BAND
+        dens = [0.0, -0.0, 5e-324, 1.0, -2.5, math.nan, math.inf, -math.inf]
+        dens += [x for b in (band, -band) for x in
+                 (b, np.nextafter(b, math.inf), np.nextafter(b, -math.inf))]
+        nums = [0.0, -0.0, 1.0, -3.0, 1e300, math.nan, math.inf, -math.inf]
+        num, den = (np.array(v).reshape(-1) for v in np.meshgrid(nums, dens))
+        with np.errstate(all="ignore"):
+            small = np.abs(den) < band
+            old = np.where(small, np.inf, np.abs(num / np.where(small, 1.0, den)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no warning of its own
+            new = _ratio(num, den)
+            assert new.tobytes() == old.tobytes()
+            # rows of a tile, as _figures passes them
+            assert _ratio(num.reshape(8, -1), den.reshape(8, -1)).tobytes() == old.tobytes()
+
     def test_point_consistency_with_currents(self):
         cfg = transistor_config()
         tp = tt.transistor_point(cfg)
