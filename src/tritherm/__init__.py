@@ -23,21 +23,6 @@ from .core import (ConfigError, ConsistencyError, DomainError,
 from .currents import SIGN_ZERO_BAND, ThermoPoint, evaluate_arrays, evaluate_point
 from .modes import HYBRID_MODES, ModeReport, OperatingMode, mode_report
 
-__all__ = [
-    "__version__",
-    "TrithermError", "ConfigError", "DomainError", "ConsistencyError",
-    "WorkingMedium", "LorentzianBath", "OhmicBath", "MachineConfig",
-    "apply_params", "bose_occupation", "spectral_lorentzian",
-    "SIGN_ZERO_BAND", "ThermoPoint",
-    "evaluate_point", "evaluate_arrays",
-    "OperatingMode", "HYBRID_MODES", "ModeReport", "mode_report",
-    "TransistorPoint", "TransistorWindow", "TransistorTrace",
-    "transistor_point", "transistor_trace", "find_windows", "windows_from_arrays",
-    "Axis", "SweepSpec", "SweepResult",
-    "run_sweep", "resonance_lines", "mode_sequence_along_omega",
-    "VaryRange", "LockRule", "SearchSpec", "Candidate", "run_search",
-]
-
 # The public names each layer beyond the point layers defines
 _LAZY_NAMES = {
     "transistor": ("TransistorPoint", "TransistorWindow", "TransistorTrace",
@@ -49,6 +34,16 @@ _LAZY_NAMES = {
 }
 _LAZY_MODULES = (*_LAZY_NAMES, "_floattext", "cli")
 _HOME = {name: module for module, names in _LAZY_NAMES.items() for name in names}
+
+__all__ = [
+    "__version__",
+    "TrithermError", "ConfigError", "DomainError", "ConsistencyError",
+    "WorkingMedium", "LorentzianBath", "OhmicBath", "MachineConfig",
+    "apply_params", "bose_occupation", "spectral_lorentzian",
+    "SIGN_ZERO_BAND", "ThermoPoint", "evaluate_point", "evaluate_arrays",
+    "OperatingMode", "HYBRID_MODES", "ModeReport", "mode_report",
+    *_HOME,
+]
 
 
 def __getattr__(name):

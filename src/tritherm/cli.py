@@ -42,10 +42,9 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .core import (DEFAULT_DRIVE_GRID, DEFAULT_THRESHOLD, MAX_COUNT, ConfigError,
-                   DomainError, MachineConfig, TrithermError, apply_params, as_mapping,
-                   check_fields, construct, from_fields, get_field, grid_repeats, integer,
-                   names, number)
+from .core import (DEFAULT_DRIVE_GRID, DEFAULT_THRESHOLD, ConfigError, DomainError,
+                   MachineConfig, TrithermError, apply_params, as_mapping, check_fields,
+                   construct, from_fields, get_field, grid_fault, integer, names, number)
 from .modes import mode_report
 
 
@@ -247,21 +246,17 @@ def cmd_transistor(config, manifest, warnings):
                for key in _TRANSISTOR_DEFAULTS}
     check_fields(t, section, "transistor")
     omega_min, omega_max, points, threshold = section.values()
+    fault = grid_fault("drive_freq", omega_min, omega_max, points, 1)
+    if fault:
+        key, why = fault
+        key = {"start": "omega_min", "stop": "omega_max", "count": "points"}[key]
+        raise ConfigError(f"transistor.{key} {why}")
+    w0 = config.wm.omega0
     for key, bad, why in (
-            ("omega_min", not omega_min > 0.0, "must be > 0"),
-            ("omega_max", not omega_max > omega_min, "must be > omega_min"),
-            ("omega_max", not omega_max < config.wm.omega0,
-             f"must be < omega0 = {config.wm.omega0}"),
-            ("points", points < 1, "must be >= 1"),
-            ("points", points > MAX_COUNT, f"must be <= {MAX_COUNT}"),
+            ("omega_max", not omega_max < w0, f"must be < omega0 = {w0}"),
             ("threshold", not 0.0 < threshold < np.inf, "must be finite and > 0")):
         if bad:
             raise ConfigError(f"transistor.{key} {why}, got {t[key]!r}")
-
-    if grid_repeats(omega_min, omega_max, points):
-        raise ConfigError(f"transistor.points must give a strictly increasing grid: "
-                          f"omega_min {omega_min} and omega_max {omega_max} are too "
-                          f"close for {points} points")
     grid = np.linspace(omega_min, omega_max, points)
     trace = transistor_trace(config, grid)
     windows = windows_from_arrays(trace.omega, trace.r, trace.g, threshold)

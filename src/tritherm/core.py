@@ -248,12 +248,34 @@ def regime_warnings(w0, th, hot_kappa, hot_width, cold_kappa, cold_width) -> dic
     return warnings
 
 
-def grid_repeats(start: float, stop: float, count: int) -> bool:
-    """Whether ``np.linspace(start, stop, count)`` repeats a value, for finite
-    ``start < stop``; only a step within 4 ulps of ``stop`` can, so only then
-    is the grid computed."""
-    return (count > 1 and (stop - start) / (count - 1) <= 4 * np.spacing(stop)
-            and bool(np.any(np.diff(np.linspace(start, stop, count)) <= 0)))
+def grid_fault(param: str, start: float, stop: float, count: int, min_count: int):
+    """None if ``np.linspace(start, stop, count)`` is a grid of at least
+    ``min_count`` values of ``param`` (:func:`check_grid`'s rule), else the
+    field at fault (start, stop or count) and why, as text to follow it."""
+    if not min_count <= count <= MAX_COUNT:
+        return "count", f"must be >= {min_count} and <= {MAX_COUNT}, got {count}"
+    if not parameter_ok(param, start):
+        why = parameter_bound(param) if math.isfinite(start) else "finite"
+        return "start", f"must be {why}, got {start}"
+    if not start < stop < math.inf:
+        why = f"> {start}" if math.isfinite(stop) else "finite"
+        return "stop", f"must be {why}, got {stop}"
+    # only a step within 4 ulps of the stop can repeat a point
+    if (count > 1 and (stop - start) / (count - 1) <= 4 * np.spacing(stop)
+            and np.any(np.diff(np.linspace(start, stop, count)) <= 0)):
+        return "count", (f"must be lower: the ends {start} and {stop} are too close "
+                         f"for {count} points")
+
+
+def check_grid(values, name: str) -> np.ndarray:
+    """``values`` as a float64 array (:func:`check_real`) if it is a grid: 1D,
+    non-empty, finite and strictly increasing; DomainError naming ``name``
+    otherwise.  Finite ends and positive steps make every point finite."""
+    grid = check_real(values, name)
+    if not (grid.ndim == 1 and grid.size and np.isfinite(grid[[0, -1]]).all()
+            and (np.diff(grid) > 0).all()):
+        raise DomainError(f"{name} must be a non-empty, finite, strictly increasing 1D array")
+    return grid
 
 
 def _check_params(obj) -> None:

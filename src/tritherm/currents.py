@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._kernels import COL_DJH, COL_DP, COL_JM, COL_S, NCOLS, thermo_batch
-from .core import (DomainError, MachineConfig, check_real, drive_ok, ordering_ok,
-                   parameter_bound, parameter_ok)
+from .core import (DomainError, MachineConfig, check_grid, check_real, drive_ok,
+                   ordering_ok, parameter_bound, parameter_ok)
 
 __all__ = [
     "SIGN_ZERO_BAND",
@@ -147,30 +147,31 @@ def _blank_errors(table, codes) -> np.ndarray:
     return bad
 
 
-def _drive_table(config: MachineConfig, grid=None, slopes: bool = False):
-    """The drives and kernel table of ``config`` along ``grid``, a float64
-    array (:func:`tritherm.core.check_real`) that must be 1D, non-empty and
-    strictly increasing, or at its own drive if ``grid`` is None.
-    DomainError unless every drive lies in (0, omega0), and unless every
-    value of the table is finite (a grid's by :func:`finite_rows`):
-    the closed forms can over- or underflow at a config that
-    ``MachineConfig.validate`` passes (an omega0 of 1e-300, say)."""
-    if grid is None:
+_OWN_DRIVE = object()   # _drive_table's default grid; None is a bad grid
+
+
+def _drive_table(config: MachineConfig, grid=_OWN_DRIVE, slopes: bool = False):
+    """The drives and kernel table of ``config`` along the float64 ``grid``
+    that :func:`tritherm.core.check_grid` returns, or at its own drive if no
+    ``grid`` is given.  DomainError unless every drive lies in (0, omega0),
+    and unless every value of the table is finite (a grid's by
+    :func:`finite_rows`): the closed forms can over- or underflow at a
+    config that ``MachineConfig.validate`` passes (an omega0 of 1e-300)."""
+    point = grid is _OWN_DRIVE
+    if point:
         drive = config.drive_freq
         if not drive_ok(drive, config.wm.omega0):   # two floats: a bool
             check_drive(drive, config.wm.omega0)
     else:
-        drive = grid
-        if drive.ndim != 1 or drive.size < 1 or np.any(np.diff(drive) <= 0):
-            raise DomainError("omega grid must be a non-empty, strictly increasing 1D array")
+        drive = check_grid(grid, "omega grid")
         check_drive(drive, config.wm.omega0)
     args = list(config_args(config))
     args[2] = drive
     table = thermo_batch(*args, slopes=slopes)
     # a point's row is tested on Python floats, faster than numpy on one row
-    if not (finite_rows(table).all() if grid is not None
-            else all(map(math.isfinite, table.tolist()))):
-        where = "along the omega grid" if grid is not None else "at this operating point"
+    if not (all(map(math.isfinite, table.tolist())) if point
+            else finite_rows(table).all()):
+        where = "at this operating point" if point else "along the omega grid"
         raise DomainError(f"the closed forms give nonfinite values {where}; the "
                           "config's parameters over- or underflow double precision")
     return drive, table

@@ -25,7 +25,7 @@ from . import _kernels
 from ._kernels import NCOLS, thermo_batch
 from .core import (DEFAULT_DRIVE_GRID, DEFAULT_THRESHOLD, MAX_COUNT, ConfigError,
                    MachineConfig, PARAM_PATHS, apply_params, as_mapping, check_fields,
-                   construct, from_fields, get_field, grid_repeats, integer, number,
+                   construct, from_fields, get_field, grid_fault, integer, number,
                    parameter_bound, parameter_ok, string)
 from .currents import _blank_errors, _kernel_args, validity_codes
 from .modes import MODE_BY_CODE, OperatingMode, classify_table
@@ -137,21 +137,18 @@ class SearchSpec:
         # belongs, a numpy integer as an int
         for name, kind in _FIELD_KINDS.items():
             object.__setattr__(self, name, get_field(vars(self), name, "search", kind))
-        for name, low in (("omega_count", 3), ("samples", 1), ("refine_rounds", 0),
-                          ("refine_samples", 0), ("pool", 1), ("top_k", 1)):
+        fault = grid_fault("drive_freq", self.omega_start, self.omega_stop,
+                           self.omega_count, 3)
+        if fault:
+            key, why = fault
+            raise ConfigError(f"search.omega_grid.{key} {why}")
+        for name, low in (("samples", 1), ("refine_rounds", 0), ("refine_samples", 0),
+                          ("pool", 1), ("top_k", 1)):
             if not low <= getattr(self, name) <= MAX_COUNT:
-                where = name.replace("omega_", "omega_grid.")
-                raise ConfigError(f"search.{where} must be >= {low} and <= {MAX_COUNT}")
-        for name, low, value in (("shrink", 0, self.shrink),
-                                 ("threshold", 0, self.threshold),
-                                 ("omega_grid.start", 0, self.omega_start),
-                                 ("omega_grid.stop", self.omega_start, self.omega_stop)):
-            if not low < value < np.inf:
-                raise ConfigError(f"search.{name} must be finite and > {low}")
-        if grid_repeats(self.omega_start, self.omega_stop, self.omega_count):
-            raise ConfigError("search.omega_grid must be strictly increasing: "
-                              f"start {self.omega_start} and stop {self.omega_stop} "
-                              f"are too close for {self.omega_count} points")
+                raise ConfigError(f"search.{name} must be >= {low} and <= {MAX_COUNT}")
+        for name, value in (("shrink", self.shrink), ("threshold", self.threshold)):
+            if not 0 < value < np.inf:
+                raise ConfigError(f"search.{name} must be finite and > 0")
 
     @property
     def grid(self) -> np.ndarray:
@@ -320,20 +317,21 @@ def _stage(template, spec, grid, units, first: int) -> list:
     ``units``, with orders counted from ``first`` and ``values`` those of
     the varied, then the locked parameters.  Valid candidates are scored
     in ``map_blocks`` blocks, the fewest of at most ``_kernels.BLOCK_POINTS``
-    points whose count is a multiple of the thread count, their sizes
-    differing by at most one candidate, so the threads get equal work.  The
-    blocks write their kernel rows into one stage table and score them from
-    it; invalid candidates, and those with nonfinite kernel values, score
-    ``-inf``.  What the spec neither varies nor locks enters the kernel as
-    the template's scalar, so terms without a varied parameter are
-    computed once per grid point."""
+    points (one candidate at least) whose count is a multiple of the thread
+    count, their sizes differing by at most one candidate, so the threads
+    get equal work.  The blocks write their kernel rows into one stage
+    table and score them from it; invalid candidates, and those with
+    nonfinite kernel values, score ``-inf``.  What the spec neither varies
+    nor locks enters the kernel as the template's scalar, so terms without
+    a varied parameter are computed once per grid point."""
     values, args, valid = _columns(template, spec, units, grid)
     scores = np.full((len(units), 2), -np.inf)
     valid = np.flatnonzero(valid)
     slopes = spec.objective == "transistor_window"
     table = np.empty((NCOLS + 2 if slopes else NCOLS, valid.size, grid.size))
     n, w = valid.size, _kernels._WORKERS
-    blocks = min(n, w * -(-n * grid.size // (w * _kernels.BLOCK_POINTS)))
+    per = max(1, _kernels.BLOCK_POINTS // grid.size)   # most candidates a block holds
+    blocks = min(n, w * -(-n // (per * w)))
 
     def run(k):
         lo, hi = n * k // blocks, n * (k + 1) // blocks

@@ -14,8 +14,7 @@ maps keep their rectangular shape.  Tiles go to the kernel whole; one rule
 after it, shared with the search's blocks, blanks the error cells.  Every
 cell is bitwise identical to a single-point evaluation at the same
 parameters, whatever the thread count.  :func:`mode_sequence_along_omega`
-traces one machine along the drive; it checks its grid and calls the
-kernel as ``transistor_trace`` does.
+traces one machine along a drive grid, as ``transistor_trace`` does.
 
 The text exports (:meth:`SweepResult.to_csv`, :meth:`SweepResult.to_json`
 and the CLI's pair of both) format floats with
@@ -43,8 +42,7 @@ from . import _kernels
 from ._floattext import float_texts
 from ._kernels import COL_SNEG, COL_SPOS, NCOLS, thermo_batch
 from .core import (MAX_COUNT, REGIME_PATHS, ConfigError, MachineConfig, TrithermError,
-                   check_real, get_field, grid_repeats, integer, names, number,
-                   parameter_bound, parameter_ok, regime_warnings)
+                   get_field, grid_fault, integer, names, number, regime_warnings)
 from .currents import (KERNEL_PATHS, VALIDITY_MESSAGES, _blank_errors, _drive_table,
                        _kernel_args, validity_codes)
 from .modes import ERROR_CODE, MODE_BY_CODE, _exergy, classify_table
@@ -106,19 +104,10 @@ class Axis:
         for name, kind in (("start", number), ("stop", number), ("count", integer)):
             object.__setattr__(self, name,
                                get_field(vars(self), name, f"axis {self.param}", kind))
-        for key, bad, why in (
-                ("count", self.count < 2, "count must be >= 2"),
-                ("count", self.count > MAX_COUNT, f"count must be <= {MAX_COUNT}"),
-                ("start", not np.isfinite(self.start), "start and stop must be finite"),
-                ("stop", not np.isfinite(self.stop), "start and stop must be finite"),
-                ("stop", not self.start < self.stop, "start must be < stop"),
-                ("start", not parameter_ok(self.param, self.start),
-                 f"values must be {parameter_bound(self.param)}")):
-            if bad:
-                raise ConfigError(f"axis {self.param}: {why}", key)
-        if grid_repeats(self.start, self.stop, self.count):
-            raise ConfigError(f"axis {self.param}: start {self.start} and stop "
-                              f"{self.stop} are too close for {self.count} points", "count")
+        fault = grid_fault(self.param, self.start, self.stop, self.count, 2)
+        if fault:
+            key, why = fault
+            raise ConfigError(f"axis {self.param}: {key} {why}", key)
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
@@ -468,12 +457,10 @@ def mode_sequence_along_omega(config: MachineConfig, omega_grid) -> list:
     """Run-length-encoded mode labels along a drive-frequency sweep.
 
     Returns ``[((omega_start, omega_end), OperatingMode), ...]`` with
-    consecutive equal labels merged.  The grid must be 1D, non-empty,
-    strictly increasing and inside (0, omega0), and every kernel value
-    along it finite; DomainError otherwise, as for
-    :func:`tritherm.transistor.transistor_trace`.
+    consecutive equal labels merged.  DomainError for a grid or a kernel
+    value that :func:`tritherm.transistor.transistor_trace` rejects.
     """
-    grid, table = _drive_table(config, check_real(omega_grid, "omega grid"))
+    grid, table = _drive_table(config, omega_grid)
     codes = classify_table(table, config.hot.kappa, config.cold.kappa)
     _, starts, stops = _runs(codes)
     return [((float(grid[start]), float(grid[stop - 1])), MODE_BY_CODE[codes[start]])

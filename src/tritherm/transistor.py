@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._kernels import COL_DJH, COL_DP, COL_JC, COL_JH, COL_JM, COL_P
-from .core import DEFAULT_THRESHOLD, DomainError, MachineConfig, check_real, real_number
+from .core import DEFAULT_THRESHOLD, DomainError, MachineConfig, check_grid, real_number
 from .currents import SIGN_ZERO_BAND, _drive_table
 
 __all__ = [
@@ -143,11 +143,10 @@ def transistor_point(config: MachineConfig) -> TransistorPoint:
 
 
 def transistor_trace(config: MachineConfig, omega_grid) -> TransistorTrace:
-    """Vectorized :func:`transistor_point` over a drive-frequency grid: 1D,
-    non-empty, strictly increasing and inside (0, omega0).  DomainError if
-    a kernel value along it, a slope included, is not finite
-    (``currents.finite_rows``)."""
-    grid, table = _drive_table(config, check_real(omega_grid, "omega grid"), slopes=True)
+    """Vectorized :func:`transistor_point` along a drive grid
+    (:func:`tritherm.core.check_grid`) inside (0, omega0).  DomainError if
+    a kernel value along it, a slope included, is not finite."""
+    grid, table = _drive_table(config, omega_grid, slopes=True)
     r, g = _figures(table)
     return TransistorTrace(omega=grid, j_hot=table[:, COL_JH],
                            j_cold=table[:, COL_JC], j_mid=table[:, COL_JM],
@@ -162,7 +161,8 @@ def windows_from_arrays(omega, r, g,
     +inf values pass the threshold; windows containing them are flagged and
     report minima over their finite points.  Returned windows are disjoint
     and sorted by frequency.  DomainError unless the threshold is a finite
-    number > 0, and ``omega``, ``r`` and ``g`` are 1D arrays of one length.
+    number > 0, ``omega``, ``r`` and ``g`` are 1D arrays of one length, and
+    ``omega`` is a grid (:func:`tritherm.core.check_grid`).
     """
     threshold = real_number(threshold, "threshold")
     if not 0 < threshold < math.inf:
@@ -171,6 +171,7 @@ def windows_from_arrays(omega, r, g,
     if omega.ndim != 1 or not omega.shape == r.shape == g.shape:
         raise DomainError(f"omega, r and g must be 1D arrays of one length, got "
                           f"shapes {omega.shape}, {r.shape} and {g.shape}")
+    omega = check_grid(omega, "omega")
     windows = []
     _, starts, stops = _window_runs(r, g, threshold)
     for start, stop in zip(starts.tolist(), stops.tolist()):

@@ -203,8 +203,7 @@ class TestSweep:
         rc = main(["sweep", "--config", path, "--axis1", "hot.center:1:inf:3",
                    "--out", str(out)])
         assert rc == 1
-        assert "axis hot.center: start and stop must be finite" in \
-            capsys.readouterr().err
+        assert "axis hot.center: stop must be finite, got inf" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_axis_is_validation_error(self, tmp_path, capsys):
@@ -330,9 +329,8 @@ class TestTransistor:
                      "--points", str(points), "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err == (
-            "error: transistor.points must give a strictly increasing grid: "
-            "omega_min 0.5 and omega_max 0.5000000000000001 are too close for "
-            f"{points} points\n")
+            "error: transistor.points must be lower: the ends 0.5 and "
+            f"0.5000000000000001 are too close for {points} points\n")
         assert captured.out == "" and not out.exists()
 
     def test_nonfinite_trace_exits_one(self, tmp_path, capsys):
@@ -991,8 +989,8 @@ FAILING_RUNS = {
     "sweep_axis_too_dense": (lambda tmp: [
         "sweep", "--config", write_config(tmp, BASE_CONFIG),
         "--axis1", "drive_freq:0.5:0.5000000000000001:5", "--out", str(tmp / "a.csv")],
-        1, "field sweep.axis1.count: axis drive_freq: start 0.5 and stop "
-           "0.5000000000000001 are too close for 5 points"),
+        1, "field sweep.axis1.count: axis drive_freq: count must be lower: the ends "
+           "0.5 and 0.5000000000000001 are too close for 5 points"),
     "varied_and_locked": (lambda tmp: [
         "search", "--config",
         _search_config(tmp, lock={"hot.center": {"source": "hot.temperature"}})],
@@ -1036,7 +1034,7 @@ class TestErrors:
         assert main(["sweep", "--config", path, "--axis1",
                      "drive_freq:0.1:0.5:" + "1" + "0" * 30,
                      "--out", str(tmp_path / "s.csv")]) == 1
-        assert "axis drive_freq: count must be <=" in capsys.readouterr().err
+        assert "axis drive_freq: count must be >= 2 and <=" in capsys.readouterr().err
 
     def test_manifest_axis_count_beyond_intp_names_field(self, tmp_path, capsys):
         manifest = _manifest_for(tmp_path, "sweep")
@@ -1068,7 +1066,7 @@ class TestErrors:
         assert main(["sweep", "--config", path, "--axis1",
                      f"drive_freq:0.1:0.5:{np.iinfo(np.intp).max}",
                      "--out", str(tmp_path / "s.csv")]) == 1
-        assert "axis drive_freq: count must be <=" in capsys.readouterr().err
+        assert "axis drive_freq: count must be >= 2 and <=" in capsys.readouterr().err
 
     def test_grid_cells_beyond_bound_name_axis2(self, tmp_path, capsys):
         # each axis is under the bound, their product is not
@@ -1087,7 +1085,7 @@ class TestErrors:
         path = write_config(tmp_path, BASE_CONFIG)
         assert main(["transistor", "--config", path, "--points", str(count),
                      "--out", str(tmp_path / "t.csv")]) == 1
-        assert "transistor.points must be <=" in capsys.readouterr().err
+        assert "transistor.points must be >= 1 and <=" in capsys.readouterr().err
 
     def test_config_not_utf8_names_file(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
@@ -1132,7 +1130,8 @@ class TestErrors:
         section["omega_grid"] = {"start": 0.5, "stop": 0.5000000000000010, "count": 481}
         path = write_config(tmp_path, dict(BASE_CONFIG, search=section))
         assert main(["search", "--config", path, "--seed", "7"]) == 1
-        assert "search.omega_grid must be strictly increasing" in capsys.readouterr().err
+        assert ("search.omega_grid.count must be lower: the ends 0.5 and 0.500000000000001 "
+                "are too close for 481 points") in capsys.readouterr().err
         assert calls == []
 
     def test_missing_config_file(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -336,3 +337,10 @@ print(json.dumps({"after_point": after_point, "after_transistor": after_transist
         "after_point": [], "after_transistor": ["transistor"],
         "objectives": ["transistor_window", "mode_sequence"], "missing": None,
         "unbound": [], "moved": [], "undir": []}
+
+
+@pytest.mark.parametrize("module", list(tt._LAZY_NAMES))
+def test_lazy_names_are_public_names_of_their_layer(module):
+    # the package's table of lazy names cannot drift from the modules
+    layer = importlib.import_module(f"tritherm.{module}")
+    assert set(tt._LAZY_NAMES[module]) <= set(layer.__all__)

@@ -235,7 +235,7 @@ class TestSpecValidation:
 
     def test_grid_that_does_not_increase_is_named(self):
         # np.linspace repeats values when start and stop are this close
-        with pytest.raises(ConfigError, match=r"search\.omega_grid must be strictly"):
+        with pytest.raises(ConfigError, match=r"^search\.omega_grid\.count must be lower: "):
             dataclasses.replace(window_spec(), omega_start=0.5,
                                 omega_stop=0.5000000000000010, omega_count=481)
 
@@ -565,7 +565,10 @@ class TestBatchedSearch:
     @pytest.mark.parametrize("objective", search.OBJECTIVES)
     def test_kernel_calls_per_block(self, monkeypatch, objective):
         # each stage is cut into the fewest balanced blocks of at most
-        # BLOCK_POINTS points whose count is a multiple of the thread count
+        # BLOCK_POINTS points whose count is a multiple of the thread count;
+        # 681 candidates on 481 points are 9.996 blocks' worth of points but
+        # need 11 blocks of at most 68 rows: blocks counted by points, not
+        # rows, would hold 69 rows (33189 points)
         stages = []
 
         def counting(*args, **kwargs):
@@ -581,19 +584,21 @@ class TestBatchedSearch:
         monkeypatch.setattr(search, "_stage", stage)
         template, spec = REFERENCE_CASES["blocks"]
         spec = dataclasses.replace(spec, objective=objective)
-        sizes = [spec.samples] + [spec.pool * spec.refine_samples] * spec.refine_rounds
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(_kernels, "_WORKERS", workers)
-            stages.clear()
-            tt.run_search(template, spec, 0)
-            assert [sum(n for n, _ in calls) for calls in stages] == sizes
-            for calls, size in zip(stages, sizes):
-                rows = [n for n, _ in calls]
-                assert len(calls) % workers == 0 and len(calls) >= 2
-                # workers fewer blocks could not hold the stage
-                assert size * spec.omega_count > (len(calls) - workers) * _kernels.BLOCK_POINTS
-                assert all(n * m <= _kernels.BLOCK_POINTS for n, m in calls)
-                assert max(rows) - min(rows) <= 1
+        for spec in (spec, dataclasses.replace(spec, samples=681, refine_rounds=0)):
+            sizes = [spec.samples] + [spec.pool * spec.refine_samples] * spec.refine_rounds
+            per = _kernels.BLOCK_POINTS // spec.omega_count   # rows a block may hold
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(_kernels, "_WORKERS", workers)
+                stages.clear()
+                tt.run_search(template, spec, 0)
+                assert [sum(n for n, _ in calls) for calls in stages] == sizes
+                for calls, size in zip(stages, sizes):
+                    rows = [n for n, _ in calls]
+                    assert len(calls) % workers == 0 and len(calls) >= 2
+                    # workers fewer blocks could not hold the stage's rows
+                    assert size > (len(calls) - workers) * per
+                    assert all(n * m <= _kernels.BLOCK_POINTS for n, m in calls)
+                    assert max(rows) - min(rows) <= 1
 
 
 def test_distinct_modes_equal_the_membership_count():

@@ -242,6 +242,18 @@ class TestWindows:
         with pytest.raises(DomainError, match="1D arrays of one length"):
             tt.windows_from_arrays(omega, r, g, 1.0)
 
+    @pytest.mark.parametrize("omega", [
+        [], [0.1, np.nan, 0.3, 0.4], [0.1, 0.2, 0.3, np.inf], [-np.inf, 0.2, 0.3, 0.4],
+        [0.1, 0.2, 0.2, 0.3], [0.5, 0.4, 0.2, 0.1]],
+        ids=["empty", "nan", "inf_last", "-inf_first", "repeat", "decreasing"])
+    def test_omega_must_be_a_grid(self, omega):
+        # every point passes the threshold, so a window over a bad grid
+        # would span it (omega_max = inf, or omega_min > omega_max)
+        passing = np.full(len(omega), 20.0)
+        with pytest.raises(DomainError, match="^omega must be a non-empty, finite, "
+                                              "strictly increasing 1D array$"):
+            tt.windows_from_arrays(np.array(omega), passing, passing)
+
     def test_grid_validation(self):
         cfg = transistor_config()
         with pytest.raises(DomainError):
