@@ -80,7 +80,7 @@ def bose_pos(x):
 
     Below 1e-5 the Laurent series ``1/x - 1/2 + x/12`` avoids cancellation.
     The caller guarantees ``x > 0`` (``0 < drive < omega0``, ``T > 0``) and
-    silences the overflow of ``expm1`` for large arguments (the result is 0).
+    turns numpy's error state off: ``expm1`` overflows at large ``x`` (to 0).
     """
     if isinstance(x, float) or np.ndim(x) == 0:
         # numpy's expm1, not math's: a point gets the array's last bit
@@ -172,9 +172,9 @@ def _bath(sp, sm, drv, pref, nbm, t, spectra, slopes, with_dj):
 
 def _thermo(w0, m, drv, th, tm, tc, wh, gh, kh, wc, gc, kc, out):
     """Fill ``out``, of shape ``(ncols,) + broadcast_shape``: one contiguous
-    array per quantity."""
+    array per quantity, with numpy's error state off."""
     slopes = out.shape[0] > NCOLS
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         sp = w0 + drv
         sm = w0 - drv
         pref = 1.0 / (4.0 * m * w0)
@@ -228,10 +228,10 @@ def thermo_batch(omega0, mass, drive, t_hot, t_mid, t_cold,
     """Evaluate currents, power, and entropy split for a batch of machines.
 
     All twelve parameters broadcast against each other; scalars are fine
-    and are never expanded, and 0-d ones enter as Python floats.  Where
-    numpy warns, floats raise (a division by an exact zero) or stay
-    silent (a NaN from ``inf / inf``), so such a call is rerun on numpy
-    scalars, which give the array path's values and warnings.  Returns a
+    and are never expanded, and 0-d ones enter as Python floats.  It runs
+    with numpy's error state off, its callers reporting a nonfinite value
+    by name; a float divided by an exact zero raises, so such a call is
+    rerun on numpy scalars, which give the array path's values.  Returns a
     table of shape ``broadcast_shape + (7,)`` with the columns
     ``COL_JH .. COL_SNEG``; ``slopes`` appends ``COL_DJH`` and ``COL_DP``.
     It is stored one contiguous column per quantity and returned as a
@@ -262,10 +262,7 @@ def thermo_batch(omega0, mass, drive, t_hot, t_mid, t_cold,
     shape = out.shape[1:]
     try:
         _thermo(*args, out)
-        rerun = not shape and any(map(math.isnan, out.tolist()))
     except ZeroDivisionError:
-        rerun = True
-    if rerun:
         _thermo(*(np.float64(a) if type(a) is float else a for a in args), out)
     # a point's table is 1-D already; a moveaxis would cost it microseconds
     return np.moveaxis(out, 0, -1) if shape else out
@@ -289,8 +286,9 @@ def map_blocks(fn, items) -> list:
     the thread count.  Every
     thread takes the next index from one shared counter until none is left,
     so items start in order.  Each helper runs under the caller's numpy
-    ``errstate``, set explicitly: numpy 2 keeps it in a context variable and
-    numpy 1 per thread, and a new thread starts with the default in both.
+    ``errstate``, which a new thread does not inherit (numpy 2 keeps it in a
+    context variable, numpy 1 per thread): the kernel sets its own, but an
+    item's classification and scores run outside it.
     Once an item raises, no later item starts; when every thread has
     stopped, the exception of the lowest failing index is raised, the one a
     serial loop would raise.  With one thread no helper is started.

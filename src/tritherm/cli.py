@@ -18,13 +18,13 @@ that chooses the run given beside ``--from-manifest`` (only ``--out`` and
 ``--json`` may be).  Manifests keep their key order: that of
 ``search.vary`` fixes the Latin-hypercube dimensions.
 
-A sweep runs in tiles of at most ``_kernels.TILE_POINTS`` cells, and a
-search stage in the fewest balanced blocks of at most
-``_kernels.BLOCK_POINTS`` points whose count is a multiple of the thread
-count, under :func:`tritherm._kernels.map_blocks`, whose thread model leaves
-every output independent of the thread count.  The transistor, sweep and
-search layers are imported by the commands that run them, so ``point``
-starts without them.
+A sweep runs in tiles of at most ``_kernels.TILE_POINTS`` cells, and a search
+stage in the fewest balanced blocks of at most ``_kernels.BLOCK_POINTS``
+points whose count is a multiple of the thread count, under
+:func:`tritherm._kernels.map_blocks`, whose thread model leaves every output
+independent of the thread count.  The transistor, sweep and search layers
+are imported by the commands that run them, so ``point`` starts without
+them.  A nonfinite value is reported by name, never by a numpy warning.
 
 Exit codes: 0 success, 1 validation/parse error, 2 runtime error.
 """
@@ -119,10 +119,7 @@ def _run(args, command: str, from_flags, run) -> int:
     the entries ``from_flags(args, raw)`` makes of the flags and raw YAML;
     its config validated; ``run(config, manifest, warnings)``, which parses
     the command's section and returns the section it ran, the seed and a
-    writer of the output (taking ``args``); then a file output's manifest.
-    The command runs with numpy's divide, invalid and overflow warnings
-    off (``map_blocks`` passes that to its helpers); library calls keep
-    them."""
+    writer of the output (taking ``args``); then a file output's manifest."""
     if args.from_manifest:
         for key, value in vars(args).items():
             if value is not None and key not in _NOT_RUN_FLAGS:
@@ -142,10 +139,7 @@ def _run(args, command: str, from_flags, run) -> int:
     warnings = config.validate()
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    # numpy's warnings are not messages: every such outcome is reported by
-    # name (a nonfinite point as an error, a sweep's error cells in its count)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        section, seed, write = run(config, manifest, warnings)
+    section, seed, write = run(config, manifest, warnings)
     write(args)
     if args.out:
         outputs = [os.path.basename(args.out)]

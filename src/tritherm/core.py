@@ -117,6 +117,14 @@ def check_real(value, name: str) -> np.ndarray:
     return array.astype(np.float64, copy=False)
 
 
+def check_type(value, kind: type, name: str):
+    """``value`` itself if it is a ``kind``; DomainError naming the argument
+    ``name`` and its type otherwise (:func:`check_real` for numbers)."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{name} must be a {kind.__name__}, got {reprlib.repr(value)}")
+    return value
+
+
 def real_number(value, name: str) -> float:
     """``value`` as a Python float, if it is one real number (a 0-d
     :func:`check_real` value); DomainError naming the argument ``name`` for
@@ -479,7 +487,7 @@ def bose_occupation(x: float) -> float:
     x = real_number(x, "x")
     if not x > 0.0:
         raise DomainError(f"bose_occupation requires x > 0, got {x}")
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         return bose_pos(x)
 
 

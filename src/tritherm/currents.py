@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._kernels import COL_DJH, COL_DP, COL_JM, COL_S, NCOLS, thermo_batch
-from .core import (DomainError, MachineConfig, check_grid, check_real, drive_ok,
-                   ordering_ok, parameter_bound, parameter_ok)
+from .core import (DomainError, MachineConfig, check_grid, check_real, check_type,
+                   drive_ok, ordering_ok, parameter_bound, parameter_ok)
 
 __all__ = [
     "SIGN_ZERO_BAND",
@@ -153,10 +153,11 @@ _OWN_DRIVE = object()   # _drive_table's default grid; None is a bad grid
 def _drive_table(config: MachineConfig, grid=_OWN_DRIVE, slopes: bool = False):
     """The drives and kernel table of ``config`` along the float64 ``grid``
     that :func:`tritherm.core.check_grid` returns, or at its own drive if no
-    ``grid`` is given.  DomainError unless every drive lies in (0, omega0),
-    and unless every value of the table is finite (a grid's by
-    :func:`finite_rows`): the closed forms can over- or underflow at a
-    config that ``MachineConfig.validate`` passes (an omega0 of 1e-300)."""
+    ``grid`` is given.  DomainError unless ``config`` is a MachineConfig,
+    every drive lies in (0, omega0) and every value of the table is finite
+    (a grid's by :func:`finite_rows`): the closed forms can over- or
+    underflow at a config that ``MachineConfig.validate`` passes."""
+    check_type(config, MachineConfig, "config")
     point = grid is _OWN_DRIVE
     if point:
         drive = config.drive_freq

@@ -25,8 +25,8 @@ from . import _kernels
 from ._kernels import NCOLS, thermo_batch
 from .core import (DEFAULT_DRIVE_GRID, DEFAULT_THRESHOLD, MAX_COUNT, ConfigError,
                    MachineConfig, PARAM_PATHS, apply_params, as_mapping, check_fields,
-                   construct, from_fields, get_field, grid_fault, integer, number,
-                   parameter_bound, parameter_ok, string)
+                   check_type, construct, from_fields, get_field, grid_fault, integer,
+                   number, parameter_bound, parameter_ok, string)
 from .currents import _blank_errors, _kernel_args, validity_codes
 from .modes import MODE_BY_CODE, OperatingMode, classify_table
 from .sweep import mode_sequence_along_omega
@@ -271,15 +271,13 @@ def _scores(spec: SearchSpec, grid, args, rows, out) -> np.ndarray:
     is written into ``out``: the widest window and the soft score, or the
     distinct modes and the capped switches.  A candidate with a grid point
     that ``currents._blank_errors`` blanks scores ``-inf``, as an invalid one
-    does; only such points raise numpy's divide and invalid warnings, so
-    the kernel call runs with them off."""
+    does."""
     # (C, 1) columns and template scalars, against the grid
     block = {path: a[rows, None] if isinstance(a, np.ndarray) else a
              for path, a in args.items()}
     block["drive_freq"] = grid
     window = spec.objective == "transistor_window"
-    with np.errstate(divide="ignore", invalid="ignore"):
-        table = thermo_batch(*block.values(), slopes=window, out=out)
+    table = thermo_batch(*block.values(), slopes=window, out=out)
     bad = _blank_errors(table, np.zeros(table.shape[:-1], dtype=np.int8))
     if not window:
         codes = classify_table(table, block["hot.kappa"], block["cold.kappa"])
@@ -370,12 +368,15 @@ def run_search(template: MachineConfig, spec: SearchSpec, seed: int) -> list[Can
     sample, each refinement round) is scored in candidate x omega blocks.
     Candidates that violate the machine's validity constraints, whose
     omega0 is not above the grid, or whose kernel values along the grid are
-    not finite score ``-inf`` and are dropped from the returned list.  The
-    seed must be a non-negative integer.  The Latin-hypercube sampler
+    not finite score ``-inf`` and are dropped from the returned list.
+    ``template`` must be a MachineConfig, ``spec`` a SearchSpec and the
+    seed a non-negative integer.  The Latin-hypercube sampler
     reproduces SciPy's ``qmc.LatinHypercube(d, seed=...)`` stream bit for
     bit (the sample takes ``seed``, the refinements ``seed + 1001``
     onwards), so results do not depend on whether SciPy is installed.
     """
+    check_type(template, MachineConfig, "template")
+    check_type(spec, SearchSpec, "spec")
     seed = get_field({"seed": seed}, "seed", "", integer)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
@@ -384,7 +385,8 @@ def run_search(template: MachineConfig, spec: SearchSpec, seed: int) -> list[Can
     # a varied or locked omega0 is checked against the grid per candidate
     fixed_w0 = "wm.omega0" not in spec.vary and "wm.omega0" not in spec.lock
     if fixed_w0 and grid[-1] >= template.wm.omega0:
-        raise ConfigError("search omega grid must stay below omega0")
+        raise ConfigError(f"search.omega_grid.stop must be < omega0 = "
+                          f"{template.wm.omega0}, got {spec.omega_stop}")
 
     entries = _stage(template, spec, grid, _latin_hypercube(dim, spec.samples, seed), 0)
 

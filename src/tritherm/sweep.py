@@ -42,7 +42,7 @@ from . import _kernels
 from ._floattext import float_texts
 from ._kernels import COL_SNEG, COL_SPOS, NCOLS, thermo_batch
 from .core import (MAX_COUNT, REGIME_PATHS, ConfigError, MachineConfig, TrithermError,
-                   get_field, grid_fault, integer, names, number, regime_warnings)
+                   check_type, get_field, grid_fault, integer, names, number, regime_warnings)
 from .currents import (KERNEL_PATHS, VALIDITY_MESSAGES, _blank_errors, _drive_table,
                        _kernel_args, validity_codes)
 from .modes import ERROR_CODE, MODE_BY_CODE, _exergy, classify_table
@@ -372,7 +372,7 @@ def _float_texts(values) -> tuple[list[str], list[str]]:
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate a sweep.
+    """Evaluate a sweep, a SweepSpec (DomainError otherwise).
 
     Cells are laid out row-major over (axis1, axis2).  Cells violating
     preconditions are marked with an error code and carry NaN values and
@@ -382,11 +382,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     module docstring) through :func:`tritherm._kernels.map_blocks`, on the
     calling thread and one helper per further CPU; each tile builds its own
     arguments and writes only its own cells, error cells included, so the
-    result does not depend on the thread count.  The kernel runs with
-    numpy's divide and invalid warnings off: only error cells raise them,
-    and their error codes report them.
+    result does not depend on the thread count.  A nonfinite cell is
+    reported by its error code, not by a numpy warning: the kernel computes
+    with numpy's error state off.
     """
-    template = spec.template
+    template = check_type(spec, SweepSpec, "spec").template
     a1 = spec.axis1.values()
     a2 = spec.axis2.values() if spec.axis2 is not None else None
     n1 = len(a1)
@@ -414,15 +414,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     rows = max(1, _kernels.TILE_POINTS // cols)
 
     def run(tile):
-        # ``currents._blank_errors`` gives the error cells, nonfinite ones
-        # included, NaN rows, which classify and score without raising; it
-        # writes the nonfinite codes through the ``codes[tile]`` view, so
-        # numpy's divide and invalid warnings, which only such cells raise,
-        # are off.  The tile's temporaries are freed on return, before the
-        # next kernel call.
+        # ``currents._blank_errors`` gives the error cells (nonfinite ones too)
+        # NaN rows, which classify and score without raising, and writes their
+        # codes into ``codes[tile]``; the tile's temporaries are freed on return.
         args = kernel_args(tile)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            table = thermo_batch(*args.values(), slopes=transistor)
+        table = thermo_batch(*args.values(), slopes=transistor)
         bad = _blank_errors(table, codes[tile])
         modes = classify_table(table, args["hot.kappa"], args["cold.kappa"])
         modes[bad] = ERROR_CODE

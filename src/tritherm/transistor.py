@@ -109,12 +109,12 @@ class TransistorTrace:
 def _ratio(numerator, denominator) -> np.ndarray:
     """Element-wise ``|numerator / denominator|``; +inf where the
     denominator magnitude lies inside the 1e-14 zero band.  Arrays are of
-    one shape; on them the quotient is taken everywhere, its warnings off,
-    and overwritten inside the band."""
+    one shape; on them the quotient is taken everywhere, with numpy's error
+    state off, and overwritten inside the band."""
     if not np.ndim(denominator):
         small = np.abs(denominator) < SIGN_ZERO_BAND
         return np.where(small, np.inf, np.abs(numerator / np.where(small, 1.0, denominator)))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(all="ignore"):
         ratio = np.divide(numerator, denominator)
     np.abs(ratio, out=ratio)
     # the band as two one-byte masks, not a float |denominator|

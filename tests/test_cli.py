@@ -986,6 +986,10 @@ FAILING_RUNS = {
     "search_lock_zero": (lambda tmp: [
         "search", "--config", _search_config(tmp, lock=0)],
         1, "search.lock must be a mapping"),
+    "search_omega_grid_reaches_omega0": (lambda tmp: [
+        "search", "--config",
+        _search_config(tmp, omega_grid={"start": 0.5, "stop": 1.5, "count": 481})],
+        1, "error: search.omega_grid.stop must be < omega0 = 1.0, got 1.5\n"),
     "sweep_axis_too_dense": (lambda tmp: [
         "sweep", "--config", write_config(tmp, BASE_CONFIG),
         "--axis1", "drive_freq:0.5:0.5000000000000001:5", "--out", str(tmp / "a.csv")],

@@ -293,6 +293,38 @@ class TestNonNumericArguments:
         assert run(default_config, np.int64(1)) == run(default_config, 1)
 
 
+# Library calls with one argument that is not the record they take: the
+# argument's name and the record's type, which the DomainError gives
+_SEARCH = tt.SearchSpec("mode_sequence", {"hot.center": tt.VaryRange(1.0, 2.0)},
+                        samples=2, refine_rounds=0)
+_NOT_A_RECORD_CALLS = {
+    "evaluate_point": (lambda c, v: tt.evaluate_point(v), "config", "MachineConfig"),
+    "mode_report": (lambda c, v: tt.mode_report(v), "config", "MachineConfig"),
+    "transistor_point": (lambda c, v: tt.transistor_point(v), "config", "MachineConfig"),
+    "transistor_trace": (lambda c, v: tt.transistor_trace(v, _GRID), "config",
+                         "MachineConfig"),
+    "mode_sequence": (lambda c, v: tt.mode_sequence_along_omega(v, _GRID), "config",
+                      "MachineConfig"),
+    "find_windows": (lambda c, v: tt.find_windows(v, _GRID), "config", "MachineConfig"),
+    "run_sweep": (lambda c, v: tt.run_sweep(v), "spec", "SweepSpec"),
+    "run_search_template": (lambda c, v: tt.run_search(v, _SEARCH, 0), "template",
+                            "MachineConfig"),
+    "run_search_spec": (lambda c, v: tt.run_search(c, v, 0), "spec", "SearchSpec"),
+}
+
+
+class TestRecordArguments:
+    @pytest.mark.parametrize("value", [
+        lambda c: "x", lambda c: {}, lambda c: None, lambda c: c.to_dict(), lambda c: c.hot],
+        ids=["str", "empty_dict", "none", "config_dict", "bath"])
+    @pytest.mark.parametrize("call", _NOT_A_RECORD_CALLS)
+    def test_argument_and_type_are_named(self, default_config, call, value):
+        # not an AttributeError on the first field read
+        run, name, kind = _NOT_A_RECORD_CALLS[call]
+        with pytest.raises(DomainError, match=f"^{name} must be a {kind}, got "):
+            run(default_config, value(default_config))
+
+
 def test_point_call_loads_only_the_point_layers():
     # the transistor, sweep and search layers, the float-text exporter and
     # the CLI load on first use, so a process that evaluates one point

@@ -238,11 +238,12 @@ class TestBatch:
     @pytest.mark.parametrize("hot_center, bad", [
         (1e200, 1), (np.array([1.5, 1e200, 2.0, 1e200]), 2)], ids=["scalar", "array"])
     def test_nonfinite_values_raise_counting_points(self, default_config, hot_center, bad):
-        # a hot Lorentzian of inf / inf: evaluate_point raises on it too
+        # a hot Lorentzian of inf / inf: evaluate_point raises on it too, and
+        # neither warns (a RuntimeWarning is an error under this suite's filter)
         args = list(config_args(default_config))
         args[KERNEL_PATHS.index("hot.center")] = hot_center
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                DomainError, match=f"nonfinite values at {bad} of {np.size(hot_center)} "):
+        with pytest.raises(DomainError,
+                           match=f"nonfinite values at {bad} of {np.size(hot_center)} "):
             tt.evaluate_arrays(*args)
 
     def test_equal_temperatures_and_zero_couplings_evaluate(self):

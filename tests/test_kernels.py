@@ -183,21 +183,19 @@ class TestOnePoint:
     def test_extreme_point_reruns_on_numpy_scalars(self, case, slopes):
         args = self.EXTREME[case]
         out = np.empty(_kernels.NCOLS + 2 if slopes else _kernels.NCOLS)
-        # on Python floats the case raises, or gives NaN without a warning
+        # on Python floats the case raises, so it is rerun on numpy scalars,
+        # or gives NaN, which it keeps
         if case == "zero_division":
             with pytest.raises(ZeroDivisionError):
                 _kernels._thermo(*args, out)
         else:
             assert np.isnan(_kernels._thermo(*args, out)).any()
-        with pytest.warns(RuntimeWarning) as point_warnings:
-            got = _kernels.thermo_batch(*args, slopes=slopes)
-        with pytest.warns(RuntimeWarning) as batch_warnings:
-            want = _kernels.thermo_batch(*(np.array([a]) for a in args), slopes=slopes)
+        # neither call warns (a RuntimeWarning is an error under this
+        # suite's filter): the kernel computes with numpy's error state off
+        got = _kernels.thermo_batch(*args, slopes=slopes)
+        want = _kernels.thermo_batch(*(np.array([a]) for a in args), slopes=slopes)
         assert np.isnan(got).any()
         assert_bitwise(got, want[0])
-        # the same warnings as the batch, from numpy scalars
-        assert ({str(w.message).replace("scalar ", "") for w in point_warnings}
-                == {str(w.message) for w in batch_warnings})
 
     @pytest.mark.parametrize("case", EXTREME)
     def test_extreme_point_entry_points_raise(self, case, tmp_path, capsys):
@@ -205,11 +203,11 @@ class TestOnePoint:
         # holds NaN, so each one-point entry point refuses it as nonfinite
         cfg = config_from_params(dict(zip(ARG_NAMES, self.EXTREME[case])))
         assert cfg.validate()
+        # with no RuntimeWarning, an error under this suite's filter
         for entry in (tt.evaluate_point, tt.mode_report, tt.transistor_point):
-            with pytest.warns(RuntimeWarning), pytest.raises(DomainError, match="nonfinite values"):
+            with pytest.raises(DomainError, match="nonfinite values"):
                 entry(cfg)
-        # the command runs with numpy's warnings off (a RuntimeWarning would
-        # raise here) and prints the config's warnings and the error only
+        # the command, too, prints the config's warnings and the error only
         path = tmp_path / "extreme.yaml"
         path.write_text(yaml.safe_dump(cfg.to_dict()))
         assert main(["point", "--config", str(path)]) == 1
@@ -219,6 +217,86 @@ class TestOnePoint:
             *(f"warning: {w}" for w in cfg.validate()),
             "error: the closed forms give nonfinite values at this operating point; the "
             "config's parameters over- or underflow double precision"]
+
+
+# The drive grid of the trace probes; a hot peak at 1e200 gives inf / inf,
+# and a hot bath at 1e154 barely coupled gives finite currents but a
+# nonfinite drive slope of j_hot
+_GRID = np.linspace(0.1, 0.9, 5)
+_FAR = {"hot.center": 1e200}
+_SLOPE = {"hot.temperature": 1.6574392628797557e+154, "hot.kappa": 2.5236352017280125e-150}
+
+
+def _nonfinite_probes() -> dict:
+    """One-point and trace calls whose kernel values are not finite, by name."""
+    probes = {}
+    for case, args in TestOnePoint.EXTREME.items():
+        cfg = config_from_params(dict(zip(ARG_NAMES, args)))
+        for entry in (tt.evaluate_point, tt.mode_report, tt.transistor_point):
+            probes[f"{entry.__name__}-{case}"] = lambda e=entry, c=cfg: e(c)
+        probes[f"evaluate_arrays-{case}"] = lambda a=args: tt.evaluate_arrays(*a)
+    for trace, name, params in ((tt.transistor_trace, "far", _FAR),
+                                (tt.find_windows, "far", _FAR),
+                                (tt.mode_sequence_along_omega, "far", _FAR),
+                                (tt.transistor_trace, "slope", _SLOPE),
+                                (tt.find_windows, "slope", _SLOPE)):
+        cfg = tt.apply_params(make_config(), params)
+        probes[f"{trace.__name__}-{name}"] = lambda t=trace, c=cfg: t(c, _GRID)
+    return probes
+
+
+class TestErrorState:
+    """The kernel computes with numpy's error state off, whatever the
+    caller's: a nonfinite value is reported by name, as a DomainError, an
+    error cell or a ``-inf`` score, under ``np.errstate(all="raise")`` as
+    under numpy's default state, where this suite's filter makes any
+    RuntimeWarning an error."""
+
+    STATES = {"raise": {"all": "raise"},
+              "default": {"divide": "warn", "over": "warn", "under": "ignore",
+                          "invalid": "warn"}}
+    PROBES = _nonfinite_probes()
+
+    @pytest.mark.parametrize("probe", PROBES)
+    @pytest.mark.parametrize("state", STATES)
+    def test_nonfinite_values_raise_domain_error(self, state, probe):
+        with np.errstate(**self.STATES[state]), \
+                pytest.raises(DomainError, match="nonfinite values"):
+            self.PROBES[probe]()
+
+    def runs(self):
+        """Bytes of two sweeps with error cells, nonfinite ones in the first,
+        of an overflowing search under both objectives, and of the slope
+        config's mode sequence, whose currents are finite."""
+        slope = tt.apply_params(make_config(), _SLOPE)
+        sweeps = [
+            tt.SweepSpec(slope, tt.Axis("hot.temperature", 1e154, 2e154, 3),
+                         tt.Axis("drive_freq", 0.1, 0.9, 3), frozenset({"transistor"})),
+            tt.SweepSpec(make_config(), tt.Axis("hot.temperature", 0.1, 1.5, 50),
+                         tt.Axis("drive_freq", 0.02, 0.9, 41),
+                         frozenset({"currents", "mode", "exergy", "transistor"}))]
+        out = []
+        for spec in sweeps:
+            result = tt.run_sweep(spec)
+            assert result.error_codes.any()
+            out.append(b"".join(a.tobytes() for a in (
+                result.thermo, result.mode_codes, result.phi, result.r, result.g,
+                result.error_codes)))
+        for objective in ("mode_sequence", "transistor_window"):
+            spec = tt.SearchSpec(objective, {"hot.center": tt.VaryRange(1.0, 1e200, "log")},
+                                 samples=20, refine_rounds=0)
+            candidates = tt.run_search(make_config(wc=0.05), spec, 1)
+            assert candidates
+            out.append(repr([c.to_dict() for c in candidates]).encode())
+        out.append(repr(tt.mode_sequence_along_omega(slope, _GRID)).encode())
+        return out
+
+    def test_sweeps_and_searches_do_not_depend_on_the_state(self):
+        results = []
+        for state in self.STATES.values():
+            with np.errstate(**state):
+                results.append(self.runs())
+        assert results[0] == results[1]
 
 
 class TestSquares:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -72,7 +73,8 @@ def reference_search(template, spec, seed, evaluated=None):
     grid = np.linspace(spec.omega_start, spec.omega_stop, spec.omega_count)
     # a varied or locked omega0 meets the grid in each candidate's checks
     if "wm.omega0" not in {**spec.vary, **spec.lock} and grid[-1] >= template.wm.omega0:
-        raise ConfigError("search omega grid must stay below omega0")
+        raise ConfigError(f"search.omega_grid.stop must be < omega0 = "
+                          f"{template.wm.omega0}, got {spec.omega_stop}")
 
     def evaluate(u):
         params = {name: decode_one(rng, float(ui))
@@ -510,8 +512,8 @@ class TestBatchedSearch:
             vary={"hot.center": tt.VaryRange(1.0, 1e200, "log"),
                   "hot.width": tt.VaryRange(1.0, 1e200, "log")})
         evaluated = []
-        with np.errstate(all="ignore"):
-            out = tt.run_search(make_config(), spec, 1)
+        out = tt.run_search(make_config(), spec, 1)
+        with np.errstate(all="ignore"):   # the reference's own arithmetic
             assert dumps(out) == dumps(reference_search(make_config(), spec, 1,
                                                         evaluated))
         assert sum(not np.isfinite(e[0][0]) for e in evaluated) > 10
@@ -527,15 +529,17 @@ class TestBatchedSearch:
                              vary={"hot.center": tt.VaryRange(1.0, 1e200, "log")})
         template = make_config(wc=0.05)
         evaluated = []
-        with np.errstate(all="ignore"):
-            out = tt.run_search(template, spec, 1)
+        out = tt.run_search(template, spec, 1)
+        with np.errstate(all="ignore"):   # the reference's own arithmetic
             assert dumps(out) == dumps(reference_search(template, spec, 1, evaluated))
         assert any(not np.isfinite(e[0][0]) for e in evaluated)
         assert len(out) == spec.top_k and all(np.isfinite(c.score) for c in out)
 
     def test_fixed_omega0_below_grid_raises(self):
         template = tt.apply_params(transistor_template(), {"wm.omega0": 0.9})
-        with pytest.raises(ConfigError, match="grid must stay below omega0"):
+        # named as the transistor command names its own omega_max
+        with pytest.raises(ConfigError, match=re.escape(
+                "search.omega_grid.stop must be < omega0 = 0.9, got 0.98")):
             tt.run_search(template, window_spec(), 7)
 
     @pytest.mark.parametrize("objective", search.OBJECTIVES)

@@ -627,12 +627,12 @@ class TestNonfiniteCells:
     @pytest.mark.parametrize("trace", [tt.mode_sequence_along_omega,
                                        tt.transistor_trace])
     def test_drive_traces_raise(self, trace):
-        # the sweep's error cells, along one machine's drive, are an error
+        # the sweep's error cells, along one machine's drive, are an error,
+        # and no RuntimeWarning (an error under this suite's filter)
         template = tt.MachineConfig.from_dict(
             yaml.safe_load((CONFIGS / "default.yaml").read_text()))
         config = tt.apply_params(template, {"hot.center": 1e200})
-        with pytest.warns(RuntimeWarning), \
-                pytest.raises(DomainError, match="nonfinite values along the omega"):
+        with pytest.raises(DomainError, match="nonfinite values along the omega"):
             trace(config, np.linspace(0.1, 0.9, 5))
 
     @pytest.mark.parametrize("axis2", [tt.Axis("drive_freq", 0.1, 0.9, 3),

@@ -281,8 +281,8 @@ class TestNonfiniteSlopes:
         tt.evaluate_point(config)   # no slopes: every value is finite
         with pytest.raises(DomainError, match="nonfinite values at this operating point"):
             tt.transistor_point(config)
-        with pytest.warns(RuntimeWarning), \
-                pytest.raises(DomainError, match="nonfinite values along the omega grid"):
+        # no RuntimeWarning either: it is an error under this suite's filter
+        with pytest.raises(DomainError, match="nonfinite values along the omega grid"):
             tt.transistor_trace(config, np.linspace(0.02, 0.98, 5))
 
     def test_sweep_cells_are_error_cells(self):
