@@ -9,6 +9,8 @@ an integral value, ``d.ddde+XX`` otherwise.  Zeros, infinities and NaN come
 from the layout table; subnormals, where Schubfach's two-digit minimum
 differs from ``repr`` (``4.9e-324`` against ``5e-324``), are formatted by
 ``float.__repr__``.  The text equals ``float.__repr__`` for every double.
+:func:`float_texts` formats a run of bit-identical neighbours (compared on
+the ``int64`` view, so ``0.0`` and ``-0.0`` differ) once and repeats its text.
 """
 
 from __future__ import annotations
@@ -137,12 +139,16 @@ def _decimal(c, q):
 
 
 def float_texts(values) -> list[str]:
-    """``float.__repr__`` of each element of a 1-D float array."""
+    """``float.__repr__`` of each element of a 1-D float array, once per run."""
     values = np.asarray(values, dtype=np.float64)
+    bits = values.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1]))[:len(bits)])
     texts = []
-    for start in range(0, len(values), _BLOCK):
-        texts += _texts(values[start:start + _BLOCK])
-    return texts
+    for start in range(0, len(starts), _BLOCK):
+        texts += _texts(values[starts[start:start + _BLOCK]])
+    if len(starts) == len(values):
+        return texts
+    return np.array(texts, dtype=object).repeat(np.diff(starts, append=len(values))).tolist()
 
 
 def _texts(values) -> list[str]:

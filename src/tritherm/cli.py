@@ -233,7 +233,7 @@ def _transistor_from_flags(args, raw) -> dict:
 
 
 def cmd_transistor(config, manifest, warnings):
-    from .sweep import _float_texts
+    from .sweep import _float_texts, _write_table
     from .transistor import transistor_trace, window_mask, windows_from_arrays
     t = manifest["transistor"]
     section = {key: get_field(t, key, "transistor", integer if key == "points" else number)
@@ -254,14 +254,16 @@ def cmd_transistor(config, manifest, warnings):
     grid = np.linspace(omega_min, omega_max, points)
     trace = transistor_trace(config, grid)
     windows = windows_from_arrays(trace.omega, trace.r, trace.g, threshold)
-    cols = [_float_texts(c)[0] for c in (trace.omega, trace.j_hot, trace.j_cold,
-                                         trace.j_mid, trace.power, trace.r, trace.g)]
-    cols.append(["1" if w else "0" for w in window_mask(grid, windows).tolist()])
+    header = ["omega_drive", "j_hot", "j_cold", "j_mid", "power", "r", "g", "in_window"]
+    floats = [trace.omega, trace.j_hot, trace.j_cold, trace.j_mid, trace.power, trace.r, trace.g]
+    in_window = window_mask(grid, windows)
+
+    def texts(chunk):   # (CSV strings, JSON strings) of each column
+        bits = ["1" if w else "0" for w in in_window[chunk].tolist()]
+        return [*(_float_texts(c[chunk]) for c in floats), (bits, bits)]
 
     def write(args):
-        with open(args.out, "w", newline="") as fh:
-            fh.write("omega_drive,j_hot,j_cold,j_mid,power,r,g,in_window\n")
-            fh.writelines(",".join(row) + "\n" for row in zip(*cols))
+        _write_table(points, header, texts, args.out, newline="\n")
         summary = {"threshold": threshold,
                    "windows": [{**w.to_dict(), "width": w.width} for w in windows]}
         print(json.dumps(summary, sort_keys=True, indent=1))

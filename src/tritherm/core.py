@@ -395,6 +395,10 @@ class MachineConfig:
     wm: WorkingMedium = field(default_factory=WorkingMedium)
 
     def __post_init__(self):
+        for name, record in SECTIONS.items():
+            if not isinstance(getattr(self, name), record):
+                raise ConfigError(f"{name} must be a {record.__name__}, "
+                                  f"got {getattr(self, name)!r}", name)
         _check_params(self)
 
     @property
@@ -456,10 +460,11 @@ def apply_params(config: MachineConfig, params: dict) -> MachineConfig:
     ``params`` maps paths from :data:`PARAM_PATHS` (e.g. ``"hot.kappa"``)
     to new numbers.  A value the section rejects (a bool or a string too)
     raises ConfigError naming its path (``field hot.kappa: ...``), as
-    ``from_dict`` does.
+    ``from_dict`` does; a ``config`` or ``params`` of another type, DomainError.
     """
+    check_type(config, MachineConfig, "config")
     updates = {}
-    for path, value in params.items():
+    for path, value in check_type(params, dict, "params").items():
         if path not in PARAM_PATHS:
             raise ConfigError(f"unknown parameter: {path!r} "
                               f"(expected one of {', '.join(PARAM_PATHS)})")
@@ -494,13 +499,16 @@ def bose_occupation(x: float) -> float:
 def spectral_lorentzian(bath: LorentzianBath, wm: WorkingMedium, omega: float) -> float:
     """Lorentzian spectral density of a dynamically coupled bath at a
     finite frequency ``omega >= 0``, one real number taken as a Python
-    float (DomainError otherwise, an array included; 0 at 0).
+    float (DomainError otherwise, an array included, or for a ``bath`` or
+    ``wm`` of another type; 0 at 0).
 
     Evaluates ``d * M * gamma * omega / ((omega^2 - center^2)^2 +
     gamma^2 omega^2)`` with ``d = kappa * center**2 * omega0**2``, by the
     kernel's own arithmetic, so it equals the kernel's value at a sideband
     to the last bit.
     """
+    check_type(bath, LorentzianBath, "bath")
+    check_type(wm, WorkingMedium, "wm")
     omega = real_number(omega, "omega")
     if not 0.0 <= omega < math.inf:
         raise DomainError(f"spectral density requires a finite omega >= 0, got {omega}")

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import COL_JC, COL_JH, COL_JM, COL_P
-from .core import ConsistencyError, DomainError, MachineConfig
+from .core import ConsistencyError, DomainError, MachineConfig, check_real
 from .currents import SIGN_ZERO_BAND, ThermoPoint, evaluate_point
 
 __all__ = [
@@ -101,9 +101,9 @@ _LUT[(_FORBIDDEN[0] + 1) * 9 + (_FORBIDDEN[1] + 1) * 3 + (_FORBIDDEN[2] + 1)] = 
 
 
 def _check_finite(**named) -> None:
-    """DomainError naming the first argument with a NaN or an infinity."""
+    """DomainError naming the first argument not numeric or not finite."""
     for name, value in named.items():
-        finite = np.isfinite(value)
+        finite = np.isfinite(check_real(value, name))
         if not finite.all():
             raise DomainError(f"{name} must be finite, got "
                               f"{finite.size - np.count_nonzero(finite)} nonfinite value(s)")
@@ -151,8 +151,8 @@ def classify_coupled_arrays(hot_kappa, cold_kappa, j_hot, j_cold, j_mid,
 
     Values within the 1e-14 zero band are sign-indeterminate and yield
     ``DEGENERATE``; the entropically forbidden octant raises
-    :class:`ConsistencyError`.  DomainError names the first argument with
-    a NaN or infinite value.
+    :class:`ConsistencyError`.  DomainError names the first argument that
+    is not numeric (:func:`tritherm.core.check_real`) or not finite.
     """
     _check_finite(hot_kappa=hot_kappa, cold_kappa=cold_kappa, j_hot=j_hot,
                   j_cold=j_cold, j_mid=j_mid, power=power)
@@ -211,8 +211,8 @@ def exergy_from_split(entropy_pos, entropy_neg) -> np.ndarray:
     useful; rounding excursions within 1e-12 above 1 are clamped to 1.
     Anything beyond that band, or negative terms without positive ones
     (a negative entropy production rate), raises
-    :class:`ConsistencyError`.  DomainError names the first argument with
-    a NaN or infinite value.
+    :class:`ConsistencyError`.  DomainError names the first argument that
+    is not numeric (:func:`tritherm.core.check_real`) or not finite.
     """
     _check_finite(entropy_pos=entropy_pos, entropy_neg=entropy_neg)
     return _exergy(entropy_pos, entropy_neg)

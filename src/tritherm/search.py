@@ -86,7 +86,8 @@ class LockRule:
     offset: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "offset", get_field(vars(self), "offset", "lock", number))
+        for name, kind in (("source", string), ("offset", number)):
+            object.__setattr__(self, name, get_field(vars(self), name, "lock", kind))
         if not np.isfinite(self.offset):
             raise ConfigError(f"lock offset must be finite, got {self.offset}", "offset")
 

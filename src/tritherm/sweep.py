@@ -20,7 +20,7 @@ The text exports (:meth:`SweepResult.to_csv`, :meth:`SweepResult.to_json`
 and the CLI's pair of both) format floats with
 :func:`tritherm._floattext.float_texts`, the bytes of ``float.__repr__``
 computed with numpy integer arithmetic, on one process per CPU
-(:meth:`SweepResult._write_text`); the bytes do not depend on that count.
+(:func:`_write_table`, the transistor CSV's too); the bytes do not depend on that count.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from . import _kernels
 from ._floattext import float_texts
 from ._kernels import COL_SNEG, COL_SPOS, NCOLS, thermo_batch
 from .core import (MAX_COUNT, REGIME_PATHS, ConfigError, MachineConfig, TrithermError,
-                   check_type, get_field, grid_fault, integer, names, number, regime_warnings)
+                   check_type, get_field, grid_fault, integer, names, number, regime_warnings,
+                   string)
 from .currents import (KERNEL_PATHS, VALIDITY_MESSAGES, _blank_errors, _drive_table,
                        _kernel_args, validity_codes)
 from .modes import ERROR_CODE, MODE_BY_CODE, _exergy, classify_table
@@ -96,6 +97,7 @@ class Axis:
     count: int
 
     def __post_init__(self):
+        object.__setattr__(self, "param", get_field(vars(self), "param", "axis", string))
         if self.param not in AXIS_PARAMS:
             raise ConfigError(f"unknown sweep parameter {self.param!r}; "
                               f"expected one of {sorted(AXIS_PARAMS)}", "param")
@@ -244,103 +246,106 @@ class SweepResult:
         self._write_text(json_path=path)
 
     def _write_text(self, csv_path=None, json_path=None) -> None:
-        """Write the CSV export, the JSON export or both, on every CPU of
-        the process.
-
-        The rows are cut into one contiguous range per CPU
-        (``_kernels._WORKERS``, at most one range per chunk of
-        ``_CHUNK_ROWS``), and every range goes through :meth:`_text_chunks`.
-        The caller writes its own range, the first, into the output files;
-        one forked child per further range writes its range into a pair of
-        temporary files, which the caller appends in row order.  Without
-        ``os.fork``, or with another thread alive (a forked child holds
-        only the calling thread, and no lock another thread held is ever
-        released in it), the caller writes every range.  A child that fails
-        makes the call raise TrithermError, and no child outlives the call.
-        """
-        header = self.csv_header()
-        workers = min(_kernels._WORKERS, -(-self.size // _CHUNK_ROWS))
-        if not hasattr(os, "fork") or threading.active_count() > 1:
-            workers = 1
-        ranges = [range(self.size * w // workers, self.size * (w + 1) // workers)
-                  for w in range(workers)]
-        paths = (csv_path, json_path)
-        children = {}   # pid -> (its rows, its temporary files), in row order
-        with contextlib.ExitStack() as stack:
-            out_csv, out_json = outs = [p and stack.enter_context(open(p, "wb"))
-                                        for p in paths]
-            try:
-                for part in ranges[1:]:
-                    tmps = [p and stack.enter_context(tempfile.TemporaryFile())
-                            for p in paths]
-                    pid = os.fork()
-                    if pid == 0:   # the child; os._exit flushes no buffer of the caller
-                        status = 1
-                        try:
-                            _write_chunks(self._text_chunks(part, *paths), tmps)
-                            status = 0
-                        finally:
-                            os._exit(status)
-                    children[pid] = part, tmps
-                if out_csv:
-                    out_csv.write((",".join(header) + "\r\n").encode())
-                if out_json:
-                    spec = self.spec
-                    meta = {"artifact": "tritherm", "config": spec.template.to_dict(),
-                            "grid": {"axis1": asdict(spec.axis1),
-                                     "axis2": asdict(spec.axis2) if spec.axis2 else None},
-                            "outputs": sorted(spec.outputs)}
-                    out_json.write(('{"metadata":' + json.dumps(
-                        meta, sort_keys=True, separators=(",", ":")) + ',"rows":[').encode())
-                _write_chunks(self._text_chunks(ranges[0], *paths), outs)
-                for pid, (part, tmps) in list(children.items()):
-                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    del children[pid]
-                    if status:
-                        raise TrithermError(f"the writer of rows {part.start} to "
-                                            f"{part.stop - 1} exited with status {status}")
-                    for tmp, out in zip(tmps, outs):
-                        if out:
-                            tmp.seek(0)
-                            shutil.copyfileobj(tmp, out)
-            finally:
-                if children:
-                    import signal   # only here: a failed write
-                    for pid in children:
-                        os.kill(pid, signal.SIGKILL)
-                        os.waitpid(pid, 0)
-            if out_json:
-                out_json.write(('],"schema":' + json.dumps(
-                    header, separators=(",", ":")) + "}").encode())
-
-    def _text_chunks(self, rows: range, want_csv, want_json):
-        """``(CSV bytes, JSON bytes)`` of each chunk of at most
-        ``_CHUNK_ROWS`` of the ``rows``, None for a format not wanted; each
-        float is formatted once, for both files.  A JSON chunk after the
-        first row of the sweep begins with the comma that joins it to the
-        previous one."""
+        """The CSV export, the JSON export or both, by :func:`_write_table`."""
         n2 = 1 if self.axis2_values is None else len(self.axis2_values)
-        axes = [np.array(_float_texts(a)[0], dtype=object)
+        axes = [np.array(_float_texts(a)[0], dtype=object)   # once, before any fork
                 for a in (self.axis1_values, self.axis2_values) if a is not None]
         currents = [self.thermo[:, c] for c in range(5)]
         figures = [self.phi] + ([self.r, self.g] if self.r is not None else [])
-        for start in range(rows.start, rows.stop, _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, rows.stop)
-            chunk = slice(start, stop)
-            k = np.arange(start, stop)
-            # (CSV strings, JSON strings) of each column, in header order
+
+        def texts(chunk):   # (CSV strings, JSON strings) of each column, in header order
+            k = np.arange(chunk.start, chunk.stop)
             cols = [(t, t) for t in (a[pick].tolist() for a, pick
                                      in zip(axes, (k // n2, k % n2)))]
             cols += [_float_texts(c[chunk]) for c in currents]
             cols.append([t[self.mode_codes[chunk]].tolist() for t in _MODE_TEXT])
             cols += [_float_texts(c[chunk]) for c in figures]
             cols.append([t[self.error_codes[chunk]].tolist() for t in _ERROR_TEXT])
-            csv_cols, json_cols = zip(*cols)
-            yield (("\r\n".join(map(",".join, zip(*csv_cols))) + "\r\n").encode()
-                   if want_csv else None,
-                   (("," if start else "") + "[" + "],[".join(
-                       map(",".join, zip(*json_cols))) + "]").encode()
-                   if want_json else None)
+            return cols
+        spec = self.spec
+        meta = {"artifact": "tritherm", "config": spec.template.to_dict(),
+                "grid": {"axis1": asdict(spec.axis1),
+                         "axis2": asdict(spec.axis2) if spec.axis2 else None},
+                "outputs": sorted(spec.outputs)}
+        _write_table(self.size, self.csv_header(), texts, csv_path, json_path, meta)
+
+
+def _write_table(n, header, texts, csv_path=None, json_path=None, meta=None,
+                 newline="\r\n") -> None:
+    """Write ``n`` rows of the columns ``header`` as CSV (each row ending in
+    ``newline``), as JSON (with the metadata ``meta``) or both, on every CPU;
+    ``texts(chunk)`` gives each column's (CSV, JSON) strings for a slice of rows.
+
+    The rows are cut into one contiguous range per CPU
+    (``_kernels._WORKERS``, at most one range per chunk of ``_CHUNK_ROWS``),
+    and every range goes through :func:`_text_chunks`.  The caller writes
+    its own range, the first, into the output files; one forked child per
+    further range writes its range into a pair of temporary files, which the
+    caller appends in row order.  Without ``os.fork``, or with another
+    thread alive (a forked child holds only the calling thread, and no lock
+    another thread held is ever released in it), the caller writes every
+    range.  A child that fails makes the call raise TrithermError, and no
+    child outlives the call.
+    """
+    workers = min(_kernels._WORKERS, -(-n // _CHUNK_ROWS))
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        workers = 1
+    ranges = [range(n * w // workers, n * (w + 1) // workers) for w in range(workers)]
+    paths = (csv_path, json_path)
+    children = {}   # pid -> (its rows, its temporary files), in row order
+    with contextlib.ExitStack() as stack:
+        out_csv, out_json = outs = [p and stack.enter_context(open(p, "wb")) for p in paths]
+        try:
+            for part in ranges[1:]:
+                tmps = [p and stack.enter_context(tempfile.TemporaryFile()) for p in paths]
+                pid = os.fork()
+                if pid == 0:   # the child; os._exit flushes no buffer of the caller
+                    status = 1
+                    try:
+                        _write_chunks(_text_chunks(texts, part, *paths, newline), tmps)
+                        status = 0
+                    finally:
+                        os._exit(status)
+                children[pid] = part, tmps
+            if out_csv:
+                out_csv.write((",".join(header) + newline).encode())
+            if out_json:
+                out_json.write(('{"metadata":' + json.dumps(
+                    meta, sort_keys=True, separators=(",", ":")) + ',"rows":[').encode())
+            _write_chunks(_text_chunks(texts, ranges[0], *paths, newline), outs)
+            for pid, (part, tmps) in list(children.items()):
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[pid]
+                if status:
+                    raise TrithermError(f"the writer of rows {part.start} to "
+                                        f"{part.stop - 1} exited with status {status}")
+                for tmp, out in zip(tmps, outs):
+                    if out:
+                        tmp.seek(0)
+                        shutil.copyfileobj(tmp, out)
+        finally:
+            if children:
+                import signal   # only here: a failed write
+                for pid in children:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+        if out_json:
+            out_json.write(('],"schema":' + json.dumps(
+                header, separators=(",", ":")) + "}").encode())
+
+
+def _text_chunks(texts, rows: range, want_csv, want_json, newline):
+    """``(CSV bytes, JSON bytes)`` of each chunk of at most ``_CHUNK_ROWS``
+    of the ``rows``, from ``texts``, None for a format not wanted.  A JSON
+    chunk after the table's first row begins with the comma that joins it
+    to the previous one."""
+    for start in range(rows.start, rows.stop, _CHUNK_ROWS):
+        csv_cols, json_cols = zip(*texts(slice(start, min(start + _CHUNK_ROWS, rows.stop))))
+        yield ((newline.join(map(",".join, zip(*csv_cols))) + newline).encode()
+               if want_csv else None,
+               (("," if start else "") + "[" + "],[".join(
+                   map(",".join, zip(*json_cols))) + "]").encode()
+               if want_json else None)
 
 
 def _write_chunks(chunks, files) -> None:
@@ -353,19 +358,8 @@ def _write_chunks(chunks, files) -> None:
 
 
 def _float_texts(values) -> tuple[list[str], list[str]]:
-    """CSV text (``repr``) and JSON text of each element of a float array,
-    from :func:`tritherm._floattext.float_texts`.
-
-    A run of bit-identical neighbours (compared on the ``int64`` view, so
-    ``0.0`` and ``-0.0``, or two NaN payloads, stay apart) is formatted once."""
-    bits = values.view(np.int64)
-    new = bits[1:] != bits[:-1]
-    if new.all():
-        text = float_texts(values)
-    else:
-        starts = np.flatnonzero(np.concatenate(([True], new)))
-        runs = np.array(float_texts(values[starts]), dtype=object)
-        text = runs.repeat(np.diff(starts, append=len(values))).tolist()
+    """CSV (``repr``) and JSON texts of each element of a float array."""
+    text = float_texts(values)
     if np.isfinite(values).all():
         return text, text
     return text, [_JSON_NONFINITE.get(t, t) for t in text]
@@ -438,9 +432,10 @@ def resonance_lines(spec: SweepSpec) -> tuple[tuple[float, float], tuple[float, 
 
     The first line is the hot-bath resonance (peak aligned with the upper
     sideband), the second the cold-bath resonance expressed through the
-    template detuning.  Requires one drive_freq axis and one hot.center /
-    hot.center_locked axis.
+    template detuning.  Requires a SweepSpec (DomainError otherwise) with
+    one drive_freq axis and one hot.center / hot.center_locked axis.
     """
+    check_type(spec, SweepSpec, "spec")
     params = {spec.axis1.param} | ({spec.axis2.param} if spec.axis2 else set())
     if "drive_freq" not in params or not (params & {"hot.center", "hot.center_locked"}):
         raise ConfigError("resonance lines require a drive_freq axis and a "

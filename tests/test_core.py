@@ -15,6 +15,7 @@ import pytest
 import tritherm as tt
 from tritherm import _kernels
 from tritherm.core import ConfigError, DomainError
+from tritherm.modes import classify_arrays, classify_coupled_arrays, exergy_from_split
 
 from conftest import make_config
 
@@ -324,6 +325,66 @@ class TestRecordArguments:
         with pytest.raises(DomainError, match=f"^{name} must be a {kind}, got "):
             run(default_config, value(default_config))
 
+
+
+# Public calls given an argument they cannot use, each of which raised a raw
+# TypeError or AttributeError: the named error they raise instead
+_UNUSABLE_ARGUMENT_CALLS = {
+    "classify_arrays": (lambda c: classify_arrays("a", "b", "c"),
+                        "j_hot must be numeric, got 'a'"),
+    "classify_coupled_arrays": (
+        lambda c: classify_coupled_arrays(None, 1.0, 1.0, 1.0, 1.0, 1.0),
+        "hot_kappa must be numeric, got None"),
+    "exergy_from_split": (lambda c: exergy_from_split("a", 1.0),
+                          "entropy_pos must be numeric, got 'a'"),
+    "spectral_lorentzian_bath": (lambda c: tt.spectral_lorentzian({}, c.wm, 1.0),
+                                 "bath must be a LorentzianBath, got {}"),
+    "spectral_lorentzian_wm": (lambda c: tt.spectral_lorentzian(c.hot, None, 1.0),
+                               "wm must be a WorkingMedium, got None"),
+    "apply_params_params": (lambda c: tt.apply_params(c, None),
+                            "params must be a dict, got None"),
+    "apply_params_config": (lambda c: tt.apply_params({}, {}),
+                            "config must be a MachineConfig, got {}"),
+    "resonance_lines": (lambda c: tt.resonance_lines({}), "spec must be a SweepSpec, got {}"),
+}
+
+
+@pytest.mark.parametrize("call", _UNUSABLE_ARGUMENT_CALLS)
+def test_unusable_argument_is_named(default_config, call):
+    run, message = _UNUSABLE_ARGUMENT_CALLS[call]
+    with pytest.raises(DomainError) as info:
+        run(default_config)
+    assert str(info.value) == message
+
+
+# Records built in code with a field they cannot use, which they accepted
+# (the config's sections) or met with a raw TypeError (the names)
+_UNUSABLE_FIELD_RECORDS = {
+    "config_hot": (lambda c: tt.MachineConfig(hot={}, cold=c.cold, mid=c.mid,
+                                              drive_freq=0.5),
+                   "hot must be a LorentzianBath, got {}", "hot"),
+    "config_wm": (lambda c: tt.MachineConfig(hot=c.hot, cold=c.cold, mid=c.mid,
+                                             drive_freq=0.5, wm=None),
+                  "wm must be a WorkingMedium, got None", "wm"),
+    "config_cold": (lambda c: tt.MachineConfig(hot=c.hot, cold=tt.OhmicBath(0.2), mid=c.mid,
+                                               drive_freq=0.5),
+                    "cold must be a LorentzianBath, got "
+                    "OhmicBath(temperature=0.2, gamma_m=0.1)", "cold"),
+    "lock_number": (lambda c: tt.LockRule(1), "field lock.source has an invalid value 1",
+                    None),
+    "lock_list": (lambda c: tt.LockRule(["a"]),
+                  "field lock.source has an invalid value ['a']", None),
+    "axis_list": (lambda c: tt.Axis(["x"], 0.1, 0.5, 2),
+                  "field axis.param has an invalid value ['x']", None),
+}
+
+
+@pytest.mark.parametrize("record", _UNUSABLE_FIELD_RECORDS)
+def test_unusable_field_is_named(default_config, record):
+    build, message, key = _UNUSABLE_FIELD_RECORDS[record]
+    with pytest.raises(ConfigError) as info:
+        build(default_config)
+    assert (str(info.value), info.value.key) == (message, key)
 
 def test_point_call_loads_only_the_point_layers():
     # the transistor, sweep and search layers, the float-text exporter and

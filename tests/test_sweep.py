@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import pathlib
+import sys
 import threading
 import time
 import tracemalloc
@@ -20,7 +21,7 @@ from tritherm.currents import KERNEL_PATHS, ThermoPoint, config_args, validity_c
 from tritherm.modes import (ERROR_CODE, MODE_BY_CODE, OperatingMode,
                             classify_coupled_arrays, exergy_from_split)
 from tritherm.sweep import _CHUNK_ROWS, _float_texts
-from tritherm.transistor import _figures
+from tritherm.transistor import _figures, window_mask
 
 from conftest import make_config
 
@@ -1201,15 +1202,15 @@ class TestForkedWriter:
 
     def _failing_ranges(self, monkeypatch, fails):
         """Make the chunks of the rows for which ``fails(rows)`` holds raise."""
-        chunks = tt.SweepResult._text_chunks
+        chunks = sweep._text_chunks
 
-        def text_chunks(result, rows, *wants):
+        def text_chunks(texts, rows, *args):
             if fails(rows):
                 raise RuntimeError(f"rows from {rows.start}")
-            return chunks(result, rows, *wants)
+            return chunks(texts, rows, *args)
         monkeypatch.setattr(sweep, "_CHUNK_ROWS", self.CHUNK)
         monkeypatch.setattr(_kernels, "_WORKERS", 3)
-        monkeypatch.setattr(tt.SweepResult, "_text_chunks", text_chunks)
+        monkeypatch.setattr(sweep, "_text_chunks", text_chunks)
         return _count_forks(monkeypatch)
 
     def test_failing_child_raises_and_cli_exits_two(self, monkeypatch, tmp_path, capsys):
@@ -1225,6 +1226,14 @@ class TestForkedWriter:
                      "drive_freq:0.02:0.98:41", "--out", str(tmp_path / "map.csv")]) == 2
         assert capsys.readouterr().err == \
             "internal error: the writer of rows 13 to 26 exited with status 1\n"
+        _assert_no_child_left()
+
+    def test_failing_transistor_child_exits_two(self, monkeypatch, tmp_path, capsys):
+        forks = self._failing_ranges(monkeypatch, lambda rows: rows.start > 0)
+        assert main(["transistor", *_TRACE_ARGS, "--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err == \
+            "internal error: the writer of rows 20 to 39 exited with status 1\n"
+        assert len(forks) == 2
         _assert_no_child_left()
 
     def test_failing_caller_kills_its_children(self, monkeypatch, tmp_path):
@@ -1258,3 +1267,90 @@ class TestForkedWriter:
         assert not thread.is_alive()
         assert forks == []
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+# A transistor trace of the committed search template at couplings of 1e-10:
+# |power| lies inside the zero band below a drive of about 0.54, so r is inf
+# over the first 54 of its 60 points (g over the first 36), and the window
+# ends near 0.47, at its 47th point
+_TRACE_ARGS = ["--config", str(CONFIGS / "transistor_search.yaml"),
+               "--set", "hot.kappa=1e-10", "--set", "cold.kappa=1e-10",
+               "--omega-min", "0.02", "--omega-max", "0.6", "--points", "60"]
+
+
+def _reference_trace_csv(path):
+    """The trace's CSV row by row: ``float.__repr__`` and ``"\\n"``."""
+    raw = yaml.safe_load((CONFIGS / "transistor_search.yaml").read_text())
+    config = tt.apply_params(tt.MachineConfig.from_dict(raw),
+                             {"hot.kappa": 1e-10, "cold.kappa": 1e-10})
+    grid = np.linspace(0.02, 0.6, 60)
+    trace = tt.transistor_trace(config, grid)
+    in_window = window_mask(grid, tt.windows_from_arrays(grid, trace.r, trace.g))
+    cols = (trace.omega, trace.j_hot, trace.j_cold, trace.j_mid, trace.power, trace.r,
+            trace.g)
+    rows = ["omega_drive,j_hot,j_cold,j_mid,power,r,g,in_window"]
+    rows += [",".join([*(float.__repr__(float(c[k])) for c in cols), str(int(in_window[k]))])
+             for k in range(grid.size)]
+    path.write_text("".join(row + "\n" for row in rows), newline="")
+    return trace.r, in_window
+
+
+class TestTransistorWriter:
+    """The transistor trace's CSV goes through the sweep's table writer."""
+
+    CHUNK = 7
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bytes_do_not_depend_on_the_writer_count(self, monkeypatch, tmp_path, capsys,
+                                                     workers):
+        r, in_window = _reference_trace_csv(tmp_path / "want.csv")
+        main(["transistor", *_TRACE_ARGS, "--out", str(tmp_path / "default.csv")])
+        want_summary = capsys.readouterr().out
+        writers = min(workers, -(-len(r) // self.CHUNK))
+        # the inf run of r and the window cross every range boundary and
+        # several chunk boundaries; the window's end is inside the last range
+        for b in [len(r) * w // writers for w in range(1, writers)] + [self.CHUNK]:
+            assert np.isinf(r[b - 1:b + 1]).all() and in_window[b - 1:b + 1].all()
+        assert 0 < np.count_nonzero(in_window) < len(r)
+        monkeypatch.setattr(sweep, "_CHUNK_ROWS", self.CHUNK)
+        monkeypatch.setattr(_kernels, "_WORKERS", workers)
+        forks = _count_forks(monkeypatch)
+        assert main(["transistor", *_TRACE_ARGS, "--out", str(tmp_path / "got.csv")]) == 0
+        assert len(forks) == writers - 1
+        _assert_no_child_left()
+        assert capsys.readouterr().out == want_summary
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_memory_does_not_grow_with_the_trace(self, monkeypatch, tmp_path, capsys):
+        # the write's peak beyond the trace, at N and 8N points on one
+        # process: it holds the texts of one chunk at a time, not of every row
+        monkeypatch.setattr(_kernels, "_WORKERS", 1)
+        trace_of = tt.transistor.transistor_trace
+        base = []
+
+        def transistor_trace(config, grid):
+            trace = trace_of(config, grid)
+            tracemalloc.reset_peak()
+            base.append(tracemalloc.get_traced_memory()[0])
+            return trace
+        monkeypatch.setattr(tt.transistor, "transistor_trace", transistor_trace)
+
+        def peak(points):
+            tracemalloc.start()
+            try:
+                assert main(["transistor", "--config",
+                             str(CONFIGS / "transistor_search.yaml"), "--points",
+                             str(points), "--out", str(tmp_path / "t.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1] - base.pop()
+            finally:
+                tracemalloc.stop()
+        chunk = 1024
+        monkeypatch.setattr(sweep, "_CHUNK_ROWS", chunk)
+        n = 2 * chunk
+        peak(n)   # the formatter's tables are built on first use
+        # eight str fields per row, each with its list slot
+        chunk_texts = chunk * 8 * (sys.getsizeof(repr(1 / 3)) + 8)
+        one, eight = peak(n), peak(8 * n)
+        assert eight - one <= chunk_texts
+        capsys.readouterr()
