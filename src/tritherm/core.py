@@ -121,7 +121,8 @@ def check_type(value, kind: type, name: str):
     """``value`` itself if it is a ``kind``; DomainError naming the argument
     ``name`` and its type otherwise (:func:`check_real` for numbers)."""
     if not isinstance(value, kind):
-        raise DomainError(f"{name} must be a {kind.__name__}, got {reprlib.repr(value)}")
+        raise DomainError(f"{name} must be a {kind.__name__}, "
+                          f"got {type(value).__name__} {reprlib.repr(value)}")
     return value
 
 

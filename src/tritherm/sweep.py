@@ -32,6 +32,7 @@ import itertools
 import json
 import os
 import shutil
+import stat
 import tempfile
 import threading
 from dataclasses import asdict, dataclass, field
@@ -276,16 +277,14 @@ def _write_table(n, header, texts, csv_path=None, json_path=None, meta=None,
     ``newline``), as JSON (with the metadata ``meta``) or both, on every CPU;
     ``texts(chunk)`` gives each column's (CSV, JSON) strings for a slice of rows.
 
-    The rows are cut into one contiguous range per CPU
-    (``_kernels._WORKERS``, at most one range per chunk of ``_CHUNK_ROWS``),
-    and every range goes through :func:`_text_chunks`.  The caller writes
-    its own range, the first, into the output files; one forked child per
-    further range writes its range into a pair of temporary files, which the
-    caller appends in row order.  Without ``os.fork``, or with another
-    thread alive (a forked child holds only the calling thread, and no lock
-    another thread held is ever released in it), the caller writes every
-    range.  A child that fails makes the call raise TrithermError, and no
-    child outlives the call.
+    The rows are cut into one contiguous range per CPU (``_kernels._WORKERS``,
+    at most one per chunk of ``_CHUNK_ROWS``), each formatted by
+    :func:`_text_chunks`.  The caller writes the first range over the outputs
+    in place (:func:`_open_output`); one forked child per further range writes
+    it into temporary files, which the caller appends in row order
+    (:func:`_append`).  Without ``os.fork``, or beside another live thread
+    (whose locks a forked child would hold forever), the caller writes it all.
+    A failing child makes the call raise TrithermError; no child outlives it.
     """
     workers = min(_kernels._WORKERS, -(-n // _CHUNK_ROWS))
     if not hasattr(os, "fork") or threading.active_count() > 1:
@@ -294,7 +293,7 @@ def _write_table(n, header, texts, csv_path=None, json_path=None, meta=None,
     paths = (csv_path, json_path)
     children = {}   # pid -> (its rows, its temporary files), in row order
     with contextlib.ExitStack() as stack:
-        out_csv, out_json = outs = [p and stack.enter_context(open(p, "wb")) for p in paths]
+        out_csv, out_json = outs = [p and _open_output(stack, p) for p in paths]
         try:
             for part in ranges[1:]:
                 tmps = [p and stack.enter_context(tempfile.TemporaryFile()) for p in paths]
@@ -319,10 +318,8 @@ def _write_table(n, header, texts, csv_path=None, json_path=None, meta=None,
                 if status:
                     raise TrithermError(f"the writer of rows {part.start} to "
                                         f"{part.stop - 1} exited with status {status}")
-                for tmp, out in zip(tmps, outs):
-                    if out:
-                        tmp.seek(0)
-                        shutil.copyfileobj(tmp, out)
+                for tmp, out in zip(filter(None, tmps), filter(None, outs)):
+                    _append(tmp, out)
         finally:
             if children:
                 import signal   # only here: a failed write
@@ -332,6 +329,28 @@ def _write_table(n, header, texts, csv_path=None, json_path=None, meta=None,
         if out_json:
             out_json.write(('],"schema":' + json.dumps(
                 header, separators=(",", ":")) + "}").encode())
+
+
+def _open_output(stack, path):
+    """``path`` overwritten in place; ``stack`` cuts a regular file to the bytes written."""
+    out = stack.enter_context(open(path, "wb", opener=lambda p, flags: os.open(
+        p, flags & ~os.O_TRUNC, 0o666)))
+    stack.callback(lambda: stat.S_ISREG(os.fstat(out.fileno()).st_mode) and out.truncate())
+    return out
+
+
+def _append(tmp, out) -> None:
+    """Append the file ``tmp`` to ``out`` by ``os.sendfile``, else through Python."""
+    out.flush()
+    offset = 0
+    try:
+        while sent := os.sendfile(out.fileno(), tmp.fileno(), offset, 1 << 30):
+            offset += sent
+    except (AttributeError, OSError):   # missing, or refused (macOS sends to sockets only)
+        if offset:   # a byte moved: a failed write, not a refused pair
+            raise
+        tmp.seek(0)
+        shutil.copyfileobj(tmp, out)
 
 
 def _text_chunks(texts, rows: range, want_csv, want_json, newline):

@@ -315,15 +315,24 @@ _NOT_A_RECORD_CALLS = {
 
 
 class TestRecordArguments:
-    @pytest.mark.parametrize("value", [
-        lambda c: "x", lambda c: {}, lambda c: None, lambda c: c.to_dict(), lambda c: c.hot],
+    # the type given, then its repr cut by reprlib
+    @pytest.mark.parametrize("value, got", [
+        (lambda c: "x", "str 'x'"),
+        (lambda c: {}, "dict {}"),
+        (lambda c: None, "NoneType None"),
+        (lambda c: c.to_dict(),
+         "dict {'cold': {'center': 0.75, 'kappa': 0.01, 'temperature': 0.2, 'width': 0.05}, "
+         "'drive_freq': 0.5, 'hot': {'center': 1.5, 'kappa': 0.01, 'temperature': 0.8, "
+         "'width': 0.05}, 'mid': {'gamma_m': 0.1, 'temperature': 0.5}, ...}"),
+        (lambda c: c.hot, "LorentzianBath LorentzianBat...5, kappa=0.01)")],
         ids=["str", "empty_dict", "none", "config_dict", "bath"])
     @pytest.mark.parametrize("call", _NOT_A_RECORD_CALLS)
-    def test_argument_and_type_are_named(self, default_config, call, value):
+    def test_argument_and_type_are_named(self, default_config, call, value, got):
         # not an AttributeError on the first field read
         run, name, kind = _NOT_A_RECORD_CALLS[call]
-        with pytest.raises(DomainError, match=f"^{name} must be a {kind}, got "):
+        with pytest.raises(DomainError) as info:
             run(default_config, value(default_config))
+        assert str(info.value) == f"{name} must be a {kind}, got {got}"
 
 
 
@@ -338,14 +347,14 @@ _UNUSABLE_ARGUMENT_CALLS = {
     "exergy_from_split": (lambda c: exergy_from_split("a", 1.0),
                           "entropy_pos must be numeric, got 'a'"),
     "spectral_lorentzian_bath": (lambda c: tt.spectral_lorentzian({}, c.wm, 1.0),
-                                 "bath must be a LorentzianBath, got {}"),
+                                 "bath must be a LorentzianBath, got dict {}"),
     "spectral_lorentzian_wm": (lambda c: tt.spectral_lorentzian(c.hot, None, 1.0),
-                               "wm must be a WorkingMedium, got None"),
+                               "wm must be a WorkingMedium, got NoneType None"),
     "apply_params_params": (lambda c: tt.apply_params(c, None),
-                            "params must be a dict, got None"),
+                            "params must be a dict, got NoneType None"),
     "apply_params_config": (lambda c: tt.apply_params({}, {}),
-                            "config must be a MachineConfig, got {}"),
-    "resonance_lines": (lambda c: tt.resonance_lines({}), "spec must be a SweepSpec, got {}"),
+                            "config must be a MachineConfig, got dict {}"),
+    "resonance_lines": (lambda c: tt.resonance_lines({}), "spec must be a SweepSpec, got dict {}"),
 }
 
 

@@ -1,7 +1,9 @@
 import csv
+import errno
 import json
 import os
 import pathlib
+import subprocess
 import sys
 import threading
 import time
@@ -1353,4 +1355,180 @@ class TestTransistorWriter:
         chunk_texts = chunk * 8 * (sys.getsizeof(repr(1 / 3)) + 8)
         one, eight = peak(n), peak(8 * n)
         assert eight - one <= chunk_texts
+        capsys.readouterr()
+
+
+
+_FILLER = b"\xff"   # in no CSV or JSON export: they are ASCII
+
+
+def _fill(path, size):
+    """An existing output at ``path``: ``size`` filler bytes."""
+    path.write_bytes(_FILLER * size)
+
+
+class TestRewrite:
+    """Outputs are overwritten in place and cut to the bytes written, so a
+    rewrite of a larger file equals a fresh write and a failed one holds
+    only new bytes; a child's range is appended by ``os.sendfile`` or,
+    where that is missing or refuses the pair, through Python."""
+
+    CHUNK = 16
+    _failing_ranges = TestForkedWriter._failing_ranges
+
+    def _references(self, result, tmp_path):
+        _reference_csv(result, tmp_path / "want.csv")
+        _reference_json(result, tmp_path / "want.json")
+        return {"csv": (tmp_path / "want.csv").read_bytes(),
+                "json": (tmp_path / "want.json").read_bytes()}
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_rewrite_of_a_larger_file_equals_the_reference(self, monkeypatch, tmp_path,
+                                                           capsys, workers):
+        result = _fork_case("error_boundaries")
+        want = self._references(result, tmp_path)
+        _reference_trace_csv(tmp_path / "want_trace.csv")
+        want["trace"] = (tmp_path / "want_trace.csv").read_bytes()
+        monkeypatch.setattr(sweep, "_CHUNK_ROWS", self.CHUNK)
+        monkeypatch.setattr(_kernels, "_WORKERS", workers)
+        forks = _count_forks(monkeypatch)
+        writes = [
+            (lambda: result.to_csv(tmp_path / "got.csv"), {"got.csv": "csv"}),
+            (lambda: result.to_json(tmp_path / "got.json"), {"got.json": "json"}),
+            (lambda: result._write_text(tmp_path / "both.csv", tmp_path / "both.json"),
+             {"both.csv": "csv", "both.json": "json"}),
+            (lambda: main(["transistor", *_TRACE_ARGS, "--out", str(tmp_path / "t.csv")]),
+             {"t.csv": "trace"}),
+        ]
+        for write, outputs in writes:
+            for name, kind in outputs.items():
+                _fill(tmp_path / name, 3 * len(want[kind]))
+            assert write() in (None, 0)
+            for name, kind in outputs.items():
+                assert (tmp_path / name).read_bytes() == want[kind], name
+        # 3 sweep writes of 300 rows and a trace of 60, in chunks of 16
+        assert len(forks) == 4 * (workers - 1)
+        _assert_no_child_left()
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("failing", ["child", "caller"])
+    def test_failed_rewrite_holds_only_new_bytes(self, monkeypatch, tmp_path, failing):
+        result = _writer_case("1d_plain")
+        want = self._references(result, tmp_path)
+        old = {kind: 3 * len(want[kind]) for kind in want}
+        for kind in want:
+            _fill(tmp_path / f"map.{kind}", old[kind])
+        if failing == "child":
+            self._failing_ranges(monkeypatch, lambda rows: rows.start > 0)
+            raises = pytest.raises(TrithermError, match="rows 13 to 26 exited")
+        else:
+            self._failing_ranges(monkeypatch, lambda rows: rows.start == 0)
+            raises = pytest.raises(RuntimeError, match="rows from 0")
+        with raises:
+            result._write_text(tmp_path / "map.csv", tmp_path / "map.json")
+        _assert_no_child_left()
+        for kind in want:
+            got = (tmp_path / f"map.{kind}").read_bytes()
+            assert got and want[kind].startswith(got) and len(got) < len(want[kind])
+            assert _FILLER not in got and len(got) < old[kind]
+        if failing == "child":   # the header and the caller's rows 0 to 12
+            assert (tmp_path / "map.csv").read_bytes().count(b"\r\n") == 1 + 13
+
+    def test_failed_open_keeps_no_old_byte(self, tmp_path):
+        # the JSON output cannot be opened after the CSV output was
+        _fill(tmp_path / "map.csv", 4096)
+        with pytest.raises(IsADirectoryError):
+            _writer_case("1d_plain")._write_text(tmp_path / "map.csv", tmp_path)
+        assert (tmp_path / "map.csv").read_bytes() == b""
+
+    @pytest.mark.parametrize("sendfile", ["missing", "refused", "fails_after_a_byte"])
+    def test_copy_where_sendfile_cannot(self, monkeypatch, tmp_path, sendfile):
+        result = _writer_case("1d_plain")
+        want = self._references(result, tmp_path)
+        monkeypatch.setattr(sweep, "_CHUNK_ROWS", self.CHUNK)
+        monkeypatch.setattr(_kernels, "_WORKERS", 3)
+        if sendfile == "missing":
+            monkeypatch.delattr(os, "sendfile", raising=False)
+        elif sendfile == "refused":   # as macOS does for a non-socket output
+            def refuse(*args):
+                raise OSError(errno.ENOTSOCK, os.strerror(errno.ENOTSOCK))
+            monkeypatch.setattr(os, "sendfile", refuse)
+        else:
+            real, calls = os.sendfile, []
+
+            def fail_later(out_fd, in_fd, offset, count):
+                calls.append(offset)
+                if len(calls) > 1:
+                    raise OSError(errno.EIO, os.strerror(errno.EIO))
+                return real(out_fd, in_fd, offset, 10)
+            monkeypatch.setattr(os, "sendfile", fail_later)
+        for kind in want:
+            _fill(tmp_path / f"map.{kind}", 3 * len(want[kind]))
+        if sendfile == "fails_after_a_byte":   # no second copy of those 10 bytes
+            with pytest.raises(OSError) as info:
+                result._write_text(tmp_path / "map.csv", tmp_path / "map.json")
+            assert info.value.errno == errno.EIO and calls == [0, 10]
+            # the header, the caller's rows 0 to 12 and 10 bytes of row 13
+            lines = want["csv"].split(b"\r\n", 14)
+            assert (tmp_path / "map.csv").read_bytes() == \
+                b"\r\n".join(lines[:14]) + b"\r\n" + lines[14][:10]
+        else:
+            result._write_text(tmp_path / "map.csv", tmp_path / "map.json")
+            for kind in want:
+                assert (tmp_path / f"map.{kind}").read_bytes() == want[kind]
+        _assert_no_child_left()
+
+
+def _null_link(tmp_path):
+    """A link to the null device: its manifest is written beside the link,
+    in ``tmp_path``, not beside the device."""
+    link = tmp_path / "null.csv"
+    link.symlink_to(os.devnull)
+    return str(link)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX devices and FIFOs")
+class TestDeviceOutputs:
+    """A character device or a FIFO as the output: not cut, nor seeked."""
+
+    CHUNK = 16
+
+    @pytest.fixture
+    def sweep_args(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sweep, "_CHUNK_ROWS", self.CHUNK)
+        monkeypatch.setattr(_kernels, "_WORKERS", 3)
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(make_config().to_dict()))
+        return ["sweep", "--config", str(path), "--axis1", "drive_freq:0.02:0.9:25",
+                "--axis2", "hot.temperature:0.05:0.6:12"]
+
+    def test_null_device(self, monkeypatch, tmp_path, capsys, sweep_args):
+        forks = _count_forks(monkeypatch)
+        assert main([*sweep_args, "--out", _null_link(tmp_path)]) == 0
+        (tmp_path / "null.csv").unlink()
+        assert main(["transistor", *_TRACE_ARGS, "--out", _null_link(tmp_path)]) == 0
+        assert len(forks) == 4   # each range but the first is appended to the device
+        _assert_no_child_left()
+        assert json.loads((tmp_path / "null.csv.manifest.json").read_text())["command"] \
+            == "transistor"
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["sweep", "transistor"])
+    def test_fifo_gets_the_bytes_of_a_file(self, tmp_path, capsys, sweep_args, command):
+        args = sweep_args if command == "sweep" else ["transistor", *_TRACE_ARGS]
+        assert main([*args, "--out", str(tmp_path / "file.csv")]) == 0
+        fifo = tmp_path / "fifo.csv"
+        os.mkfifo(fifo)
+        # a process drains it: a thread would keep the writer from forking
+        with open(tmp_path / "drained.csv", "wb") as sink:
+            cat = subprocess.Popen(["cat", str(fifo)], stdout=sink)
+        try:
+            assert main([*args, "--out", str(fifo)]) == 0
+            assert cat.wait(timeout=60) == 0
+        finally:
+            cat.kill()
+            cat.wait()
+        assert (tmp_path / "drained.csv").read_bytes() == \
+            (tmp_path / "file.csv").read_bytes()
+        _assert_no_child_left()
         capsys.readouterr()
